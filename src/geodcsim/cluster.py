@@ -20,12 +20,10 @@ from datetime import datetime, timedelta
 from . import network
 from .dcphysics import DcPhysicsParams, WeatherSample, dc_physics_step
 from .envdata import TimeSeries, value_at, wet_bulb
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .workload import Task, TaskStatus
 
 logger = logging.getLogger(__name__)
-
-STEP = timedelta(minutes=15)
 
 
 @dataclass
@@ -59,7 +57,9 @@ class DatacenterNode:
             raise ValueError("capacities must be >= 0")
         lo, hi = self.physics.setpoint_range_c
         if not lo <= self.setpoint_c <= hi:
-            raise ValueError(f"dc {self.dc_id}: initial setpoint outside [{lo}, {hi}]")
+            raise ConfigError(
+                f"dc {self.dc_id}: setpoint {self.setpoint_c} outside its SETPOINT_RANGE [{lo}, {hi}]"
+            )
         self._recompute_available()
 
     def _recompute_available(self):

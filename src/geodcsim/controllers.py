@@ -12,12 +12,10 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
-from .cluster import Cluster
+from .cluster import Cluster, DatacenterNode
 from .dcphysics import HvacAction
 from .envdata import value_at
 from .errors import ConfigError
-
-HVAC_SETPOINT_RANGE = (18.0, 27.0)
 
 
 class RbcStrategy(Enum):
@@ -45,12 +43,7 @@ class DcSnapshot:
     def available_core_fraction(self) -> float:
         return self.available_cores / self.total_cores if self.total_cores else 0.0
 
-    def fits(self, task) -> bool:
-        return (
-            task.cores_req <= self.available_cores
-            and task.gpu_req <= self.available_gpus
-            and task.mem_req <= self.available_mem_gb
-        )
+    fits = DatacenterNode.fits  # reads the available_* fields, named alike on both classes
 
 
 def snapshot_cluster(cluster: Cluster, now: datetime) -> list[DcSnapshot]:
@@ -106,19 +99,7 @@ class RuleBasedController:
         return best.action_index
 
 
-def hvac_fixed(setpoint_c: float):
-    """Policy holding the setpoint where it started; errors on out-of-range values."""
-    lo, hi = HVAC_SETPOINT_RANGE
-    if not lo <= setpoint_c <= hi:
-        raise ConfigError(f"fixed HVAC setpoint {setpoint_c} outside [{lo}, {hi}]")
-
-    def policy(node) -> HvacAction:
-        return HvacAction.HOLD
-
-    return policy
-
-
-def hvac_deadband(lo: float = 24.0, hi: float = 26.0):
+def hvac_deadband(lo: float, hi: float):
     """Nudge the setpoint to keep the CRAC return temperature inside [lo, hi]."""
     if lo >= hi:
         raise ConfigError(f"deadband bounds must satisfy lo < hi, got [{lo}, {hi}]")
@@ -135,13 +116,3 @@ def hvac_deadband(lo: float = 24.0, hi: float = 26.0):
 
     return policy
 
-
-def deadband_action(t_return_c: float, lo: float = 24.0, hi: float = 26.0) -> HvacAction:
-    """Stateless deadband rule on a return-air temperature reading."""
-    if lo >= hi:
-        raise ConfigError(f"deadband bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    if t_return_c > hi:
-        return HvacAction.DOWN_1C
-    if t_return_c < lo:
-        return HvacAction.UP_1C
-    return HvacAction.HOLD

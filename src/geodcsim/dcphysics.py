@@ -15,13 +15,16 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from datetime import timedelta
 from enum import Enum
+
+from .errors import ConfigError
+from .workload import STEP
 
 logger = logging.getLogger(__name__)
 
-MINUTES_PER_STEP = 15.0
-STEP_HOURS = MINUTES_PER_STEP / 60.0
+STEP_HOURS = STEP / timedelta(hours=1)
 
 
 class HvacAction(Enum):
@@ -413,7 +416,7 @@ def water_to_15min_liters(w_total_m3_per_hr: float) -> float:
     """Convert an hourly water rate in m3/hr to liters per 15-minute interval."""
     if w_total_m3_per_hr < 0:
         raise ValueError("water rate must be >= 0")
-    return w_total_m3_per_hr * 1000.0 / 4.0
+    return w_total_m3_per_hr * 1000.0 * STEP_HOURS
 
 
 def apply_hvac_action(params: DcPhysicsParams, setpoint_c: float, action: HvacAction) -> float:
@@ -498,136 +501,127 @@ def dc_physics_step(
     )
 
 
-# JSON parameter block: section and key names follow the conventional dc-config layout.
+# JSON parameter block: section and key names follow the conventional dc-config
+# layout. The table mirrors that layout: each key names a section, one field, or
+# the (idle W, full W) field pair written as a two-number list. It drives reading
+# and writing alike, and its order is the written key order.
+_LAYOUT = {
+    "data_center_configuration": {
+        "NUM_RACKS": "num_racks",
+        "CPUS_PER_RACK": "cpus_per_rack",
+        "GPUS_PER_RACK": "gpus_per_rack",
+        "RACK_SUPPLY_APPROACH_TEMP_LIST": "supply_approach_temps_c",
+        "RACK_RETURN_APPROACH_TEMP_LIST": "return_approach_temps_c",
+    },
+    "server_characteristics": {
+        "CPU_POWER_RATIO_LB": "cpu_power_ratio_lb",
+        "CPU_POWER_RATIO_UB": "cpu_power_ratio_ub",
+        "INLET_TEMP_RANGE": "inlet_temp_range_c",
+        "HP_PROLIANT": ("cpu_idle_w", "cpu_full_w"),
+        "NVIDIA_V100": ("gpu_idle_w", "gpu_full_w"),
+        "IT_FAN_AIRFLOW_RATIO_LB": "fan_airflow_ratio_lb",
+        "IT_FAN_AIRFLOW_RATIO_UB": "fan_airflow_ratio_ub",
+        "IT_FAN_FULL_LOAD_V": "fan_full_load_v_m3s",
+        "ITFAN_REF_V_RATIO": "fan_ref_ratio",
+        "ITFAN_REF_P": "fan_ref_w",
+        "IT_FAN_POWER_EXPONENT": "fan_power_exponent",
+        "MEM_POWER_PER_GB": "mem_w_per_gb",
+        "DESIGN_IT_LOAD_W": "design_it_load_w",
+        "THERMAL_COEFFS": "thermal_coeffs",
+    },
+    "hvac_configuration": {
+        "C_AIR": "c_air",
+        "RHO_AIR": "rho_air",
+        "CRAC_FAN_REF_P": "crac_fan_ref_w",
+        "CRAC_SUPPLY_AIR_FLOW_RATE_pu": "crac_supply_flow_pu",
+        "CRAC_REFERENCE_AIR_FLOW_RATE_pu": "crac_ref_flow_pu",
+        "CT_FAN_REF_P": "ct_fan_ref_w",
+        "CT_REFERENCE_AIR_FLOW_RATE": "ct_ref_air_flow_m3s",
+        "CT_DELTA_T": "ct_delta_t_k",
+        "CW_PRESSURE_DROP": "cw_pressure_drop_pa",
+        "CT_PRESSURE_DROP": "ct_pressure_drop_pa",
+        "CW_PUMP_EFFICIENCY": "cw_pump_eff",
+        "CT_PUMP_EFFICIENCY": "ct_pump_eff",
+        "CW_WATER_FLOW_RATE": "cw_flow_m3s",
+        "CT_WATER_FLOW_RATE": "ct_flow_m3s",
+        "CHILLER_COP_NOMINAL": "chiller_cop_nominal",
+        "CHILLER_COP_AMBIENT_SLOPE": "chiller_cop_ambient_slope",
+        "CHILLER_COP_MIN": "chiller_cop_min",
+        "CHILLER_CAPACITY_W": "chiller_capacity_w",
+        "CHILLER_MIN_LOAD_FRACTION": "chiller_min_load_fraction",
+        "CONDENSER_T_RANGE": "condenser_t_range_k",
+        "WATER_DRIFT_RATE": "water_drift_rate",
+        "HEAT_REJECT_UNIT_W": "heat_reject_unit_w",
+        "SETPOINT_RANGE": "setpoint_range_c",
+        "HRU": {
+            "AVE_HLP": "hru_ave_hlp_w_m2k",
+            "DC_AREA_PU": "hru_dc_area_pu_m2_per_w",
+            "OFFICE_BUILDING_AREA": "hru_office_area_m2",
+            "OFFICE_GUIDE_TEMP": "hru_office_guide_temp_c",
+            "IT_LOAD_CAP_FRACTION": "hru_it_load_cap_fraction",
+        },
+    },
+}
+# a read value is cast to the type of the field's default: int, float or tuple
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(DcPhysicsParams)}
+
+
+def _write(params: DcPhysicsParams, layout: dict) -> dict:
+    doc = {}
+    for key, target in layout.items():
+        if isinstance(target, dict):
+            doc[key] = _write(params, target)
+        elif isinstance(target, tuple):
+            doc[key] = [getattr(params, name) for name in target]
+        else:
+            value = getattr(params, target)
+            doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def _read(doc, layout: dict) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    kwargs = {}
+    for key, target in layout.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        try:
+            if isinstance(target, dict):
+                kwargs.update(_read(value, target))
+            elif isinstance(target, tuple):
+                if not isinstance(value, list) or len(value) != len(target):
+                    raise ValueError(f"expected [idle W, full W], got {value!r}")
+                kwargs.update(zip(target, map(float, value)))
+            else:
+                kwargs[target] = _FIELD_TYPES[target](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return kwargs
+
+
 def params_to_config(params: DcPhysicsParams) -> dict:
-    return {
-        "data_center_configuration": {
-            "NUM_RACKS": params.num_racks,
-            "CPUS_PER_RACK": params.cpus_per_rack,
-            "GPUS_PER_RACK": params.gpus_per_rack,
-            "RACK_SUPPLY_APPROACH_TEMP_LIST": list(params.supply_approach_temps_c),
-            "RACK_RETURN_APPROACH_TEMP_LIST": list(params.return_approach_temps_c),
-        },
-        "server_characteristics": {
-            "CPU_POWER_RATIO_LB": list(params.cpu_power_ratio_lb),
-            "CPU_POWER_RATIO_UB": list(params.cpu_power_ratio_ub),
-            "INLET_TEMP_RANGE": list(params.inlet_temp_range_c),
-            "HP_PROLIANT": [params.cpu_idle_w, params.cpu_full_w],   # [idle W, full W]
-            "NVIDIA_V100": [params.gpu_idle_w, params.gpu_full_w],   # [idle W, full W]
-            "IT_FAN_AIRFLOW_RATIO_LB": list(params.fan_airflow_ratio_lb),
-            "IT_FAN_AIRFLOW_RATIO_UB": list(params.fan_airflow_ratio_ub),
-            "IT_FAN_FULL_LOAD_V": params.fan_full_load_v_m3s,
-            "ITFAN_REF_V_RATIO": params.fan_ref_ratio,
-            "ITFAN_REF_P": params.fan_ref_w,
-            "IT_FAN_POWER_EXPONENT": params.fan_power_exponent,
-            "MEM_POWER_PER_GB": params.mem_w_per_gb,
-            "DESIGN_IT_LOAD_W": params.design_it_load_w,
-            "THERMAL_COEFFS": list(params.thermal_coeffs),
-        },
-        "hvac_configuration": {
-            "C_AIR": params.c_air,
-            "RHO_AIR": params.rho_air,
-            "CRAC_FAN_REF_P": params.crac_fan_ref_w,
-            "CRAC_SUPPLY_AIR_FLOW_RATE_pu": params.crac_supply_flow_pu,
-            "CRAC_REFERENCE_AIR_FLOW_RATE_pu": params.crac_ref_flow_pu,
-            "CT_FAN_REF_P": params.ct_fan_ref_w,
-            "CT_REFERENCE_AIR_FLOW_RATE": params.ct_ref_air_flow_m3s,
-            "CT_DELTA_T": params.ct_delta_t_k,
-            "CW_PRESSURE_DROP": params.cw_pressure_drop_pa,
-            "CT_PRESSURE_DROP": params.ct_pressure_drop_pa,
-            "CW_PUMP_EFFICIENCY": params.cw_pump_eff,
-            "CT_PUMP_EFFICIENCY": params.ct_pump_eff,
-            "CW_WATER_FLOW_RATE": params.cw_flow_m3s,
-            "CT_WATER_FLOW_RATE": params.ct_flow_m3s,
-            "CHILLER_COP_NOMINAL": params.chiller_cop_nominal,
-            "CHILLER_COP_AMBIENT_SLOPE": params.chiller_cop_ambient_slope,
-            "CHILLER_COP_MIN": params.chiller_cop_min,
-            "CHILLER_CAPACITY_W": params.chiller_capacity_w,
-            "CHILLER_MIN_LOAD_FRACTION": params.chiller_min_load_fraction,
-            "CONDENSER_T_RANGE": params.condenser_t_range_k,
-            "WATER_DRIFT_RATE": params.water_drift_rate,
-            "HEAT_REJECT_UNIT_W": params.heat_reject_unit_w,
-            "SETPOINT_RANGE": list(params.setpoint_range_c),
-            "HRU": {
-                "AVE_HLP": params.hru_ave_hlp_w_m2k,
-                "DC_AREA_PU": params.hru_dc_area_pu_m2_per_w,
-                "OFFICE_BUILDING_AREA": params.hru_office_area_m2,
-                "OFFICE_GUIDE_TEMP": params.hru_office_guide_temp_c,
-                "IT_LOAD_CAP_FRACTION": params.hru_it_load_cap_fraction,
-            },
-        },
-    }
+    return _write(params, _LAYOUT)
 
 
 def params_from_config(doc: dict) -> DcPhysicsParams:
-    """Build a parameter block from the JSON document; absent keys keep defaults."""
-    defaults = DcPhysicsParams()
-    dc = doc.get("data_center_configuration", {})
-    sc = doc.get("server_characteristics", {})
-    hc = doc.get("hvac_configuration", {})
-    hru = hc.get("HRU", {})
+    """Build a parameter block from the JSON document; absent keys keep defaults.
 
-    def pick(section, key, default):
-        return section.get(key, default)
-
-    hp = pick(sc, "HP_PROLIANT", [defaults.cpu_idle_w, defaults.cpu_full_w])
-    v100 = pick(sc, "NVIDIA_V100", [defaults.gpu_idle_w, defaults.gpu_full_w])
-    return DcPhysicsParams(
-        num_racks=int(pick(dc, "NUM_RACKS", defaults.num_racks)),
-        cpus_per_rack=int(pick(dc, "CPUS_PER_RACK", defaults.cpus_per_rack)),
-        gpus_per_rack=int(pick(dc, "GPUS_PER_RACK", defaults.gpus_per_rack)),
-        supply_approach_temps_c=tuple(pick(dc, "RACK_SUPPLY_APPROACH_TEMP_LIST", ())),
-        return_approach_temps_c=tuple(pick(dc, "RACK_RETURN_APPROACH_TEMP_LIST", ())),
-        cpu_power_ratio_lb=tuple(pick(sc, "CPU_POWER_RATIO_LB", defaults.cpu_power_ratio_lb)),
-        cpu_power_ratio_ub=tuple(pick(sc, "CPU_POWER_RATIO_UB", defaults.cpu_power_ratio_ub)),
-        inlet_temp_range_c=tuple(pick(sc, "INLET_TEMP_RANGE", defaults.inlet_temp_range_c)),
-        cpu_idle_w=float(hp[0]),
-        cpu_full_w=float(hp[1]),
-        gpu_idle_w=float(v100[0]),
-        gpu_full_w=float(v100[1]),
-        fan_airflow_ratio_lb=tuple(pick(sc, "IT_FAN_AIRFLOW_RATIO_LB", defaults.fan_airflow_ratio_lb)),
-        fan_airflow_ratio_ub=tuple(pick(sc, "IT_FAN_AIRFLOW_RATIO_UB", defaults.fan_airflow_ratio_ub)),
-        fan_full_load_v_m3s=float(pick(sc, "IT_FAN_FULL_LOAD_V", defaults.fan_full_load_v_m3s)),
-        fan_ref_ratio=float(pick(sc, "ITFAN_REF_V_RATIO", defaults.fan_ref_ratio)),
-        fan_ref_w=float(pick(sc, "ITFAN_REF_P", defaults.fan_ref_w)),
-        fan_power_exponent=float(pick(sc, "IT_FAN_POWER_EXPONENT", defaults.fan_power_exponent)),
-        mem_w_per_gb=float(pick(sc, "MEM_POWER_PER_GB", defaults.mem_w_per_gb)),
-        design_it_load_w=float(pick(sc, "DESIGN_IT_LOAD_W", defaults.design_it_load_w)),
-        thermal_coeffs=tuple(pick(sc, "THERMAL_COEFFS", defaults.thermal_coeffs)),
-        c_air=float(pick(hc, "C_AIR", defaults.c_air)),
-        rho_air=float(pick(hc, "RHO_AIR", defaults.rho_air)),
-        crac_fan_ref_w=float(pick(hc, "CRAC_FAN_REF_P", defaults.crac_fan_ref_w)),
-        crac_supply_flow_pu=float(pick(hc, "CRAC_SUPPLY_AIR_FLOW_RATE_pu", defaults.crac_supply_flow_pu)),
-        crac_ref_flow_pu=float(pick(hc, "CRAC_REFERENCE_AIR_FLOW_RATE_pu", defaults.crac_ref_flow_pu)),
-        ct_fan_ref_w=float(pick(hc, "CT_FAN_REF_P", defaults.ct_fan_ref_w)),
-        ct_ref_air_flow_m3s=float(pick(hc, "CT_REFERENCE_AIR_FLOW_RATE", defaults.ct_ref_air_flow_m3s)),
-        ct_delta_t_k=float(pick(hc, "CT_DELTA_T", defaults.ct_delta_t_k)),
-        cw_pressure_drop_pa=float(pick(hc, "CW_PRESSURE_DROP", defaults.cw_pressure_drop_pa)),
-        ct_pressure_drop_pa=float(pick(hc, "CT_PRESSURE_DROP", defaults.ct_pressure_drop_pa)),
-        cw_pump_eff=float(pick(hc, "CW_PUMP_EFFICIENCY", defaults.cw_pump_eff)),
-        ct_pump_eff=float(pick(hc, "CT_PUMP_EFFICIENCY", defaults.ct_pump_eff)),
-        cw_flow_m3s=float(pick(hc, "CW_WATER_FLOW_RATE", defaults.cw_flow_m3s)),
-        ct_flow_m3s=float(pick(hc, "CT_WATER_FLOW_RATE", defaults.ct_flow_m3s)),
-        chiller_cop_nominal=float(pick(hc, "CHILLER_COP_NOMINAL", defaults.chiller_cop_nominal)),
-        chiller_cop_ambient_slope=float(pick(hc, "CHILLER_COP_AMBIENT_SLOPE", defaults.chiller_cop_ambient_slope)),
-        chiller_cop_min=float(pick(hc, "CHILLER_COP_MIN", defaults.chiller_cop_min)),
-        chiller_capacity_w=float(pick(hc, "CHILLER_CAPACITY_W", defaults.chiller_capacity_w)),
-        chiller_min_load_fraction=float(pick(hc, "CHILLER_MIN_LOAD_FRACTION", defaults.chiller_min_load_fraction)),
-        condenser_t_range_k=float(pick(hc, "CONDENSER_T_RANGE", defaults.condenser_t_range_k)),
-        water_drift_rate=float(pick(hc, "WATER_DRIFT_RATE", defaults.water_drift_rate)),
-        heat_reject_unit_w=float(pick(hc, "HEAT_REJECT_UNIT_W", defaults.heat_reject_unit_w)),
-        setpoint_range_c=tuple(pick(hc, "SETPOINT_RANGE", defaults.setpoint_range_c)),
-        hru_ave_hlp_w_m2k=float(hru.get("AVE_HLP", defaults.hru_ave_hlp_w_m2k)),
-        hru_dc_area_pu_m2_per_w=float(hru.get("DC_AREA_PU", defaults.hru_dc_area_pu_m2_per_w)),
-        hru_office_area_m2=float(hru.get("OFFICE_BUILDING_AREA", defaults.hru_office_area_m2)),
-        hru_office_guide_temp_c=float(hru.get("OFFICE_GUIDE_TEMP", defaults.hru_office_guide_temp_c)),
-        hru_it_load_cap_fraction=float(hru.get("IT_LOAD_CAP_FRACTION", defaults.hru_it_load_cap_fraction)),
-    )
+    A malformed value raises ``ValueError`` naming its key.
+    """
+    return DcPhysicsParams(**_read(doc, _LAYOUT))
 
 
 def load_dc_config(path) -> DcPhysicsParams:
+    """Read a physics JSON file; any malformed content raises ``ConfigError`` naming the file."""
     with open(path) as fh:
-        return params_from_config(json.load(fh))
+        try:
+            return params_from_config(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_dc_config(params: DcPhysicsParams, path) -> None:
@@ -638,9 +632,6 @@ def save_dc_config(params: DcPhysicsParams, path) -> None:
 def desk_scale_params(**overrides) -> DcPhysicsParams:
     """A small plant sized for fast test scenarios (~50 kW design IT load)."""
     base = dict(
-        num_racks=4,
-        cpus_per_rack=50,
-        gpus_per_rack=10,
         design_it_load_w=5.0e4,
         chiller_capacity_w=6.0e4,
     )

@@ -20,9 +20,9 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, DataError, DataFormatError
+from .workload import STEP
 
 TRANSMISSION_KWH_PER_GB = 0.06
-STEP_SECONDS = 900.0
 DEFAULT_INTRA_THROUGHPUT_MBPS = 1000.0
 DEFAULT_INTRA_RTT_MS = 10.0
 
@@ -115,8 +115,7 @@ class DelayTable:
         return self.throughput_mbps[key], self.rtt_ms[key]
 
     @classmethod
-    def from_csv(cls, path, intra_throughput_mbps=DEFAULT_INTRA_THROUGHPUT_MBPS,
-                 intra_rtt_ms=DEFAULT_INTRA_RTT_MS) -> "DelayTable":
+    def from_csv(cls, path) -> "DelayTable":
         throughput, rtt = {}, {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -131,7 +130,7 @@ class DelayTable:
                     rtt[(a, b)] = float(row["rtt_ms"])
                 except ValueError as exc:
                     raise DataError(f"{path}: bad row {i}: {exc}") from exc
-        return cls(throughput, rtt, intra_throughput_mbps, intra_rtt_ms)
+        return cls(throughput, rtt)
 
 
 @dataclass
@@ -204,11 +203,11 @@ def transmission_delay_s(table: DelayTable, region_map: RegionMap,
     return s_bw_gb * 8000.0 / throughput + rtt / 1000.0
 
 
-def delay_steps(delay_s: float, step_seconds: float = STEP_SECONDS) -> int:
+def delay_steps(delay_s: float) -> int:
     """Whole simulation steps a transfer stays in transit."""
     if delay_s < 0:
         raise ValueError("delay must be >= 0")
-    return math.ceil(delay_s / step_seconds)
+    return math.ceil(delay_s / STEP.total_seconds())
 
 
 def _data_path(name: str):

@@ -49,10 +49,6 @@ def _require_positive(value, what):
     return float(value)
 
 
-def _dc_total(info: ClusterInfo, attr: str) -> float:
-    return sum(getattr(d, attr) for d in info.datacenters.values())
-
-
 @register_component("energy_price")
 class EnergyPriceReward:
     """Penalizes total electricity cost across sites."""
@@ -61,7 +57,7 @@ class EnergyPriceReward:
         self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
 
     def __call__(self, info: ClusterInfo) -> float:
-        return -_dc_total(info, "energy_cost_usd") / self.normalize_factor
+        return -info.total("energy_cost_usd") / self.normalize_factor
 
 
 @register_component("carbon_emissions")
@@ -72,7 +68,7 @@ class CarbonEmissionsReward:
         self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
 
     def __call__(self, info: ClusterInfo) -> float:
-        total = _dc_total(info, "carbon_emissions_kg") + info.transmission_emissions_total_kg
+        total = info.total("carbon_emissions_kg") + info.transmission_emissions_total_kg
         return -total / self.normalize_factor
 
 
@@ -84,7 +80,7 @@ class EnergyConsumptionReward:
         self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
 
     def __call__(self, info: ClusterInfo) -> float:
-        total = _dc_total(info, "energy_consumption_kwh") + info.transmission_energy_total_kwh
+        total = info.total("energy_consumption_kwh") + info.transmission_energy_total_kwh
         return -total / self.normalize_factor
 
 
@@ -114,7 +110,7 @@ class SlaPenaltyReward:
         self.penalty_per_violation = float(penalty_per_violation)
 
     def __call__(self, info: ClusterInfo) -> float:
-        return -_dc_total(info, "sla_violated") * self.penalty_per_violation
+        return -info.total("sla_violated") * self.penalty_per_violation
 
 
 @register_component("efficiency")
@@ -125,8 +121,8 @@ class EfficiencyReward:
         self.epsilon = _require_positive(epsilon, "epsilon")
 
     def __call__(self, info: ClusterInfo) -> float:
-        completed = _dc_total(info, "sla_met")
-        energy = _dc_total(info, "energy_consumption_kwh") + info.transmission_energy_total_kwh
+        completed = info.total("sla_met")
+        energy = info.total("energy_consumption_kwh") + info.transmission_energy_total_kwh
         return completed / (energy + self.epsilon)
 
 

@@ -16,8 +16,8 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass, field, fields, replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,13 @@ import yaml
 
 from . import envdata, network
 from .cluster import Cluster, DatacenterNode
-from .controllers import RbcStrategy, RuleBasedController, hvac_deadband, hvac_fixed, snapshot_cluster
+from .controllers import RbcStrategy, RuleBasedController, hvac_deadband, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
 from .errors import ConfigError, SimulationError
 from .rewards import CompositeReward
 from .schedenv import STEPS_PER_DAY, SchedulingEnv
-from .workload import ResourceRanges, generate_synthetic_trace, load_trace
+from .workload import STEP, ResourceRanges, generate_synthetic_trace, load_trace
 
 logger = logging.getLogger(__name__)
 
@@ -121,8 +121,8 @@ class SimConfig:
     resource_ranges: ResourceRanges = field(default_factory=ResourceRanges)
 
     def __post_init__(self):
-        if self.timestep_minutes != 15:
-            raise ConfigError("timestep_minutes must be 15")
+        if timedelta(minutes=self.timestep_minutes) != STEP:
+            raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
         if self.duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
         try:
@@ -133,46 +133,48 @@ class SimConfig:
             raise ConfigError(f"invalid start date: {exc}") from exc
 
 
+def _with_doc(base, doc: dict, names=None, prefix: str = ""):
+    """Copy of dataclass ``base`` with the fields in ``names`` (default: those named
+    ``prefix`` + key) that ``doc`` sets, each cast to the type of the value it replaces."""
+    if names is None:
+        names = [f.name for f in fields(base) if f.name.startswith(prefix)]
+    changes = {}
+    for name in names:
+        key = name.removeprefix(prefix)
+        if key in doc:
+            old = getattr(base, name)
+            changes[name] = doc[key] if old is None else type(old)(doc[key])
+    return replace(base, **changes)
+
+
 def load_sim_config(path) -> SimConfig:
     with open(path) as fh:
         doc = yaml.safe_load(fh) or {}
     sim = doc.get("simulation")
     if sim is None:
         raise ConfigError(f"{path}: missing top-level 'simulation' section")
-    ranges_doc = sim.get("synthetic_workload", {}) or {}
-    defaults = ResourceRanges()
+    ranges_doc = sim.get("synthetic_workload") or {}
     try:
-        ranges = ResourceRanges(
-            duration_min=tuple(ranges_doc.get("duration_min", defaults.duration_min)),
-            cores_req=tuple(ranges_doc.get("cores_req", defaults.cores_req)),
-            gpu_req=tuple(ranges_doc.get("gpu_req", defaults.gpu_req)),
-            mem_req=tuple(ranges_doc.get("mem_req", defaults.mem_req)),
-            bandwidth_gb=tuple(ranges_doc.get("bandwidth_gb", defaults.bandwidth_gb)),
-            sla_multiplier=tuple(ranges_doc.get("sla_multiplier", defaults.sla_multiplier)),
-        )
+        ranges = _with_doc(ResourceRanges(), ranges_doc)
     except ValueError as exc:
         raise ConfigError(f"{path}: bad synthetic_workload ranges: {exc}") from exc
     try:
-        return SimConfig(
+        base = SimConfig(
             year=int(sim["year"]),
             month=int(sim["month"]),
             init_day=int(sim["init_day"]),
             init_hour=int(sim.get("init_hour", 0)),
             duration_days=int(sim["duration_days"]),
-            timestep_minutes=int(sim.get("timestep_minutes", 15)),
-            workload_path=sim.get("workload_path"),
-            cost_matrix_path=sim.get("cost_matrix_path"),
-            delay_params_path=sim.get("delay_params_path"),
-            region_map_path=sim.get("region_map_path"),
-            shuffle_datacenters=bool(sim.get("shuffle_datacenters", False)),
-            strategy=str(sim.get("strategy", "local_only")),
-            single_action_mode=bool(sim.get("single_action_mode", False)),
-            disable_defer_action=bool(sim.get("disable_defer_action", False)),
-            mean_tasks_per_interval=float(ranges_doc.get("mean_tasks_per_interval", 2.0)),
             resource_ranges=ranges,
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing simulation field {exc.args[0]!r}") from exc
+    base = _with_doc(base, ranges_doc, ["mean_tasks_per_interval"])
+    return _with_doc(base, sim, [
+        "timestep_minutes", "workload_path", "cost_matrix_path", "delay_params_path",
+        "region_map_path", "shuffle_datacenters", "strategy", "single_action_mode",
+        "disable_defer_action",
+    ])
 
 
 def load_dc_fleet(path) -> list[DcSpec]:
@@ -183,50 +185,26 @@ def load_dc_fleet(path) -> list[DcSpec]:
         raise ConfigError(f"{path}: missing or empty 'datacenters' list")
     specs = []
     for i, entry in enumerate(entries):
-        hvac = entry.get("hvac", {}) or {}
-        data = entry.get("data", {}) or {}
-        synth = entry.get("synthetic", {}) or {}
-        price_doc = synth.get("price", {}) or {}
-        carbon_doc = synth.get("carbon", {}) or {}
-        weather_doc = synth.get("weather", {}) or {}
         try:
-            specs.append(
-                DcSpec(
-                    dc_id=int(entry["dc_id"]),
-                    location=str(entry["location"]),
-                    timezone_shift=float(entry.get("timezone_shift", 0)),
-                    population_weight=float(entry.get("population_weight", 1.0)),
-                    total_cores=float(entry["total_cores"]),
-                    total_gpus=float(entry["total_gpus"]),
-                    total_mem_gb=float(entry["total_mem_gb"]),
-                    dc_config_file=entry.get("dc_config_file"),
-                    hru_enabled=bool(entry.get("hru_enabled", False)),
-                    hvac_policy=str(hvac.get("policy", "fixed")),
-                    hvac_setpoint_c=float(hvac.get("setpoint_c", 22.0)),
-                    hvac_deadband=tuple(hvac.get("deadband", (24.0, 26.0))),
-                    price_csv=data.get("price_csv"),
-                    carbon_csv=data.get("carbon_csv"),
-                    weather_json=data.get("weather_json"),
-                    synth_price=SyntheticSeriesSpec(
-                        base=float(price_doc.get("base", 80.0)),
-                        daily_amplitude=float(price_doc.get("daily_amplitude", 30.0)),
-                        noise_sd=float(price_doc.get("noise_sd", 0.0)),
-                    ),
-                    synth_carbon=SyntheticSeriesSpec(
-                        base=float(carbon_doc.get("base", 300.0)),
-                        daily_amplitude=float(carbon_doc.get("daily_amplitude", 100.0)),
-                        noise_sd=float(carbon_doc.get("noise_sd", 0.0)),
-                    ),
-                    synth_weather=SyntheticWeatherSpec(
-                        base_temp_c=float(weather_doc.get("base_temp_c", 18.0)),
-                        daily_amplitude=float(weather_doc.get("daily_amplitude", 0.0)),
-                        noise_sd=float(weather_doc.get("noise_sd", 0.0)),
-                        rel_humidity_pct=float(weather_doc.get("rel_humidity_pct", 50.0)),
-                    ),
-                )
+            spec = DcSpec(
+                dc_id=int(entry["dc_id"]),
+                location=str(entry["location"]),
+                timezone_shift=float(entry.get("timezone_shift", 0)),
+                population_weight=float(entry.get("population_weight", 1.0)),
+                total_cores=float(entry["total_cores"]),
+                total_gpus=float(entry["total_gpus"]),
+                total_mem_gb=float(entry["total_mem_gb"]),
             )
         except KeyError as exc:
             raise ConfigError(f"{path}: datacenter {i}: missing field {exc.args[0]!r}") from exc
+        spec = _with_doc(spec, entry, ["dc_config_file", "hru_enabled"])
+        spec = _with_doc(spec, entry.get("hvac") or {}, prefix="hvac_")
+        spec = _with_doc(spec, entry.get("data") or {}, ["price_csv", "carbon_csv", "weather_json"])
+        synth = entry.get("synthetic") or {}
+        spec.synth_price = _with_doc(spec.synth_price, synth.get("price") or {})
+        spec.synth_carbon = _with_doc(spec.synth_carbon, synth.get("carbon") or {})
+        spec.synth_weather = _with_doc(spec.synth_weather, synth.get("weather") or {})
+        specs.append(spec)
     ids = [s.dc_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{path}: dc_id values must be unique")
@@ -295,11 +273,10 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
     for i, spec in enumerate(fleet):
         series = _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i])
         params = load_dc_config(spec.dc_config_file) if spec.dc_config_file else desk_scale_params()
-        if spec.hvac_policy == "fixed":
-            hvac_policies[spec.dc_id] = hvac_fixed(spec.hvac_setpoint_c)
-        elif spec.hvac_policy == "deadband":
+        # a fixed site gets no policy: its setpoint stays where it starts
+        if spec.hvac_policy == "deadband":
             hvac_policies[spec.dc_id] = hvac_deadband(*spec.hvac_deadband)
-        else:
+        elif spec.hvac_policy != "fixed":
             raise ConfigError(f"dc {spec.dc_id}: unknown hvac policy {spec.hvac_policy!r}")
         site_data.append((spec, params, series))
 
@@ -510,10 +487,11 @@ def main(argv=None) -> int:
         sim = load_sim_config(args.sim_config)
         fleet = load_dc_fleet(args.dc_config)
         reward_doc = load_reward_config(args.reward_config)
-        if args.strategy:
-            sim.strategy = args.strategy
-        if args.days:
-            sim.duration_days = args.days
+        sim = replace(
+            sim,
+            strategy=args.strategy or sim.strategy,
+            duration_days=sim.duration_days if args.days is None else args.days,
+        )
         seeds = _parse_seeds(args)
         summary = run_sweep(sim, fleet, reward_doc, seeds, out_dir=args.out)
     except (SimulationError, OSError) as exc:

@@ -25,10 +25,9 @@ from .dcphysics import HvacAction
 from .envdata import value_at
 from .errors import ConfigError, ProtocolError
 from .rewards import CompositeReward, RewardBreakdown
-from .workload import TaskStatus, TraceInterval, assign_task_origins
+from .workload import STEP, TaskStatus, TraceInterval, assign_task_origins
 
-STEP = timedelta(minutes=15)
-STEPS_PER_DAY = 96
+STEPS_PER_DAY = timedelta(days=1) // STEP
 
 TIME_FEATURES = 4
 TASK_FEATURES = 5
@@ -215,7 +214,7 @@ class SchedulingEnv:
         if self.single_action_mode:
             return build_agg_observation(
                 self.cluster, self.current_tasks, self.now,
-                horizon_minutes=self.horizon_steps * 15.0,
+                horizon_minutes=self.horizon_steps * STEP / timedelta(minutes=1),
             )
         return build_observation(self.cluster, self.current_tasks, self.now)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DataError
 
-INTERVAL = timedelta(minutes=15)
-MIN_DURATION_MIN = 15.0
+STEP = timedelta(minutes=15)  # the simulation's one time grid
+MIN_DURATION_MIN = STEP / timedelta(minutes=1)  # one step: shorter tasks cannot be resolved
 DEFAULT_SLA_MULTIPLIER = 1.5
 
 BUSINESS_HOURS = range(8, 20)
@@ -48,6 +48,11 @@ def _require_utc(dt: datetime, what: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
+def _on_grid(dt: datetime) -> bool:
+    """Whether ``dt`` falls on a step boundary; ``STEP`` divides the hour."""
+    return not ((dt.minute * 60 + dt.second) % STEP.seconds or dt.microsecond)
+
+
 @dataclass
 class Task:
     """One schedulable job: resource demands, origin, SLA state, lifecycle status."""
@@ -69,11 +74,7 @@ class Task:
 
     def __post_init__(self):
         self.arrival_time = _require_utc(self.arrival_time, "arrival_time")
-        if (
-            self.arrival_time.minute % 15
-            or self.arrival_time.second
-            or self.arrival_time.microsecond
-        ):
+        if not _on_grid(self.arrival_time):
             raise ValueError(
                 f"task {self.job_id}: arrival_time {self.arrival_time.isoformat()} "
                 "is not aligned to the 15-minute grid"
@@ -257,7 +258,7 @@ def generate_synthetic_trace(
     if mean_tasks_per_interval < 0:
         raise ValueError("mean_tasks_per_interval must be >= 0")
     start = _require_utc(start, "start")
-    if start.minute % 15 or start.second or start.microsecond:
+    if not _on_grid(start):
         raise ValueError("start must be aligned to the 15-minute grid")
     rng = np.random.default_rng(seed)
     intervals = []
@@ -268,7 +269,7 @@ def generate_synthetic_trace(
         return lo if lo == hi else float(rng.uniform(lo, hi))
 
     for i in range(num_intervals):
-        t0 = start + i * INTERVAL
+        t0 = start + i * STEP
         count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
         tasks = []
         for _ in range(count):

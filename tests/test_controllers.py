@@ -1,18 +1,44 @@
+import json
+
 import pytest
 
 from geodcsim.controllers import (
     DcSnapshot,
     RbcStrategy,
     RuleBasedController,
-    deadband_action,
     hvac_deadband,
-    hvac_fixed,
     snapshot_cluster,
 )
 from geodcsim.dcphysics import HvacAction
 from geodcsim.errors import ConfigError
+from geodcsim.runner import DcSpec, SimConfig, build_env
 
 from conftest import T0, make_cluster, make_task
+
+REWARD = {"reward": {"components": {"energy_price": {"weight": 1.0}}}}
+
+
+def hvac_env(tmp_path, setpoints, setpoint_range=None):
+    """Environment over synthetic sites running the ``fixed`` HVAC policy."""
+    config_file = None
+    if setpoint_range is not None:
+        config_file = tmp_path / "dc.json"
+        config_file.write_text(json.dumps(
+            {"hvac_configuration": {"SETPOINT_RANGE": list(setpoint_range)}}))
+    sim = SimConfig(year=2024, month=3, init_day=1, init_hour=0, duration_days=1,
+                    mean_tasks_per_interval=2.0)
+    fleet = [
+        DcSpec(dc_id=i + 1, location=loc, timezone_shift=0.0, population_weight=1.0,
+               total_cores=2000, total_gpus=40, total_mem_gb=8000,
+               dc_config_file=config_file, hvac_policy="fixed", hvac_setpoint_c=sp)
+        for i, (loc, sp) in enumerate(zip(["US-CAL-CISO", "DE-LU", "SG"], setpoints))
+    ]
+    return build_env(sim, fleet, REWARD, seed=0)
+
+
+def step_local(env):
+    controller = RuleBasedController(RbcStrategy.LOCAL_ONLY)
+    return env.step(controller.decide(snapshot_cluster(env.cluster, env.now), env.current_tasks))
 
 
 def snap(idx, dc_id=None, ci=100.0, price=50.0, cores=1000.0, total=1000.0,
@@ -108,28 +134,40 @@ class TestSnapshot:
 
 
 class TestHvacPolicies:
-    def test_fixed_always_holds(self):
-        policy = hvac_fixed(22.0)
-        assert policy(None) is HvacAction.HOLD
-        assert policy(None) is HvacAction.HOLD
+    def test_fixed_always_holds(self, tmp_path):
+        env = hvac_env(tmp_path, [18.0, 22.0, 27.0])
+        env.reset()
+        done = False
+        while not done:
+            _, _, done, _ = step_local(env)
+            assert [n.setpoint_c for n in env.cluster.nodes] == [18.0, 22.0, 27.0]
 
-    def test_fixed_range_check(self):
-        hvac_fixed(18.0)
-        with pytest.raises(ConfigError):
-            hvac_fixed(30.0)
-        with pytest.raises(ConfigError):
-            hvac_fixed(17.9)
+    def test_fixed_range_check(self, tmp_path):
+        for setpoint in (19.0, 26.0):
+            env = hvac_env(tmp_path, [22.0, setpoint], setpoint_range=(20, 25))
+            with pytest.raises(ConfigError, match=rf"dc 2: setpoint {setpoint} .*\[20.0, 25.0\]"):
+                env.reset()
+
+    def test_fixed_range_is_the_sites_own(self, tmp_path):
+        env = hvac_env(tmp_path, [28.0, 16.0], setpoint_range=(16, 30))
+        env.reset()
+        step_local(env)
+        assert [n.setpoint_c for n in env.cluster.nodes] == [28.0, 16.0]
 
     def test_deadband_rule(self):
-        assert deadband_action(27.0) is HvacAction.DOWN_1C
-        assert deadband_action(25.0) is HvacAction.HOLD
-        assert deadband_action(20.0) is HvacAction.UP_1C
+        policy = hvac_deadband(24.0, 26.0)
+        node = make_cluster().by_id[1]
+        for t_return, expected in ((27.0, HvacAction.DOWN_1C), (26.0, HvacAction.HOLD),
+                                   (25.0, HvacAction.HOLD), (24.0, HvacAction.HOLD),
+                                   (20.0, HvacAction.UP_1C)):
+            node.last_return_temp_c = t_return
+            assert policy(node) is expected
 
     def test_deadband_bounds_validated(self):
         with pytest.raises(ConfigError):
             hvac_deadband(26.0, 24.0)
         with pytest.raises(ConfigError):
-            deadband_action(25.0, 24.0, 24.0)
+            hvac_deadband(24.0, 24.0)
 
     def test_deadband_policy_uses_last_return_temp(self):
         policy = hvac_deadband(24.0, 26.0)

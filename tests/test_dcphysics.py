@@ -29,6 +29,7 @@ from geodcsim.dcphysics import (
     water_to_15min_liters,
     water_usage_rate,
 )
+from geodcsim.errors import ConfigError
 
 P = DcPhysicsParams()
 MILD = WeatherSample(drybulb_c=20.0, wetbulb_c=15.0)
@@ -361,6 +362,30 @@ class TestParamsJson:
             DcPhysicsParams(cw_pump_eff=0.0)
         with pytest.raises(ValueError):
             DcPhysicsParams(num_racks=2, supply_approach_temps_c=(1.0,))
+
+    def _load(self, tmp_path, text):
+        path = tmp_path / "dc.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_dc_config(path)
+        assert str(path) in str(info.value)
+        return str(info.value)
+
+    def test_malformed_json_is_config_error(self, tmp_path):
+        assert "invalid JSON" in self._load(tmp_path, '{"hvac_configuration": ')
+
+    def test_pair_needs_exactly_two_numbers(self, tmp_path):
+        for pair in ([110.0], [110.0, 170.0, 200.0], 110.0, [110.0, "full"]):
+            doc = {"server_characteristics": {"HP_PROLIANT": pair}}
+            assert "HP_PROLIANT" in self._load(tmp_path, json.dumps(doc))
+
+    def test_non_numeric_value_names_key(self, tmp_path):
+        doc = {"hvac_configuration": {"C_AIR": "warm"}}
+        assert "C_AIR" in self._load(tmp_path, json.dumps(doc))
+
+    def test_validation_error_is_config_error(self, tmp_path):
+        doc = {"hvac_configuration": {"SETPOINT_RANGE": [27, 18]}}
+        assert "setpoint_range_c must be ordered" in self._load(tmp_path, json.dumps(doc))
 
 
 class TestFanAirflow:

@@ -205,3 +205,22 @@ class TestCli:
     def test_cli_bad_strategy_exits_nonzero(self, tmp_path, capsys):
         code = main(self._args(tmp_path, ["--strategy", "wishful_thinking"]))
         assert code == 1
+
+    def test_cli_days_must_be_positive(self, tmp_path, capsys):
+        for days in ("0", "-1"):
+            code = main(self._args(tmp_path, ["--days", days]))
+            assert code == 1
+            assert capsys.readouterr().err == "error: duration_days must be >= 1\n"
+
+    def test_cli_malformed_physics_json(self, tmp_path, capsys):
+        bad = tmp_path / "dc.json"
+        bad.write_text("{not json")
+        doc = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
+        doc["datacenters"][0]["dc_config_file"] = str(bad)
+        fleet = tmp_path / "fleet.yaml"
+        fleet.write_text(yaml.safe_dump(doc))
+        args = self._args(tmp_path)
+        args[args.index("--dc-config") + 1] = str(fleet)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON")
