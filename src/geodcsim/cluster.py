@@ -45,7 +45,7 @@ class DatacenterNode:
     hru_enabled: bool = False
     setpoint_c: float = 22.0
     pending: deque = field(default_factory=deque)
-    running: list = field(default_factory=list)  # (task, completion_time)
+    running: list = field(default_factory=list)  # started tasks, completion_time set
     available_cores: float = field(init=False)
     available_gpus: float = field(init=False)
     available_mem_gb: float = field(init=False)
@@ -54,7 +54,9 @@ class DatacenterNode:
 
     def __post_init__(self):
         if self.total_cores < 0 or self.total_gpus < 0 or self.total_mem_gb < 0:
-            raise ValueError("capacities must be >= 0")
+            raise ConfigError(f"dc {self.dc_id}: capacities must be >= 0")
+        if self.population_weight <= 0:
+            raise ConfigError(f"dc {self.dc_id}: population_weight must be > 0")
         lo, hi = self.physics.setpoint_range_c
         if not lo <= self.setpoint_c <= hi:
             raise ConfigError(
@@ -63,9 +65,9 @@ class DatacenterNode:
         self._recompute_available()
 
     def _recompute_available(self):
-        self.available_cores = self.total_cores - sum(t.cores_req for t, _ in self.running)
-        self.available_gpus = self.total_gpus - sum(t.gpu_req for t, _ in self.running)
-        self.available_mem_gb = self.total_mem_gb - sum(t.mem_req for t, _ in self.running)
+        self.available_cores = self.total_cores - sum(t.cores_req for t in self.running)
+        self.available_gpus = self.total_gpus - sum(t.gpu_req for t in self.running)
+        self.available_mem_gb = self.total_mem_gb - sum(t.mem_req for t in self.running)
 
     def fits(self, task: Task) -> bool:
         return (
@@ -269,7 +271,7 @@ def schedule_fifo_first_fit(dc: DatacenterNode, now: datetime) -> list[Task]:
             task.set_status(TaskStatus.RUNNING)
             task.start_exec_time = now
             task.completion_time = now + timedelta(minutes=task.duration_min)
-            dc.running.append((task, task.completion_time))
+            dc.running.append(task)
             dc._recompute_available()
             started.append(task)
         else:
@@ -291,12 +293,12 @@ def release_completed(dc: DatacenterNode, now: datetime) -> list[tuple[Task, boo
     """
     done = []
     still = []
-    for task, completion in dc.running:
-        if completion <= now:
+    for task in dc.running:
+        if task.completion_time <= now:
             task.set_status(TaskStatus.COMPLETED)
             done.append((task, task.completion_time <= task.sla_deadline))
         else:
-            still.append((task, completion))
+            still.append(task)
     if done:
         dc.running = still
         dc._recompute_available()

@@ -153,37 +153,14 @@ class DcPhysicsParams:
             if not 0 < eff <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
 
-    # linear curve coefficients shared by the CPU and fan models
-    @property
-    def cpu_slope(self) -> float:
-        lo, hi = self.inlet_temp_range_c
-        return (self.cpu_power_ratio_ub[0] - self.cpu_power_ratio_lb[0]) / (hi - lo)
-
-    @property
-    def cpu_intercept(self) -> float:
-        return self.cpu_power_ratio_ub[0] - self.cpu_slope * self.inlet_temp_range_c[1]
-
-    @property
-    def cpu_ratio_shift(self) -> float:
-        return self.cpu_power_ratio_lb[1] - self.cpu_power_ratio_lb[0]
-
-    @property
-    def fan_slope(self) -> float:
-        lo, hi = self.inlet_temp_range_c
-        return (self.fan_airflow_ratio_ub[0] - self.fan_airflow_ratio_lb[0]) / (hi - lo)
-
-    @property
-    def fan_intercept(self) -> float:
-        return self.fan_airflow_ratio_ub[0] - self.fan_slope * self.inlet_temp_range_c[1]
-
-    @property
-    def fan_ratio_shift(self) -> float:
-        return self.fan_airflow_ratio_lb[1] - self.fan_airflow_ratio_lb[0]
-
 
 @dataclass(frozen=True)
 class DcStepResult:
-    """Energy, water and temperature outputs of one 15-minute physics step."""
+    """Energy, water and temperature outputs of one 15-minute physics step.
+
+    ``q_crac_w`` is the heat the CRAC removes; ``q_effective_w`` is what is left
+    for the chiller after heat recovery.
+    """
 
     it_power_w: float
     crac_fan_w: float
@@ -194,25 +171,26 @@ class DcStepResult:
     energy_kwh: float
     water_l_15min: float
     crac_return_temp_c: float
-    rack_outlet_temps_c: tuple
-    hru_recovered_w: float
-    setpoint_c: float
-
-
-@dataclass(frozen=True)
-class HvacBreakdown:
-    crac_fan_w: float
-    chiller_w: float
-    ct_fan_w: float
-    pump_w: float
-    water_m3_per_hr: float
     hru_recovered_w: float
     q_crac_w: float
     q_effective_w: float
+    setpoint_c: float
 
 
 def _clamp(x, lo, hi):
     return min(max(x, lo), hi)
+
+
+def _ratio_curve(params: DcPhysicsParams, lb, ub, t_inlet_c: float, u: float) -> float:
+    """Ratio linear in the clamped inlet temperature, shared by the CPU and fan models.
+
+    At zero load it runs from ``lb[0]`` at the cold end of ``inlet_temp_range_c``
+    to ``ub[0]`` at the hot end; full load adds ``lb[1] - lb[0]``.
+    """
+    lo, hi = params.inlet_temp_range_c
+    t = _clamp(t_inlet_c, lo, hi)
+    slope = (ub[0] - lb[0]) / (hi - lo)
+    return slope * t + (ub[0] - slope * hi) + (lb[1] - lb[0]) * u
 
 
 def cpu_power(params: DcPhysicsParams, t_inlet_c: float, u_cpu: float) -> float:
@@ -220,8 +198,9 @@ def cpu_power(params: DcPhysicsParams, t_inlet_c: float, u_cpu: float) -> float:
 
     Inlet temperatures outside the operating range are clamped, not rejected.
     """
-    t = _clamp(t_inlet_c, *params.inlet_temp_range_c)
-    ratio = params.cpu_slope * t + params.cpu_intercept + params.cpu_ratio_shift * u_cpu
+    ratio = _ratio_curve(
+        params, params.cpu_power_ratio_lb, params.cpu_power_ratio_ub, t_inlet_c, u_cpu
+    )
     return params.cpu_full_w * ratio
 
 
@@ -232,18 +211,17 @@ def gpu_power(params: DcPhysicsParams, u_gpu: float) -> float:
     return params.gpu_idle_w + (params.gpu_full_w - params.gpu_idle_w) * math.log2(1.0 + u_gpu)
 
 
-def memory_power_per_rack(params: DcPhysicsParams, total_mem_gb: float, num_racks: int) -> float:
-    """Static DRAM draw per rack: capacity split evenly across racks."""
-    if num_racks < 1:
-        raise ValueError("num_racks must be >= 1")
+def memory_power_per_rack(params: DcPhysicsParams, total_mem_gb: float) -> float:
+    """Static DRAM draw per rack: capacity split evenly across ``params.num_racks``."""
     if total_mem_gb < 0:
         raise ValueError("total_mem_gb must be >= 0")
-    return params.mem_w_per_gb * total_mem_gb / num_racks
+    return params.mem_w_per_gb * total_mem_gb / params.num_racks
 
 
 def fan_velocity_ratio(params: DcPhysicsParams, t_inlet_c: float, u_eff: float) -> float:
-    t = _clamp(t_inlet_c, *params.inlet_temp_range_c)
-    return params.fan_slope * t + params.fan_intercept + params.fan_ratio_shift * u_eff
+    return _ratio_curve(
+        params, params.fan_airflow_ratio_lb, params.fan_airflow_ratio_ub, t_inlet_c, u_eff
+    )
 
 
 def fan_power(params: DcPhysicsParams, t_inlet_c: float, u_eff: float) -> float:
@@ -267,27 +245,23 @@ def total_it_power(
     u_cpu: float,
     u_gpu: float,
     total_mem_gb: float,
-    layout,
 ) -> tuple[float, list[float]]:
-    """Sum component powers over racks.
+    """Sum component powers over the ``params.num_racks`` identical racks.
 
-    ``layout`` is one (num_servers, num_gpus) pair per rack; all servers in a
-    rack share that rack's inlet temperature and the aggregate utilizations.
+    Every rack holds ``cpus_per_rack`` servers and ``gpus_per_rack`` GPUs; its
+    servers share that rack's inlet temperature and the aggregate utilizations.
     Returns (total W, per-rack W).
     """
-    if len(layout) != len(rack_inlet_temps_c):
-        raise ValueError("layout and rack_inlet_temps_c must have one entry per rack")
-    if not layout:
-        raise ValueError("layout must contain at least one rack")
+    if len(rack_inlet_temps_c) != params.num_racks:
+        raise ValueError(f"rack_inlet_temps_c must have one entry per rack ({params.num_racks})")
     u_eff = _clamp(0.5 * (u_cpu + u_gpu), 0.0, 1.0)
-    n_racks = len(layout)
+    gpus = params.gpus_per_rack * gpu_power(params, u_gpu)
+    memory = memory_power_per_rack(params, total_mem_gb)
     per_rack = []
-    for t_in, (n_servers, n_gpus) in zip(rack_inlet_temps_c, layout):
-        if n_servers < 0 or n_gpus < 0:
-            raise ValueError("layout counts must be >= 0")
-        p = n_servers * (cpu_power(params, t_in, u_cpu) + fan_power(params, t_in, u_eff))
-        p += n_gpus * gpu_power(params, u_gpu)
-        p += memory_power_per_rack(params, total_mem_gb, n_racks)
+    for t_in in rack_inlet_temps_c:
+        p = params.cpus_per_rack * (cpu_power(params, t_in, u_cpu) + fan_power(params, t_in, u_eff))
+        p += gpus
+        p += memory
         per_rack.append(p)
     return sum(per_rack), per_rack
 
@@ -347,8 +321,8 @@ def hvac_step(
     t_drybulb_c: float,
     t_wetbulb_c: float,
     hru_enabled: bool = False,
-) -> HvacBreakdown:
-    """Evaluate the cooling chain for one step.
+) -> DcStepResult:
+    """Evaluate the cooling chain for one step and return the whole step record.
 
     The CRAC load is carried by an air mass flow proportional to IT power; heat
     recovery (when enabled) offsets at most a fixed fraction of the IT load and
@@ -394,15 +368,21 @@ def hvac_step(
     w_evap = max(w_norm, 0.0) * q_served / params.heat_reject_unit_w
     w_total = w_evap * (1.0 + params.water_drift_rate)
 
-    return HvacBreakdown(
+    total = it_power_w + crac_fan + chiller + ct_fan + pumps
+    return DcStepResult(
+        it_power_w=it_power_w,
         crac_fan_w=crac_fan,
         chiller_w=chiller,
         ct_fan_w=ct_fan,
         pump_w=pumps,
-        water_m3_per_hr=w_total,
+        total_power_w=total,
+        energy_kwh=total * STEP_HOURS / 1000.0,
+        water_l_15min=water_to_15min_liters(w_total),
+        crac_return_temp_c=t_return_c,
         hru_recovered_w=recovered,
         q_crac_w=q_crac,
         q_effective_w=q_effective,
+        setpoint_c=setpoint_c,
     )
 
 
@@ -463,8 +443,7 @@ def dc_physics_step(
             )
         inlets.append(clamped)
 
-    layout = [(params.cpus_per_rack, params.gpus_per_rack)] * params.num_racks
-    it_power, per_rack = total_it_power(params, inlets, u_cpu, u_gpu, mem_used_gb, layout)
+    it_power, per_rack = total_it_power(params, inlets, u_cpu, u_gpu, mem_used_gb)
 
     # All CRAC supply air is pushed through the racks in equal shares, so with the
     # default outlet coefficients the heat handed to the CRAC matches IT power.
@@ -478,26 +457,9 @@ def dc_physics_step(
     else:
         outlets = [t_in + g for t_in in inlets]
     t_return = crac_return_temp(params, outlets)
-
-    hv = hvac_step(
+    return hvac_step(
         params, it_power, t_return, setpoint,
         weather.drybulb_c, weather.wetbulb_c, hru_enabled,
-    )
-
-    total = it_power + hv.crac_fan_w + hv.chiller_w + hv.ct_fan_w + hv.pump_w
-    return DcStepResult(
-        it_power_w=it_power,
-        crac_fan_w=hv.crac_fan_w,
-        chiller_w=hv.chiller_w,
-        ct_fan_w=hv.ct_fan_w,
-        pump_w=hv.pump_w,
-        total_power_w=total,
-        energy_kwh=total * STEP_HOURS / 1000.0,
-        water_l_15min=water_to_15min_liters(hv.water_m3_per_hr),
-        crac_return_temp_c=t_return,
-        rack_outlet_temps_c=tuple(outlets),
-        hru_recovered_w=hv.hru_recovered_w,
-        setpoint_c=setpoint,
     )
 
 

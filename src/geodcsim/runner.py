@@ -195,15 +195,19 @@ def load_dc_fleet(path) -> list[DcSpec]:
                 total_gpus=float(entry["total_gpus"]),
                 total_mem_gb=float(entry["total_mem_gb"]),
             )
+            spec = _with_doc(spec, entry, ["dc_config_file", "hru_enabled"])
+            spec = _with_doc(spec, entry.get("hvac") or {}, prefix="hvac_")
+            spec = _with_doc(
+                spec, entry.get("data") or {}, ["price_csv", "carbon_csv", "weather_json"]
+            )
+            synth = entry.get("synthetic") or {}
+            spec.synth_price = _with_doc(spec.synth_price, synth.get("price") or {})
+            spec.synth_carbon = _with_doc(spec.synth_carbon, synth.get("carbon") or {})
+            spec.synth_weather = _with_doc(spec.synth_weather, synth.get("weather") or {})
         except KeyError as exc:
             raise ConfigError(f"{path}: datacenter {i}: missing field {exc.args[0]!r}") from exc
-        spec = _with_doc(spec, entry, ["dc_config_file", "hru_enabled"])
-        spec = _with_doc(spec, entry.get("hvac") or {}, prefix="hvac_")
-        spec = _with_doc(spec, entry.get("data") or {}, ["price_csv", "carbon_csv", "weather_json"])
-        synth = entry.get("synthetic") or {}
-        spec.synth_price = _with_doc(spec.synth_price, synth.get("price") or {})
-        spec.synth_carbon = _with_doc(spec.synth_carbon, synth.get("carbon") or {})
-        spec.synth_weather = _with_doc(spec.synth_weather, synth.get("weather") or {})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: datacenter {i}: {exc}") from exc
         specs.append(spec)
     ids = [s.dc_id for s in specs]
     if len(set(ids)) != len(ids):
@@ -271,7 +275,10 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
     site_data = []
     hvac_policies = {}
     for i, spec in enumerate(fleet):
-        series = _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i])
+        try:
+            series = _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dc {spec.dc_id}: {exc}") from exc
         params = load_dc_config(spec.dc_config_file) if spec.dc_config_file else desk_scale_params()
         # a fixed site gets no policy: its setpoint stays where it starts
         if spec.hvac_policy == "deadband":

@@ -90,8 +90,10 @@ def test_criterion_1_formula_exact_units():
     assert cpu_power(p, 16.0, 0.0) / p.cpu_full_w == pytest.approx(0.01, abs=1e-12)
     assert cpu_power(p, 28.0, 1.0) / p.cpu_full_w == pytest.approx(1.02, abs=1e-12)
 
-    assert memory_power_per_rack(p, 1000.0, 1) == pytest.approx(70.0, abs=1e-12)
-    assert memory_power_per_rack(p, 80000.0, 20) == pytest.approx(280.0, abs=1e-9)
+    one_rack = DcPhysicsParams(num_racks=1)
+    assert memory_power_per_rack(one_rack, 1000.0) == pytest.approx(70.0, abs=1e-12)
+    twenty_racks = DcPhysicsParams(num_racks=20)
+    assert memory_power_per_rack(twenty_racks, 80000.0) == pytest.approx(280.0, abs=1e-9)
 
     assert pump_power(3.0e5, 0.0011, 0.87) == pytest.approx(379.31, abs=0.01)
 
@@ -150,11 +152,11 @@ def test_criterion_2_conservation_and_bounds():
         cluster.step(step, now, tx)
         for node in cluster.nodes:
             assert node.available_cores == node.total_cores - sum(
-                t.cores_req for t, _ in node.running)
+                t.cores_req for t in node.running)
             assert node.available_gpus == node.total_gpus - sum(
-                t.gpu_req for t, _ in node.running)
+                t.gpu_req for t in node.running)
             assert node.available_mem_gb == node.total_mem_gb - sum(
-                t.mem_req for t, _ in node.running)
+                t.mem_req for t in node.running)
             assert 0.0 <= node.available_cores <= node.total_cores
         census = cluster.census()
         assert (census["pending"] + census["running"] + census["in_transit"]
@@ -202,10 +204,9 @@ def test_criterion_3_monotonicity():
     assert all(b >= a - 1e-9 for a, b in zip(cpu_curve, cpu_curve[1:]))
     assert all(b >= a - 1e-9 for a, b in zip(gpu_curve, gpu_curve[1:]))
 
-    layout = [(params.cpus_per_rack, params.gpus_per_rack)] * params.num_racks
     inlet_grid = np.linspace(16.0, 28.0, 33)
     inlet_curve = [
-        total_it_power(params, [float(t)] * params.num_racks, 0.5, 0.5, 2000.0, layout)[0]
+        total_it_power(params, [float(t)] * params.num_racks, 0.5, 0.5, 2000.0)[0]
         for t in inlet_grid
     ]
     assert all(b >= a - 1e-9 for a, b in zip(inlet_curve, inlet_curve[1:]))

@@ -13,9 +13,9 @@ STEP = timedelta(minutes=15)
 
 
 def assert_bookkeeping(node):
-    assert node.available_cores == node.total_cores - sum(t.cores_req for t, _ in node.running)
-    assert node.available_gpus == node.total_gpus - sum(t.gpu_req for t, _ in node.running)
-    assert node.available_mem_gb == node.total_mem_gb - sum(t.mem_req for t, _ in node.running)
+    assert node.available_cores == node.total_cores - sum(t.cores_req for t in node.running)
+    assert node.available_gpus == node.total_gpus - sum(t.gpu_req for t in node.running)
+    assert node.available_mem_gb == node.total_mem_gb - sum(t.mem_req for t in node.running)
     assert 0 <= node.available_cores <= node.total_cores
     assert 0 <= node.available_gpus <= node.total_gpus
     assert 0 <= node.available_mem_gb <= node.total_mem_gb
@@ -46,7 +46,9 @@ class TestScheduling:
         big = make_task("big", cores=9.0)
         small = make_task("small", cores=2.0)
         node.pending.extend([big, small])
-        node.running.append((make_task("busy", cores=5.0), T0 + STEP))
+        busy = make_task("busy", cores=5.0)
+        busy.completion_time = T0 + STEP
+        node.running.append(busy)
         node._recompute_available()  # 5 cores free: big blocked, small fits
         started = schedule_fifo_first_fit(node, T0)
         assert [t.job_id for t in started] == ["small"]

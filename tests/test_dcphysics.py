@@ -15,6 +15,7 @@ from geodcsim.dcphysics import (
     dc_physics_step,
     desk_scale_params,
     fan_power,
+    fan_velocity_ratio,
     gpu_power,
     heat_recovery_w,
     hvac_step,
@@ -37,9 +38,11 @@ MILD = WeatherSample(drybulb_c=20.0, wetbulb_c=15.0)
 
 class TestCpuPower:
     def test_curve_coefficients(self):
-        assert P.cpu_slope == pytest.approx(0.02 / 12.0)
-        assert P.cpu_intercept == pytest.approx(-0.0166667, abs=1e-6)
-        assert P.cpu_ratio_shift == pytest.approx(0.99)
+        # ratio slope per degC at fixed load, and shift per unit load at fixed inlet
+        slope = (cpu_power(P, 22.0, 0.0) - cpu_power(P, 16.0, 0.0)) / (6.0 * P.cpu_full_w)
+        assert slope == pytest.approx(0.02 / 12.0)
+        shift = (cpu_power(P, 20.0, 1.0) - cpu_power(P, 20.0, 0.0)) / P.cpu_full_w
+        assert shift == pytest.approx(0.99)
 
     def test_cold_idle_endpoint(self):
         # ratio bottoms out at the lower bound: 170 W * 0.01
@@ -77,24 +80,25 @@ class TestGpuPower:
 
 class TestMemoryPower:
     def test_twenty_racks(self):
-        assert memory_power_per_rack(P, 80000.0, 20) == pytest.approx(280.0)
+        assert memory_power_per_rack(DcPhysicsParams(num_racks=20), 80000.0) == pytest.approx(280.0)
 
     def test_zero_capacity(self):
-        assert memory_power_per_rack(P, 0.0, 20) == 0.0
+        assert memory_power_per_rack(DcPhysicsParams(num_racks=20), 0.0) == 0.0
 
     def test_single_rack(self):
-        assert memory_power_per_rack(P, 80000.0, 1) == pytest.approx(5600.0)
+        assert memory_power_per_rack(DcPhysicsParams(num_racks=1), 80000.0) == pytest.approx(5600.0)
 
     def test_zero_racks_rejected(self):
         with pytest.raises(ValueError):
-            memory_power_per_rack(P, 100.0, 0)
+            DcPhysicsParams(num_racks=0)
 
 
 class TestFanPower:
     def test_curve_coefficients(self):
-        assert P.fan_slope == pytest.approx(0.215 / 12.0)
-        assert P.fan_intercept == pytest.approx(-0.2766667, abs=1e-6)
-        assert P.fan_ratio_shift == pytest.approx(0.215)
+        slope = (fan_velocity_ratio(P, 22.0, 0.0) - fan_velocity_ratio(P, 16.0, 0.0)) / 6.0
+        assert slope == pytest.approx(0.215 / 12.0)
+        shift = fan_velocity_ratio(P, 20.0, 1.0) - fan_velocity_ratio(P, 20.0, 0.0)
+        assert shift == pytest.approx(0.215)
 
     def test_cold_idle(self):
         assert fan_power(P, 16.0, 0.0) == pytest.approx(0.10, abs=1e-9)
@@ -110,31 +114,30 @@ class TestFanPower:
 class TestTotalItPower:
     def test_single_server_idle_stack(self):
         total, per_rack = total_it_power(
-            DcPhysicsParams(num_racks=1, supply_approach_temps_c=(0.0,),
-                            return_approach_temps_c=(0.0,)),
-            [16.0], 0.0, 0.0, 0.0, [(1, 1)],
+            DcPhysicsParams(num_racks=1, cpus_per_rack=1, gpus_per_rack=1),
+            [16.0], 0.0, 0.0, 0.0,
         )
         assert total == pytest.approx(1.70 + 0.10 + 25.0, abs=1e-9)
         assert per_rack == [pytest.approx(26.80, abs=1e-9)]
 
     def test_empty_layout_is_zero(self):
-        total, _ = total_it_power(P, [20.0], 0.5, 0.5, 0.0, [(0, 0)])
+        empty = DcPhysicsParams(num_racks=1, cpus_per_rack=0, gpus_per_rack=0)
+        total, _ = total_it_power(empty, [20.0], 0.5, 0.5, 0.0)
         assert total == 0.0
 
     def test_doubling_racks_doubles_power(self):
         one, _ = total_it_power(
-            DcPhysicsParams(num_racks=1, supply_approach_temps_c=(0.0,),
-                            return_approach_temps_c=(0.0,)),
-            [20.0], 0.3, 0.7, 1000.0, [(10, 2)])
-        p2 = DcPhysicsParams(num_racks=2, supply_approach_temps_c=(0.0, 0.0),
-                             return_approach_temps_c=(0.0, 0.0))
+            DcPhysicsParams(num_racks=1, cpus_per_rack=10, gpus_per_rack=2),
+            [20.0], 0.3, 0.7, 1000.0)
+        p2 = DcPhysicsParams(num_racks=2, cpus_per_rack=10, gpus_per_rack=2)
         # memory halves per rack when split over two racks, so pass double capacity
-        two, _ = total_it_power(p2, [20.0, 20.0], 0.3, 0.7, 2000.0, [(10, 2), (10, 2)])
+        two, _ = total_it_power(p2, [20.0, 20.0], 0.3, 0.7, 2000.0)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_layout_mismatch(self):
+        # one inlet temperature for a four-rack site
         with pytest.raises(ValueError):
-            total_it_power(P, [20.0], 0.0, 0.0, 0.0, [(1, 1), (1, 1)])
+            total_it_power(P, [20.0], 0.0, 0.0, 0.0)
 
 
 class TestThermal:
@@ -193,7 +196,7 @@ class TestHvacChain:
         assert hv.crac_fan_w == 0.0
         assert hv.chiller_w == 0.0
         assert hv.ct_fan_w == 0.0
-        assert hv.water_m3_per_hr == 0.0
+        assert hv.water_l_15min == 0.0
         assert hv.pump_w > 0.0
 
     def test_return_below_setpoint_clamps_load(self):
@@ -293,6 +296,7 @@ class TestDcPhysicsStep:
             m_dot = params.crac_supply_flow_pu * r.it_power_w
             q = m_dot * params.c_air * (r.crac_return_temp_c - 22.0)
             assert q == pytest.approx(r.it_power_w, rel=1e-6)
+            assert r.q_crac_w == pytest.approx(r.it_power_w)
 
     def test_monotone_in_cpu_utilization(self):
         params = desk_scale_params()
@@ -390,7 +394,7 @@ class TestParamsJson:
 
 class TestFanAirflow:
     def test_scales_with_velocity_ratio(self):
-        from geodcsim.dcphysics import fan_airflow_m3s, fan_velocity_ratio
+        from geodcsim.dcphysics import fan_airflow_m3s
         assert fan_airflow_m3s(P, 28.0, 1.0) == pytest.approx(0.051 * 0.44)
         assert fan_airflow_m3s(P, 16.0, 0.0) == pytest.approx(
             P.fan_full_load_v_m3s * fan_velocity_ratio(P, 16.0, 0.0))

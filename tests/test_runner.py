@@ -212,15 +212,39 @@ class TestCli:
             assert code == 1
             assert capsys.readouterr().err == "error: duration_days must be >= 1\n"
 
-    def test_cli_malformed_physics_json(self, tmp_path, capsys):
-        bad = tmp_path / "dc.json"
-        bad.write_text("{not json")
+    def _edited_fleet_args(self, tmp_path, keys, value):
+        """CLI args whose fleet is the shipped one with dc 1's ``keys`` path set to ``value``."""
         doc = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
-        doc["datacenters"][0]["dc_config_file"] = str(bad)
+        section = doc["datacenters"][0]
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
         fleet = tmp_path / "fleet.yaml"
         fleet.write_text(yaml.safe_dump(doc))
         args = self._args(tmp_path)
         args[args.index("--dc-config") + 1] = str(fleet)
+        return args, fleet
+
+    def test_cli_malformed_physics_json(self, tmp_path, capsys):
+        bad = tmp_path / "dc.json"
+        bad.write_text("{not json")
+        args, _ = self._edited_fleet_args(tmp_path, ["dc_config_file"], str(bad))
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON")
+
+    @pytest.mark.parametrize("keys, value, expected", [
+        (["total_cores"], "abc", "{fleet}: datacenter 0: could not convert"),
+        (["total_cores"], -5, "dc 1: capacities must be >= 0"),
+        (["synthetic", "price", "base"], "abc", "{fleet}: datacenter 0: could not convert"),
+        (["synthetic", "carbon", "daily_amplitude"], 300.0, "dc 1: carbon intensity requires"),
+        (["synthetic", "price", "noise_sd"], -1, "dc 1: daily_amplitude and noise_sd"),
+        (["population_weight"], 0, "dc 1: population_weight must be > 0"),
+    ], ids=["cores_not_a_number", "cores_negative", "price_base_not_a_number",
+            "carbon_amplitude_over_base", "noise_sd_negative", "population_weight_zero"])
+    def test_cli_bad_fleet_value(self, tmp_path, capsys, keys, value, expected):
+        args, fleet = self._edited_fleet_args(tmp_path, keys, value)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and expected.format(fleet=fleet) in err[0]
