@@ -6,8 +6,10 @@ in-transit tasks whose delay elapsed, schedules local queues FIFO first-fit,
 runs the site physics at the resulting utilization, and returns an accounting
 record consumed by rewards and logs.
 
-Availability is recomputed from the running set after every mutation, so the
-bookkeeping identity ``available + sum(running demands) == total`` holds exactly.
+Each site keeps the sums of its running demands: starting a task adds to them
+and a release recomputes them from the running set, both as one left fold in
+running order, so the bookkeeping identity
+``available + sum(running demands) == total`` holds exactly.
 """
 
 from __future__ import annotations
@@ -46,11 +48,13 @@ class DatacenterNode:
     setpoint_c: float = 22.0
     pending: deque = field(default_factory=deque)
     running: list = field(default_factory=list)  # started tasks, completion_time set
+    used_cores: float = field(init=False)
+    used_gpus: float = field(init=False)
+    used_mem_gb: float = field(init=False)
     available_cores: float = field(init=False)
     available_gpus: float = field(init=False)
     available_mem_gb: float = field(init=False)
     last_return_temp_c: float | None = field(default=None, init=False)
-    _warned_oversize: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
         if self.total_cores < 0 or self.total_gpus < 0 or self.total_mem_gb < 0:
@@ -65,9 +69,29 @@ class DatacenterNode:
         self._recompute_available()
 
     def _recompute_available(self):
-        self.available_cores = self.total_cores - sum(t.cores_req for t in self.running)
-        self.available_gpus = self.total_gpus - sum(t.gpu_req for t in self.running)
-        self.available_mem_gb = self.total_mem_gb - sum(t.mem_req for t in self.running)
+        self.used_cores = self.used_gpus = self.used_mem_gb = 0
+        self._add_used(self.running)
+
+    def _add_used(self, tasks):
+        """Fold ``tasks``' demands into the used sums left to right, as ``sum()``
+        does before Python 3.12, and derive availability from them."""
+        for t in tasks:
+            self.used_cores += t.cores_req
+            self.used_gpus += t.gpu_req
+            self.used_mem_gb += t.mem_req
+        self.available_cores = self.total_cores - self.used_cores
+        self.available_gpus = self.total_gpus - self.used_gpus
+        self.available_mem_gb = self.total_mem_gb - self.used_mem_gb
+
+    def enqueue(self, task: Task) -> None:
+        """Queue ``task`` here, warning if it can never fit this site; a task enters
+        a site's queue once, so it is warned about once per site."""
+        if self.exceeds_capacity(task):
+            logger.warning(
+                "task %s demands more than dc %d total capacity; it will wait forever",
+                task.job_id, self.dc_id,
+            )
+        self.pending.append(task)
 
     def fits(self, task: Task) -> bool:
         return (
@@ -175,7 +199,7 @@ class Cluster:
                 raise ProtocolError(f"task {task.job_id} has unmapped origin {task.origin_dc_id}")
             task.dest_dc_id = dest_id
             if dest_id == task.origin_dc_id:
-                self.by_id[dest_id].pending.append(task)
+                self.by_id[dest_id].enqueue(task)
                 continue
             origin = self.by_id[task.origin_dc_id]
             dest = self.by_id[dest_id]
@@ -201,7 +225,7 @@ class Cluster:
         for item in self.in_transit:
             if item.ready_step <= step:
                 item.task.set_status(TaskStatus.PENDING)
-                self.by_id[item.dest_dc_id].pending.append(item.task)
+                self.by_id[item.dest_dc_id].enqueue(item.task)
             else:
                 still.append(item)
         self.in_transit = still
@@ -272,15 +296,9 @@ def schedule_fifo_first_fit(dc: DatacenterNode, now: datetime) -> list[Task]:
             task.start_exec_time = now
             task.completion_time = now + timedelta(minutes=task.duration_min)
             dc.running.append(task)
-            dc._recompute_available()
+            dc._add_used((task,))
             started.append(task)
         else:
-            if dc.exceeds_capacity(task) and task.job_id not in dc._warned_oversize:
-                dc._warned_oversize.add(task.job_id)
-                logger.warning(
-                    "task %s demands more than dc %d total capacity; it will wait forever",
-                    task.job_id, dc.dc_id,
-                )
             remaining.append(task)
     dc.pending = remaining
     return started

@@ -133,9 +133,20 @@ class SimConfig:
             raise ConfigError(f"invalid start date: {exc}") from exc
 
 
-def _with_doc(base, doc: dict, names=None, prefix: str = ""):
+def _cast(doc: dict, key: str, kind, default=None, where: str = ""):
+    """``kind(doc[key])``, or ``kind(default)`` when one is given and ``key`` is
+    absent; a failed cast names ``where`` + ``key``."""
+    value = doc[key] if default is None else doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}{key}: {exc}") from exc
+
+
+def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = ""):
     """Copy of dataclass ``base`` with the fields in ``names`` (default: those named
-    ``prefix`` + key) that ``doc`` sets, each cast to the type of the value it replaces."""
+    ``prefix`` + key) that ``doc`` sets, each cast to the type of the value it replaces;
+    ``where`` is the path of ``doc``'s section, for naming a key whose cast fails."""
     if names is None:
         names = [f.name for f in fields(base) if f.name.startswith(prefix)]
     changes = {}
@@ -143,7 +154,7 @@ def _with_doc(base, doc: dict, names=None, prefix: str = ""):
         key = name.removeprefix(prefix)
         if key in doc:
             old = getattr(base, name)
-            changes[name] = doc[key] if old is None else type(old)(doc[key])
+            changes[name] = doc[key] if old is None else _cast(doc, key, type(old), where=where)
     return replace(base, **changes)
 
 
@@ -156,25 +167,28 @@ def load_sim_config(path) -> SimConfig:
     ranges_doc = sim.get("synthetic_workload") or {}
     try:
         ranges = _with_doc(ResourceRanges(), ranges_doc)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad synthetic_workload ranges: {exc}") from exc
     try:
         base = SimConfig(
-            year=int(sim["year"]),
-            month=int(sim["month"]),
-            init_day=int(sim["init_day"]),
-            init_hour=int(sim.get("init_hour", 0)),
-            duration_days=int(sim["duration_days"]),
+            year=_cast(sim, "year", int),
+            month=_cast(sim, "month", int),
+            init_day=_cast(sim, "init_day", int),
+            init_hour=_cast(sim, "init_hour", int, 0),
+            duration_days=_cast(sim, "duration_days", int),
             resource_ranges=ranges,
         )
+        base = _with_doc(base, ranges_doc, ["mean_tasks_per_interval"],
+                         where="synthetic_workload.")
+        return _with_doc(base, sim, [
+            "timestep_minutes", "workload_path", "cost_matrix_path", "delay_params_path",
+            "region_map_path", "shuffle_datacenters", "strategy", "single_action_mode",
+            "disable_defer_action",
+        ])
     except KeyError as exc:
         raise ConfigError(f"{path}: missing simulation field {exc.args[0]!r}") from exc
-    base = _with_doc(base, ranges_doc, ["mean_tasks_per_interval"])
-    return _with_doc(base, sim, [
-        "timestep_minutes", "workload_path", "cost_matrix_path", "delay_params_path",
-        "region_map_path", "shuffle_datacenters", "strategy", "single_action_mode",
-        "disable_defer_action",
-    ])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: simulation: {exc}") from exc
 
 
 def load_dc_fleet(path) -> list[DcSpec]:
@@ -187,23 +201,26 @@ def load_dc_fleet(path) -> list[DcSpec]:
     for i, entry in enumerate(entries):
         try:
             spec = DcSpec(
-                dc_id=int(entry["dc_id"]),
+                dc_id=_cast(entry, "dc_id", int),
                 location=str(entry["location"]),
-                timezone_shift=float(entry.get("timezone_shift", 0)),
-                population_weight=float(entry.get("population_weight", 1.0)),
-                total_cores=float(entry["total_cores"]),
-                total_gpus=float(entry["total_gpus"]),
-                total_mem_gb=float(entry["total_mem_gb"]),
+                timezone_shift=_cast(entry, "timezone_shift", float, 0),
+                population_weight=_cast(entry, "population_weight", float, 1.0),
+                total_cores=_cast(entry, "total_cores", float),
+                total_gpus=_cast(entry, "total_gpus", float),
+                total_mem_gb=_cast(entry, "total_mem_gb", float),
             )
             spec = _with_doc(spec, entry, ["dc_config_file", "hru_enabled"])
-            spec = _with_doc(spec, entry.get("hvac") or {}, prefix="hvac_")
+            spec = _with_doc(spec, entry.get("hvac") or {}, prefix="hvac_", where="hvac.")
             spec = _with_doc(
                 spec, entry.get("data") or {}, ["price_csv", "carbon_csv", "weather_json"]
             )
             synth = entry.get("synthetic") or {}
-            spec.synth_price = _with_doc(spec.synth_price, synth.get("price") or {})
-            spec.synth_carbon = _with_doc(spec.synth_carbon, synth.get("carbon") or {})
-            spec.synth_weather = _with_doc(spec.synth_weather, synth.get("weather") or {})
+            spec.synth_price = _with_doc(spec.synth_price, synth.get("price") or {},
+                                         where="synthetic.price.")
+            spec.synth_carbon = _with_doc(spec.synth_carbon, synth.get("carbon") or {},
+                                          where="synthetic.carbon.")
+            spec.synth_weather = _with_doc(spec.synth_weather, synth.get("weather") or {},
+                                           where="synthetic.weather.")
         except KeyError as exc:
             raise ConfigError(f"{path}: datacenter {i}: missing field {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:

@@ -193,7 +193,8 @@ class SchedulingEnv:
         interval = self._intervals.get(now)
         if interval is None:
             return []
-        tasks = [copy.deepcopy(t) for t in interval.tasks]
+        # Every Task field is immutable, so a shallow copy is a full clone.
+        tasks = [copy.copy(t) for t in interval.tasks]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
             dcs = [

@@ -9,7 +9,7 @@ simulation cannot resolve them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 
@@ -220,7 +220,8 @@ def assign_task_origins(tasks, dcs, utc_now: datetime, rng: np.random.Generator)
 
 @dataclass(frozen=True)
 class ResourceRanges:
-    """Uniform sampling ranges for synthetic task generation (inclusive bounds)."""
+    """Uniform sampling ranges for synthetic task generation (inclusive bounds),
+    one per ``Task`` field of the same name, drawn in field order."""
 
     duration_min: tuple[float, float] = (15.0, 180.0)
     cores_req: tuple[float, float] = (1.0, 32.0)
@@ -230,10 +231,10 @@ class ResourceRanges:
     sla_multiplier: tuple[float, float] = (1.5, 1.5)
 
     def __post_init__(self):
-        for name in ("duration_min", "cores_req", "gpu_req", "mem_req", "bandwidth_gb", "sla_multiplier"):
-            lo, hi = getattr(self, name)
+        for f in fields(self):
+            lo, hi = getattr(self, f.name)
             if lo > hi:
-                raise ValueError(f"{name}: lower bound {lo} exceeds upper bound {hi}")
+                raise ValueError(f"{f.name}: lower bound {lo} exceeds upper bound {hi}")
         if self.duration_min[0] < MIN_DURATION_MIN:
             raise ValueError(f"duration_min range must start at >= {MIN_DURATION_MIN:.0f}")
         if self.sla_multiplier[0] < 1.0:
@@ -261,29 +262,27 @@ def generate_synthetic_trace(
     if not _on_grid(start):
         raise ValueError("start must be aligned to the 15-minute grid")
     rng = np.random.default_rng(seed)
+    # One row-major (tasks, columns) draw per interval reads the stream task by
+    # task, each task's non-constant ranges in field order; constant ones draw nothing.
+    bounds = {f.name: getattr(ranges, f.name) for f in fields(ranges)}
+    fixed = {name: lo for name, (lo, hi) in bounds.items() if lo == hi}
+    drawn = [name for name in bounds if name not in fixed]
+    lows = [bounds[name][0] for name in drawn]
+    highs = [bounds[name][1] for name in drawn]
     intervals = []
     job_counter = 0
-
-    def draw(bounds):
-        lo, hi = bounds
-        return lo if lo == hi else float(rng.uniform(lo, hi))
-
     for i in range(num_intervals):
         t0 = start + i * STEP
         count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
         tasks = []
-        for _ in range(count):
+        for row in rng.uniform(lows, highs, size=(count, len(drawn))).tolist():
             job_counter += 1
             tasks.append(
                 Task(
                     job_id=f"job-{job_counter:06d}",
                     arrival_time=t0,
-                    duration_min=draw(ranges.duration_min),
-                    cores_req=draw(ranges.cores_req),
-                    gpu_req=draw(ranges.gpu_req),
-                    mem_req=draw(ranges.mem_req),
-                    bandwidth_gb=draw(ranges.bandwidth_gb),
-                    sla_multiplier=draw(ranges.sla_multiplier),
+                    **fixed,
+                    **dict(zip(drawn, row)),
                 )
             )
         intervals.append(TraceInterval(t0, tasks))

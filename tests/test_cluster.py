@@ -1,3 +1,5 @@
+import logging
+from collections import deque
 from datetime import timedelta
 
 import numpy as np
@@ -19,6 +21,46 @@ def assert_bookkeeping(node):
     assert 0 <= node.available_cores <= node.total_cores
     assert 0 <= node.available_gpus <= node.total_gpus
     assert 0 <= node.available_mem_gb <= node.total_mem_gb
+
+
+def reference_recompute(node):
+    node.available_cores = node.total_cores - sum(t.cores_req for t in node.running)
+    node.available_gpus = node.total_gpus - sum(t.gpu_req for t in node.running)
+    node.available_mem_gb = node.total_mem_gb - sum(t.mem_req for t in node.running)
+
+
+def reference_first_fit(node, now):
+    """Full FIFO scan that recomputes availability from the running set per start."""
+    started = []
+    remaining = deque()
+    for task in node.pending:
+        if node.fits(task):
+            task.set_status(TaskStatus.RUNNING)
+            task.start_exec_time = now
+            task.completion_time = now + timedelta(minutes=task.duration_min)
+            node.running.append(task)
+            reference_recompute(node)
+            started.append(task)
+        else:
+            remaining.append(task)
+    node.pending = remaining
+    return started
+
+
+def reference_release(node, now):
+    done = [t for t in node.running if t.completion_time <= now]
+    if done:
+        node.running = [t for t in node.running if t.completion_time > now]
+        reference_recompute(node)
+    return [t.job_id for t in done]
+
+
+def availability(node):
+    return (node.available_cores, node.available_gpus, node.available_mem_gb)
+
+
+def oversize_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if "wait forever" in r.getMessage()]
 
 
 class TestScheduling:
@@ -60,6 +102,62 @@ class TestScheduling:
         node.pending.extend(tasks)
         started = schedule_fifo_first_fit(node, T0)
         assert [t.job_id for t in started] == [f"t{i}" for i in range(5)]
+
+    def test_matches_reference_on_random_storm(self):
+        rng = np.random.default_rng(77)
+        pairs = [
+            (make_node(dc_id=i, cores=200.0, gpus=8.0, mem=800.0),
+             make_node(dc_id=i, cores=200.0, gpus=8.0, mem=800.0))
+            for i in (1, 2, 3)
+        ]
+        now = T0
+        starts = oversize = 0
+        for step in range(250):
+            for node, ref in pairs:
+                done = release_completed(node, now)
+                assert [t.job_id for t, _ in done] == reference_release(ref, now)
+                for i in range(int(rng.poisson(2.0))):
+                    big = rng.random() < 0.05
+                    demands = dict(
+                        job_id=f"s{step}-{node.dc_id}-{i}", arrival=now,
+                        duration=float(rng.uniform(15, 120)),
+                        cores=float(rng.uniform(201, 300) if big else rng.uniform(0.5, 64)),
+                        gpu=float(rng.uniform(0, 4)), mem=float(rng.uniform(1, 128)),
+                    )
+                    oversize += big
+                    node.enqueue(make_task(**demands))
+                    ref.pending.append(make_task(**demands))
+                started = schedule_fifo_first_fit(node, now)
+                want = reference_first_fit(ref, now)
+                assert [t.job_id for t in started] == [t.job_id for t in want]
+                assert [t.job_id for t in node.pending] == [t.job_id for t in ref.pending]
+                assert availability(node) == availability(ref)
+                starts += len(started)
+            now += STEP
+        assert starts > 500 and oversize > 20
+
+    def test_running_demands_are_folded_in_order(self):
+        node = make_node(cores=1.0)
+        for i, cores in enumerate([0.1, 0.2, 0.3]):
+            node.enqueue(make_task(f"t{i}", cores=cores))
+        schedule_fifo_first_fit(node, T0)
+        assert node.used_cores == (0.1 + 0.2) + 0.3
+        assert node.available_cores == 1.0 - ((0.1 + 0.2) + 0.3)
+
+
+class TestOversizeWarning:
+    @pytest.mark.parametrize("dest", [1, 2], ids=["local", "transit"])
+    def test_warns_once_on_entering_the_queue(self, caplog, dest):
+        cluster = make_cluster()
+        big = make_task("big", cores=1e6, origin=1, bandwidth=10.0)
+        with caplog.at_level(logging.WARNING, logger="geodcsim.cluster"):
+            cluster.route_assignments([(big, dest)], 0, T0)
+            for step in range(10):
+                cluster.step(step, T0 + step * STEP)
+        assert oversize_warnings(caplog) == [
+            f"task big demands more than dc {dest} total capacity; it will wait forever"
+        ]
+        assert list(cluster.by_id[dest].pending) == [big]
 
 
 class TestRelease:

@@ -212,6 +212,19 @@ class TestCli:
             assert code == 1
             assert capsys.readouterr().err == "error: duration_days must be >= 1\n"
 
+    @pytest.mark.parametrize("key", ["year", "timestep_minutes"])
+    def test_cli_bad_sim_value(self, tmp_path, capsys, key):
+        doc = yaml.safe_load((CONFIG_DIR / "sim.yaml").read_text())
+        doc["simulation"][key] = "abc"
+        sim = tmp_path / "sim.yaml"
+        sim.write_text(yaml.safe_dump(doc))
+        args = self._args(tmp_path)
+        args[args.index("--sim-config") + 1] = str(sim)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {sim}: simulation: {key}: invalid literal for int() "
+                       "with base 10: 'abc'"]
+
     def _edited_fleet_args(self, tmp_path, keys, value):
         """CLI args whose fleet is the shipped one with dc 1's ``keys`` path set to ``value``."""
         doc = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
@@ -234,9 +247,10 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON")
 
     @pytest.mark.parametrize("keys, value, expected", [
-        (["total_cores"], "abc", "{fleet}: datacenter 0: could not convert"),
+        (["total_cores"], "abc", "{fleet}: datacenter 0: total_cores: could not convert"),
         (["total_cores"], -5, "dc 1: capacities must be >= 0"),
-        (["synthetic", "price", "base"], "abc", "{fleet}: datacenter 0: could not convert"),
+        (["synthetic", "price", "base"], "abc",
+         "{fleet}: datacenter 0: synthetic.price.base: could not convert"),
         (["synthetic", "carbon", "daily_amplitude"], 300.0, "dc 1: carbon intensity requires"),
         (["synthetic", "price", "noise_sd"], -1, "dc 1: daily_amplitude and noise_sd"),
         (["population_weight"], 0, "dc 1: population_weight must be > 0"),

@@ -6,7 +6,7 @@ import pytest
 
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.schedenv import STEPS_PER_DAY, build_observation, observation_dim
-from geodcsim.workload import TraceInterval
+from geodcsim.workload import ResourceRanges, TaskStatus, TraceInterval, generate_synthetic_trace
 
 from conftest import T0, make_cluster, make_env, make_task
 
@@ -205,6 +205,21 @@ class TestStep:
             return rewards, obs_hash
 
         assert run() == run()
+
+    def test_episode_leaves_trace_tasks_untouched(self):
+        trace = generate_synthetic_trace(T0, 96, 3.0, ResourceRanges(), seed=4)
+        trace[0].tasks[0].origin_dc_id = 2
+        env = make_env(trace, duration_days=1)
+        obs, done = env.reset(), False
+        while not done:
+            obs, _, done, _ = env.step([(i % 4) for i in range(len(obs))])
+        assert env.cluster.census()["completed"] > 100
+        tasks = [t for iv in trace for t in iv.tasks]
+        assert all(t.status is TaskStatus.PENDING for t in tasks)
+        assert all(t.completion_time is None and t.start_exec_time is None for t in tasks)
+        assert all(t.dest_dc_id is None for t in tasks)
+        assert tasks[0].origin_dc_id == 2
+        assert all(t.origin_dc_id is None for t in tasks[1:])
 
     def test_reset_restores_pristine_state(self):
         tasks = [[make_task("a"), make_task("b")]]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -19,6 +20,40 @@ from geodcsim.workload import (
 )
 
 T0 = datetime(2024, 3, 1, 0, 0, tzinfo=timezone.utc)
+STEP = timedelta(minutes=15)
+
+
+def reference_trace(start, num_intervals, mean_tasks_per_interval, ranges, seed):
+    """Scalar-draw form of ``generate_synthetic_trace``: one ``uniform`` call per
+    non-constant range of each task."""
+    rng = np.random.default_rng(seed)
+    intervals = []
+    job_counter = 0
+
+    def draw(bounds):
+        lo, hi = bounds
+        return lo if lo == hi else float(rng.uniform(lo, hi))
+
+    for i in range(num_intervals):
+        t0 = start + i * STEP
+        count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
+        tasks = []
+        for _ in range(count):
+            job_counter += 1
+            tasks.append(
+                Task(
+                    job_id=f"job-{job_counter:06d}",
+                    arrival_time=t0,
+                    duration_min=draw(ranges.duration_min),
+                    cores_req=draw(ranges.cores_req),
+                    gpu_req=draw(ranges.gpu_req),
+                    mem_req=draw(ranges.mem_req),
+                    bandwidth_gb=draw(ranges.bandwidth_gb),
+                    sla_multiplier=draw(ranges.sla_multiplier),
+                )
+            )
+        intervals.append(TraceInterval(t0, tasks))
+    return intervals
 
 
 def task_record(job_id="a", arrival="2024-03-01T00:00:00+00:00", duration=60.0,
@@ -196,6 +231,25 @@ class TestSyntheticTrace:
     def test_duration_floor_enforced(self):
         with pytest.raises(ValueError):
             ResourceRanges(duration_min=(5.0, 60.0))
+
+    @pytest.mark.parametrize("mean, ranges", [
+        (6.0, ResourceRanges()),
+        (6.0, ResourceRanges(gpu_req=(0, 0), bandwidth_gb=(1.0, 1.0),
+                             sla_multiplier=(1.2, 2.0))),
+        (6.0, ResourceRanges(duration_min=(30.0, 30.0), cores_req=(2.0, 2.0),
+                             gpu_req=(0.0, 0.0), mem_req=(4.0, 4.0),
+                             bandwidth_gb=(0.5, 0.5), sla_multiplier=(1.5, 1.5))),
+        (0.0, ResourceRanges()),
+    ], ids=["default", "some_constant", "all_constant", "zero_mean"])
+    def test_matches_scalar_draws(self, mean, ranges):
+        got = generate_synthetic_trace(T0, 200, mean, ranges, seed=3)
+        want = reference_trace(T0, 200, mean, ranges, seed=3)
+        assert [iv.interval_start for iv in got] == [iv.interval_start for iv in want]
+        got_tasks = [astuple(t) for iv in got for t in iv.tasks]
+        want_tasks = [astuple(t) for iv in want for t in iv.tasks]
+        assert got_tasks == want_tasks
+        assert [list(map(type, t)) for t in got_tasks] == [list(map(type, t)) for t in want_tasks]
+        assert (len(got_tasks) > 1000) == (mean > 0)
 
     def test_tasks_satisfy_invariants(self):
         ranges = ResourceRanges(duration_min=(15.0, 45.0), cores_req=(0.5, 8.0))
