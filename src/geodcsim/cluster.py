@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from . import network
-from .dcphysics import DcPhysicsParams, WeatherSample, dc_physics_step
+from .dcphysics import DcPhysicsParams, HvacAction, WeatherSample, dc_physics_step
 from .envdata import TimeSeries, value_at, wet_bulb
 from .errors import ConfigError, ProtocolError
 from .workload import Task, TaskStatus
@@ -30,7 +30,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class DatacenterNode:
-    """One site: capacities, queues, setpoint state, and its exogenous series."""
+    """One site: capacities, queues, setpoint state, and its exogenous series.
+
+    ``deadband`` is the (lo, hi) CRAC return-temperature band the setpoint is
+    nudged to keep; ``None`` holds the setpoint where it starts.
+    """
 
     dc_id: int
     location_code: str
@@ -46,6 +50,7 @@ class DatacenterNode:
     humidity: TimeSeries
     hru_enabled: bool = False
     setpoint_c: float = 22.0
+    deadband: tuple | None = None
     pending: deque = field(default_factory=deque)
     running: list = field(default_factory=list)  # started tasks, completion_time set
     used_cores: float = field(init=False)
@@ -66,6 +71,11 @@ class DatacenterNode:
             raise ConfigError(
                 f"dc {self.dc_id}: setpoint {self.setpoint_c} outside its SETPOINT_RANGE [{lo}, {hi}]"
             )
+        band = self.deadband
+        if band is not None and not (
+            len(band) == 2 and all(isinstance(b, (int, float)) for b in band) and band[0] < band[1]
+        ):
+            raise ConfigError(f"dc {self.dc_id}: deadband must be two numbers lo < hi, got {band}")
         self._recompute_available()
 
     def _recompute_available(self):
@@ -92,6 +102,21 @@ class DatacenterNode:
                 task.job_id, self.dc_id,
             )
         self.pending.append(task)
+
+    def hvac_action(self) -> HvacAction | None:
+        """The setpoint nudge for this step: ``None`` without a deadband, else HOLD
+        until the first return-temperature reading, DOWN above ``hi``, UP below ``lo``."""
+        if self.deadband is None:
+            return None
+        t_return = self.last_return_temp_c
+        if t_return is None:
+            return HvacAction.HOLD
+        lo, hi = self.deadband
+        if t_return > hi:
+            return HvacAction.DOWN_1C
+        if t_return < lo:
+            return HvacAction.UP_1C
+        return HvacAction.HOLD
 
     def fits(self, task: Task) -> bool:
         return (
@@ -231,7 +256,7 @@ class Cluster:
         self.in_transit = still
 
     def step(self, step: int, now: datetime, tx: TransmissionTotals | None = None,
-             deferred_count: int = 0, hvac_actions: dict | None = None) -> ClusterInfo:
+             deferred_count: int = 0) -> ClusterInfo:
         """Advance every site by one 15-minute interval and collect accounting."""
         tx = tx or TransmissionTotals()
         self.advance_transit(step)
@@ -244,10 +269,9 @@ class Cluster:
             drybulb = value_at(node.drybulb, now)
             rh = value_at(node.humidity, now)
             weather = WeatherSample(drybulb, wet_bulb(drybulb, rh))
-            action = (hvac_actions or {}).get(node.dc_id)
             result = dc_physics_step(
                 node.physics, node.setpoint_c, u_cpu, u_gpu, node.mem_used_gb(),
-                weather, setpoint_action=action, hru_enabled=node.hru_enabled,
+                weather, setpoint_action=node.hvac_action(), hru_enabled=node.hru_enabled,
             )
             node.setpoint_c = result.setpoint_c
             node.last_return_temp_c = result.crac_return_temp_c

@@ -1,4 +1,4 @@
-"""Rule-based schedulers and simple HVAC policies.
+"""Rule-based schedulers.
 
 The five task-placement heuristics decide immediately and never defer. The
 price/carbon strategies only consider sites that can fit the task right now,
@@ -13,9 +13,7 @@ from datetime import datetime
 from enum import Enum
 
 from .cluster import Cluster, DatacenterNode
-from .dcphysics import HvacAction
 from .envdata import value_at
-from .errors import ConfigError
 
 
 class RbcStrategy(Enum):
@@ -97,22 +95,4 @@ class RuleBasedController:
             return by_id[task.origin_dc_id].action_index
         best = min(feasible, key=lambda s: (key(s), s.dc_id))
         return best.action_index
-
-
-def hvac_deadband(lo: float, hi: float):
-    """Nudge the setpoint to keep the CRAC return temperature inside [lo, hi]."""
-    if lo >= hi:
-        raise ConfigError(f"deadband bounds must satisfy lo < hi, got [{lo}, {hi}]")
-
-    def policy(node) -> HvacAction:
-        t_return = node.last_return_temp_c
-        if t_return is None:
-            return HvacAction.HOLD
-        if t_return > hi:
-            return HvacAction.DOWN_1C
-        if t_return < lo:
-            return HvacAction.UP_1C
-        return HvacAction.HOLD
-
-    return policy
 

@@ -234,11 +234,6 @@ def fan_power(params: DcPhysicsParams, t_inlet_c: float, u_eff: float) -> float:
     return params.fan_ref_w * (ratio / params.fan_ref_ratio) ** params.fan_power_exponent
 
 
-def fan_airflow_m3s(params: DcPhysicsParams, t_inlet_c: float, u_eff: float) -> float:
-    """Volumetric airflow one server fan moves at the current velocity ratio."""
-    return params.fan_full_load_v_m3s * fan_velocity_ratio(params, t_inlet_c, u_eff)
-
-
 def total_it_power(
     params: DcPhysicsParams,
     rack_inlet_temps_c,

@@ -8,6 +8,7 @@ construction time so configuration mistakes fail before an episode starts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,57 +50,29 @@ def _require_positive(value, what):
     return float(value)
 
 
-@register_component("energy_price")
-class EnergyPriceReward:
-    """Penalizes total electricity cost across sites."""
+class PenaltyReward:
+    """Penalizes one per-step quantity, scaled down by ``normalize_factor``."""
 
-    def __init__(self, normalize_factor: float = 1000.0):
+    def __init__(self, quantity, normalize_factor: float):
+        self.quantity = quantity
         self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
 
     def __call__(self, info: ClusterInfo) -> float:
-        return -info.total("energy_cost_usd") / self.normalize_factor
+        return -self.quantity(info) / self.normalize_factor
 
 
-@register_component("carbon_emissions")
-class CarbonEmissionsReward:
-    """Penalizes operational plus transmission carbon."""
-
-    def __init__(self, normalize_factor: float = 100.0):
-        self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
-
-    def __call__(self, info: ClusterInfo) -> float:
-        total = info.total("carbon_emissions_kg") + info.transmission_emissions_total_kg
-        return -total / self.normalize_factor
-
-
-@register_component("energy_consumption")
-class EnergyConsumptionReward:
-    """Penalizes operational plus transmission energy."""
-
-    def __init__(self, normalize_factor: float = 1000.0):
-        self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
-
-    def __call__(self, info: ClusterInfo) -> float:
-        total = info.total("energy_consumption_kwh") + info.transmission_energy_total_kwh
-        return -total / self.normalize_factor
-
-
-@register_component("transmission_cost")
-class TransmissionCostReward:
-    def __init__(self, normalize_factor: float = 10.0):
-        self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
-
-    def __call__(self, info: ClusterInfo) -> float:
-        return -info.transmission_cost_total_usd / self.normalize_factor
-
-
-@register_component("transmission_emissions")
-class TransmissionEmissionsReward:
-    def __init__(self, normalize_factor: float = 10.0):
-        self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
-
-    def __call__(self, info: ClusterInfo) -> float:
-        return -info.transmission_emissions_total_kg / self.normalize_factor
+# (name, default normalize_factor, quantity penalized)
+_PENALTIES = (
+    ("energy_price", 1000.0, lambda info: info.total("energy_cost_usd")),
+    ("carbon_emissions", 100.0,
+     lambda info: info.total("carbon_emissions_kg") + info.transmission_emissions_total_kg),
+    ("energy_consumption", 1000.0,
+     lambda info: info.total("energy_consumption_kwh") + info.transmission_energy_total_kwh),
+    ("transmission_cost", 10.0, lambda info: info.transmission_cost_total_usd),
+    ("transmission_emissions", 10.0, lambda info: info.transmission_emissions_total_kg),
+)
+for _name, _factor, _quantity in _PENALTIES:
+    register_component(_name, functools.partial(PenaltyReward, _quantity, normalize_factor=_factor))
 
 
 @register_component("sla_penalty")

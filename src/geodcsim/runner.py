@@ -25,7 +25,7 @@ import yaml
 
 from . import envdata, network
 from .cluster import Cluster, DatacenterNode
-from .controllers import RbcStrategy, RuleBasedController, hvac_deadband, snapshot_cluster
+from .controllers import RbcStrategy, RuleBasedController, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
 from .errors import ConfigError, SimulationError
@@ -290,17 +290,13 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         region_map.region_of(spec.location)  # fail before step 0 on unmapped locations
 
     site_data = []
-    hvac_policies = {}
     for i, spec in enumerate(fleet):
         try:
             series = _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"dc {spec.dc_id}: {exc}") from exc
         params = load_dc_config(spec.dc_config_file) if spec.dc_config_file else desk_scale_params()
-        # a fixed site gets no policy: its setpoint stays where it starts
-        if spec.hvac_policy == "deadband":
-            hvac_policies[spec.dc_id] = hvac_deadband(*spec.hvac_deadband)
-        elif spec.hvac_policy != "fixed":
+        if spec.hvac_policy not in ("fixed", "deadband"):
             raise ConfigError(f"dc {spec.dc_id}: unknown hvac policy {spec.hvac_policy!r}")
         site_data.append((spec, params, series))
 
@@ -321,6 +317,7 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
                 humidity=series[3],
                 hru_enabled=spec.hru_enabled,
                 setpoint_c=spec.hvac_setpoint_c,
+                deadband=spec.hvac_deadband if spec.hvac_policy == "deadband" else None,
             )
             for spec, params, series in site_data
         ]
@@ -345,7 +342,6 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         single_action_mode=sim.single_action_mode,
         disable_defer_action=sim.disable_defer_action,
         shuffle_datacenters=sim.shuffle_datacenters,
-        hvac_policies=hvac_policies,
     )
 
 

@@ -21,7 +21,6 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .cluster import Cluster, ClusterInfo
-from .dcphysics import HvacAction
 from .envdata import value_at
 from .errors import ConfigError, ProtocolError
 from .rewards import CompositeReward, RewardBreakdown
@@ -131,7 +130,6 @@ class SchedulingEnv:
         single_action_mode: bool = False,
         disable_defer_action: bool = False,
         shuffle_datacenters: bool = False,
-        hvac_policies: dict | None = None,
     ):
         if duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
@@ -145,7 +143,6 @@ class SchedulingEnv:
         self.single_action_mode = single_action_mode
         self.disable_defer_action = disable_defer_action
         self.shuffle_datacenters = shuffle_datacenters
-        self.hvac_policies = hvac_policies or {}
         self.cluster: Cluster | None = None
         self.current_tasks: list = []
         self.now: datetime = start
@@ -271,11 +268,7 @@ class SchedulingEnv:
         self.current_tasks = []
 
         tx = self.cluster.route_assignments(decisions, self.step_index, self.now)
-        hvac_actions = self._hvac_actions()
-        info = self.cluster.step(
-            self.step_index, self.now, tx, deferred_count=len(deferred),
-            hvac_actions=hvac_actions,
-        )
+        info = self.cluster.step(self.step_index, self.now, tx, deferred_count=len(deferred))
         breakdown = self.reward_fn(info)
 
         self.step_index += 1
@@ -288,18 +281,6 @@ class SchedulingEnv:
             [] if self._done else self._inject_arrivals(self.now)
         )
         return self._observe(), breakdown.total, self._done, StepOutcome(info, breakdown)
-
-    def _hvac_actions(self) -> dict:
-        actions = {}
-        for dc_id, policy in self.hvac_policies.items():
-            node = self.cluster.by_id.get(dc_id)
-            if node is None:
-                raise ConfigError(f"hvac policy keyed to unknown dc_id {dc_id}")
-            action = policy(node)
-            if action is not None and not isinstance(action, HvacAction):
-                raise ConfigError(f"hvac policy for dc {dc_id} returned {action!r}")
-            actions[dc_id] = action
-        return actions
 
     def task_census(self) -> dict:
         """Lifecycle counts including tasks currently awaiting a decision."""

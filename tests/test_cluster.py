@@ -286,10 +286,12 @@ class TestClusterStep:
         assert info.total("energy_consumption_kwh") == pytest.approx(total)
 
     def test_setpoint_action_persists(self):
-        from geodcsim.dcphysics import HvacAction
         cluster = make_cluster()
-        cluster.step(0, T0, hvac_actions={1: HvacAction.DOWN_1C})
+        node = cluster.by_id[1]
+        node.deadband, node.last_return_temp_c = (24.0, 26.0), 30.0  # 30 > hi: one DOWN_1C
+        cluster.step(0, T0)
         assert cluster.by_id[1].setpoint_c == 21.0
+        node.deadband = None
         cluster.step(1, T0 + STEP)
         assert cluster.by_id[1].setpoint_c == 21.0
 

@@ -6,14 +6,13 @@ from geodcsim.controllers import (
     DcSnapshot,
     RbcStrategy,
     RuleBasedController,
-    hvac_deadband,
     snapshot_cluster,
 )
 from geodcsim.dcphysics import HvacAction
 from geodcsim.errors import ConfigError
 from geodcsim.runner import DcSpec, SimConfig, build_env
 
-from conftest import T0, make_cluster, make_task
+from conftest import T0, make_cluster, make_node, make_task
 
 REWARD = {"reward": {"components": {"energy_price": {"weight": 1.0}}}}
 
@@ -155,25 +154,23 @@ class TestHvacPolicies:
         assert [n.setpoint_c for n in env.cluster.nodes] == [28.0, 16.0]
 
     def test_deadband_rule(self):
-        policy = hvac_deadband(24.0, 26.0)
-        node = make_cluster().by_id[1]
+        node = make_cluster(deadband=(24.0, 26.0)).by_id[1]
         for t_return, expected in ((27.0, HvacAction.DOWN_1C), (26.0, HvacAction.HOLD),
                                    (25.0, HvacAction.HOLD), (24.0, HvacAction.HOLD),
                                    (20.0, HvacAction.UP_1C)):
             node.last_return_temp_c = t_return
-            assert policy(node) is expected
+            assert node.hvac_action() is expected
 
     def test_deadband_bounds_validated(self):
         with pytest.raises(ConfigError):
-            hvac_deadband(26.0, 24.0)
+            make_node(deadband=(26.0, 24.0))
         with pytest.raises(ConfigError):
-            hvac_deadband(24.0, 24.0)
+            make_node(deadband=(24.0, 24.0))
 
     def test_deadband_policy_uses_last_return_temp(self):
-        policy = hvac_deadband(24.0, 26.0)
-        node = make_cluster().by_id[1]
-        assert policy(node) is HvacAction.HOLD  # no reading yet
+        node = make_cluster(deadband=(24.0, 26.0)).by_id[1]
+        assert node.hvac_action() is HvacAction.HOLD  # no reading yet
         node.last_return_temp_c = 30.0
-        assert policy(node) is HvacAction.DOWN_1C
+        assert node.hvac_action() is HvacAction.DOWN_1C
         node.last_return_temp_c = 20.0
-        assert policy(node) is HvacAction.UP_1C
+        assert node.hvac_action() is HvacAction.UP_1C

@@ -390,11 +390,3 @@ class TestParamsJson:
     def test_validation_error_is_config_error(self, tmp_path):
         doc = {"hvac_configuration": {"SETPOINT_RANGE": [27, 18]}}
         assert "setpoint_range_c must be ordered" in self._load(tmp_path, json.dumps(doc))
-
-
-class TestFanAirflow:
-    def test_scales_with_velocity_ratio(self):
-        from geodcsim.dcphysics import fan_airflow_m3s
-        assert fan_airflow_m3s(P, 28.0, 1.0) == pytest.approx(0.051 * 0.44)
-        assert fan_airflow_m3s(P, 16.0, 0.0) == pytest.approx(
-            P.fan_full_load_v_m3s * fan_velocity_ratio(P, 16.0, 0.0))

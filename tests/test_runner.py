@@ -254,8 +254,15 @@ class TestCli:
         (["synthetic", "carbon", "daily_amplitude"], 300.0, "dc 1: carbon intensity requires"),
         (["synthetic", "price", "noise_sd"], -1, "dc 1: daily_amplitude and noise_sd"),
         (["population_weight"], 0, "dc 1: population_weight must be > 0"),
+        (["hvac"], {"policy": "deadband", "deadband": [24.0, 25.0, 26.0]},
+         "dc 1: deadband must be two numbers lo < hi"),
+        (["hvac"], {"policy": "deadband", "deadband": ["a", "b"]},
+         "dc 1: deadband must be two numbers lo < hi"),
+        (["hvac"], {"policy": "deadband", "deadband": [26.0, 24.0]},
+         "dc 1: deadband must be two numbers lo < hi"),
     ], ids=["cores_not_a_number", "cores_negative", "price_base_not_a_number",
-            "carbon_amplitude_over_base", "noise_sd_negative", "population_weight_zero"])
+            "carbon_amplitude_over_base", "noise_sd_negative", "population_weight_zero",
+            "deadband_three_values", "deadband_not_numbers", "deadband_reversed"])
     def test_cli_bad_fleet_value(self, tmp_path, capsys, keys, value, expected):
         args, fleet = self._edited_fleet_args(tmp_path, keys, value)
         assert main(args) == 1
