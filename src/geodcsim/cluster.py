@@ -10,12 +10,21 @@ Each site keeps the sums of its running demands: starting a task adds to them
 and a release recomputes them from the running set, both as one left fold in
 running order, so the bookkeeping identity
 ``available + sum(running demands) == total`` holds exactly.
+
+A site's queue is a ``PendingQueue``: its tasks in FIFO order, cut into blocks
+of at most ``BLOCK`` tasks that each record their tasks' least cores, GPUs and
+memory. The first-fit scan skips a block whose least demand of any resource
+exceeds what is free of it. That is exact: ``fits`` compares with ``<=``, so
+such a block holds no task that fits, and availability only falls during a
+scan, so no skipped task could have started later in it either. A scanned
+block keeps the tasks left in it with their least demands recomputed, and
+neighbouring blocks that fit in one are merged, so starts do not fragment the
+queue into one block per task.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -26,6 +35,71 @@ from .errors import ConfigError, ProtocolError
 from .workload import Task, TaskStatus
 
 logger = logging.getLogger(__name__)
+
+BLOCK = 32  # most tasks in one PendingQueue block
+
+
+class _Block:
+    """Up to ``BLOCK`` queued tasks in FIFO order and their least demands, named
+    as a task's so that ``DatacenterNode.fits`` tests a block as it tests a task."""
+
+    __slots__ = ("tasks", "cores_req", "gpu_req", "mem_req")
+
+    def __init__(self, tasks):
+        self.tasks = tasks
+        cores, gpus, mem = tasks[0].cores_req, tasks[0].gpu_req, tasks[0].mem_req
+        for t in tasks:  # one pass: three min() calls over generators cost about 3x
+            if t.cores_req < cores:
+                cores = t.cores_req
+            if t.gpu_req < gpus:
+                gpus = t.gpu_req
+            if t.mem_req < mem:
+                mem = t.mem_req
+        self.cores_req, self.gpu_req, self.mem_req = cores, gpus, mem
+
+    def add(self, tasks, least):
+        """Append ``tasks``; ``least`` is a task or block holding their least demands."""
+        self.tasks += tasks
+        self.cores_req = min(self.cores_req, least.cores_req)
+        self.gpu_req = min(self.gpu_req, least.gpu_req)
+        self.mem_req = min(self.mem_req, least.mem_req)
+
+
+class PendingQueue:
+    """A site's queued tasks in FIFO order, kept in blocks so that the first-fit
+    scan can skip every block in which no task fits."""
+
+    __slots__ = ("blocks", "count")
+
+    def __init__(self):
+        self.blocks: list[_Block] = []
+        self.count = 0
+
+    def append(self, task: Task) -> None:
+        blocks = self.blocks
+        if blocks and len(blocks[-1].tasks) < BLOCK:
+            blocks[-1].add((task,), task)
+        else:
+            blocks.append(_Block([task]))
+        self.count += 1
+
+    def extend(self, tasks) -> None:
+        for task in tasks:
+            self.append(task)
+
+    def __iter__(self):
+        for block in self.blocks:
+            yield from block.tasks
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def check_deadband(dc_id: int, band) -> None:
+    """Reject a return-temperature deadband that is not two numbers ``lo < hi``."""
+    numbers = len(band) == 2 and all(isinstance(b, (int, float)) for b in band)
+    if not (numbers and band[0] < band[1]):
+        raise ConfigError(f"dc {dc_id}: deadband must be two numbers lo < hi, got {band}")
 
 
 @dataclass
@@ -51,7 +125,7 @@ class DatacenterNode:
     hru_enabled: bool = False
     setpoint_c: float = 22.0
     deadband: tuple | None = None
-    pending: deque = field(default_factory=deque)
+    pending: PendingQueue = field(default_factory=PendingQueue)
     running: list = field(default_factory=list)  # started tasks, completion_time set
     used_cores: float = field(init=False)
     used_gpus: float = field(init=False)
@@ -71,11 +145,8 @@ class DatacenterNode:
             raise ConfigError(
                 f"dc {self.dc_id}: setpoint {self.setpoint_c} outside its SETPOINT_RANGE [{lo}, {hi}]"
             )
-        band = self.deadband
-        if band is not None and not (
-            len(band) == 2 and all(isinstance(b, (int, float)) for b in band) and band[0] < band[1]
-        ):
-            raise ConfigError(f"dc {self.dc_id}: deadband must be two numbers lo < hi, got {band}")
+        if self.deadband is not None:
+            check_deadband(self.dc_id, self.deadband)
         self._recompute_available()
 
     def _recompute_available(self):
@@ -119,6 +190,7 @@ class DatacenterNode:
         return HvacAction.HOLD
 
     def fits(self, task: Task) -> bool:
+        """Whether ``task``'s demands, or a queue block's least ones, are all free here."""
         return (
             task.cores_req <= self.available_cores
             and task.gpu_req <= self.available_gpus
@@ -311,20 +383,40 @@ class Cluster:
 
 
 def schedule_fifo_first_fit(dc: DatacenterNode, now: datetime) -> list[Task]:
-    """Start every queued task that fits, scanning FIFO; blocked tasks do not bar later ones."""
+    """Start every queued task that fits, scanning FIFO; blocked tasks do not bar later ones.
+
+    Blocks in which no task fits are kept whole without looking at their tasks;
+    a scanned block keeps the tasks left in it, and neighbouring blocks that
+    fit in one are merged.
+    """
+    queue = dc.pending
+    if not queue.count:
+        return []
     started = []
-    remaining = deque()
-    for task in dc.pending:
-        if dc.fits(task):
-            task.set_status(TaskStatus.RUNNING)
-            task.start_exec_time = now
-            task.completion_time = now + timedelta(minutes=task.duration_min)
-            dc.running.append(task)
-            dc._add_used((task,))
-            started.append(task)
+    kept: list[_Block] = []
+    for block in queue.blocks:
+        if dc.fits(block):
+            left = []
+            for task in block.tasks:
+                if dc.fits(task):
+                    task.set_status(TaskStatus.RUNNING)
+                    task.start_exec_time = now
+                    task.completion_time = now + timedelta(minutes=task.duration_min)
+                    dc.running.append(task)
+                    dc._add_used((task,))
+                    started.append(task)
+                else:
+                    left.append(task)
+            if not left:
+                continue
+            if len(left) < len(block.tasks):
+                block = _Block(left)
+        if kept and len(kept[-1].tasks) + len(block.tasks) <= BLOCK:
+            kept[-1].add(block.tasks, block)
         else:
-            remaining.append(task)
-    dc.pending = remaining
+            kept.append(block)
+    queue.blocks = kept
+    queue.count -= len(started)
     return started
 
 

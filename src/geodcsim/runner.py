@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import envdata, network
-from .cluster import Cluster, DatacenterNode
+from .cluster import Cluster, DatacenterNode, check_deadband
 from .controllers import RbcStrategy, RuleBasedController, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
@@ -298,6 +298,7 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         params = load_dc_config(spec.dc_config_file) if spec.dc_config_file else desk_scale_params()
         if spec.hvac_policy not in ("fixed", "deadband"):
             raise ConfigError(f"dc {spec.dc_id}: unknown hvac policy {spec.hvac_policy!r}")
+        check_deadband(spec.dc_id, spec.hvac_deadband)  # a fixed site's too
         site_data.append((spec, params, series))
 
     def cluster_factory() -> Cluster:

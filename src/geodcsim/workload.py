@@ -85,7 +85,7 @@ class Task:
                 f"{MIN_DURATION_MIN:.0f}-minute floor"
             )
         for name in ("cores_req", "gpu_req", "mem_req", "bandwidth_gb"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # also rejects NaN
                 raise ValueError(f"task {self.job_id}: {name} must be >= 0")
         if self.sla_multiplier < 1.0:
             raise ValueError(f"task {self.job_id}: sla_multiplier must be >= 1")

@@ -4,8 +4,10 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodcsim.cluster import release_completed, schedule_fifo_first_fit
+from geodcsim.cluster import BLOCK, release_completed, schedule_fifo_first_fit
 from geodcsim.errors import ProtocolError
 from geodcsim.workload import TaskStatus
 
@@ -57,6 +59,18 @@ def reference_release(node, now):
 
 def availability(node):
     return (node.available_cores, node.available_gpus, node.available_mem_gb)
+
+
+def assert_queue_shape(queue):
+    """Blocks hold 1..BLOCK tasks and their exact least demands, and no two
+    neighbouring blocks would fit in one."""
+    sizes = [len(b.tasks) for b in queue.blocks]
+    assert all(1 <= n <= BLOCK for n in sizes) and sum(sizes) == len(queue)
+    assert all(a + b > BLOCK for a, b in zip(sizes, sizes[1:]))
+    for b in queue.blocks:
+        assert b.cores_req == min(t.cores_req for t in b.tasks)
+        assert b.gpu_req == min(t.gpu_req for t in b.tasks)
+        assert b.mem_req == min(t.mem_req for t in b.tasks)
 
 
 def oversize_warnings(caplog):
@@ -143,6 +157,89 @@ class TestScheduling:
         schedule_fifo_first_fit(node, T0)
         assert node.used_cores == (0.1 + 0.2) + 0.3
         assert node.available_cores == 1.0 - ((0.1 + 0.2) + 0.3)
+
+
+class TestBlockQueue:
+    @pytest.mark.parametrize("binding, scarce", [
+        ("cores", {"cores": 64.0}), ("gpu", {"gpus": 8.0}), ("mem", {"mem": 256.0}),
+    ], ids=["cores", "gpu", "mem"])
+    def test_matches_reference_when_one_resource_binds(self, binding, scarce):
+        """A storm in which one resource runs out while the others stay ample, with
+        oversize tasks mixed in and a backlog of many blocks."""
+        caps = {"cores": 1000.0, "gpus": 200.0, "mem": 4000.0, **scarce}
+        tops = {"cores": 16.0, "gpu": 2.0, "mem": 64.0}
+        rng = np.random.default_rng(77)
+        node, ref = make_node(**caps), make_node(**caps)
+        now = T0
+        starts = oversize = skippable = partial = merges = peak = 0
+        for step in range(300):
+            assert [t.job_id for t, _ in release_completed(node, now)] == reference_release(ref, now)
+            for i in range(int(rng.poisson(3.0))):
+                demands = {r: float(rng.uniform(0.0, top)) for r, top in tops.items()}
+                if rng.random() < 0.05:
+                    demands[binding] = 1e4  # more than the site has
+                    oversize += 1
+                kwargs = dict(job_id=f"s{step}-{i}", arrival=now,
+                              duration=float(rng.uniform(15, 120)), **demands)
+                node.enqueue(make_task(**kwargs))
+                ref.pending.append(make_task(**kwargs))
+            queue = node.pending
+            skippable += sum(not node.fits(b) for b in queue.blocks)
+            before = [{t.job_id for t in b.tasks} for b in queue.blocks]
+            started = schedule_fifo_first_fit(node, now)
+            want = reference_first_fit(ref, now)
+            assert [t.job_id for t in started] == [t.job_id for t in want]
+            assert [t.job_id for t in node.pending] == [t.job_id for t in ref.pending]
+            assert availability(node) == availability(ref)
+            assert_queue_shape(queue)
+            ids = {t.job_id for t in started}
+            emptied = sum(ids >= b for b in before)
+            partial += sum(0 < len(ids & b) < len(b) for b in before)
+            merges += len(before) - emptied - len(queue.blocks)
+            starts += len(started)
+            peak = max(peak, len(queue))
+            now += STEP
+        assert starts > 300 and oversize > 20 and peak > 4 * BLOCK
+        assert skippable > 0 and partial > 0 and merges > 0
+
+
+_DYADIC = st.integers(0, 32).map(lambda k: k / 8)  # sums of these are exact floats
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    caps=st.tuples(*(st.integers(0, 512).map(lambda k: k / 8) for _ in range(3))),
+    ops=st.lists(st.one_of(
+        st.lists(st.tuples(_DYADIC, _DYADIC, _DYADIC, st.integers(15, 90)), max_size=2 * BLOCK),
+        st.sampled_from(["release", "scan"]),
+    ), max_size=60),
+)
+def test_block_queue_matches_full_scan_property(caps, ops):
+    """Random enqueues, releases and scans leave the block queue where the full
+    scan leaves the reference, with exact resource books."""
+    cores, gpus, mem = caps
+    node, ref = (make_node(cores=cores, gpus=gpus, mem=mem) for _ in range(2))
+    now, n = T0, 0
+    for op in ops:
+        if op == "release":
+            now += STEP
+            assert [t.job_id for t, _ in release_completed(node, now)] == reference_release(ref, now)
+        elif op == "scan":
+            started = schedule_fifo_first_fit(node, now)
+            assert [t.job_id for t in started] == [t.job_id for t in reference_first_fit(ref, now)]
+        else:
+            for c, g, m, minutes in op:
+                kwargs = dict(job_id=f"t{n}", arrival=now, duration=float(minutes),
+                              cores=c, gpu=g, mem=m)
+                node.pending.append(make_task(**kwargs))
+                ref.pending.append(make_task(**kwargs))
+                n += 1
+        assert [t.job_id for t in node.pending] == [t.job_id for t in ref.pending]
+        assert availability(node) == availability(ref)
+        assert_queue_shape(node.pending)
+        assert node.available_cores + sum(t.cores_req for t in node.running) == node.total_cores
+        assert node.available_gpus + sum(t.gpu_req for t in node.running) == node.total_gpus
+        assert node.available_mem_gb + sum(t.mem_req for t in node.running) == node.total_mem_gb
 
 
 class TestOversizeWarning:

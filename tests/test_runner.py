@@ -260,9 +260,12 @@ class TestCli:
          "dc 1: deadband must be two numbers lo < hi"),
         (["hvac"], {"policy": "deadband", "deadband": [26.0, 24.0]},
          "dc 1: deadband must be two numbers lo < hi"),
+        (["hvac"], {"policy": "fixed", "deadband": ["a", "b", "c"]},
+         "dc 1: deadband must be two numbers lo < hi"),
     ], ids=["cores_not_a_number", "cores_negative", "price_base_not_a_number",
             "carbon_amplitude_over_base", "noise_sd_negative", "population_weight_zero",
-            "deadband_three_values", "deadband_not_numbers", "deadband_reversed"])
+            "deadband_three_values", "deadband_not_numbers", "deadband_reversed",
+            "deadband_under_fixed"])
     def test_cli_bad_fleet_value(self, tmp_path, capsys, keys, value, expected):
         args, fleet = self._edited_fleet_args(tmp_path, keys, value)
         assert main(args) == 1

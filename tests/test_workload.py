@@ -95,6 +95,15 @@ class TestTask:
         with pytest.raises(ValueError):
             Task("j", T0, 60.0, -1.0, 0, 1, 0.1)
 
+    @pytest.mark.parametrize("field", range(3, 7), ids=["cores", "gpu", "mem", "bandwidth"])
+    def test_nan_resource_rejected(self, field):
+        """A NaN demand never fits, and as a queue block's least demand it would
+        hide the block's other tasks from the first-fit scan."""
+        args = ["j", T0, 60.0, 1.0, 0.0, 1.0, 0.1]
+        args[field] = float("nan")
+        with pytest.raises(ValueError, match="must be >= 0"):
+            Task(*args)
+
     def test_status_machine(self):
         t = Task("j", T0, 60.0, 1, 0, 1, 0.1)
         t.set_status(TaskStatus.DEFERRED)
