@@ -136,9 +136,9 @@ class DatacenterNode:
     last_return_temp_c: float | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.total_cores < 0 or self.total_gpus < 0 or self.total_mem_gb < 0:
+        if not (self.total_cores >= 0 and self.total_gpus >= 0 and self.total_mem_gb >= 0):
             raise ConfigError(f"dc {self.dc_id}: capacities must be >= 0")
-        if self.population_weight <= 0:
+        if not self.population_weight > 0:  # also rejects NaN
             raise ConfigError(f"dc {self.dc_id}: population_weight must be > 0")
         lo, hi = self.physics.setpoint_range_c
         if not lo <= self.setpoint_c <= hi:
@@ -244,9 +244,13 @@ class DcStepInfo:
 
 @dataclass
 class ClusterInfo:
-    """Step accounting record: one entry per site plus cluster-wide totals."""
+    """Step accounting record: one entry per site plus cluster-wide totals.
 
-    datacenters: dict
+    ``route_assignments`` fills in the transmission totals and ``Cluster.step``
+    the sites; ``cost_usd``, ``energy_kwh`` and ``emissions_kg`` add the two.
+    """
+
+    datacenters: dict = field(default_factory=dict)
     transmission_cost_total_usd: float = 0.0
     transmission_energy_total_kwh: float = 0.0
     transmission_emissions_total_kg: float = 0.0
@@ -255,17 +259,14 @@ class ClusterInfo:
     def total(self, attr: str) -> float:
         return sum(getattr(d, attr) for d in self.datacenters.values())
 
+    def cost_usd(self) -> float:
+        return self.total("energy_cost_usd") + self.transmission_cost_total_usd
 
-@dataclass
-class TransmissionTotals:
-    cost_usd: float = 0.0
-    energy_kwh: float = 0.0
-    emissions_kg: float = 0.0
+    def energy_kwh(self) -> float:
+        return self.total("energy_consumption_kwh") + self.transmission_energy_total_kwh
 
-    def add(self, cost, energy, emissions):
-        self.cost_usd += cost
-        self.energy_kwh += energy
-        self.emissions_kg += emissions
+    def emissions_kg(self) -> float:
+        return self.total("carbon_emissions_kg") + self.transmission_emissions_total_kg
 
 
 class Cluster:
@@ -286,9 +287,10 @@ class Cluster:
         self.completed: list[Task] = []
         self.injected_count = 0
 
-    def route_assignments(self, decisions, step: int, now: datetime) -> TransmissionTotals:
-        """Apply (task, dest_dc_id) decisions; remote ones pay cost/energy/CO2/delay."""
-        totals = TransmissionTotals()
+    def route_assignments(self, decisions, step: int, now: datetime) -> ClusterInfo:
+        """Apply (task, dest_dc_id) decisions; remote ones pay cost/energy/CO2/delay.
+        Returns the step's accounting record with those transmission totals."""
+        info = ClusterInfo()
         for task, dest_id in decisions:
             if dest_id not in self.by_id:
                 raise ProtocolError(f"unknown destination dc_id {dest_id}")
@@ -311,10 +313,12 @@ class Cluster:
                 self.delay_table, self.region_map, task.bandwidth_gb,
                 origin.location_code, dest.location_code,
             )
-            totals.add(cost, energy, emissions)
+            info.transmission_cost_total_usd += cost
+            info.transmission_energy_total_kwh += energy
+            info.transmission_emissions_total_kg += emissions
             task.set_status(TaskStatus.IN_TRANSIT)
             self.in_transit.append(InTransit(task, dest_id, step + network.delay_steps(delay)))
-        return totals
+        return info
 
     def advance_transit(self, step: int) -> None:
         """Deliver every transfer whose delay elapsed, preserving dispatch order."""
@@ -327,12 +331,13 @@ class Cluster:
                 still.append(item)
         self.in_transit = still
 
-    def step(self, step: int, now: datetime, tx: TransmissionTotals | None = None,
+    def step(self, step: int, now: datetime, info: ClusterInfo | None = None,
              deferred_count: int = 0) -> ClusterInfo:
-        """Advance every site by one 15-minute interval and collect accounting."""
-        tx = tx or TransmissionTotals()
+        """Advance every site by one 15-minute interval and fill in ``info``'s sites
+        (a fresh record when none is given); returns ``info``."""
+        info = info or ClusterInfo()
+        info.tasks_deferred_count = deferred_count
         self.advance_transit(step)
-        infos = {}
         for node in self.nodes:
             released = release_completed(node, now)
             self.completed.extend(t for t, _ in released)
@@ -351,7 +356,7 @@ class Cluster:
             ci = value_at(node.carbon, now)
             met = sum(1 for _, ok in released if ok)
             violated = len(released) - met
-            infos[node.dc_id] = DcStepInfo(
+            info.datacenters[node.dc_id] = DcStepInfo(
                 energy_consumption_kwh=result.energy_kwh,
                 energy_cost_usd=result.energy_kwh * price / 1000.0,
                 carbon_emissions_kg=result.energy_kwh * ci / 1000.0,
@@ -364,13 +369,7 @@ class Cluster:
                 running_count=len(node.running),
                 pending_count=len(node.pending),
             )
-        return ClusterInfo(
-            datacenters=infos,
-            transmission_cost_total_usd=tx.cost_usd,
-            transmission_energy_total_kwh=tx.energy_kwh,
-            transmission_emissions_total_kg=tx.emissions_kg,
-            tasks_deferred_count=deferred_count,
-        )
+        return info
 
     def census(self) -> dict:
         """Task counts by lifecycle stage, for conservation checks."""

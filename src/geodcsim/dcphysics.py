@@ -124,17 +124,20 @@ class DcPhysicsParams:
             object.__setattr__(self, name, vals)
         for name in ("cpu_power_ratio_lb", "cpu_power_ratio_ub",
                      "fan_airflow_ratio_lb", "fan_airflow_ratio_ub"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            pair = tuple(map(float, getattr(self, name)))
+            if len(pair) != 2 or not (pair[0] >= 0 and pair[1] >= 0):  # also rejects NaN
+                raise ValueError(f"{name} must be two numbers >= 0")
+            object.__setattr__(self, name, pair)
         for lb, ub in ((self.cpu_power_ratio_lb, self.cpu_power_ratio_ub),
                        (self.fan_airflow_ratio_lb, self.fan_airflow_ratio_ub)):
             if lb[0] > ub[0] or lb[1] > ub[1]:
                 raise ValueError("ratio lower bounds must not exceed upper bounds")
         lo, hi = self.inlet_temp_range_c
-        if lo >= hi:
+        if not lo < hi:
             raise ValueError("inlet_temp_range_c must be ordered")
         object.__setattr__(self, "inlet_temp_range_c", (float(lo), float(hi)))
         lo, hi = self.setpoint_range_c
-        if lo >= hi:
+        if not lo < hi:
             raise ValueError("setpoint_range_c must be ordered")
         object.__setattr__(self, "setpoint_range_c", (float(lo), float(hi)))
         object.__setattr__(self, "thermal_coeffs", tuple(self.thermal_coeffs))
@@ -142,12 +145,17 @@ class DcPhysicsParams:
             raise ValueError("thermal_coeffs must be (c, d, e, f, g)")
         if self.thermal_coeffs[3] == 0:
             raise ValueError("thermal_coeffs f must be nonzero")
-        for name in ("cpu_full_w", "gpu_full_w", "fan_ref_w", "crac_fan_ref_w",
+        for name in ("cpu_full_w", "gpu_full_w", "fan_ref_w", "fan_ref_ratio", "crac_fan_ref_w",
                      "ct_fan_ref_w", "ct_ref_air_flow_m3s", "crac_supply_flow_pu",
                      "crac_ref_flow_pu", "design_it_load_w", "chiller_capacity_w",
-                     "heat_reject_unit_w", "ct_delta_t_k", "c_air", "rho_air"):
-            if getattr(self, name) <= 0:
+                     "chiller_cop_min", "heat_reject_unit_w", "ct_delta_t_k", "c_air",
+                     "rho_air"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("cpu_idle_w", "gpu_idle_w", "mem_w_per_gb", "cw_pressure_drop_pa",
+                     "ct_pressure_drop_pa", "cw_flow_m3s", "ct_flow_m3s", "water_drift_rate"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("cw_pump_eff", "ct_pump_eff"):
             eff = getattr(self, name)
             if not 0 < eff <= 1:
@@ -206,15 +214,11 @@ def cpu_power(params: DcPhysicsParams, t_inlet_c: float, u_cpu: float) -> float:
 
 def gpu_power(params: DcPhysicsParams, u_gpu: float) -> float:
     """GPU draw in W: idle + (full - idle) * log2(1 + u)."""
-    if not 0.0 <= u_gpu <= 1.0:
-        raise ValueError(f"u_gpu {u_gpu} outside [0, 1]")
     return params.gpu_idle_w + (params.gpu_full_w - params.gpu_idle_w) * math.log2(1.0 + u_gpu)
 
 
 def memory_power_per_rack(params: DcPhysicsParams, total_mem_gb: float) -> float:
     """Static DRAM draw per rack: capacity split evenly across ``params.num_racks``."""
-    if total_mem_gb < 0:
-        raise ValueError("total_mem_gb must be >= 0")
     return params.mem_w_per_gb * total_mem_gb / params.num_racks
 
 
@@ -247,8 +251,6 @@ def total_it_power(
     servers share that rack's inlet temperature and the aggregate utilizations.
     Returns (total W, per-rack W).
     """
-    if len(rack_inlet_temps_c) != params.num_racks:
-        raise ValueError(f"rack_inlet_temps_c must have one entry per rack ({params.num_racks})")
     u_eff = _clamp(0.5 * (u_cpu + u_gpu), 0.0, 1.0)
     gpus = params.gpus_per_rack * gpu_power(params, u_gpu)
     memory = memory_power_per_rack(params, total_mem_gb)
@@ -265,8 +267,6 @@ def rack_outlet_temp(
     params: DcPhysicsParams, t_in_c: float, rack_power_w: float, fan_flow_m3s: float
 ) -> float:
     """Rack outlet temperature from the energy-balance model with empirical coefficients."""
-    if fan_flow_m3s <= 0:
-        raise ValueError("fan_flow_m3s must be > 0")
     c, d, e, f, g = params.thermal_coeffs
     rise = c * rack_power_w ** d / (params.c_air * params.rho_air * fan_flow_m3s ** e * f)
     return t_in_c + rise + g
@@ -274,20 +274,12 @@ def rack_outlet_temp(
 
 def crac_return_temp(params: DcPhysicsParams, rack_outlet_temps_c) -> float:
     """Mean over racks of outlet temperature plus the rack's return approach offset."""
-    outs = list(rack_outlet_temps_c)
-    if not outs:
-        raise ValueError("at least one rack outlet temperature is required")
-    if len(outs) != len(params.return_approach_temps_c):
-        raise ValueError("one outlet temperature per configured rack is required")
-    return sum(t + dt for t, dt in zip(outs, params.return_approach_temps_c)) / len(outs)
+    temps = zip(rack_outlet_temps_c, params.return_approach_temps_c)
+    return sum(t + dt for t, dt in temps) / params.num_racks
 
 
 def pump_power(pressure_drop_pa: float, flow_m3s: float, efficiency: float) -> float:
     """Hydraulic pump draw in W: pressure drop times volume flow over efficiency."""
-    if not 0 < efficiency <= 1:
-        raise ValueError("efficiency must lie in (0, 1]")
-    if pressure_drop_pa < 0 or flow_m3s < 0:
-        raise ValueError("pressure drop and flow must be >= 0")
     return pressure_drop_pa * flow_m3s / efficiency
 
 
@@ -322,14 +314,9 @@ def hvac_step(
     The CRAC load is carried by an air mass flow proportional to IT power; heat
     recovery (when enabled) offsets at most a fixed fraction of the IT load and
     never drives the effective cooling load negative. Pumps draw their constant
-    hydraulic power whenever the plant is on.
+    hydraulic power whenever the plant is on. ``dc_physics_step`` and
+    ``DcPhysicsParams`` check the inputs.
     """
-    lo, hi = params.setpoint_range_c
-    if not lo <= setpoint_c <= hi:
-        raise ValueError(f"setpoint {setpoint_c} outside [{lo}, {hi}]")
-    if it_power_w < 0:
-        raise ValueError("it_power_w must be >= 0")
-
     m_dot = params.crac_supply_flow_pu * it_power_w
     q_crac = m_dot * params.c_air * max(t_return_c - setpoint_c, 0.0)
 
@@ -389,8 +376,6 @@ def water_usage_rate(t_range_k: float, t_wetbulb_c: float) -> float:
 
 def water_to_15min_liters(w_total_m3_per_hr: float) -> float:
     """Convert an hourly water rate in m3/hr to liters per 15-minute interval."""
-    if w_total_m3_per_hr < 0:
-        raise ValueError("water rate must be >= 0")
     return w_total_m3_per_hr * 1000.0 * STEP_HOURS
 
 
@@ -441,16 +426,13 @@ def dc_physics_step(
     it_power, per_rack = total_it_power(params, inlets, u_cpu, u_gpu, mem_used_gb)
 
     # All CRAC supply air is pushed through the racks in equal shares, so with the
-    # default outlet coefficients the heat handed to the CRAC matches IT power.
-    m_dot_sys = params.crac_supply_flow_pu * it_power
-    g = params.thermal_coeffs[4]
-    if m_dot_sys > 0.0:
-        v_rack = m_dot_sys / (params.num_racks * params.rho_air)
-        outlets = [
-            rack_outlet_temp(params, t_in, p, v_rack) for t_in, p in zip(inlets, per_rack)
-        ]
+    # default outlet coefficients the heat handed to the CRAC matches IT power. A
+    # subnormal IT power can leave a rack no flow at all, hence the test on v_rack.
+    v_rack = params.crac_supply_flow_pu * it_power / (params.num_racks * params.rho_air)
+    if v_rack > 0.0:
+        outlets = [rack_outlet_temp(params, t_in, p, v_rack) for t_in, p in zip(inlets, per_rack)]
     else:
-        outlets = [t_in + g for t_in in inlets]
+        outlets = [t_in + params.thermal_coeffs[4] for t_in in inlets]
     t_return = crac_return_temp(params, outlets)
     return hvac_step(
         params, it_power, t_return, setpoint,

@@ -3,7 +3,9 @@
 Cost comes from a provider-style region-to-region USD/GB matrix; delay from
 empirical throughput/RTT between geographic macro-clusters (US, EU, AP, SA),
 with fast intra-cluster defaults. Energy uses a flat kWh/GB intensity and
-emissions are booked against the origin grid at dispatch time.
+emissions are booked against the origin grid at dispatch time. The functions
+take their inputs as checked: a task's bandwidth by ``Task``, the tables' rates
+by ``CostMatrix`` and ``DelayTable``.
 
 The shipped delay and cost tables are placeholders in the documented format;
 replace them with measured values for serious studies.
@@ -98,12 +100,12 @@ class DelayTable:
 
     def __post_init__(self):
         for (a, b), thr in self.throughput_mbps.items():
-            if thr <= 0:
+            if not thr > 0:  # also rejects NaN
                 raise DataError(f"throughput for {a.value}->{b.value} must be > 0")
         for (a, b), rtt in self.rtt_ms.items():
-            if rtt < 0:
+            if not rtt >= 0:
                 raise DataError(f"RTT for {a.value}->{b.value} must be >= 0")
-        if self.intra_throughput_mbps <= 0 or self.intra_rtt_ms < 0:
+        if not (self.intra_throughput_mbps > 0 and self.intra_rtt_ms >= 0):
             raise DataError("intra-cluster defaults out of range")
 
     def lookup(self, origin: MacroCluster, dest: MacroCluster) -> tuple[float, float]:
@@ -171,8 +173,6 @@ class RegionMap:
 def transmission_cost(matrix: CostMatrix, region_map: RegionMap,
                       s_bw_gb: float, origin_loc: str, dest_loc: str) -> float:
     """USD to move ``s_bw_gb`` between locations; zero within one provider region."""
-    if s_bw_gb < 0:
-        raise ValueError("s_bw_gb must be >= 0")
     r_orig = region_map.region_of(origin_loc)
     r_dest = region_map.region_of(dest_loc)
     if r_orig == r_dest:
@@ -182,8 +182,6 @@ def transmission_cost(matrix: CostMatrix, region_map: RegionMap,
 
 def transmission_energy_kwh(s_bw_gb: float, kwh_per_gb: float = TRANSMISSION_KWH_PER_GB) -> float:
     """Network energy for a transfer at a flat electricity-intensity factor."""
-    if s_bw_gb < 0:
-        raise ValueError("s_bw_gb must be >= 0")
     return s_bw_gb * kwh_per_gb
 
 
@@ -195,8 +193,6 @@ def transmission_emissions_kg(energy_kwh: float, ci_origin_g_per_kwh: float) -> 
 def transmission_delay_s(table: DelayTable, region_map: RegionMap,
                          s_bw_gb: float, origin_loc: str, dest_loc: str) -> float:
     """Serialization plus propagation delay in seconds."""
-    if s_bw_gb < 0:
-        raise ValueError("s_bw_gb must be >= 0")
     throughput, rtt = table.lookup(
         region_map.cluster_of(origin_loc), region_map.cluster_of(dest_loc)
     )
@@ -205,8 +201,6 @@ def transmission_delay_s(table: DelayTable, region_map: RegionMap,
 
 def delay_steps(delay_s: float) -> int:
     """Whole simulation steps a transfer stays in transit."""
-    if delay_s < 0:
-        raise ValueError("delay must be >= 0")
     return math.ceil(delay_s / STEP.total_seconds())
 
 

@@ -64,10 +64,8 @@ class PenaltyReward:
 # (name, default normalize_factor, quantity penalized)
 _PENALTIES = (
     ("energy_price", 1000.0, lambda info: info.total("energy_cost_usd")),
-    ("carbon_emissions", 100.0,
-     lambda info: info.total("carbon_emissions_kg") + info.transmission_emissions_total_kg),
-    ("energy_consumption", 1000.0,
-     lambda info: info.total("energy_consumption_kwh") + info.transmission_energy_total_kwh),
+    ("carbon_emissions", 100.0, ClusterInfo.emissions_kg),
+    ("energy_consumption", 1000.0, ClusterInfo.energy_kwh),
     ("transmission_cost", 10.0, lambda info: info.transmission_cost_total_usd),
     ("transmission_emissions", 10.0, lambda info: info.transmission_emissions_total_kg),
 )
@@ -94,9 +92,7 @@ class EfficiencyReward:
         self.epsilon = _require_positive(epsilon, "epsilon")
 
     def __call__(self, info: ClusterInfo) -> float:
-        completed = info.total("sla_met")
-        energy = info.total("energy_consumption_kwh") + info.transmission_energy_total_kwh
-        return completed / (energy + self.epsilon)
+        return info.total("sla_met") / (info.energy_kwh() + self.epsilon)
 
 
 class _RunningStats:

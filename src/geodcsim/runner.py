@@ -125,6 +125,8 @@ class SimConfig:
             raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
         if self.duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
+        if not self.mean_tasks_per_interval >= 0:  # also rejects NaN
+            raise ConfigError("synthetic_workload.mean_tasks_per_interval must be >= 0")
         try:
             self.start = datetime(
                 self.year, self.month, self.init_day, self.init_hour, tzinfo=timezone.utc
@@ -187,7 +189,7 @@ def load_sim_config(path) -> SimConfig:
         ])
     except KeyError as exc:
         raise ConfigError(f"{path}: missing simulation field {exc.args[0]!r}") from exc
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: simulation: {exc}") from exc
 
 
@@ -406,13 +408,9 @@ def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
         obs, reward, done, outcome = env.step(actions)
         info = outcome.cluster_info
         rows.append(_log_row(step_idx, now, info, reward, dc_ids))
-        totals["total_cost_usd"] += info.total("energy_cost_usd") + info.transmission_cost_total_usd
-        totals["total_co2_t"] += (
-            info.total("carbon_emissions_kg") + info.transmission_emissions_total_kg
-        ) / 1000.0
-        totals["total_energy_mwh"] += (
-            info.total("energy_consumption_kwh") + info.transmission_energy_total_kwh
-        ) / 1000.0
+        totals["total_cost_usd"] += info.cost_usd()
+        totals["total_co2_t"] += info.emissions_kg() / 1000.0
+        totals["total_energy_mwh"] += info.energy_kwh() / 1000.0
         totals["total_water_m3"] += info.total("water_l") / 1000.0
         totals["tx_cost_usd"] += info.transmission_cost_total_usd
         totals["tasks_deferred"] += info.tasks_deferred_count

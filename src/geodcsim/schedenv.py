@@ -267,8 +267,8 @@ class SchedulingEnv:
                 decisions.append((task, self.cluster.nodes[action - 1].dc_id))
         self.current_tasks = []
 
-        tx = self.cluster.route_assignments(decisions, self.step_index, self.now)
-        info = self.cluster.step(self.step_index, self.now, tx, deferred_count=len(deferred))
+        info = self.cluster.route_assignments(decisions, self.step_index, self.now)
+        self.cluster.step(self.step_index, self.now, info, deferred_count=len(deferred))
         breakdown = self.reward_fn(info)
 
         self.step_index += 1

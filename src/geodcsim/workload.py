@@ -9,6 +9,7 @@ simulation cannot resolve them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -79,18 +80,22 @@ class Task:
                 f"task {self.job_id}: arrival_time {self.arrival_time.isoformat()} "
                 "is not aligned to the 15-minute grid"
             )
-        if self.duration_min < MIN_DURATION_MIN:
+        if not MIN_DURATION_MIN <= self.duration_min < math.inf:  # also rejects NaN
             raise ValueError(
-                f"task {self.job_id}: duration {self.duration_min} min is below the "
-                f"{MIN_DURATION_MIN:.0f}-minute floor"
+                f"task {self.job_id}: duration_min {self.duration_min} must be finite and "
+                f"at least the {MIN_DURATION_MIN:.0f}-minute floor"
             )
         for name in ("cores_req", "gpu_req", "mem_req", "bandwidth_gb"):
             if not getattr(self, name) >= 0:  # also rejects NaN
                 raise ValueError(f"task {self.job_id}: {name} must be >= 0")
-        if self.sla_multiplier < 1.0:
-            raise ValueError(f"task {self.job_id}: sla_multiplier must be >= 1")
+        if not 1.0 <= self.sla_multiplier < math.inf:
+            raise ValueError(f"task {self.job_id}: sla_multiplier must be finite and >= 1")
         if self.sla_deadline is None:
-            self.sla_deadline = compute_sla_deadline(self)
+            try:
+                self.sla_deadline = compute_sla_deadline(self)
+            except OverflowError as exc:
+                raise ValueError(f"task {self.job_id}: duration_min {self.duration_min} "
+                                 "times sla_multiplier overflows the deadline") from exc
         else:
             self.sla_deadline = _require_utc(self.sla_deadline, "sla_deadline")
             if self.sla_deadline <= self.arrival_time:
@@ -107,10 +112,6 @@ class Task:
 
 def compute_sla_deadline(task: Task) -> datetime:
     """Deadline rule: arrival + sla_multiplier * duration."""
-    if task.duration_min <= 0:
-        raise ValueError("duration must be positive")
-    if task.sla_multiplier < 1.0:
-        raise ValueError("sla_multiplier must be >= 1")
     return task.arrival_time + timedelta(minutes=task.sla_multiplier * task.duration_min)
 
 
@@ -155,7 +156,7 @@ def load_trace(path) -> list[TraceInterval]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON") from exc
+                raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
             try:
                 task = Task(
                     job_id=str(rec["job_id"]),
@@ -169,9 +170,9 @@ def load_trace(path) -> list[TraceInterval]:
                     origin_dc_id=rec.get("origin_dc_id"),
                 )
             except KeyError as exc:
-                raise DataError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
+                raise DataError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from exc
             except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
             buckets.setdefault(task.arrival_time, []).append(task)
     return [TraceInterval(start, tasks) for start, tasks in sorted(buckets.items())]
 
@@ -189,7 +190,7 @@ def save_trace(intervals: list[TraceInterval], path) -> None:
 def origin_probabilities(dcs, utc_now: datetime) -> np.ndarray:
     """Normalized origin-sampling distribution over data centers.
 
-    ``dcs`` is a sequence of (dc_id, timezone_shift_h, population_weight). Each
+    ``dcs`` is a sequence of (dc_id, timezone_shift_h, population_weight > 0). Each
     site's score is its population weight scaled by an activity factor of 1.0
     during local business hours (08-20) and 0.3 otherwise.
     """
@@ -197,9 +198,7 @@ def origin_probabilities(dcs, utc_now: datetime) -> np.ndarray:
         raise ValueError("at least one data center is required")
     utc_now = _require_utc(utc_now, "utc_now")
     scores = []
-    for dc_id, shift_h, weight in dcs:
-        if weight <= 0:
-            raise ValueError(f"dc {dc_id}: population_weight must be > 0")
+    for _, shift_h, weight in dcs:
         local_hour = (utc_now + timedelta(hours=shift_h)).hour
         activity = 1.0 if local_hour in BUSINESS_HOURS else OFF_HOURS_ACTIVITY
         scores.append(weight * activity)
@@ -254,10 +253,9 @@ def generate_synthetic_trace(
     """Seeded synthetic trace: Poisson arrivals per interval, uniform resource draws.
 
     Origins are left unassigned (``origin_dc_id=None``) so the environment can
-    apply its probabilistic origin model.
+    apply its probabilistic origin model. ``mean_tasks_per_interval`` must be
+    >= 0; ``SimConfig`` checks the configured one.
     """
-    if mean_tasks_per_interval < 0:
-        raise ValueError("mean_tasks_per_interval must be >= 0")
     start = _require_utc(start, "start")
     if not _on_grid(start):
         raise ValueError("start must be aligned to the 15-minute grid")

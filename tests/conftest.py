@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from geodcsim.cluster import Cluster, DatacenterNode
 from geodcsim.dcphysics import desk_scale_params
@@ -14,6 +15,11 @@ from geodcsim.schedenv import SchedulingEnv
 from geodcsim.workload import Task
 
 T0 = datetime(2024, 3, 1, 0, 0, tzinfo=timezone.utc)
+
+# Every property test draws the same examples on every run and keeps no example
+# database; each sets its own max_examples.
+settings.register_profile("geodcsim", derandomize=True, database=None, deadline=None)
+settings.load_profile("geodcsim")
 
 
 def constant_series(kind, value, hours=None, start=T0, location="SYN"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodcsim.cluster import BLOCK, release_completed, schedule_fifo_first_fit
-from geodcsim.errors import ProtocolError
+from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.workload import TaskStatus
 
 from conftest import T0, make_cluster, make_node, make_task
@@ -75,6 +75,13 @@ def assert_queue_shape(queue):
 
 def oversize_warnings(caplog):
     return [r.getMessage() for r in caplog.records if "wait forever" in r.getMessage()]
+
+
+class TestNodeChecks:
+    def test_nonpositive_weight(self):
+        for weight in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="population_weight must be > 0"):
+                make_node(population_weight=weight)
 
 
 class TestScheduling:
@@ -206,7 +213,7 @@ class TestBlockQueue:
 _DYADIC = st.integers(0, 32).map(lambda k: k / 8)  # sums of these are exact floats
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(
     caps=st.tuples(*(st.integers(0, 512).map(lambda k: k / 8) for _ in range(3))),
     ops=st.lists(st.one_of(
@@ -300,8 +307,8 @@ class TestRouting:
         cluster = make_cluster()
         task = make_task(origin=1)
         totals = cluster.route_assignments([(task, 1)], step=0, now=T0)
-        assert totals.cost_usd == 0.0
-        assert totals.energy_kwh == 0.0
+        assert totals.transmission_cost_total_usd == 0.0
+        assert totals.transmission_energy_total_kwh == 0.0
         assert list(cluster.by_id[1].pending) == [task]
         assert task.status is TaskStatus.PENDING
 
@@ -309,10 +316,10 @@ class TestRouting:
         cluster = make_cluster()
         task = make_task(origin=1, bandwidth=10.0)
         totals = cluster.route_assignments([(task, 2)], step=0, now=T0)
-        assert totals.cost_usd == pytest.approx(10.0 * 0.05)
-        assert totals.energy_kwh == pytest.approx(0.6)
+        assert totals.transmission_cost_total_usd == pytest.approx(10.0 * 0.05)
+        assert totals.transmission_energy_total_kwh == pytest.approx(0.6)
         # constant 300 g/kWh at the origin grid
-        assert totals.emissions_kg == pytest.approx(0.6 * 300.0 / 1000.0)
+        assert totals.transmission_emissions_total_kg == pytest.approx(0.6 * 300.0 / 1000.0)
         assert task.status is TaskStatus.IN_TRANSIT
         assert len(cluster.in_transit) == 1
         # 10 GB at 200 Mbps + 120 ms = 400.12 s -> one step
@@ -323,8 +330,8 @@ class TestRouting:
         t1 = make_task("a", origin=1, bandwidth=10.0)
         t2 = make_task("b", origin=1, bandwidth=10.0)
         totals = cluster.route_assignments([(t1, 2), (t2, 2)], step=0, now=T0)
-        assert totals.cost_usd == pytest.approx(1.0)
-        assert totals.energy_kwh == pytest.approx(1.2)
+        assert totals.transmission_cost_total_usd == pytest.approx(1.0)
+        assert totals.transmission_energy_total_kwh == pytest.approx(1.2)
 
     def test_invalid_destination(self):
         cluster = make_cluster()
@@ -418,7 +425,7 @@ class TestConservationProperties:
             injected += k
             cluster.injected_count += k
             tx = cluster.route_assignments(decisions, step, now)
-            assert tx.cost_usd >= 0.0
+            assert tx.transmission_cost_total_usd >= 0.0
             cluster.step(step, now, tx)
             for node in cluster.nodes:
                 assert_bookkeeping(node)

@@ -61,10 +61,6 @@ class TestEnergyAndEmissions:
         assert transmission_energy_kwh(1.0) == pytest.approx(0.06)
         assert transmission_energy_kwh(0.0) == 0.0
 
-    def test_negative_bandwidth(self):
-        with pytest.raises(ValueError):
-            transmission_energy_kwh(-1.0)
-
     def test_emissions_from_origin_grid(self):
         assert transmission_emissions_kg(0.6, 400.0) == pytest.approx(0.24)
         assert transmission_emissions_kg(0.0, 400.0) == 0.0
@@ -121,6 +117,13 @@ class TestDelay:
         with pytest.raises(DataError):
             DelayTable({(MacroCluster.US, MacroCluster.EU): 0.0},
                        {(MacroCluster.US, MacroCluster.EU): 1.0})
+
+    @pytest.mark.parametrize("throughput, rtt", [(float("nan"), 1.0), (100.0, float("nan"))],
+                             ids=["throughput", "rtt"])
+    def test_nan_rejected(self, throughput, rtt):
+        with pytest.raises(DataError):
+            DelayTable({(MacroCluster.US, MacroCluster.EU): throughput},
+                       {(MacroCluster.US, MacroCluster.EU): rtt})
 
 
 class TestLinearity:

@@ -225,6 +225,19 @@ class TestCli:
         assert err == [f"error: {sim}: simulation: {key}: invalid literal for int() "
                        "with base 10: 'abc'"]
 
+    @pytest.mark.parametrize("value", [-1, float("nan")], ids=["negative", "nan"])
+    def test_cli_bad_mean_tasks_per_interval(self, tmp_path, capsys, value):
+        doc = yaml.safe_load((CONFIG_DIR / "sim.yaml").read_text())
+        doc["simulation"]["synthetic_workload"]["mean_tasks_per_interval"] = value
+        sim = tmp_path / "sim.yaml"
+        sim.write_text(yaml.safe_dump(doc))
+        args = self._args(tmp_path)
+        args[args.index("--sim-config") + 1] = str(sim)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {sim}: simulation: "
+                       "synthetic_workload.mean_tasks_per_interval must be >= 0"]
+
     def _edited_fleet_args(self, tmp_path, keys, value):
         """CLI args whose fleet is the shipped one with dc 1's ``keys`` path set to ``value``."""
         doc = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
@@ -246,6 +259,25 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON")
 
+    @pytest.mark.parametrize("section, values, expected", [
+        ("hvac_configuration", {"CW_PRESSURE_DROP": -3e5}, "cw_pressure_drop_pa must be >= 0"),
+        ("hvac_configuration", {"WATER_DRIFT_RATE": -2}, "water_drift_rate must be >= 0"),
+        ("server_characteristics", {"NVIDIA_V100": [-2000, 250]}, "gpu_idle_w must be >= 0"),
+        ("server_characteristics", {"CPU_POWER_RATIO_LB": [-5, -4]},
+         "cpu_power_ratio_lb must be two numbers >= 0"),
+        ("server_characteristics", {"ITFAN_REF_V_RATIO": 0}, "fan_ref_ratio must be > 0"),
+        ("hvac_configuration", {"CHILLER_COP_MIN": 0, "CHILLER_COP_NOMINAL": 0},
+         "chiller_cop_min must be > 0"),
+    ], ids=["cw_pressure_drop_negative", "water_drift_negative", "gpu_idle_negative",
+            "cpu_ratio_negative", "fan_ref_ratio_zero", "chiller_cop_zero"])
+    def test_cli_bad_physics_value(self, tmp_path, capsys, section, values, expected):
+        """Values the step chain would fail on stop the run at load, naming the file."""
+        physics = tmp_path / "dc.json"
+        physics.write_text(json.dumps({section: values}))
+        args, _ = self._edited_fleet_args(tmp_path, ["dc_config_file"], str(physics))
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {physics}: {expected}"]
+
     @pytest.mark.parametrize("keys, value, expected", [
         (["total_cores"], "abc", "{fleet}: datacenter 0: total_cores: could not convert"),
         (["total_cores"], -5, "dc 1: capacities must be >= 0"),
@@ -254,6 +286,8 @@ class TestCli:
         (["synthetic", "carbon", "daily_amplitude"], 300.0, "dc 1: carbon intensity requires"),
         (["synthetic", "price", "noise_sd"], -1, "dc 1: daily_amplitude and noise_sd"),
         (["population_weight"], 0, "dc 1: population_weight must be > 0"),
+        (["population_weight"], float("nan"), "dc 1: population_weight must be > 0"),
+        (["total_cores"], float("nan"), "dc 1: capacities must be >= 0"),
         (["hvac"], {"policy": "deadband", "deadband": [24.0, 25.0, 26.0]},
          "dc 1: deadband must be two numbers lo < hi"),
         (["hvac"], {"policy": "deadband", "deadband": ["a", "b"]},
@@ -264,6 +298,7 @@ class TestCli:
          "dc 1: deadband must be two numbers lo < hi"),
     ], ids=["cores_not_a_number", "cores_negative", "price_base_not_a_number",
             "carbon_amplitude_over_base", "noise_sd_negative", "population_weight_zero",
+            "population_weight_nan", "cores_nan",
             "deadband_three_values", "deadband_not_numbers", "deadband_reversed",
             "deadband_under_fixed"])
     def test_cli_bad_fleet_value(self, tmp_path, capsys, keys, value, expected):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
 
@@ -95,6 +96,10 @@ class TestTask:
         with pytest.raises(ValueError):
             Task("j", T0, 60.0, -1.0, 0, 1, 0.1)
 
+    def test_negative_bandwidth(self):
+        with pytest.raises(ValueError, match="bandwidth_gb must be >= 0"):
+            Task("j", T0, 60.0, 1, 0, 1, -1.0)
+
     @pytest.mark.parametrize("field", range(3, 7), ids=["cores", "gpu", "mem", "bandwidth"])
     def test_nan_resource_rejected(self, field):
         """A NaN demand never fits, and as a queue block's least demand it would
@@ -153,6 +158,20 @@ class TestLoadTrace:
         p = write_trace(tmp_path / "t.jsonl",
                         [task_record("a", arrival="2024-03-01T00:07:00+00:00")])
         with pytest.raises(DataError):
+            load_trace(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_min", float("inf")),
+        ("duration_min", 1e300),
+        ("duration_min", float("nan")),
+        ("sla_multiplier", float("nan")),
+    ], ids=["duration_infinity", "duration_1e300", "duration_nan", "multiplier_nan"])
+    def test_unusable_deadline_names_file_line_and_field(self, tmp_path, field, value):
+        """A deadline that is NaN or does not fit a datetime ends as a DataError."""
+        bad = task_record("b")
+        bad[field] = value
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: line 2: task b: {field} "):
             load_trace(p)
 
     def test_round_trip(self, tmp_path):
@@ -216,9 +235,6 @@ class TestOrigins:
         with pytest.raises(ValueError):
             origin_probabilities([], T0)
 
-    def test_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            origin_probabilities([(1, 0, 0.0)], T0)
 
 
 class TestSyntheticTrace:
