@@ -83,10 +83,6 @@ class PendingQueue:
             blocks.append(_Block([task]))
         self.count += 1
 
-    def extend(self, tasks) -> None:
-        for task in tasks:
-            self.append(task)
-
     def __iter__(self):
         for block in self.blocks:
             yield from block.tasks
@@ -246,8 +242,9 @@ class DcStepInfo:
 class ClusterInfo:
     """Step accounting record: one entry per site plus cluster-wide totals.
 
-    ``route_assignments`` fills in the transmission totals and ``Cluster.step``
-    the sites; ``cost_usd``, ``energy_kwh`` and ``emissions_kg`` add the two.
+    ``route_assignments`` fills in the transmission totals, ``Cluster.step`` the
+    sites and the environment the deferred count; ``cost_usd``, ``energy_kwh``
+    and ``emissions_kg`` add sites and transmission.
     """
 
     datacenters: dict = field(default_factory=dict)
@@ -331,12 +328,10 @@ class Cluster:
                 still.append(item)
         self.in_transit = still
 
-    def step(self, step: int, now: datetime, info: ClusterInfo | None = None,
-             deferred_count: int = 0) -> ClusterInfo:
+    def step(self, step: int, now: datetime, info: ClusterInfo | None = None) -> ClusterInfo:
         """Advance every site by one 15-minute interval and fill in ``info``'s sites
         (a fresh record when none is given); returns ``info``."""
         info = info or ClusterInfo()
-        info.tasks_deferred_count = deferred_count
         self.advance_transit(step)
         for node in self.nodes:
             released = release_completed(node, now)

@@ -111,12 +111,25 @@ class DcPhysicsParams:
     setpoint_range_c: tuple = (18.0, 27.0)
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():  # lists become floats; all must be finite
+            value = getattr(self, name)
+            try:
+                if kind is tuple:
+                    value = tuple(map(float, value))
+                    object.__setattr__(self, name, value)
+                    finite = all(map(math.isfinite, value))
+                else:
+                    finite = math.isfinite(value)
+            except (TypeError, ValueError, OverflowError) as exc:  # isfinite(10**400)
+                raise ValueError(f"{name}: {exc}") from exc
+            if not finite:
+                raise ValueError(f"{name} must be finite")
         if self.num_racks < 1:
             raise ValueError("num_racks must be >= 1")
         if self.cpus_per_rack < 0 or self.gpus_per_rack < 0:
             raise ValueError("per-rack device counts must be >= 0")
         for name in ("supply_approach_temps_c", "return_approach_temps_c"):
-            vals = tuple(getattr(self, name))
+            vals = getattr(self, name)
             if not vals:
                 vals = (0.0,) * self.num_racks
             if len(vals) != self.num_racks:
@@ -124,23 +137,17 @@ class DcPhysicsParams:
             object.__setattr__(self, name, vals)
         for name in ("cpu_power_ratio_lb", "cpu_power_ratio_ub",
                      "fan_airflow_ratio_lb", "fan_airflow_ratio_ub"):
-            pair = tuple(map(float, getattr(self, name)))
+            pair = getattr(self, name)
             if len(pair) != 2 or not (pair[0] >= 0 and pair[1] >= 0):  # also rejects NaN
                 raise ValueError(f"{name} must be two numbers >= 0")
-            object.__setattr__(self, name, pair)
         for lb, ub in ((self.cpu_power_ratio_lb, self.cpu_power_ratio_ub),
                        (self.fan_airflow_ratio_lb, self.fan_airflow_ratio_ub)):
             if lb[0] > ub[0] or lb[1] > ub[1]:
                 raise ValueError("ratio lower bounds must not exceed upper bounds")
-        lo, hi = self.inlet_temp_range_c
-        if not lo < hi:
-            raise ValueError("inlet_temp_range_c must be ordered")
-        object.__setattr__(self, "inlet_temp_range_c", (float(lo), float(hi)))
-        lo, hi = self.setpoint_range_c
-        if not lo < hi:
-            raise ValueError("setpoint_range_c must be ordered")
-        object.__setattr__(self, "setpoint_range_c", (float(lo), float(hi)))
-        object.__setattr__(self, "thermal_coeffs", tuple(self.thermal_coeffs))
+        for name in ("inlet_temp_range_c", "setpoint_range_c"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not bounds[0] < bounds[1]:
+                raise ValueError(f"{name} must be ordered: two numbers lo < hi")
         if len(self.thermal_coeffs) != 5:
             raise ValueError("thermal_coeffs must be (c, d, e, f, g)")
         if self.thermal_coeffs[3] == 0:
@@ -160,6 +167,11 @@ class DcPhysicsParams:
             eff = getattr(self, name)
             if not 0 < eff <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
+
+
+# each field's default type, int, float or tuple: a read value is cast to it, and
+# __post_init__ makes each tuple's values floats
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(DcPhysicsParams)}
 
 
 @dataclass(frozen=True)
@@ -501,8 +513,6 @@ _LAYOUT = {
         },
     },
 }
-# a read value is cast to the type of the field's default: int, float or tuple
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(DcPhysicsParams)}
 
 
 def _write(params: DcPhysicsParams, layout: dict) -> dict:

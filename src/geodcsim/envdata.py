@@ -106,8 +106,8 @@ def _parse_utc(text: str, row: int) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _grid_from_points(points, location, kind, step=HOUR) -> TimeSeries:
-    """Validate (timestamp, value) pairs onto a uniform grid, forward-filling short gaps."""
+def _grid_from_points(points, location, kind) -> TimeSeries:
+    """Validate (timestamp, value) pairs onto the hourly grid, forward-filling short gaps."""
     times = [p[0] for p in points]
     for i in range(1, len(times)):
         if times[i] == times[i - 1]:
@@ -119,10 +119,10 @@ def _grid_from_points(points, location, kind, step=HOUR) -> TimeSeries:
     filled = [points[0][1]]
     for i in range(1, len(points)):
         gap = times[i] - times[i - 1]
-        n_steps, rem = divmod(gap, step)
+        n_steps, rem = divmod(gap, HOUR)
         if rem != timedelta(0):
             raise DataError(
-                f"timestamp {times[i].isoformat()} is off the {step} grid"
+                f"timestamp {times[i].isoformat()} is off the {HOUR} grid"
             )
         missing = n_steps - 1
         if missing > MAX_FFILL_GAP:
@@ -132,7 +132,7 @@ def _grid_from_points(points, location, kind, step=HOUR) -> TimeSeries:
             )
         filled.extend([points[i - 1][1]] * missing)
         filled.append(points[i][1])
-    return TimeSeries(location, kind, times[0], step, np.array(filled))
+    return TimeSeries(location, kind, times[0], HOUR, np.array(filled))
 
 
 def _load_hourly_csv(path, location, value_col, kind) -> TimeSeries:
@@ -250,8 +250,8 @@ def _saturation_vapor_pressure_pa(t_c: float) -> float:
     return 610.94 * math.exp(17.625 * t_c / (t_c + 243.04))
 
 
-def _humidity_ratio(vapor_pressure_pa: float, pressure_pa: float = 101325.0) -> float:
-    return 0.622 * vapor_pressure_pa / (pressure_pa - vapor_pressure_pa)
+def _humidity_ratio(vapor_pressure_pa: float) -> float:
+    return 0.622 * vapor_pressure_pa / (101325.0 - vapor_pressure_pa)  # sea-level Pa
 
 
 def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:

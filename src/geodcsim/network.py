@@ -95,8 +95,6 @@ class DelayTable:
 
     throughput_mbps: dict
     rtt_ms: dict
-    intra_throughput_mbps: float = DEFAULT_INTRA_THROUGHPUT_MBPS
-    intra_rtt_ms: float = DEFAULT_INTRA_RTT_MS
 
     def __post_init__(self):
         for (a, b), thr in self.throughput_mbps.items():
@@ -105,12 +103,10 @@ class DelayTable:
         for (a, b), rtt in self.rtt_ms.items():
             if not rtt >= 0:
                 raise DataError(f"RTT for {a.value}->{b.value} must be >= 0")
-        if not (self.intra_throughput_mbps > 0 and self.intra_rtt_ms >= 0):
-            raise DataError("intra-cluster defaults out of range")
 
     def lookup(self, origin: MacroCluster, dest: MacroCluster) -> tuple[float, float]:
         if origin is dest:
-            return self.intra_throughput_mbps, self.intra_rtt_ms
+            return DEFAULT_INTRA_THROUGHPUT_MBPS, DEFAULT_INTRA_RTT_MS
         key = (origin, dest)
         if key not in self.throughput_mbps or key not in self.rtt_ms:
             raise ConfigError(f"no delay parameters for {origin.value}->{dest.value}")
@@ -180,9 +176,9 @@ def transmission_cost(matrix: CostMatrix, region_map: RegionMap,
     return s_bw_gb * matrix.rate(r_orig, r_dest)
 
 
-def transmission_energy_kwh(s_bw_gb: float, kwh_per_gb: float = TRANSMISSION_KWH_PER_GB) -> float:
-    """Network energy for a transfer at a flat electricity-intensity factor."""
-    return s_bw_gb * kwh_per_gb
+def transmission_energy_kwh(s_bw_gb: float) -> float:
+    """Network energy for a transfer at the flat ``TRANSMISSION_KWH_PER_GB`` intensity."""
+    return s_bw_gb * TRANSMISSION_KWH_PER_GB
 
 
 def transmission_emissions_kg(energy_kwh: float, ci_origin_g_per_kwh: float) -> float:

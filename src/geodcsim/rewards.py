@@ -113,8 +113,6 @@ class _RunningStats:
 
     @property
     def std(self) -> float:
-        if self.count < 1:
-            return 0.0
         return math.sqrt(self._m2 / self.count)
 
     def normalize(self, x: float) -> float:
@@ -137,16 +135,21 @@ class CompositeReward:
     """
 
     def __init__(self, components: dict, normalize: bool = False):
-        if not components:
-            raise ConfigError("composite reward needs at least one component")
-        self.normalize = bool(normalize)
+        if not (components and isinstance(components, dict)):
+            raise ConfigError("components must map one or more component names to settings")
+        if not isinstance(normalize, bool):
+            raise ConfigError("normalize must be true or false")
+        self.normalize = normalize
         self._parts = []
         self._stats = {}
         for name, cfg in components.items():
-            cfg = cfg or {}
-            weight = float(cfg.get("weight", 1.0))
-            if not math.isfinite(weight):
-                raise ConfigError(f"component {name!r}: weight must be finite")
+            cfg = {} if cfg is None else cfg
+            if not isinstance(cfg, dict):
+                raise ConfigError(f"component {name!r}: must be a mapping of weight and args")
+            weight = cfg.get("weight", 1.0)
+            if not (isinstance(weight, (int, float)) and math.isfinite(weight)):
+                raise ConfigError(f"component {name!r}: weight must be a finite number")
+            weight = float(weight)
             args = cfg.get("args", {}) or {}
             try:
                 fn = get_component(name, **args)
@@ -159,11 +162,8 @@ class CompositeReward:
     @classmethod
     def from_config(cls, cfg: dict) -> "CompositeReward":
         """Build from the ``reward:`` section of a reward-config document."""
-        reward = cfg.get("reward", cfg)
-        components = reward.get("components")
-        if not components:
-            raise ConfigError("reward config must define reward.components")
-        return cls(components, normalize=reward.get("normalize", False))
+        reward = cfg["reward"]
+        return cls(reward.get("components"), normalize=reward.get("normalize", False))
 
     def __call__(self, info: ClusterInfo) -> RewardBreakdown:
         raw, weighted = {}, {}

@@ -83,11 +83,11 @@ class SyntheticWeatherSpec:
 class DcSpec:
     dc_id: int
     location: str
-    timezone_shift: float
-    population_weight: float
     total_cores: float
     total_gpus: float
     total_mem_gb: float
+    timezone_shift: float = 0.0
+    population_weight: float = 1.0
     dc_config_file: str | None = None
     hru_enabled: bool = False
     hvac_policy: str = "fixed"
@@ -106,8 +106,8 @@ class SimConfig:
     year: int
     month: int
     init_day: int
-    init_hour: int
     duration_days: int
+    init_hour: int = 0
     timestep_minutes: int = 15
     workload_path: str | None = None
     cost_matrix_path: str | None = None
@@ -135,13 +135,47 @@ class SimConfig:
             raise ConfigError(f"invalid start date: {exc}") from exc
 
 
-def _cast(doc: dict, key: str, kind, default=None, where: str = ""):
-    """``kind(doc[key])``, or ``kind(default)`` when one is given and ``key`` is
-    absent; a failed cast names ``where`` + ``key``."""
-    value = doc[key] if default is None else doc.get(key, default)
+def _read_section(path, name: str, kind: type):
+    """The top-level ``name`` section of YAML file ``path``, a non-empty ``kind`` (dict
+    or list); each failure is one ``ConfigError`` line naming the file."""
+    try:
+        with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes raise a YAMLError
+            doc = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:  # its message spans lines: keep only the line number
+        line = f" at line {exc.problem_mark.line + 1}" if getattr(exc, "problem_mark", None) else ""
+        raise ConfigError(f"{path}: invalid YAML{line}") from exc
+    section = doc.get(name) if isinstance(doc, dict) else None
+    if not (section and isinstance(section, kind)):
+        what = "list" if kind is list else "mapping"
+        raise ConfigError(f"{path}: needs a non-empty top-level {name!r} {what}")
+    return section
+
+
+def _section(doc: dict, key: str, where: str = "") -> dict:
+    """Sub-section ``doc[key]``, empty when absent or null; ``where`` is the path of
+    ``doc``'s own section, for naming a value that is not a mapping."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}{key}: must be a mapping")
+    return value
+
+
+def _cast(doc: dict, key: str, kind, where: str = ""):
+    """``doc[key]`` as ``kind``: a bool takes only a YAML boolean and a path (kind
+    ``NoneType``, from a ``None`` default) only a string or null; any other kind
+    casts with ``kind(value)``. A failure names ``where`` + ``key``."""
+    value = doc[key]
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"{where}{key}: must be true or false")
+    if kind is type(None):
+        if value is None or isinstance(value, str):
+            return value
+        raise ValueError(f"{where}{key}: must be a string or null")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"{where}{key}: {exc}") from exc
 
 
@@ -155,37 +189,31 @@ def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = ""):
     for name in names:
         key = name.removeprefix(prefix)
         if key in doc:
-            old = getattr(base, name)
-            changes[name] = doc[key] if old is None else _cast(doc, key, type(old), where=where)
+            changes[name] = _cast(doc, key, type(getattr(base, name)), where)
     return replace(base, **changes)
 
 
 def load_sim_config(path) -> SimConfig:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
-    sim = doc.get("simulation")
-    if sim is None:
-        raise ConfigError(f"{path}: missing top-level 'simulation' section")
-    ranges_doc = sim.get("synthetic_workload") or {}
+    sim = _read_section(path, "simulation", dict)
     try:
-        ranges = _with_doc(ResourceRanges(), ranges_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad synthetic_workload ranges: {exc}") from exc
-    try:
+        ranges_doc = _section(sim, "synthetic_workload")
+        try:
+            ranges = _with_doc(ResourceRanges(), ranges_doc)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad synthetic_workload ranges: {exc}") from exc
         base = SimConfig(
             year=_cast(sim, "year", int),
             month=_cast(sim, "month", int),
             init_day=_cast(sim, "init_day", int),
-            init_hour=_cast(sim, "init_hour", int, 0),
             duration_days=_cast(sim, "duration_days", int),
             resource_ranges=ranges,
         )
         base = _with_doc(base, ranges_doc, ["mean_tasks_per_interval"],
                          where="synthetic_workload.")
         return _with_doc(base, sim, [
-            "timestep_minutes", "workload_path", "cost_matrix_path", "delay_params_path",
-            "region_map_path", "shuffle_datacenters", "strategy", "single_action_mode",
-            "disable_defer_action",
+            "init_hour", "timestep_minutes", "workload_path", "cost_matrix_path",
+            "delay_params_path", "region_map_path", "shuffle_datacenters", "strategy",
+            "single_action_mode", "disable_defer_action",
         ])
     except KeyError as exc:
         raise ConfigError(f"{path}: missing simulation field {exc.args[0]!r}") from exc
@@ -194,34 +222,29 @@ def load_sim_config(path) -> SimConfig:
 
 
 def load_dc_fleet(path) -> list[DcSpec]:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
-    entries = doc.get("datacenters")
-    if not entries:
-        raise ConfigError(f"{path}: missing or empty 'datacenters' list")
     specs = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_read_section(path, "datacenters", list)):
         try:
             spec = DcSpec(
                 dc_id=_cast(entry, "dc_id", int),
                 location=str(entry["location"]),
-                timezone_shift=_cast(entry, "timezone_shift", float, 0),
-                population_weight=_cast(entry, "population_weight", float, 1.0),
                 total_cores=_cast(entry, "total_cores", float),
                 total_gpus=_cast(entry, "total_gpus", float),
                 total_mem_gb=_cast(entry, "total_mem_gb", float),
             )
-            spec = _with_doc(spec, entry, ["dc_config_file", "hru_enabled"])
-            spec = _with_doc(spec, entry.get("hvac") or {}, prefix="hvac_", where="hvac.")
-            spec = _with_doc(
-                spec, entry.get("data") or {}, ["price_csv", "carbon_csv", "weather_json"]
-            )
-            synth = entry.get("synthetic") or {}
-            spec.synth_price = _with_doc(spec.synth_price, synth.get("price") or {},
+            spec = _with_doc(spec, entry, ["timezone_shift", "population_weight",
+                                           "dc_config_file", "hru_enabled"])
+            spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
+            spec = _with_doc(spec, _section(entry, "data"),
+                             ["price_csv", "carbon_csv", "weather_json"], where="data.")
+            synth = _section(entry, "synthetic")
+            spec.synth_price = _with_doc(spec.synth_price, _section(synth, "price", "synthetic."),
                                          where="synthetic.price.")
-            spec.synth_carbon = _with_doc(spec.synth_carbon, synth.get("carbon") or {},
+            spec.synth_carbon = _with_doc(spec.synth_carbon,
+                                          _section(synth, "carbon", "synthetic."),
                                           where="synthetic.carbon.")
-            spec.synth_weather = _with_doc(spec.synth_weather, synth.get("weather") or {},
+            spec.synth_weather = _with_doc(spec.synth_weather,
+                                           _section(synth, "weather", "synthetic."),
                                            where="synthetic.weather.")
         except KeyError as exc:
             raise ConfigError(f"{path}: datacenter {i}: missing field {exc.args[0]!r}") from exc
@@ -235,10 +258,13 @@ def load_dc_fleet(path) -> list[DcSpec]:
 
 
 def load_reward_config(path) -> dict:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
-    if "reward" not in doc:
-        raise ConfigError(f"{path}: missing top-level 'reward' section")
+    """``{"reward": …}``, checked by building the composite once, so that a bad
+    component stops the run naming the file before any episode starts."""
+    doc = {"reward": _read_section(path, "reward", dict)}
+    try:
+        CompositeReward.from_config(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return doc
 
 

@@ -268,7 +268,8 @@ class SchedulingEnv:
         self.current_tasks = []
 
         info = self.cluster.route_assignments(decisions, self.step_index, self.now)
-        self.cluster.step(self.step_index, self.now, info, deferred_count=len(deferred))
+        info.tasks_deferred_count = len(deferred)
+        self.cluster.step(self.step_index, self.now, info)
         breakdown = self.reward_fn(info)
 
         self.step_index += 1

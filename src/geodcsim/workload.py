@@ -67,7 +67,7 @@ class Task:
     bandwidth_gb: float
     sla_multiplier: float = DEFAULT_SLA_MULTIPLIER
     origin_dc_id: int | None = None
-    sla_deadline: datetime | None = None
+    sla_deadline: datetime = field(init=False)
     dest_dc_id: int | None = None
     status: TaskStatus = TaskStatus.PENDING
     start_exec_time: datetime | None = None
@@ -90,16 +90,11 @@ class Task:
                 raise ValueError(f"task {self.job_id}: {name} must be >= 0")
         if not 1.0 <= self.sla_multiplier < math.inf:
             raise ValueError(f"task {self.job_id}: sla_multiplier must be finite and >= 1")
-        if self.sla_deadline is None:
-            try:
-                self.sla_deadline = compute_sla_deadline(self)
-            except OverflowError as exc:
-                raise ValueError(f"task {self.job_id}: duration_min {self.duration_min} "
-                                 "times sla_multiplier overflows the deadline") from exc
-        else:
-            self.sla_deadline = _require_utc(self.sla_deadline, "sla_deadline")
-            if self.sla_deadline <= self.arrival_time:
-                raise ValueError(f"task {self.job_id}: sla_deadline must be after arrival")
+        try:
+            self.sla_deadline = compute_sla_deadline(self)
+        except OverflowError as exc:
+            raise ValueError(f"task {self.job_id}: duration_min {self.duration_min} "
+                             "times sla_multiplier overflows the deadline") from exc
 
     def set_status(self, new: TaskStatus) -> None:
         if new not in _ALLOWED_TRANSITIONS[self.status]:

@@ -108,7 +108,8 @@ class TestScheduling:
         node = make_node(cores=10.0)
         big = make_task("big", cores=9.0)
         small = make_task("small", cores=2.0)
-        node.pending.extend([big, small])
+        for task in (big, small):
+            node.pending.append(task)
         busy = make_task("busy", cores=5.0)
         busy.completion_time = T0 + STEP
         node.running.append(busy)
@@ -120,7 +121,8 @@ class TestScheduling:
     def test_fifo_order_preserved(self):
         node = make_node()
         tasks = [make_task(f"t{i}", cores=1.0) for i in range(5)]
-        node.pending.extend(tasks)
+        for task in tasks:
+            node.pending.append(task)
         started = schedule_fifo_first_fit(node, T0)
         assert [t.job_id for t in started] == [f"t{i}" for i in range(5)]
 

@@ -429,6 +429,14 @@ class TestParamsJson:
         doc = {"hvac_configuration": {"C_AIR": "warm"}}
         assert "C_AIR" in self._load(tmp_path, json.dumps(doc))
 
+    @pytest.mark.parametrize("section, key, field", [
+        ("server_characteristics", "INLET_TEMP_RANGE", "inlet_temp_range_c"),
+        ("hvac_configuration", "SETPOINT_RANGE", "setpoint_range_c"),
+    ])
+    def test_range_of_three_values_names_field(self, tmp_path, section, key, field):
+        doc = {section: {key: [16, 20, 28]}}
+        assert f"{field} must be ordered" in self._load(tmp_path, json.dumps(doc))
+
     def test_validation_error_is_config_error(self, tmp_path):
         doc = {"hvac_configuration": {"SETPOINT_RANGE": [27, 18]}}
         assert "setpoint_range_c must be ordered" in self._load(tmp_path, json.dumps(doc))

@@ -192,6 +192,24 @@ class TestComposite:
         with pytest.raises(ConfigError):
             CompositeReward({})
 
+    @pytest.mark.parametrize("components, normalize, match", [
+        (5, False, "components must map"),
+        (["energy_price"], False, "components must map"),
+        ({"energy_price": 5}, False, "component 'energy_price': must be a mapping"),
+        ({"energy_price": {"weight": "x"}}, False,
+         "component 'energy_price': weight must be a finite number"),
+        ({"energy_price": {"weight": None}}, False,
+         "component 'energy_price': weight must be a finite number"),
+        ({"energy_price": {"weight": [1]}}, False,
+         "component 'energy_price': weight must be a finite number"),
+        ({"energy_price": {"weight": 1.0}}, "maybe", "normalize must be true or false"),
+    ], ids=["components_int", "components_list", "entry_int", "weight_string", "weight_null",
+            "weight_list", "normalize_string"])
+    def test_malformed_composition_rejected(self, components, normalize, match):
+        with pytest.raises(ConfigError, match=match):
+            CompositeReward.from_config(
+                {"reward": {"components": components, "normalize": normalize}})
+
 
 class TestRunningNormalization:
     def test_constant_stream_sign_stable(self):

@@ -1,9 +1,19 @@
+import csv
 import json
+import math
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 import yaml
 
+from geodcsim.envdata import (
+    SeriesKind,
+    load_price_csv,
+    save_series_csv,
+    save_weather_json,
+    synth_series,
+)
 from geodcsim.errors import ConfigError
 from geodcsim.runner import (
     KPI_KEYS,
@@ -19,7 +29,7 @@ from geodcsim.runner import (
     run_sweep,
     summarize_kpis,
 )
-from geodcsim.workload import ResourceRanges
+from geodcsim.workload import ResourceRanges, generate_synthetic_trace, save_trace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,6 +56,7 @@ def small_fleet(n=2):
 
 
 REWARD = {"reward": {"components": {"energy_price": {"weight": 1.0}}}}
+_CONFIG_FLAGS = {"sim": "--sim-config", "datacenters": "--dc-config", "reward": "--reward-config"}
 
 
 class TestConfigLoading:
@@ -238,18 +249,23 @@ class TestCli:
         assert err == [f"error: {sim}: simulation: "
                        "synthetic_workload.mean_tasks_per_interval must be >= 0"]
 
-    def _edited_fleet_args(self, tmp_path, keys, value):
-        """CLI args whose fleet is the shipped one with dc 1's ``keys`` path set to ``value``."""
-        doc = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
-        section = doc["datacenters"][0]
+    def _edited_args(self, tmp_path, config, keys, value):
+        """CLI args whose ``config`` file is the shipped one with its ``keys`` path set
+        to ``value``; returns them and the edited file."""
+        doc = yaml.safe_load((CONFIG_DIR / f"{config}.yaml").read_text())
+        section = doc
         for key in keys[:-1]:
             section = section[key]
         section[keys[-1]] = value
-        fleet = tmp_path / "fleet.yaml"
-        fleet.write_text(yaml.safe_dump(doc))
+        path = tmp_path / f"{config}.yaml"
+        path.write_text(yaml.safe_dump(doc))
         args = self._args(tmp_path)
-        args[args.index("--dc-config") + 1] = str(fleet)
-        return args, fleet
+        args[args.index(_CONFIG_FLAGS[config]) + 1] = str(path)
+        return args, path
+
+    def _edited_fleet_args(self, tmp_path, keys, value):
+        """CLI args whose fleet is the shipped one with dc 1's ``keys`` path set to ``value``."""
+        return self._edited_args(tmp_path, "datacenters", ["datacenters", 0, *keys], value)
 
     def test_cli_malformed_physics_json(self, tmp_path, capsys):
         bad = tmp_path / "dc.json"
@@ -307,3 +323,162 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and expected.format(fleet=fleet) in err[0]
+
+    @pytest.mark.parametrize("config, text, expected", [
+        ("sim", b"simulation: [\n  year: 1\n", "invalid YAML at line 3"),
+        ("sim", b"simulation:\n  year: \xc3\x28\n", "invalid YAML"),
+        ("sim", b"- simulation\n", "needs a non-empty top-level 'simulation' mapping"),
+        ("sim", b"simulation: 5\n", "needs a non-empty top-level 'simulation' mapping"),
+        ("datacenters", b"datacenters: {dc_id: 1}\n",
+         "needs a non-empty top-level 'datacenters' list"),
+        ("datacenters", b"datacenters: []\n", "needs a non-empty top-level 'datacenters' list"),
+        ("reward", b"reward: [1]\n", "needs a non-empty top-level 'reward' mapping"),
+    ], ids=["sim_unclosed_list", "sim_bad_utf8", "sim_top_level_list", "sim_section_scalar",
+            "fleet_section_mapping", "fleet_section_empty", "reward_section_list"])
+    def test_cli_unusable_yaml(self, tmp_path, capsys, config, text, expected):
+        """Every file-level failure of a YAML config is one line naming the file."""
+        path = tmp_path / f"{config}.yaml"
+        path.write_bytes(text)
+        args = self._args(tmp_path)
+        args[args.index(_CONFIG_FLAGS[config]) + 1] = str(path)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
+
+    @pytest.mark.parametrize("keys, value, expected", [
+        (["simulation", "shuffle_datacenters"], "no",
+         "simulation: shuffle_datacenters: must be true or false"),
+        (["simulation", "single_action_mode"], 1,
+         "simulation: single_action_mode: must be true or false"),
+        (["simulation", "workload_path"], 5, "simulation: workload_path: must be a string or null"),
+        (["simulation", "workload_path"], True,
+         "simulation: workload_path: must be a string or null"),
+        (["simulation", "cost_matrix_path"], [1],
+         "simulation: cost_matrix_path: must be a string or null"),
+        (["simulation", "delay_params_path"], 5,
+         "simulation: delay_params_path: must be a string or null"),
+        (["simulation", "region_map_path"], {"a": 1},
+         "simulation: region_map_path: must be a string or null"),
+        (["simulation", "synthetic_workload"], [1],
+         "simulation: synthetic_workload: must be a mapping"),
+    ], ids=["shuffle_string", "single_action_int", "workload_path_int", "workload_path_true",
+            "cost_matrix_list", "delay_params_int", "region_map_mapping",
+            "synthetic_workload_list"])
+    def test_cli_sim_value_of_wrong_kind(self, tmp_path, capsys, keys, value, expected):
+        """A bool takes only a boolean, a path a string or null, a section a mapping."""
+        args, sim = self._edited_args(tmp_path, "sim", keys, value)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {sim}: {expected}"]
+
+    @pytest.mark.parametrize("keys, value, expected", [
+        (["hru_enabled"], "false", "hru_enabled: must be true or false"),
+        (["dc_config_file"], 5, "dc_config_file: must be a string or null"),
+        (["data"], {"price_csv": 5}, "data.price_csv: must be a string or null"),
+        (["data"], {"carbon_csv": True}, "data.carbon_csv: must be a string or null"),
+        (["data"], {"weather_json": [1]}, "data.weather_json: must be a string or null"),
+        (["data"], 5, "data: must be a mapping"),
+        (["hvac"], [1], "hvac: must be a mapping"),
+        (["synthetic"], [1], "synthetic: must be a mapping"),
+        (["synthetic"], {"price": [1, 2]}, "synthetic.price: must be a mapping"),
+        (["synthetic", "carbon"], 5, "synthetic.carbon: must be a mapping"),
+        (["synthetic", "weather"], "x", "synthetic.weather: must be a mapping"),
+    ], ids=["hru_string", "dc_config_file_int", "price_csv_int", "carbon_csv_true",
+            "weather_json_list", "data_int", "hvac_list", "synthetic_list",
+            "synthetic_price_list", "synthetic_carbon_int", "synthetic_weather_string"])
+    def test_cli_fleet_value_of_wrong_kind(self, tmp_path, capsys, keys, value, expected):
+        """A bool takes only a boolean, a path a string or null, a section a mapping."""
+        args, fleet = self._edited_fleet_args(tmp_path, keys, value)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {fleet}: datacenter 0: {expected}"]
+
+    def test_cli_bad_reward_weight(self, tmp_path, capsys):
+        args, reward = self._edited_args(
+            tmp_path, "reward", ["reward", "components", "energy_price", "weight"], "x")
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {reward}: component 'energy_price': weight must be a finite number"]
+
+    @pytest.mark.parametrize("section, values, expected", [
+        ("hvac_configuration", {"CW_PRESSURE_DROP": math.inf}, "cw_pressure_drop_pa must be finite"),
+        ("data_center_configuration", {"RACK_SUPPLY_APPROACH_TEMP_LIST": [math.nan] * 4},
+         "supply_approach_temps_c must be finite"),
+        ("server_characteristics", {"THERMAL_COEFFS": [1, 1, 1, math.nan, 0]},
+         "thermal_coeffs must be finite"),
+        ("data_center_configuration", {"RACK_SUPPLY_APPROACH_TEMP_LIST": ["a", "b", "c", "d"]},
+         "supply_approach_temps_c: could not convert string to float: 'a'"),
+        ("server_characteristics", {"THERMAL_COEFFS": [1, 1, 1, "x", 0]},
+         "thermal_coeffs: could not convert string to float: 'x'"),
+    ], ids=["cw_pressure_drop_infinity", "supply_approach_nan", "thermal_f_nan",
+            "supply_approach_strings", "thermal_coeff_string"])
+    def test_cli_physics_value_not_a_finite_number(self, tmp_path, capsys, section, values,
+                                                   expected):
+        """Each physics value is a finite number, each list element too, checked at load."""
+        physics = tmp_path / "dc.json"
+        physics.write_text(json.dumps({section: values}))  # writes Infinity and NaN
+        args, _ = self._edited_fleet_args(tmp_path, ["dc_config_file"], str(physics))
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {physics}: {expected}"]
+
+    def test_cli_unknown_hvac_policy(self, tmp_path, capsys):
+        args, _ = self._edited_fleet_args(tmp_path, ["hvac", "policy"], "magic")
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: dc 1: unknown hvac policy 'magic'"]
+
+
+class TestFileInputs:
+    """A run whose dc 1 reads its series from files and whose tasks come from a trace."""
+
+    def _args(self, tmp_path, origin=None):
+        start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+        hours = 25  # covers the one-day window, end included
+        price = synth_series(SeriesKind.PRICE, 90.0, 35.0, 4.0, start, hours, 1)
+        carbon = synth_series(SeriesKind.CARBON_INTENSITY, 250.0, 120.0, 10.0, start, hours, 2)
+        drybulb = synth_series(SeriesKind.DRY_BULB_TEMP_C, 20.0, 8.0, 1.0, start, hours, 3)
+        humidity = synth_series(SeriesKind.REL_HUMIDITY_PCT, 45.0, 10.0, 2.0, start, hours, 4)
+        save_series_csv(price, tmp_path / "price.csv")
+        save_series_csv(carbon, tmp_path / "carbon.csv")
+        save_weather_json(drybulb, humidity, tmp_path / "weather.json")
+        trace = generate_synthetic_trace(start, 96, 2.0, ResourceRanges(), seed=5)
+        for interval in trace:
+            for task in interval.tasks:
+                task.origin_dc_id = origin
+        save_trace(trace, tmp_path / "trace.jsonl")
+
+        fleet = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
+        fleet["datacenters"][0]["data"] = {
+            "price_csv": str(tmp_path / "price.csv"),
+            "carbon_csv": str(tmp_path / "carbon.csv"),
+            "weather_json": str(tmp_path / "weather.json"),
+        }
+        (tmp_path / "fleet.yaml").write_text(yaml.safe_dump(fleet))
+        sim = yaml.safe_load((CONFIG_DIR / "sim.yaml").read_text())
+        sim["simulation"]["workload_path"] = str(tmp_path / "trace.jsonl")
+        (tmp_path / "sim.yaml").write_text(yaml.safe_dump(sim))
+        return [
+            "--sim-config", str(tmp_path / "sim.yaml"),
+            "--dc-config", str(tmp_path / "fleet.yaml"),
+            "--reward-config", str(CONFIG_DIR / "reward.yaml"),
+            "--days", "1",
+        ]
+
+    def test_cli_runs_on_file_inputs(self, tmp_path, capsys):
+        args = self._args(tmp_path)
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--out", str(tmp_path / "b")]) == 0
+        log = (tmp_path / "a" / "steps_seed0.csv").read_bytes()
+        assert log == (tmp_path / "b" / "steps_seed0.csv").read_bytes()
+
+        prices = load_price_csv(tmp_path / "price.csv", "US-CAL-CISO").values
+        rows = list(csv.DictReader(log.decode().splitlines()[1:]))
+        assert len(rows) == 96
+        row = rows[12]  # 03:00, on the hour: the step reads the CSV's own point
+        assert row["time_utc"].startswith("2024-03-01T03:00")
+        assert float(row["dc1_energy_kwh"]) > 0.0
+        assert float(row["dc1_cost_usd"]) == float(row["dc1_energy_kwh"]) * prices[3] / 1000.0
+        assert sum(int(r["dc1_sla_met"]) + int(r["dc1_sla_violated"]) for r in rows) > 0
+
+    def test_cli_trace_origin_must_be_a_configured_dc(self, tmp_path, capsys):
+        args = self._args(tmp_path, origin=9)
+        assert main([*args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: task job-") and "origin 9 is not a configured dc" in err[0]
