@@ -25,6 +25,7 @@ queue into one block per task.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -130,10 +131,14 @@ class DatacenterNode:
     available_gpus: float = field(init=False)
     available_mem_gb: float = field(init=False)
     last_return_temp_c: float | None = field(default=None, init=False)
+    _reading: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.total_cores >= 0 and self.total_gpus >= 0 and self.total_mem_gb >= 0):
-            raise ConfigError(f"dc {self.dc_id}: capacities must be >= 0")
+        top = sys.float_info.max  # the comparisons below also reject NaN
+        if not all(0 <= c <= top for c in (self.total_cores, self.total_gpus, self.total_mem_gb)):
+            raise ConfigError(f"dc {self.dc_id}: capacities must be >= 0 and finite")
+        if not abs(self.timezone_shift_h) <= top:
+            raise ConfigError(f"dc {self.dc_id}: timezone_shift_h must be finite")
         if not self.population_weight > 0:  # also rejects NaN
             raise ConfigError(f"dc {self.dc_id}: population_weight must be > 0")
         lo, hi = self.physics.setpoint_range_c
@@ -169,6 +174,14 @@ class DatacenterNode:
                 task.job_id, self.dc_id,
             )
         self.pending.append(task)
+
+    def conditions(self, now: datetime) -> tuple[float, float, float, float]:
+        """Price, carbon intensity, dry-bulb and relative humidity at ``now``. Each
+        series is interpolated once per instant: the last reading is kept with it."""
+        if self._reading[0] != now:
+            series = (self.price, self.carbon, self.drybulb, self.humidity)
+            self._reading = (now, tuple(value_at(s, now) for s in series))
+        return self._reading[1]
 
     def hvac_action(self) -> HvacAction | None:
         """The setpoint nudge for this step: ``None`` without a deadband, else HOLD
@@ -304,8 +317,7 @@ class Cluster:
                 origin.location_code, dest.location_code,
             )
             energy = network.transmission_energy_kwh(task.bandwidth_gb)
-            ci_origin = value_at(origin.carbon, now)
-            emissions = network.transmission_emissions_kg(energy, ci_origin)
+            emissions = network.transmission_emissions_kg(energy, origin.conditions(now)[1])
             delay = network.transmission_delay_s(
                 self.delay_table, self.region_map, task.bandwidth_gb,
                 origin.location_code, dest.location_code,
@@ -338,8 +350,7 @@ class Cluster:
             self.completed.extend(t for t, _ in released)
             schedule_fifo_first_fit(node, now)
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
-            drybulb = value_at(node.drybulb, now)
-            rh = value_at(node.humidity, now)
+            price, ci, drybulb, rh = node.conditions(now)
             weather = WeatherSample(drybulb, wet_bulb(drybulb, rh))
             result = dc_physics_step(
                 node.physics, node.setpoint_c, u_cpu, u_gpu, node.mem_used_gb(),
@@ -347,8 +358,6 @@ class Cluster:
             )
             node.setpoint_c = result.setpoint_c
             node.last_return_temp_c = result.crac_return_temp_c
-            price = value_at(node.price, now)
-            ci = value_at(node.carbon, now)
             met = sum(1 for _, ok in released if ok)
             violated = len(released) - met
             info.datacenters[node.dc_id] = DcStepInfo(

@@ -13,7 +13,6 @@ from datetime import datetime
 from enum import Enum
 
 from .cluster import Cluster, DatacenterNode
-from .envdata import value_at
 
 
 class RbcStrategy(Enum):
@@ -47,12 +46,13 @@ class DcSnapshot:
 def snapshot_cluster(cluster: Cluster, now: datetime) -> list[DcSnapshot]:
     snaps = []
     for i, node in enumerate(cluster.nodes):
+        price, ci, _, _ = node.conditions(now)
         snaps.append(
             DcSnapshot(
                 action_index=i + 1,
                 dc_id=node.dc_id,
-                ci_g_per_kwh=value_at(node.carbon, now),
-                price_usd_per_mwh=value_at(node.price, now),
+                ci_g_per_kwh=ci,
+                price_usd_per_mwh=price,
                 available_cores=node.available_cores,
                 available_gpus=node.available_gpus,
                 available_mem_gb=node.available_mem_gb,

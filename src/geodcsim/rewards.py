@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .cluster import ClusterInfo
@@ -45,8 +46,8 @@ def registered_components() -> tuple:
 
 
 def _require_positive(value, what):
-    if value <= 0:
-        raise ConfigError(f"{what} must be > 0")
+    if not 0 < value <= sys.float_info.max:  # also rejects NaN, inf and 10**400
+        raise ConfigError(f"{what} must be > 0 and finite")
     return float(value)
 
 
@@ -76,8 +77,8 @@ for _name, _factor, _quantity in _PENALTIES:
 @register_component("sla_penalty")
 class SlaPenaltyReward:
     def __init__(self, penalty_per_violation: float = 1.0):
-        if penalty_per_violation < 0:
-            raise ConfigError("penalty_per_violation must be >= 0")
+        if not 0 <= penalty_per_violation <= sys.float_info.max:
+            raise ConfigError("penalty_per_violation must be >= 0 and finite")
         self.penalty_per_violation = float(penalty_per_violation)
 
     def __call__(self, info: ClusterInfo) -> float:
@@ -147,7 +148,7 @@ class CompositeReward:
             if not isinstance(cfg, dict):
                 raise ConfigError(f"component {name!r}: must be a mapping of weight and args")
             weight = cfg.get("weight", 1.0)
-            if not (isinstance(weight, (int, float)) and math.isfinite(weight)):
+            if not (isinstance(weight, (int, float)) and abs(weight) <= sys.float_info.max):
                 raise ConfigError(f"component {name!r}: weight must be a finite number")
             weight = float(weight)
             args = cfg.get("args", {}) or {}
@@ -155,6 +156,8 @@ class CompositeReward:
                 fn = get_component(name, **args)
             except TypeError as exc:
                 raise ConfigError(f"component {name!r}: bad args {args}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"component {name!r}: {exc}") from exc
             self._parts.append((name, weight, fn))
             if self.normalize:
                 self._stats[name] = _RunningStats()

@@ -64,11 +64,20 @@ _DC_LOG_FIELDS = (
 )
 
 
+def _require_finite(spec) -> None:
+    """Reject a NaN or infinite field of dataclass ``spec``, naming the field."""
+    for f in fields(spec):
+        if not math.isfinite(getattr(spec, f.name)):
+            raise ValueError(f"{f.name}: must be finite")
+
+
 @dataclass
 class SyntheticSeriesSpec:
     base: float
     daily_amplitude: float = 0.0
     noise_sd: float = 0.0
+
+    __post_init__ = _require_finite
 
 
 @dataclass
@@ -77,6 +86,8 @@ class SyntheticWeatherSpec:
     daily_amplitude: float = 0.0
     noise_sd: float = 0.0
     rel_humidity_pct: float = 50.0
+
+    __post_init__ = _require_finite
 
 
 @dataclass
@@ -121,7 +132,7 @@ class SimConfig:
     resource_ranges: ResourceRanges = field(default_factory=ResourceRanges)
 
     def __post_init__(self):
-        if timedelta(minutes=self.timestep_minutes) != STEP:
+        if self.timestep_minutes != STEP // timedelta(minutes=1):
             raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
         if self.duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
@@ -131,8 +142,10 @@ class SimConfig:
             self.start = datetime(
                 self.year, self.month, self.init_day, self.init_hour, tzinfo=timezone.utc
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid start date: {exc}") from exc
+        except (ValueError, OverflowError) as exc:  # a huge year overflows a C int
+            raise ConfigError(
+                f"invalid start date (year, month, init_day, init_hour): {exc}"
+            ) from exc
 
 
 def _read_section(path, name: str, kind: type):
@@ -165,7 +178,8 @@ def _section(doc: dict, key: str, where: str = "") -> dict:
 def _cast(doc: dict, key: str, kind, where: str = ""):
     """``doc[key]`` as ``kind``: a bool takes only a YAML boolean and a path (kind
     ``NoneType``, from a ``None`` default) only a string or null; any other kind
-    casts with ``kind(value)``. A failure names ``where`` + ``key``."""
+    casts with ``kind(value)``, and a float must not be infinite: a NaN goes on to
+    the range check of the field's owner. A failure names ``where`` + ``key``."""
     value = doc[key]
     if kind is bool and not isinstance(value, bool):
         raise ValueError(f"{where}{key}: must be true or false")
@@ -174,9 +188,12 @@ def _cast(doc: dict, key: str, kind, where: str = ""):
             return value
         raise ValueError(f"{where}{key}: must be a string or null")
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"{where}{key}: {exc}") from exc
+    if kind is float and math.isinf(value):
+        raise ValueError(f"{where}{key}: must be finite")
+    return value
 
 
 def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = ""):
@@ -190,7 +207,10 @@ def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = ""):
         key = name.removeprefix(prefix)
         if key in doc:
             changes[name] = _cast(doc, key, type(getattr(base, name)), where)
-    return replace(base, **changes)
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:  # a field the dataclass's own check rejects
+        raise ValueError(f"{where}{exc}") from exc
 
 
 def load_sim_config(path) -> SimConfig:

@@ -21,7 +21,6 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .cluster import Cluster, ClusterInfo
-from .envdata import value_at
 from .errors import ConfigError, ProtocolError
 from .rewards import CompositeReward, RewardBreakdown
 from .workload import STEP, TaskStatus, TraceInterval, assign_task_origins
@@ -54,9 +53,8 @@ def _dc_features(cluster: Cluster, now: datetime) -> list[float]:
         cores_frac = node.available_cores / node.total_cores if node.total_cores else 0.0
         gpu_frac = node.available_gpus / node.total_gpus if node.total_gpus else 0.0
         mem_frac = node.available_mem_gb / node.total_mem_gb if node.total_mem_gb else 0.0
-        ci = value_at(node.carbon, now) / 1000.0
-        price = value_at(node.price, now) / 100.0
-        feats.extend([cores_frac, gpu_frac, mem_frac, ci, price])
+        price, ci, _, _ = node.conditions(now)
+        feats.extend([cores_frac, gpu_frac, mem_frac, ci / 1000.0, price / 100.0])
     return feats
 
 
@@ -148,6 +146,7 @@ class SchedulingEnv:
         self.now: datetime = start
         self.step_index = 0
         self._rng: np.random.Generator | None = None
+        self._origin_sites: list = []  # (dc_id, timezone_shift_h, population_weight) per site
         self._done = True
 
     @property
@@ -180,6 +179,12 @@ class SchedulingEnv:
             order = self._rng.permutation(len(self.cluster.nodes))
             self.cluster.nodes = [self.cluster.nodes[i] for i in order]
         self._check_coverage()
+        for t in (t for interval in self._intervals.values() for t in interval.tasks):
+            if t.origin_dc_id is not None and t.origin_dc_id not in self.cluster.by_id:
+                raise ConfigError(f"task {t.job_id} origin {t.origin_dc_id} is not a configured dc")
+        self._origin_sites = [
+            (n.dc_id, n.timezone_shift_h, n.population_weight) for n in self.cluster.nodes
+        ]
         self.now = self.start
         self.step_index = 0
         self._done = False
@@ -194,17 +199,7 @@ class SchedulingEnv:
         tasks = [copy.copy(t) for t in interval.tasks]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
-            dcs = [
-                (n.dc_id, n.timezone_shift_h, n.population_weight)
-                for n in self.cluster.nodes
-            ]
-            assign_task_origins(unassigned, dcs, now, self._rng)
-        valid = set(self.cluster.by_id)
-        for t in tasks:
-            if t.origin_dc_id not in valid:
-                raise ConfigError(
-                    f"task {t.job_id} origin {t.origin_dc_id} is not a configured dc"
-                )
+            assign_task_origins(unassigned, self._origin_sites, now, self._rng)
         self.cluster.injected_count += len(tasks)
         return tasks
 
@@ -215,12 +210,6 @@ class SchedulingEnv:
                 horizon_minutes=self.horizon_steps * STEP / timedelta(minutes=1),
             )
         return build_observation(self.cluster, self.current_tasks, self.now)
-
-    def _action_index_of(self, dc_id: int) -> int:
-        for i, node in enumerate(self.cluster.nodes):
-            if node.dc_id == dc_id:
-                return i + 1
-        raise ProtocolError(f"dc_id {dc_id} not in cluster")
 
     def step(self, actions):
         """Apply one decision per pending task; returns (obs, reward, done, outcome)."""
@@ -259,8 +248,8 @@ class SchedulingEnv:
         for task, action in zip(self.current_tasks, actions):
             if self.now > task.sla_deadline:
                 # Overdue tasks are forced to their origin site regardless of the action.
-                action = self._action_index_of(task.origin_dc_id)
-            if action == 0:
+                decisions.append((task, task.origin_dc_id))
+            elif action == 0:
                 task.set_status(TaskStatus.DEFERRED)
                 deferred.append(task)
             else:

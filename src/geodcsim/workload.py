@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -227,6 +228,8 @@ class ResourceRanges:
     def __post_init__(self):
         for f in fields(self):
             lo, hi = getattr(self, f.name)
+            if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
+                raise ValueError(f"{f.name}: bounds must be finite")  # NaN, inf or 10**400
             if lo > hi:
                 raise ValueError(f"{f.name}: lower bound {lo} exceeds upper bound {hi}")
         if self.duration_min[0] < MIN_DURATION_MIN:

@@ -1,4 +1,5 @@
 import logging
+import math
 from collections import deque
 from datetime import timedelta
 
@@ -82,6 +83,15 @@ class TestNodeChecks:
         for weight in (0.0, -1.0):
             with pytest.raises(ConfigError, match="population_weight must be > 0"):
                 make_node(population_weight=weight)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"cores": math.inf}, "capacities must be >= 0 and finite"),
+        ({"gpus": 10**400}, "capacities must be >= 0 and finite"),
+        ({"timezone_shift_h": math.nan}, "timezone_shift_h must be finite"),
+    ], ids=["cores_infinite", "gpus_huge", "timezone_nan"])
+    def test_non_finite_site_number(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            make_node(**kwargs)
 
 
 class TestScheduling:

@@ -2,7 +2,8 @@
 
 Each example takes the shipped ``sim.yaml``, ``datacenters.yaml`` and
 ``reward.yaml``, damages one of them, and then loads all three, builds a one-day
-environment and resets it. A ``SimulationError`` or an ``OSError`` (a damaged
+environment and resets it. A damaged leaf holds a value of the wrong kind or a
+non-finite or huge number. A ``SimulationError`` or an ``OSError`` (a damaged
 path that names no file) is the expected way to fail, and its message is one
 line; any other exception is a leak the CLI would print as a traceback.
 """
@@ -22,8 +23,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = ("sim", "datacenters", "reward")
 TEXTS = {name: (CONFIG_DIR / f"{name}.yaml").read_text() for name in CONFIGS}
 DOCS = {name: yaml.safe_load(text) for name, text in TEXTS.items()}
-# values of the wrong kind for any leaf: a string, a list, a mapping, null, a bool
-REPLACEMENTS = ("x", [1], {"a": 1}, None, True)
+# values of the wrong kind for any leaf (a string, a list, a mapping, null, a bool), then
+# numbers no float holds finitely
+REPLACEMENTS = ("x", [1], {"a": 1}, None, True,
+                float("inf"), float("-inf"), float("nan"), 10**400, -10**400)
 
 
 def _leaves(doc, path=()):

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from geodcsim import cluster
 from geodcsim.envdata import (
     SeriesKind,
     load_price_csv,
@@ -146,6 +149,43 @@ class TestRunEpisode:
         assert kpis["total_cost_usd"] == pytest.approx(cost_total, rel=1e-12)
         assert kpis["tx_cost_usd"] == pytest.approx(col_sum("tx_cost_usd"), rel=1e-12)
         assert kpis["tasks_deferred"] == col_sum("tasks_deferred")
+
+
+class TestSeriesReads:
+    """Each site's four series are interpolated once per instant: at every step and
+    at the final observation, whoever reads them."""
+
+    @pytest.fixture
+    def value_at_calls(self, monkeypatch):
+        calls = []
+        original = cluster.value_at
+
+        def counted(series, t):
+            calls.append(t)
+            return original(series, t)
+
+        monkeypatch.setattr(cluster, "value_at", counted)
+        return calls
+
+    def _shipped(self):
+        sim = replace(load_sim_config(CONFIG_DIR / "sim.yaml"), duration_days=1)
+        return sim, load_dc_fleet(CONFIG_DIR / "datacenters.yaml"), load_reward_config(
+            CONFIG_DIR / "reward.yaml")
+
+    def test_run_episode(self, value_at_calls):
+        sim, fleet, reward_doc = self._shipped()
+        rows, _ = run_episode(sim, fleet, reward_doc, seed=0)
+        assert len(value_at_calls) == 4 * len(fleet) * (len(rows) + 1)
+
+    def test_agent_loop(self, value_at_calls):
+        env = build_env(*self._shipped(), seed=0)
+        rng = np.random.default_rng(0)
+        env.reset()
+        done, steps = False, 0
+        while not done:
+            _, _, done, _ = env.step(rng.integers(0, env.num_dcs + 1, len(env.current_tasks)))
+            steps += 1
+        assert len(value_at_calls) == 4 * env.num_dcs * (steps + 1)
 
 
 class TestSweep:
@@ -417,6 +457,37 @@ class TestCli:
         args, _ = self._edited_fleet_args(tmp_path, ["dc_config_file"], str(physics))
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {physics}: {expected}"]
+
+    @pytest.mark.parametrize("config, keys, value, expected", [
+        ("sim", ["simulation", "synthetic_workload", "mean_tasks_per_interval"], math.inf,
+         "simulation: synthetic_workload.mean_tasks_per_interval: must be finite"),
+        ("sim", ["simulation", "synthetic_workload", "cores_req"], [1, math.nan],
+         "simulation: bad synthetic_workload ranges: cores_req: bounds must be finite"),
+        ("sim", ["simulation", "synthetic_workload", "cores_req"], [1, 10**400],
+         "simulation: bad synthetic_workload ranges: cores_req: bounds must be finite"),
+        ("sim", ["simulation", "year"], 10**400,
+         "simulation: invalid start date (year, month, init_day, init_hour): "),
+        ("sim", ["simulation", "timestep_minutes"], 10**400,
+         "simulation: timestep_minutes must be 15"),
+        ("reward", ["reward", "components", "energy_price", "weight"], 10**400,
+         "component 'energy_price': weight must be a finite number"),
+        ("reward", ["reward", "components", "energy_price", "args", "normalize_factor"], 10**400,
+         "component 'energy_price': normalize_factor must be > 0 and finite"),
+        ("reward", ["reward", "components", "sla_penalty", "args", "penalty_per_violation"],
+         10**400, "component 'sla_penalty': penalty_per_violation must be >= 0 and finite"),
+        ("datacenters", ["datacenters", 0, "total_cores"], math.inf,
+         "datacenter 0: total_cores: must be finite"),
+        ("datacenters", ["datacenters", 0, "synthetic", "price", "base"], math.nan,
+         "datacenter 0: synthetic.price.base: must be finite"),
+    ], ids=["mean_rate_infinity", "range_bound_nan", "range_bound_huge", "year_huge",
+            "timestep_huge", "reward_weight_huge", "normalize_factor_huge",
+            "penalty_per_violation_huge", "cores_infinity", "price_base_nan"])
+    def test_cli_number_not_finite(self, tmp_path, capsys, config, keys, value, expected):
+        """A configured number must be finite; the one error line names the file and field."""
+        args, path = self._edited_args(tmp_path, config, keys, value)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: {expected}")
 
     def test_cli_unknown_hvac_policy(self, tmp_path, capsys):
         args, _ = self._edited_fleet_args(tmp_path, ["hvac", "policy"], "magic")

@@ -3,12 +3,14 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodcsim.errors import ConfigError, ProtocolError
-from geodcsim.schedenv import STEPS_PER_DAY, build_observation, observation_dim
+from geodcsim.schedenv import STEPS_PER_DAY, SchedulingEnv, build_observation, observation_dim
 from geodcsim.workload import ResourceRanges, TaskStatus, TraceInterval, generate_synthetic_trace
 
-from conftest import T0, make_cluster, make_env, make_task
+from conftest import T0, default_reward, make_cluster, make_env, make_task
 
 STEP = timedelta(minutes=15)
 
@@ -50,6 +52,11 @@ class TestReset:
     def test_coverage_gap_fails_before_step_zero(self):
         env = make_env(trace_of([]), duration_days=2, hours=12)  # series too short
         with pytest.raises(ConfigError, match="cover"):
+            env.reset()
+
+    def test_trace_origin_outside_the_fleet_fails_before_step_zero(self):
+        env = make_env(trace_of([make_task("a")], [make_task("b", origin=9)]))
+        with pytest.raises(ConfigError, match="^task b origin 9 is not a configured dc$"):
             env.reset()
 
 
@@ -311,3 +318,39 @@ class TestSingleActionMode:
         assert env.current_tasks == []
         census = env.task_census()
         assert census["pending"] + census["running"] + census["completed"] == 1
+
+
+def _eighths(top):
+    return st.integers(0, 8 * top).map(lambda k: k / 8)  # sums of these are exact floats
+
+
+# Sites hold 8 cores, 2 GPUs and 16 GB, so the larger demands never fit one; a
+# 15-minute task with multiplier 1 is overdue two steps after it arrives.
+_TASK = st.tuples(_eighths(10), _eighths(3), _eighths(20), st.sampled_from([15.0, 30.0, 90.0]),
+                  st.sampled_from([1.0, 1.5, 4.0]), st.one_of(st.none(), st.integers(1, 3)))
+
+
+@settings(max_examples=40)
+@given(intervals=st.lists(st.lists(_TASK, max_size=6), min_size=1, max_size=12),
+       shuffle=st.booleans(), steps=st.integers(1, 24), data=st.data())
+def test_census_and_resource_books_hold_after_every_step_property(intervals, shuffle, steps,
+                                                                  data):
+    """Random traces and random actions, deferral included: every injected task is
+    in exactly one stage, and every site's books balance exactly."""
+    trace = trace_of(*[
+        [make_task(f"t{i}-{j}", cores=c, gpu=g, mem=m, duration=d, multiplier=k, origin=o)
+         for j, (c, g, m, d, k, o) in enumerate(tasks)]
+        for i, tasks in enumerate(intervals)
+    ])
+    env = SchedulingEnv(lambda: make_cluster(cores=8.0, gpus=2.0, mem=16.0), trace, T0, 1,
+                        default_reward(), seed=0, shuffle_datacenters=shuffle)
+    env.reset()
+    for _ in range(steps):
+        n = len(env.current_tasks)
+        env.step(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        census = env.task_census()
+        assert census.pop("injected") == sum(census.values())
+        for node in env.cluster.nodes:
+            assert node.available_cores + sum(t.cores_req for t in node.running) == node.total_cores
+            assert node.available_gpus + sum(t.gpu_req for t in node.running) == node.total_gpus
+            assert node.available_mem_gb + sum(t.mem_req for t in node.running) == node.total_mem_gb
