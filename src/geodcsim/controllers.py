@@ -13,6 +13,7 @@ from datetime import datetime
 from enum import Enum
 
 from .cluster import Cluster, DatacenterNode
+from .errors import ConfigError
 
 
 class RbcStrategy(Enum):
@@ -65,8 +66,12 @@ def snapshot_cluster(cluster: Cluster, now: datetime) -> list[DcSnapshot]:
 class RuleBasedController:
     """Per-task assignment policy; holds only the round-robin cursor."""
 
-    def __init__(self, strategy: RbcStrategy):
-        self.strategy = RbcStrategy(strategy)
+    def __init__(self, strategy: RbcStrategy | str):
+        try:
+            self.strategy = RbcStrategy(strategy)
+        except ValueError as exc:
+            valid = ", ".join(s.value for s in RbcStrategy)
+            raise ConfigError(f"unknown strategy {strategy!r}; expected one of: {valid}") from exc
         self._cursor = 0
 
     def decide(self, snapshots: list[DcSnapshot], tasks) -> list[int]:

@@ -25,7 +25,7 @@ import yaml
 
 from . import envdata, network
 from .cluster import Cluster, DatacenterNode, check_deadband
-from .controllers import RbcStrategy, RuleBasedController, snapshot_cluster
+from .controllers import RuleBasedController, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
 from .errors import ConfigError, SimulationError
@@ -429,14 +429,8 @@ def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
             "single_action_mode drives the programmatic step_single_action interface; "
             "the CLI strategies decide per task"
         )
-    try:
-        strategy = RbcStrategy(sim.strategy)
-    except ValueError as exc:
-        valid = ", ".join(s.value for s in RbcStrategy)
-        raise ConfigError(f"unknown strategy {sim.strategy!r}; expected one of: {valid}") from exc
-
+    controller = RuleBasedController(sim.strategy)
     env = build_env(sim, fleet, reward_doc, seed)
-    controller = RuleBasedController(strategy)
     obs = env.reset()
     dc_ids = sorted(spec.dc_id for spec in fleet)
     rows = []

@@ -101,6 +101,16 @@ def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
     return np.asarray(time_feats + agg + _dc_features(cluster, now), dtype=np.float32)
 
 
+def _check_action(action, hi: int) -> int:
+    """``action`` as an int if it is a whole number in ``0..hi``, else a ``ProtocolError``."""
+    try:
+        if action == int(action) and 0 <= action <= hi:
+            return int(action)
+    except (TypeError, ValueError, OverflowError):  # int() of text, NaN or an infinity
+        pass
+    raise ProtocolError(f"action {action!r} outside 0..{hi}")
+
+
 @dataclass
 class StepOutcome:
     """Bundle returned alongside each observation."""
@@ -212,37 +222,13 @@ class SchedulingEnv:
         return build_observation(self.cluster, self.current_tasks, self.now)
 
     def step(self, actions):
-        """Apply one decision per pending task; returns (obs, reward, done, outcome)."""
+        """Apply one decision per pending task; returns (obs, reward, done, outcome).
+        Every action and the action count are checked before any state changes."""
         if self._done:
             raise ProtocolError("episode is done; call reset()")
-        actions = list(actions)
+        actions = [_check_action(a, self.num_dcs) for a in actions]
         if len(actions) != len(self.current_tasks):
-            raise ProtocolError(
-                f"expected {len(self.current_tasks)} actions, got {len(actions)}"
-            )
-        n = self.num_dcs
-        for a in actions:
-            if int(a) != a or not 0 <= int(a) <= n:
-                raise ProtocolError(f"action {a!r} outside 0..{n}")
-        return self._advance([int(a) for a in actions])
-
-    def step_single_action(self, action: int):
-        """Apply one global action to every pending task (aggregated mode)."""
-        if self._done:
-            raise ProtocolError("episode is done; call reset()")
-        n = self.num_dcs
-        action = int(action)
-        if self.disable_defer_action:
-            if not 0 <= action <= n - 1:
-                raise ProtocolError(f"action {action} outside 0..{n - 1}")
-            per_task = action + 1  # 0..N-1 maps onto datacenters 1..N
-        else:
-            if not 0 <= action <= n:
-                raise ProtocolError(f"action {action} outside 0..{n}")
-            per_task = action
-        return self._advance([per_task] * len(self.current_tasks))
-
-    def _advance(self, actions: list[int]):
+            raise ProtocolError(f"expected {len(self.current_tasks)} actions, got {len(actions)}")
         deferred = []
         decisions = []
         for task, action in zip(self.current_tasks, actions):
@@ -271,6 +257,15 @@ class SchedulingEnv:
             [] if self._done else self._inject_arrivals(self.now)
         )
         return self._observe(), breakdown.total, self._done, StepOutcome(info, breakdown)
+
+    def step_single_action(self, action):
+        """Apply one global action to every pending task (aggregated mode): ``0..N``, 0
+        deferring, or ``0..N-1`` onto datacenters ``1..N`` when deferral is disabled."""
+        if self._done:
+            raise ProtocolError("episode is done; call reset()")
+        shift = int(self.disable_defer_action)
+        action = _check_action(action, self.num_dcs - shift)
+        return self.step([action + shift] * len(self.current_tasks))
 
     def task_census(self) -> dict:
         """Lifecycle counts including tasks currently awaiting a decision."""
