@@ -93,8 +93,11 @@ class PendingQueue:
 
 
 def check_deadband(dc_id: int, band) -> None:
-    """Reject a return-temperature deadband that is not two numbers ``lo < hi``."""
-    numbers = len(band) == 2 and all(isinstance(b, (int, float)) for b in band)
+    """Reject a return-temperature deadband that is not two finite numbers ``lo < hi``."""
+    numbers = len(band) == 2 and all(
+        isinstance(b, (int, float)) and not isinstance(b, bool) and abs(b) <= sys.float_info.max
+        for b in band
+    )
     if not (numbers and band[0] < band[1]):
         raise ConfigError(f"dc {dc_id}: deadband must be two numbers lo < hi, got {band}")
 

@@ -147,6 +147,9 @@ class CompositeReward:
             cfg = {} if cfg is None else cfg
             if not isinstance(cfg, dict):
                 raise ConfigError(f"component {name!r}: must be a mapping of weight and args")
+            for key in cfg:
+                if key not in ("weight", "args"):
+                    raise ConfigError(f"component {name!r}: {key}: unknown key")
             weight = cfg.get("weight", 1.0)
             if not (isinstance(weight, (int, float)) and abs(weight) <= sys.float_info.max):
                 raise ConfigError(f"component {name!r}: weight must be a finite number")
@@ -166,6 +169,9 @@ class CompositeReward:
     def from_config(cls, cfg: dict) -> "CompositeReward":
         """Build from the ``reward:`` section of a reward-config document."""
         reward = cfg["reward"]
+        for key in reward:
+            if key not in ("components", "normalize"):
+                raise ConfigError(f"reward: {key}: unknown key")
         return cls(reward.get("components"), normalize=reward.get("normalize", False))
 
     def __call__(self, info: ClusterInfo) -> RewardBreakdown:

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -111,6 +111,11 @@ class DcSpec:
     synth_carbon: SyntheticSeriesSpec = field(default_factory=lambda: SyntheticSeriesSpec(300.0, 100.0))
     synth_weather: SyntheticWeatherSpec = field(default_factory=SyntheticWeatherSpec)
 
+    def __post_init__(self):
+        if not abs(self.dc_id) <= sys.float_info.max:  # observations carry it as a float
+            raise ValueError("dc_id: must fit a float")
+        check_deadband(self.dc_id, self.hvac_deadband)  # a fixed site's too
+
 
 @dataclass
 class SimConfig:
@@ -196,17 +201,25 @@ def _cast(doc: dict, key: str, kind, where: str = ""):
     return value
 
 
-def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = ""):
+def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = "", also=()):
     """Copy of dataclass ``base`` with the fields in ``names`` (default: those named
-    ``prefix`` + key) that ``doc`` sets, each cast to the type of the value it replaces;
-    ``where`` is the path of ``doc``'s section, for naming a key whose cast fails."""
+    ``prefix`` + key) that ``doc`` sets, each cast to the type of the value it replaces
+    or, where that value is a dataclass, read from its own sub-section. Any other key
+    of ``doc`` not in ``also`` (the keys read elsewhere) is an error; ``where`` is the
+    path of ``doc``'s section, for naming a key."""
     if names is None:
         names = [f.name for f in fields(base) if f.name.startswith(prefix)]
+    keys = [name.removeprefix(prefix) for name in names]
+    for key in doc:
+        if key not in keys and key not in also:
+            raise ValueError(f"{where}{key}: unknown key")
     changes = {}
-    for name in names:
-        key = name.removeprefix(prefix)
-        if key in doc:
-            changes[name] = _cast(doc, key, type(getattr(base, name)), where)
+    for name, key in zip(names, keys):
+        value = getattr(base, name)
+        if key in doc and is_dataclass(value):
+            changes[name] = _with_doc(value, _section(doc, key, where), where=f"{where}{key}.")
+        elif key in doc:
+            changes[name] = _cast(doc, key, type(value), where)
     try:
         return replace(base, **changes)
     except ValueError as exc:  # a field the dataclass's own check rejects
@@ -215,10 +228,12 @@ def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = ""):
 
 def load_sim_config(path) -> SimConfig:
     sim = _read_section(path, "simulation", dict)
+    rate = ["mean_tasks_per_interval"]  # read from synthetic_workload, with the ranges
+    names = [f.name for f in fields(SimConfig) if f.name not in (*rate, "resource_ranges")]
     try:
         ranges_doc = _section(sim, "synthetic_workload")
         try:
-            ranges = _with_doc(ResourceRanges(), ranges_doc)
+            ranges = _with_doc(ResourceRanges(), ranges_doc, also=rate)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic_workload ranges: {exc}") from exc
         base = SimConfig(
@@ -228,13 +243,9 @@ def load_sim_config(path) -> SimConfig:
             duration_days=_cast(sim, "duration_days", int),
             resource_ranges=ranges,
         )
-        base = _with_doc(base, ranges_doc, ["mean_tasks_per_interval"],
-                         where="synthetic_workload.")
-        return _with_doc(base, sim, [
-            "init_hour", "timestep_minutes", "workload_path", "cost_matrix_path",
-            "delay_params_path", "region_map_path", "shuffle_datacenters", "strategy",
-            "single_action_mode", "disable_defer_action",
-        ])
+        base = _with_doc(base, ranges_doc, rate, where="synthetic_workload.",
+                         also=ranges_doc)  # the ranges read checked its keys
+        return _with_doc(base, sim, names, also=["synthetic_workload"])
     except KeyError as exc:
         raise ConfigError(f"{path}: missing simulation field {exc.args[0]!r}") from exc
     except (ConfigError, ValueError) as exc:
@@ -242,6 +253,9 @@ def load_sim_config(path) -> SimConfig:
 
 
 def load_dc_fleet(path) -> list[DcSpec]:
+    data = ["price_csv", "carbon_csv", "weather_json"]  # read from the data section
+    top = [f.name for f in fields(DcSpec)
+           if f.name not in data and not f.name.startswith(("hvac_", "synth_"))]
     specs = []
     for i, entry in enumerate(_read_section(path, "datacenters", list)):
         try:
@@ -252,23 +266,14 @@ def load_dc_fleet(path) -> list[DcSpec]:
                 total_gpus=_cast(entry, "total_gpus", float),
                 total_mem_gb=_cast(entry, "total_mem_gb", float),
             )
-            spec = _with_doc(spec, entry, ["timezone_shift", "population_weight",
-                                           "dc_config_file", "hru_enabled"])
+            spec = _with_doc(spec, entry, top, also=["hvac", "data", "synthetic"])
             spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
-            spec = _with_doc(spec, _section(entry, "data"),
-                             ["price_csv", "carbon_csv", "weather_json"], where="data.")
-            synth = _section(entry, "synthetic")
-            spec.synth_price = _with_doc(spec.synth_price, _section(synth, "price", "synthetic."),
-                                         where="synthetic.price.")
-            spec.synth_carbon = _with_doc(spec.synth_carbon,
-                                          _section(synth, "carbon", "synthetic."),
-                                          where="synthetic.carbon.")
-            spec.synth_weather = _with_doc(spec.synth_weather,
-                                           _section(synth, "weather", "synthetic."),
-                                           where="synthetic.weather.")
+            spec = _with_doc(spec, _section(entry, "data"), data, where="data.")
+            spec = _with_doc(spec, _section(entry, "synthetic"), prefix="synth_",
+                             where="synthetic.")
         except KeyError as exc:
             raise ConfigError(f"{path}: datacenter {i}: missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: datacenter {i}: {exc}") from exc
         specs.append(spec)
     ids = [s.dc_id for s in specs]
@@ -346,7 +351,6 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         params = load_dc_config(spec.dc_config_file) if spec.dc_config_file else desk_scale_params()
         if spec.hvac_policy not in ("fixed", "deadband"):
             raise ConfigError(f"dc {spec.dc_id}: unknown hvac policy {spec.hvac_policy!r}")
-        check_deadband(spec.dc_id, spec.hvac_deadband)  # a fixed site's too
         site_data.append((spec, params, series))
 
     def cluster_factory() -> Cluster:

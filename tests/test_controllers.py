@@ -113,6 +113,11 @@ class TestStrategies:
         ctrl = RuleBasedController("lowest_price")
         assert ctrl.strategy is RbcStrategy.LOWEST_PRICE
 
+    def test_unknown_strategy_name_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^unknown strategy 'wishful'; expected one of: "
+                                              r"local_only, lowest_carbon, "):
+            RuleBasedController("wishful")
+
 
 class TestSnapshot:
     def test_snapshot_reads_cluster_state(self):

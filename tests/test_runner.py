@@ -352,11 +352,20 @@ class TestCli:
          "dc 1: deadband must be two numbers lo < hi"),
         (["hvac"], {"policy": "fixed", "deadband": ["a", "b", "c"]},
          "dc 1: deadband must be two numbers lo < hi"),
+        (["hvac"], {"policy": "deadband", "deadband": [24.0, math.inf]},
+         "{fleet}: datacenter 0: dc 1: deadband must be two numbers lo < hi"),
+        (["hvac"], {"policy": "deadband", "deadband": [-math.inf, 25.0]},
+         "{fleet}: datacenter 0: dc 1: deadband must be two numbers lo < hi"),
+        (["hvac"], {"policy": "deadband", "deadband": [True, 2]},
+         "{fleet}: datacenter 0: dc 1: deadband must be two numbers lo < hi"),
+        (["hvac"], {"policy": "fixed", "deadband": [24.0, math.nan]},
+         "{fleet}: datacenter 0: dc 1: deadband must be two numbers lo < hi"),
     ], ids=["cores_not_a_number", "cores_negative", "price_base_not_a_number",
             "carbon_amplitude_over_base", "noise_sd_negative", "population_weight_zero",
             "population_weight_nan", "cores_nan",
             "deadband_three_values", "deadband_not_numbers", "deadband_reversed",
-            "deadband_under_fixed"])
+            "deadband_under_fixed", "deadband_upper_infinite", "deadband_lower_infinite",
+            "deadband_bool", "deadband_nan_under_fixed"])
     def test_cli_bad_fleet_value(self, tmp_path, capsys, keys, value, expected):
         args, fleet = self._edited_fleet_args(tmp_path, keys, value)
         assert main(args) == 1
@@ -479,15 +488,41 @@ class TestCli:
          "datacenter 0: total_cores: must be finite"),
         ("datacenters", ["datacenters", 0, "synthetic", "price", "base"], math.nan,
          "datacenter 0: synthetic.price.base: must be finite"),
+        ("datacenters", ["datacenters", 0, "dc_id"], 10**400, "datacenter 0: dc_id: must fit a float"),
     ], ids=["mean_rate_infinity", "range_bound_nan", "range_bound_huge", "year_huge",
             "timestep_huge", "reward_weight_huge", "normalize_factor_huge",
-            "penalty_per_violation_huge", "cores_infinity", "price_base_nan"])
+            "penalty_per_violation_huge", "cores_infinity", "price_base_nan", "dc_id_huge"])
     def test_cli_number_not_finite(self, tmp_path, capsys, config, keys, value, expected):
         """A configured number must be finite; the one error line names the file and field."""
         args, path = self._edited_args(tmp_path, config, keys, value)
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: {expected}")
+
+    @pytest.mark.parametrize("config, keys, value, expected", [
+        ("sim", ["simulation", "init_hr"], 6, "simulation: init_hr: unknown key"),
+        ("sim", ["simulation", "synthetic_workload", "cores_rq"], [1, 8],
+         "simulation: bad synthetic_workload ranges: cores_rq: unknown key"),
+        ("datacenters", ["datacenters", 0, "totl_gpus"], 5, "datacenter 0: totl_gpus: unknown key"),
+        ("datacenters", ["datacenters", 2, "hvac", "deadbnd"], [20, 21],
+         "datacenter 2: hvac.deadbnd: unknown key"),
+        ("datacenters", ["datacenters", 0, "data"], {"price_cvs": "price.csv"},
+         "datacenter 0: data.price_cvs: unknown key"),
+        ("datacenters", ["datacenters", 0, "synthetic", "prices"], {"base": 90.0},
+         "datacenter 0: synthetic.prices: unknown key"),
+        ("datacenters", ["datacenters", 0, "synthetic", "weather", "base_temp"], 20.0,
+         "datacenter 0: synthetic.weather.base_temp: unknown key"),
+        ("reward", ["reward", "normalise"], True, "reward: normalise: unknown key"),
+        ("reward", ["reward", "components", "energy_price", "wieght"], 5.0,
+         "component 'energy_price': wieght: unknown key"),
+    ], ids=["sim", "synthetic_workload", "fleet", "hvac", "data", "synthetic",
+            "synthetic_weather", "reward", "reward_component"])
+    def test_cli_unknown_key(self, tmp_path, capsys, config, keys, value, expected):
+        """A misspelt key stops the run, naming the file and the key, instead of being
+        dropped unread."""
+        args, path = self._edited_args(tmp_path, config, keys, value)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
 
     def test_cli_unknown_hvac_policy(self, tmp_path, capsys):
         args, _ = self._edited_fleet_args(tmp_path, ["hvac", "policy"], "magic")

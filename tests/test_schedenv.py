@@ -354,3 +354,63 @@ def test_census_and_resource_books_hold_after_every_step_property(intervals, shu
             assert node.available_cores + sum(t.cores_req for t in node.running) == node.total_cores
             assert node.available_gpus + sum(t.gpu_req for t in node.running) == node.total_gpus
             assert node.available_mem_gb + sum(t.mem_req for t in node.running) == node.total_mem_gb
+
+
+class TestActionContract:
+    """Both interfaces accept a whole number in range and reject anything else, as a
+    ``ProtocolError`` that leaves the episode as it was."""
+
+    INVALID = [math.nan, np.float32("nan"), math.inf, -math.inf, 1.5, -0.5, "1", 4]
+    INVALID_IDS = ["nan", "float32_nan", "inf", "minus_inf", "fraction", "negative_fraction",
+                   "text", "out_of_range"]
+
+    @staticmethod
+    def _env(single):
+        tasks = [make_task("a", origin=2), make_task("b", origin=3)]
+        return make_env(trace_of(tasks, [make_task("c")]), single_action_mode=single)
+
+    @staticmethod
+    def _state(env):
+        return (env.step_index, [(t.job_id, t.status) for t in env.current_tasks],
+                env.task_census())
+
+    @staticmethod
+    def _step(env, single, action):
+        return env.step_single_action(action) if single else env.step([1, action])
+
+    @pytest.mark.parametrize("single", [False, True], ids=["per_task", "single_action"])
+    @pytest.mark.parametrize("action", INVALID, ids=INVALID_IDS)
+    def test_invalid_action_is_rejected_and_changes_nothing(self, single, action):
+        env = self._env(single)
+        env.reset()
+        before = self._state(env)
+        with pytest.raises(ProtocolError, match=r"^action .* outside 0\.\.3$"):
+            self._step(env, single, action)
+        assert self._state(env) == before
+        self._step(env, single, 1)  # a valid step then succeeds
+        assert env.step_index == 1
+        assert [t.job_id for t in env.current_tasks] == ["c"]
+
+    @pytest.mark.parametrize("single", [False, True], ids=["per_task", "single_action"])
+    @pytest.mark.parametrize("action", [np.int64(2), 2.0], ids=["int64", "whole_float"])
+    def test_whole_number_action_is_accepted(self, single, action):
+        env = self._env(single)
+        env.reset()
+        _, _, _, outcome = (env.step_single_action(action) if single
+                            else env.step([action, action]))
+        assert outcome.cluster_info.tasks_deferred_count == 0
+        node = env.cluster.by_id[2]
+        # the origin-2 task starts locally; the origin-3 task is in transit to dc 2
+        assert len(node.pending) + len(node.running) == 1
+        assert [t.dest_dc_id for t in env.cluster.in_transit] == [2]
+
+    def test_disabled_deferral_bounds_single_actions_at_n_minus_one(self):
+        env = make_env(trace_of([make_task()]), single_action_mode=True,
+                       disable_defer_action=True)
+        env.reset()
+        for action in (3, 2.5, math.nan):
+            with pytest.raises(ProtocolError, match=r"outside 0\.\.2$"):
+                env.step_single_action(action)
+        assert env.step_index == 0
+        env.step_single_action(np.int64(2))  # onto datacenter 3
+        assert [t.dest_dc_id for t in env.cluster.in_transit] == [3]
