@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from . import network
-from .dcphysics import DcPhysicsParams, HvacAction, WeatherSample, dc_physics_step
+from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
+                        it_power_and_return_temp, step_setpoint)
 from .envdata import TimeSeries, value_at, wet_bulb
 from .errors import ConfigError, ProtocolError
 from .workload import Task, TaskStatus
@@ -135,9 +136,12 @@ class DatacenterNode:
     available_mem_gb: float = field(init=False)
     last_return_temp_c: float | None = field(default=None, init=False)
     _reading: tuple = field(default=(None, None), init=False, repr=False)
+    _thermal: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         top = sys.float_info.max  # the comparisons below also reject NaN
+        if not abs(self.dc_id) <= top:  # observations carry it as a float
+            raise ConfigError(f"dc {self.dc_id}: dc_id must fit a float")
         if not all(0 <= c <= top for c in (self.total_cores, self.total_gpus, self.total_mem_gb)):
             raise ConfigError(f"dc {self.dc_id}: capacities must be >= 0 and finite")
         if not abs(self.timezone_shift_h) <= top:
@@ -185,6 +189,28 @@ class DatacenterNode:
             series = (self.price, self.carbon, self.drybulb, self.humidity)
             self._reading = (now, tuple(value_at(s, now) for s in series))
         return self._reading[1]
+
+    def physics_step(self, action: HvacAction | None, u_cpu: float, u_gpu: float,
+                     mem_used_gb: float, drybulb_c: float, wetbulb_c: float) -> DcStepResult:
+        """``dc_physics_step`` at this site's setpoint, which it then moves to the
+        result's, also keeping the return temperature.
+
+        The weather-independent half is kept with its inputs and reused while they
+        repeat, as idle sites do. The key compares with ``==``, so a ``-0.0``
+        utilization or memory hits a ``0.0`` entry. Both give the same result: they
+        only change the sign of a zero term in a rack's power, which also adds a
+        GPU term that is never ``-0.0``.
+        """
+        setpoint = step_setpoint(self.physics, self.setpoint_c, u_cpu, u_gpu, mem_used_gb, action)
+        key = (setpoint, u_cpu, u_gpu, mem_used_gb)
+        if self._thermal[0] != key:
+            self._thermal = (key, it_power_and_return_temp(self.physics, *key))
+        it_power, t_return = self._thermal[1]
+        result = hvac_step(self.physics, it_power, t_return, setpoint,
+                           drybulb_c, wetbulb_c, self.hru_enabled)
+        self.setpoint_c = setpoint
+        self.last_return_temp_c = t_return
+        return result
 
     def hvac_action(self) -> HvacAction | None:
         """The setpoint nudge for this step: ``None`` without a deadband, else HOLD
@@ -354,13 +380,8 @@ class Cluster:
             schedule_fifo_first_fit(node, now)
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
             price, ci, drybulb, rh = node.conditions(now)
-            weather = WeatherSample(drybulb, wet_bulb(drybulb, rh))
-            result = dc_physics_step(
-                node.physics, node.setpoint_c, u_cpu, u_gpu, node.mem_used_gb(),
-                weather, setpoint_action=node.hvac_action(), hru_enabled=node.hru_enabled,
-            )
-            node.setpoint_c = result.setpoint_c
-            node.last_return_temp_c = result.crac_return_temp_c
+            result = node.physics_step(node.hvac_action(), u_cpu, u_gpu, node.mem_used_gb(),
+                                       drybulb, wet_bulb(drybulb, rh))
             met = sum(1 for _, ok in released if ok)
             violated = len(released) - met
             info.datacenters[node.dc_id] = DcStepInfo(

@@ -326,7 +326,7 @@ def hvac_step(
     The CRAC load is carried by an air mass flow proportional to IT power; heat
     recovery (when enabled) offsets at most a fixed fraction of the IT load and
     never drives the effective cooling load negative. Pumps draw their constant
-    hydraulic power whenever the plant is on. ``dc_physics_step`` and
+    hydraulic power whenever the plant is on. ``step_setpoint`` and
     ``DcPhysicsParams`` check the inputs.
     """
     m_dot = params.crac_supply_flow_pu * it_power_w
@@ -396,21 +396,15 @@ def apply_hvac_action(params: DcPhysicsParams, setpoint_c: float, action: HvacAc
     return _clamp(setpoint_c + float(action.value), *params.setpoint_range_c)
 
 
-def dc_physics_step(
+def step_setpoint(
     params: DcPhysicsParams,
     setpoint_c: float,
     u_cpu: float,
     u_gpu: float,
     mem_used_gb: float,
-    weather: WeatherSample,
-    setpoint_action: HvacAction | None = None,
-    hru_enabled: bool = False,
-) -> DcStepResult:
-    """Run the full IT -> thermal -> HVAC chain for one 15-minute step.
-
-    Pure in its inputs: the returned ``setpoint_c`` is the effective setpoint
-    after applying ``setpoint_action``; the caller owns persisting it.
-    """
+    setpoint_action: HvacAction | None,
+) -> float:
+    """Check one step's inputs and return the setpoint after ``setpoint_action``."""
     for name, u in (("u_cpu", u_cpu), ("u_gpu", u_gpu)):
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"{name} {u} outside [0, 1]")
@@ -419,15 +413,28 @@ def dc_physics_step(
     lo, hi = params.setpoint_range_c
     if not lo <= setpoint_c <= hi:
         raise ValueError(f"setpoint {setpoint_c} outside [{lo}, {hi}]")
+    if setpoint_action is None:
+        return setpoint_c
+    return apply_hvac_action(params, setpoint_c, setpoint_action)
 
-    setpoint = setpoint_c
-    if setpoint_action is not None:
-        setpoint = apply_hvac_action(params, setpoint_c, setpoint_action)
 
+def it_power_and_return_temp(
+    params: DcPhysicsParams,
+    setpoint_c: float,
+    u_cpu: float,
+    u_gpu: float,
+    mem_used_gb: float,
+) -> tuple[float, float]:
+    """The weather-independent half of a step: (IT power W, CRAC return degC).
+
+    ``setpoint_c`` is the setpoint after the step's action, and ``step_setpoint``
+    checks the inputs. Inlets outside ``inlet_temp_range_c`` are clamped, with a
+    warning per call.
+    """
     t_lo, t_hi = params.inlet_temp_range_c
     inlets = []
     for approach in params.supply_approach_temps_c:
-        t_in = setpoint + approach
+        t_in = setpoint_c + approach
         clamped = _clamp(t_in, t_lo, t_hi)
         if clamped != t_in:
             logger.warning(
@@ -445,7 +452,26 @@ def dc_physics_step(
         outlets = [rack_outlet_temp(params, t_in, p, v_rack) for t_in, p in zip(inlets, per_rack)]
     else:
         outlets = [t_in + params.thermal_coeffs[4] for t_in in inlets]
-    t_return = crac_return_temp(params, outlets)
+    return it_power, crac_return_temp(params, outlets)
+
+
+def dc_physics_step(
+    params: DcPhysicsParams,
+    setpoint_c: float,
+    u_cpu: float,
+    u_gpu: float,
+    mem_used_gb: float,
+    weather: WeatherSample,
+    setpoint_action: HvacAction | None = None,
+    hru_enabled: bool = False,
+) -> DcStepResult:
+    """Run the full IT -> thermal -> HVAC chain for one 15-minute step.
+
+    Pure in its inputs: the returned ``setpoint_c`` is the effective setpoint
+    after applying ``setpoint_action``; the caller owns persisting it.
+    """
+    setpoint = step_setpoint(params, setpoint_c, u_cpu, u_gpu, mem_used_gb, setpoint_action)
+    it_power, t_return = it_power_and_return_temp(params, setpoint, u_cpu, u_gpu, mem_used_gb)
     return hvac_step(
         params, it_power, t_return, setpoint,
         weather.drybulb_c, weather.wetbulb_c, hru_enabled,

@@ -282,6 +282,8 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
         lo -= 60.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # converged: every later step would keep lo and hi
+            break
         if residual(mid) > 0.0:
             hi = mid
         else:

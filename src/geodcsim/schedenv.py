@@ -101,14 +101,14 @@ def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
     return np.asarray(time_feats + agg + _dc_features(cluster, now), dtype=np.float32)
 
 
-def _check_action(action, hi: int) -> int:
-    """``action`` as an int if it is a whole number in ``0..hi``, else a ``ProtocolError``."""
+def _check_action(action, lo: int, hi: int) -> int:
+    """``action`` as an int if it is a whole number in ``lo..hi``, else a ``ProtocolError``."""
     try:
-        if action == int(action) and 0 <= action <= hi:
+        if action == int(action) and lo <= action <= hi:
             return int(action)
     except (TypeError, ValueError, OverflowError):  # int() of text, NaN or an infinity
         pass
-    raise ProtocolError(f"action {action!r} outside 0..{hi}")
+    raise ProtocolError(f"action {action!r} outside {lo}..{hi}")
 
 
 @dataclass
@@ -223,10 +223,16 @@ class SchedulingEnv:
 
     def step(self, actions):
         """Apply one decision per pending task; returns (obs, reward, done, outcome).
-        Every action and the action count are checked before any state changes."""
+        Every action and the action count are checked before any state changes;
+        action 0 (defer) is valid only while deferral is enabled."""
         if self._done:
             raise ProtocolError("episode is done; call reset()")
-        actions = [_check_action(a, self.num_dcs) for a in actions]
+        try:
+            actions = iter(actions)
+        except TypeError:
+            raise ProtocolError(f"actions must be a sequence, got {actions!r}") from None
+        lo = int(self.disable_defer_action)
+        actions = [_check_action(a, lo, self.num_dcs) for a in actions]
         if len(actions) != len(self.current_tasks):
             raise ProtocolError(f"expected {len(self.current_tasks)} actions, got {len(actions)}")
         deferred = []
@@ -264,7 +270,7 @@ class SchedulingEnv:
         if self._done:
             raise ProtocolError("episode is done; call reset()")
         shift = int(self.disable_defer_action)
-        action = _check_action(action, self.num_dcs - shift)
+        action = _check_action(action, 0, self.num_dcs - shift)
         return self.step([action + shift] * len(self.current_tasks))
 
     def task_census(self) -> dict:

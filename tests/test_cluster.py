@@ -1,6 +1,7 @@
 import logging
 import math
 from collections import deque
+from dataclasses import astuple
 from datetime import timedelta
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodcsim.cluster import BLOCK, release_completed, schedule_fifo_first_fit
+from geodcsim.dcphysics import HvacAction, WeatherSample, dc_physics_step, desk_scale_params
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.workload import TaskStatus
 
@@ -88,7 +90,8 @@ class TestNodeChecks:
         ({"cores": math.inf}, "capacities must be >= 0 and finite"),
         ({"gpus": 10**400}, "capacities must be >= 0 and finite"),
         ({"timezone_shift_h": math.nan}, "timezone_shift_h must be finite"),
-    ], ids=["cores_infinite", "gpus_huge", "timezone_nan"])
+        ({"dc_id": 10**400}, "dc_id must fit a float"),
+    ], ids=["cores_infinite", "gpus_huge", "timezone_nan", "dc_id_huge"])
     def test_non_finite_site_number(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             make_node(**kwargs)
@@ -410,6 +413,70 @@ class TestClusterStep:
         node.deadband = None
         cluster.step(1, T0 + STEP)
         assert cluster.by_id[1].setpoint_c == 21.0
+
+
+# racks at different approach temperatures, so that high setpoints clamp some inlets
+_STAGGERED = desk_scale_params(supply_approach_temps_c=(0.0, 2.0, 4.0, 8.0),
+                               return_approach_temps_c=(0.0, 0.5, 1.0, 1.5))
+_UTIL = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_MEM = st.sampled_from([0.0, -0.0, 4000.0]) | st.floats(0.0, 8000.0)
+_WEATHER = st.sampled_from([(20.0, 15.0), (35.0, 24.0)]) | st.tuples(
+    st.floats(-30.0, 45.0), st.floats(-35.0, 35.0))
+_PHYSICS_INPUT = st.tuples(st.sampled_from([None, *HvacAction]), _UTIL, _UTIL, _MEM, _WEATHER)
+
+
+def result_bits(result):
+    return [float(v).hex() for v in astuple(result)]
+
+
+@settings(max_examples=200)
+@given(
+    hru=st.booleans(),
+    setpoint=st.integers(18, 27).map(float),
+    inputs=st.lists(_PHYSICS_INPUT | st.just("repeat"), max_size=40),
+)
+def test_physics_memo_matches_dc_physics_step_property(hru, setpoint, inputs):
+    """A node's memoized step is bit-equal to a direct ``dc_physics_step`` call at
+    the node's setpoint, through repeated inputs, signed zeros and setpoint moves."""
+    node = make_node(physics=_STAGGERED, hru_enabled=hru, setpoint_c=setpoint)
+    last = None
+    for step in inputs:
+        if step == "repeat":
+            if last is None:
+                continue
+            step = last
+        action, u_cpu, u_gpu, mem, (drybulb, wetbulb) = last = step
+        expected = dc_physics_step(node.physics, node.setpoint_c, u_cpu, u_gpu, mem,
+                                   WeatherSample(drybulb, wetbulb), action, hru)
+        result = node.physics_step(action, u_cpu, u_gpu, mem, drybulb, wetbulb)
+        assert result_bits(result) == result_bits(expected)
+        assert node.setpoint_c == expected.setpoint_c
+        assert node.last_return_temp_c == expected.crac_return_temp_c
+
+
+class TestPhysicsMemo:
+    def test_inlet_clamp_warns_once_per_new_thermal_input(self, caplog):
+        cluster = make_cluster(n_dcs=1, physics=desk_scale_params(
+            supply_approach_temps_c=(0.0, 0.0, 0.0, 8.0)))
+        with caplog.at_level(logging.WARNING, logger="geodcsim.dcphysics"):
+            for step in range(2):  # idle twice: the same setpoint and utilization
+                cluster.step(step, T0 + step * STEP)
+            assert len(caplog.records) == 1
+            cluster.by_id[1].pending.append(make_task(cores=100.0))
+            cluster.step(2, T0 + 2 * STEP)
+        assert [r.getMessage() for r in caplog.records] == [
+            "inlet temperature 30.00 degC clamped to [16.0, 28.0]"] * 2
+
+    def test_inputs_are_checked_before_the_kept_half_is_reused(self):
+        node = make_node(setpoint_c=27.0)
+        node.physics_step(None, 0.5, 0.5, 100.0, 20.0, 15.0)
+        node.setpoint_c = 40.0  # DOWN_1C would clamp it back to the kept 27.0
+        with pytest.raises(ValueError, match="setpoint 40.0 outside"):
+            node.physics_step(HvacAction.DOWN_1C, 0.5, 0.5, 100.0, 20.0, 15.0)
+        node.setpoint_c = 27.0
+        for args, match in [((1.5, 0.5, 100.0), "u_cpu"), ((0.5, 0.5, -1.0), "mem_used_gb")]:
+            with pytest.raises(ValueError, match=match):
+                node.physics_step(None, *args, 20.0, 15.0)
 
 
 class TestConservationProperties:

@@ -3,6 +3,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from geodcsim import envdata
 from geodcsim.envdata import (
     HOUR,
     SeriesKind,
@@ -19,6 +20,33 @@ from geodcsim.envdata import (
 from geodcsim.errors import CoverageError, DataError, DataFormatError
 
 T0 = datetime(2024, 1, 1, 0, 0, tzinfo=timezone.utc)
+
+
+def reference_wet_bulb(t_drybulb_c, rh_pct):
+    """Wet-bulb by a bisection that always takes all 80 steps."""
+    t = float(t_drybulb_c)
+    pressure = envdata._saturation_vapor_pressure_pa
+    w_actual = envdata._humidity_ratio(rh_pct / 100.0 * pressure(t))
+
+    def residual(twb):
+        ws = envdata._humidity_ratio(pressure(twb))
+        num = (2501.0 - 2.326 * twb) * ws - 1.006 * (t - twb)
+        den = 2501.0 + 1.86 * t - 4.186 * twb
+        return num / den - w_actual
+
+    hi = t
+    if residual(hi) <= 0.0:
+        return hi
+    lo = t - 60.0
+    while residual(lo) > 0.0:
+        lo -= 60.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def write_price_csv(path, rows, value_col="Price (USD/MWh)"):
@@ -231,6 +259,27 @@ class TestWetBulb:
         for t in (-5.0, 0.0, 10.0, 25.0, 40.0):
             values = [wet_bulb(t, rh) for rh in np.linspace(0, 100, 41)]
             assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+    def test_bit_equal_to_the_full_bisection(self):
+        rng = np.random.default_rng(2024)
+        temps = np.concatenate([rng.uniform(-40.0, 50.0, 10_000), np.linspace(-40.0, 50.0, 181)])
+        humidities = np.concatenate([rng.uniform(0.0, 100.0, 10_000), np.zeros(181)])
+        humidities[-90:] = 100.0
+        points = [(float(t), float(rh)) for t, rh in zip(temps, humidities)]
+        points += [(t, rh) for t in (-40.0, -0.0, 0.0, 50.0) for rh in (0.0, 1e-9, 50.0, 100.0)]
+        mismatches = [(t, rh) for t, rh in points
+                      if wet_bulb(t, rh).hex() != reference_wet_bulb(t, rh).hex()]
+        assert len(points) > 10_000 and mismatches == []
+
+    def test_bisection_stops_once_converged(self, monkeypatch):
+        expected = reference_wet_bulb(20.0, 50.0)
+        calls = []
+        pressure = envdata._saturation_vapor_pressure_pa
+        monkeypatch.setattr(envdata, "_saturation_vapor_pressure_pa",
+                            lambda t_c: calls.append(t_c) or pressure(t_c))
+        assert wet_bulb(20.0, 50.0) == expected
+        # one call for the actual humidity, two for the bracket, then the bisection
+        assert 3 < len(calls) < 3 + 80
 
     def test_rh_out_of_range(self):
         with pytest.raises(ValueError):

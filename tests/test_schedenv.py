@@ -238,6 +238,16 @@ class TestStep:
         assert np.array_equal(first[0], again[0])
         assert env.cluster.census()["running"] == 0
 
+    def test_second_reset_starts_with_an_empty_physics_memo(self):
+        env = make_env(trace_of([make_task("a")]))
+        env.reset()
+        env.step([1])
+        used = env.cluster.nodes
+        assert all(node._thermal[0] is not None for node in used)
+        env.reset()
+        assert all(node._thermal == (None, None) for node in env.cluster.nodes)
+        assert not any(node is old for node in env.cluster.nodes for old in used)
+
 
 class TestSingleActionMode:
     def _env(self, *task_lists, **kwargs):
@@ -403,6 +413,29 @@ class TestActionContract:
         # the origin-2 task starts locally; the origin-3 task is in transit to dc 2
         assert len(node.pending) + len(node.running) == 1
         assert [t.dest_dc_id for t in env.cluster.in_transit] == [2]
+
+    @pytest.mark.parametrize("actions", [5, None], ids=["int", "none"])
+    def test_non_iterable_actions_are_rejected_and_change_nothing(self, actions):
+        env = self._env(single=False)
+        env.reset()
+        before = self._state(env)
+        with pytest.raises(ProtocolError, match=r"^actions must be a sequence, got "):
+            env.step(actions)
+        assert self._state(env) == before
+        env.step([1, 1])
+        assert env.step_index == 1
+
+    def test_disabled_deferral_bounds_per_task_actions_at_one(self):
+        env = make_env(trace_of([make_task("a"), make_task("b")]), disable_defer_action=True)
+        env.reset()
+        before = self._state(env)
+        for actions in ([0, 1], [1, 0]):
+            with pytest.raises(ProtocolError, match=r"^action 0 outside 1\.\.3$"):
+                env.step(actions)
+            assert self._state(env) == before
+        _, _, _, outcome = env.step([1, 3])
+        assert outcome.cluster_info.tasks_deferred_count == 0
+        assert [t.dest_dc_id for t in env.cluster.in_transit] == [3]
 
     def test_disabled_deferral_bounds_single_actions_at_n_minus_one(self):
         env = make_env(trace_of([make_task()]), single_action_mode=True,
