@@ -324,7 +324,6 @@ class Cluster:
         self.region_map = region_map
         self.in_transit: list[InTransit] = []
         self.completed: list[Task] = []
-        self.injected_count = 0
 
     def route_assignments(self, decisions, step: int, now: datetime) -> ClusterInfo:
         """Apply (task, dest_dc_id) decisions; remote ones pay cost/energy/CO2/delay.

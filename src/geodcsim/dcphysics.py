@@ -563,6 +563,8 @@ def _read(doc, layout: dict) -> dict:
             continue
         value = doc[key]
         try:
+            if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+                raise ValueError("must be a number, not true or false")
             if isinstance(target, dict):
                 kwargs.update(_read(value, target))
             elif isinstance(target, tuple):

@@ -46,7 +46,7 @@ def registered_components() -> tuple:
 
 
 def _require_positive(value, what):
-    if not 0 < value <= sys.float_info.max:  # also rejects NaN, inf and 10**400
+    if isinstance(value, bool) or not 0 < value <= sys.float_info.max:  # and NaN, inf, 10**400
         raise ConfigError(f"{what} must be > 0 and finite")
     return float(value)
 
@@ -77,7 +77,8 @@ for _name, _factor, _quantity in _PENALTIES:
 @register_component("sla_penalty")
 class SlaPenaltyReward:
     def __init__(self, penalty_per_violation: float = 1.0):
-        if not 0 <= penalty_per_violation <= sys.float_info.max:
+        if isinstance(penalty_per_violation, bool) or not (
+                0 <= penalty_per_violation <= sys.float_info.max):
             raise ConfigError("penalty_per_violation must be >= 0 and finite")
         self.penalty_per_violation = float(penalty_per_violation)
 
@@ -151,7 +152,8 @@ class CompositeReward:
                 if key not in ("weight", "args"):
                     raise ConfigError(f"component {name!r}: {key}: unknown key")
             weight = cfg.get("weight", 1.0)
-            if not (isinstance(weight, (int, float)) and abs(weight) <= sys.float_info.max):
+            if isinstance(weight, bool) or not (
+                    isinstance(weight, (int, float)) and abs(weight) <= sys.float_info.max):
                 raise ConfigError(f"component {name!r}: weight must be a finite number")
             weight = float(weight)
             args = cfg.get("args", {}) or {}

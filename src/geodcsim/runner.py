@@ -30,24 +30,12 @@ from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
 from .errors import ConfigError, SimulationError
 from .rewards import CompositeReward
-from .schedenv import STEPS_PER_DAY, SchedulingEnv
+from .schedenv import KPI_KEYS, STEPS_PER_DAY, SchedulingEnv  # KPI_KEYS: re-exported
 from .workload import STEP, ResourceRanges, generate_synthetic_trace, load_trace
 
 logger = logging.getLogger(__name__)
 
 STEP_LOG_SCHEMA = "geodcsim-steplog-v1"
-
-KPI_KEYS = (
-    "total_cost_usd",
-    "total_co2_t",
-    "total_energy_mwh",
-    "total_water_m3",
-    "sla_violation_pct",
-    "avg_cpu_util_pct",
-    "avg_gpu_util_pct",
-    "tx_cost_usd",
-    "tasks_deferred",
-)
 
 _DC_LOG_FIELDS = (
     ("energy_kwh", "energy_consumption_kwh"),
@@ -114,6 +102,8 @@ class DcSpec:
     def __post_init__(self):
         if not abs(self.dc_id) <= sys.float_info.max:  # observations carry it as a float
             raise ValueError("dc_id: must fit a float")
+        if self.hvac_policy not in ("fixed", "deadband"):  # read from the hvac section
+            raise ValueError(f"policy: must be 'fixed' or 'deadband', got {self.hvac_policy!r}")
         check_deadband(self.dc_id, self.hvac_deadband)  # a fixed site's too
 
 
@@ -181,13 +171,15 @@ def _section(doc: dict, key: str, where: str = "") -> dict:
 
 
 def _cast(doc: dict, key: str, kind, where: str = ""):
-    """``doc[key]`` as ``kind``: a bool takes only a YAML boolean and a path (kind
-    ``NoneType``, from a ``None`` default) only a string or null; any other kind
-    casts with ``kind(value)``, and a float must not be infinite: a NaN goes on to
-    the range check of the field's owner. A failure names ``where`` + ``key``."""
+    """``doc[key]`` as ``kind``: a bool takes only a YAML boolean, an int or float
+    anything but one, and a path (kind ``NoneType``, from a ``None`` default) only
+    a string or null; any other kind casts with ``kind(value)``, and a float must
+    be finite. A failure names ``where`` + ``key``."""
     value = doc[key]
     if kind is bool and not isinstance(value, bool):
         raise ValueError(f"{where}{key}: must be true or false")
+    if kind in (int, float) and isinstance(value, bool):
+        raise ValueError(f"{where}{key}: must be a number, not true or false")
     if kind is type(None):
         if value is None or isinstance(value, str):
             return value
@@ -196,7 +188,7 @@ def _cast(doc: dict, key: str, kind, where: str = ""):
         value = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"{where}{key}: {exc}") from exc
-    if kind is float and math.isinf(value):
+    if kind is float and not math.isfinite(value):
         raise ValueError(f"{where}{key}: must be finite")
     return value
 
@@ -323,7 +315,9 @@ def _build_series(spec: DcSpec, sim: SimConfig, seeds: list[int]):
 
 
 def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) -> SchedulingEnv:
-    """Assemble the environment for one seeded episode."""
+    """Assemble the environment for one seeded episode; ``seed`` must be >= 0."""
+    if seed < 0:  # SeedSequence takes no negative entropy
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     seeds = _seed_ints(seed, 2 + 3 * len(fleet))
     workload_seed, env_seed = seeds[0], seeds[1]
 
@@ -349,8 +343,6 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"dc {spec.dc_id}: {exc}") from exc
         params = load_dc_config(spec.dc_config_file) if spec.dc_config_file else desk_scale_params()
-        if spec.hvac_policy not in ("fixed", "deadband"):
-            raise ConfigError(f"dc {spec.dc_id}: unknown hvac policy {spec.hvac_policy!r}")
         site_data.append((spec, params, series))
 
     def cluster_factory() -> Cluster:
@@ -427,7 +419,8 @@ def _log_row(step_idx, time_utc, info, reward, dc_ids) -> list[str]:
 
 
 def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
-    """Drive one seeded episode; returns (log rows, KPI dict) and optionally writes files."""
+    """Drive one seeded episode; returns (log rows, ``env.kpis()``) and optionally
+    writes them."""
     if sim.single_action_mode:
         raise ConfigError(
             "single_action_mode drives the programmatic step_single_action interface; "
@@ -435,47 +428,25 @@ def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
         )
     controller = RuleBasedController(sim.strategy)
     env = build_env(sim, fleet, reward_doc, seed)
-    obs = env.reset()
+    env.reset()
     dc_ids = sorted(spec.dc_id for spec in fleet)
     rows = []
-    totals = {key: 0.0 for key in KPI_KEYS}
-    cpu_samples = []
-    gpu_samples = []
-    met_total = 0
-    violated_total = 0
     done = False
     while not done:
         step_idx = env.step_index
         now = env.now
         snapshots = snapshot_cluster(env.cluster, now)
         actions = controller.decide(snapshots, env.current_tasks)
-        obs, reward, done, outcome = env.step(actions)
-        info = outcome.cluster_info
-        rows.append(_log_row(step_idx, now, info, reward, dc_ids))
-        totals["total_cost_usd"] += info.cost_usd()
-        totals["total_co2_t"] += info.emissions_kg() / 1000.0
-        totals["total_energy_mwh"] += info.energy_kwh() / 1000.0
-        totals["total_water_m3"] += info.total("water_l") / 1000.0
-        totals["tx_cost_usd"] += info.transmission_cost_total_usd
-        totals["tasks_deferred"] += info.tasks_deferred_count
-        met_total += info.total("sla_met")
-        violated_total += info.total("sla_violated")
-        for d in info.datacenters.values():
-            cpu_samples.append(d.cpu_util_pct)
-            gpu_samples.append(d.gpu_util_pct)
-
-    judged = met_total + violated_total
-    totals["sla_violation_pct"] = 100.0 * violated_total / judged if judged else 0.0
-    totals["avg_cpu_util_pct"] = sum(cpu_samples) / len(cpu_samples) if cpu_samples else 0.0
-    totals["avg_gpu_util_pct"] = sum(gpu_samples) / len(gpu_samples) if gpu_samples else 0.0
-
+        _, reward, done, outcome = env.step(actions)
+        rows.append(_log_row(step_idx, now, outcome.cluster_info, reward, dc_ids))
+    kpis = env.kpis()
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_step_log(out_dir / f"steps_seed{seed}.csv", dc_ids, rows)
         with open(out_dir / f"kpi_seed{seed}.json", "w") as fh:
-            json.dump(totals, fh, indent=2)
-    return rows, totals
+            json.dump(kpis, fh, indent=2)
+    return rows, kpis
 
 
 def write_step_log(path, dc_ids, rows) -> None:

@@ -1,11 +1,11 @@
-"""Discrete-time scheduling environment: observations, action processing, rewards.
+"""Discrete-time scheduling environment: observations, actions, rewards and KPIs.
 
 Each 15-minute step the environment presents the pending decision tasks
 (yesterday's deferrals first, then fresh arrivals), accepts one integer decision
 per task (0 = defer, j = assign to the j-th datacenter), applies the overdue-task
-override, advances the cluster, and scores the outcome with the configured
-reward. An aggregated single-action mode collapses the per-task interface into
-one fixed-size vector and one global action.
+override, advances the cluster, scores the outcome with the configured reward
+and adds it to the episode's KPIs. An aggregated single-action mode collapses
+the per-task interface into one fixed-size vector and one global action.
 
 Episodes are fully deterministic given the configuration and seed: one root
 generator drives datacenter shuffling and task-origin sampling.
@@ -30,6 +30,10 @@ STEPS_PER_DAY = timedelta(days=1) // STEP
 TIME_FEATURES = 4
 TASK_FEATURES = 5
 DC_FEATURES = 5
+
+KPI_KEYS = ("total_cost_usd", "total_co2_t", "total_energy_mwh", "total_water_m3",
+            "sla_violation_pct", "avg_cpu_util_pct", "avg_gpu_util_pct", "tx_cost_usd",
+            "tasks_deferred")
 
 
 def observation_dim(num_dcs: int) -> int:
@@ -158,6 +162,10 @@ class SchedulingEnv:
         self._rng: np.random.Generator | None = None
         self._origin_sites: list = []  # (dc_id, timezone_shift_h, population_weight) per site
         self._done = True
+        # The episode's KPI ledger, which step() adds to and kpis() reads (the avg_
+        # keys hold sums until then), and the count of tasks injected.
+        self._sums = dict.fromkeys(KPI_KEYS, 0.0)
+        self._met = self._violated = self._site_steps = self._injected = 0
 
     @property
     def num_dcs(self) -> int:
@@ -198,6 +206,8 @@ class SchedulingEnv:
         self.now = self.start
         self.step_index = 0
         self._done = False
+        self._sums = dict.fromkeys(KPI_KEYS, 0.0)
+        self._met = self._violated = self._site_steps = self._injected = 0
         self.current_tasks = self._inject_arrivals(self.now)
         return self._observe()
 
@@ -210,7 +220,7 @@ class SchedulingEnv:
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
             assign_task_origins(unassigned, self._origin_sites, now, self._rng)
-        self.cluster.injected_count += len(tasks)
+        self._injected += len(tasks)
         return tasks
 
     def _observe(self):
@@ -252,6 +262,7 @@ class SchedulingEnv:
         info.tasks_deferred_count = len(deferred)
         self.cluster.step(self.step_index, self.now, info)
         breakdown = self.reward_fn(info)
+        self._fold(info)
 
         self.step_index += 1
         self.now = self.now + STEP
@@ -263,6 +274,33 @@ class SchedulingEnv:
             [] if self._done else self._inject_arrivals(self.now)
         )
         return self._observe(), breakdown.total, self._done, StepOutcome(info, breakdown)
+
+    def _fold(self, info: ClusterInfo) -> None:
+        """Add one step's accounting to the ledger, each sum a left fold over steps."""
+        sums = self._sums
+        sums["total_cost_usd"] += info.cost_usd()
+        sums["total_co2_t"] += info.emissions_kg() / 1000.0
+        sums["total_energy_mwh"] += info.energy_kwh() / 1000.0
+        sums["total_water_m3"] += info.total("water_l") / 1000.0
+        sums["tx_cost_usd"] += info.transmission_cost_total_usd
+        sums["tasks_deferred"] += info.tasks_deferred_count
+        self._met += info.total("sla_met")
+        self._violated += info.total("sla_violated")
+        for d in info.datacenters.values():
+            sums["avg_cpu_util_pct"] += d.cpu_util_pct
+            sums["avg_gpu_util_pct"] += d.gpu_util_pct
+        self._site_steps += len(info.datacenters)
+
+    def kpis(self) -> dict:
+        """The episode's KPIs so far, keyed by ``KPI_KEYS``: totals over steps,
+        ``sla_violation_pct`` over the tasks judged (met or violated) and the
+        utilization means over site-steps, each 0 while there are none."""
+        kpis = dict(self._sums)
+        judged = self._met + self._violated
+        kpis["sla_violation_pct"] = 100.0 * self._violated / judged if judged else 0.0
+        for key in ("avg_cpu_util_pct", "avg_gpu_util_pct"):
+            kpis[key] = kpis[key] / self._site_steps if self._site_steps else 0.0
+        return kpis
 
     def step_single_action(self, action):
         """Apply one global action to every pending task (aggregated mode): ``0..N``, 0
@@ -277,5 +315,5 @@ class SchedulingEnv:
         """Lifecycle counts including tasks currently awaiting a decision."""
         counts = self.cluster.census()
         counts["awaiting_decision"] = len(self.current_tasks)
-        counts["injected"] = self.cluster.injected_count
+        counts["injected"] = self._injected
         return counts

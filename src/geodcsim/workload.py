@@ -228,6 +228,8 @@ class ResourceRanges:
     def __post_init__(self):
         for f in fields(self):
             lo, hi = getattr(self, f.name)
+            if isinstance(lo, bool) or isinstance(hi, bool):
+                raise ValueError(f"{f.name}: bounds must be numbers, not true or false")
             if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
                 raise ValueError(f"{f.name}: bounds must be finite")  # NaN, inf or 10**400
             if lo > hi:

@@ -147,7 +147,6 @@ def test_criterion_2_conservation_and_bounds():
             ))
         injected += k
         events += k
-        cluster.injected_count += k
         tx = cluster.route_assignments(decisions, step, now)
         cluster.step(step, now, tx)
         for node in cluster.nodes:

@@ -502,7 +502,6 @@ class TestConservationProperties:
                 )
                 decisions.append((task, int(rng.integers(1, 4))))
             injected += k
-            cluster.injected_count += k
             tx = cluster.route_assignments(decisions, step, now)
             assert tx.transmission_cost_total_usd >= 0.0
             cluster.step(step, now, tx)
@@ -516,7 +515,6 @@ class TestConservationProperties:
     def test_no_task_lost_after_drain(self):
         cluster = make_cluster(hours=30 * 24)
         tasks = [make_task(f"t{i}", cores=1.0, duration=15.0, origin=1) for i in range(20)]
-        cluster.injected_count = len(tasks)
         cluster.route_assignments([(t, (i % 3) + 1) for i, t in enumerate(tasks)], 0, T0)
         now = T0
         for step in range(50):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from geodcsim import cluster
+from geodcsim import cluster, schedenv
+from geodcsim.controllers import RuleBasedController, snapshot_cluster
 from geodcsim.envdata import (
     SeriesKind,
     load_price_csv,
@@ -151,6 +152,56 @@ class TestRunEpisode:
         assert kpis["tasks_deferred"] == col_sum("tasks_deferred")
 
 
+class TestKpiLedger:
+    """``SchedulingEnv`` keeps the episode's KPIs; ``run_episode`` writes what it reads."""
+
+    @staticmethod
+    def _drive(env, strategy):
+        """One episode of the rule-based ``strategy``, driven by hand; returns ``env.kpis()``."""
+        controller = RuleBasedController(strategy)
+        env.reset()
+        done = False
+        while not done:
+            actions = controller.decide(snapshot_cluster(env.cluster, env.now), env.current_tasks)
+            _, _, done, _ = env.step(actions)
+        return env.kpis()
+
+    @pytest.mark.parametrize("seed, shuffle", [(1, False), (6, False), (6, True)],
+                             ids=["seed1", "seed6", "seed6_shuffled"])
+    def test_env_kpis_are_run_episodes_bit_for_bit(self, seed, shuffle):
+        sim = small_sim(strategy="lowest_carbon", shuffle_datacenters=shuffle,
+                        mean_tasks_per_interval=4.0)
+        _, expected = run_episode(sim, small_fleet(3), REWARD, seed)
+        kpis = self._drive(build_env(sim, small_fleet(3), REWARD, seed), sim.strategy)
+        assert KPI_KEYS is schedenv.KPI_KEYS
+        assert list(kpis) == list(expected) == list(KPI_KEYS)
+        assert {k: float.hex(v) for k, v in kpis.items()} == {
+            k: float.hex(v) for k, v in expected.items()}
+        assert kpis["total_cost_usd"] > 0.0 and kpis["avg_cpu_util_pct"] > 0.0
+
+    def test_second_reset_starts_from_zeros(self):
+        env = build_env(small_sim(), small_fleet(), REWARD, seed=2)
+        first = self._drive(env, "round_robin")
+        env.kpis()["total_cost_usd"] = -1.0  # each call returns a new dict
+        assert env.kpis() == first and first["total_cost_usd"] > 0.0
+        env.reset()
+        assert env.kpis() == dict.fromkeys(KPI_KEYS, 0.0)
+        assert env.task_census()["injected"] == len(env.current_tasks)
+        assert self._drive(env, "round_robin") == first
+
+    def test_tasks_deferred_counts_every_deferral(self):
+        env = build_env(small_sim(mean_tasks_per_interval=3.0), small_fleet(), REWARD, seed=4)
+        rng = np.random.default_rng(0)
+        env.reset()
+        done, deferred = False, 0
+        while not done:
+            actions = rng.integers(0, env.num_dcs + 1, len(env.current_tasks))
+            _, _, done, outcome = env.step(actions)
+            deferred += outcome.cluster_info.tasks_deferred_count
+        assert deferred > 0
+        assert env.kpis()["tasks_deferred"] == deferred
+
+
 class TestSeriesReads:
     """Each site's four series are interpolated once per instant: at every step and
     at the final observation, whoever reads them."""
@@ -276,8 +327,11 @@ class TestCli:
         assert err == [f"error: {sim}: simulation: {key}: invalid literal for int() "
                        "with base 10: 'abc'"]
 
-    @pytest.mark.parametrize("value", [-1, float("nan")], ids=["negative", "nan"])
-    def test_cli_bad_mean_tasks_per_interval(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value, expected", [
+        (-1, "synthetic_workload.mean_tasks_per_interval must be >= 0"),
+        (float("nan"), "synthetic_workload.mean_tasks_per_interval: must be finite"),
+    ], ids=["negative", "nan"])
+    def test_cli_bad_mean_tasks_per_interval(self, tmp_path, capsys, value, expected):
         doc = yaml.safe_load((CONFIG_DIR / "sim.yaml").read_text())
         doc["simulation"]["synthetic_workload"]["mean_tasks_per_interval"] = value
         sim = tmp_path / "sim.yaml"
@@ -286,8 +340,7 @@ class TestCli:
         args[args.index("--sim-config") + 1] = str(sim)
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {sim}: simulation: "
-                       "synthetic_workload.mean_tasks_per_interval must be >= 0"]
+        assert err == [f"error: {sim}: simulation: {expected}"]
 
     def _edited_args(self, tmp_path, config, keys, value):
         """CLI args whose ``config`` file is the shipped one with its ``keys`` path set
@@ -342,8 +395,9 @@ class TestCli:
         (["synthetic", "carbon", "daily_amplitude"], 300.0, "dc 1: carbon intensity requires"),
         (["synthetic", "price", "noise_sd"], -1, "dc 1: daily_amplitude and noise_sd"),
         (["population_weight"], 0, "dc 1: population_weight must be > 0"),
-        (["population_weight"], float("nan"), "dc 1: population_weight must be > 0"),
-        (["total_cores"], float("nan"), "dc 1: capacities must be >= 0"),
+        (["population_weight"], float("nan"),
+         "{fleet}: datacenter 0: population_weight: must be finite"),
+        (["total_cores"], float("nan"), "{fleet}: datacenter 0: total_cores: must be finite"),
         (["hvac"], {"policy": "deadband", "deadband": [24.0, 25.0, 26.0]},
          "dc 1: deadband must be two numbers lo < hi"),
         (["hvac"], {"policy": "deadband", "deadband": ["a", "b"]},
@@ -456,8 +510,13 @@ class TestCli:
          "supply_approach_temps_c: could not convert string to float: 'a'"),
         ("server_characteristics", {"THERMAL_COEFFS": [1, 1, 1, "x", 0]},
          "thermal_coeffs: could not convert string to float: 'x'"),
+        ("hvac_configuration", {"CW_PRESSURE_DROP": True},
+         "hvac_configuration: CW_PRESSURE_DROP: must be a number, not true or false"),
+        ("server_characteristics", {"THERMAL_COEFFS": [1, 1, 1, False, 0]},
+         "server_characteristics: THERMAL_COEFFS: must be a number, not true or false"),
     ], ids=["cw_pressure_drop_infinity", "supply_approach_nan", "thermal_f_nan",
-            "supply_approach_strings", "thermal_coeff_string"])
+            "supply_approach_strings", "thermal_coeff_string", "cw_pressure_drop_true",
+            "thermal_coeff_false"])
     def test_cli_physics_value_not_a_finite_number(self, tmp_path, capsys, section, values,
                                                    expected):
         """Each physics value is a finite number, each list element too, checked at load."""
@@ -489,9 +548,14 @@ class TestCli:
         ("datacenters", ["datacenters", 0, "synthetic", "price", "base"], math.nan,
          "datacenter 0: synthetic.price.base: must be finite"),
         ("datacenters", ["datacenters", 0, "dc_id"], 10**400, "datacenter 0: dc_id: must fit a float"),
+        ("datacenters", ["datacenters", 0, "timezone_shift"], math.nan,
+         "datacenter 0: timezone_shift: must be finite"),
+        ("datacenters", ["datacenters", 0, "hvac", "setpoint_c"], math.nan,
+         "datacenter 0: hvac.setpoint_c: must be finite"),
     ], ids=["mean_rate_infinity", "range_bound_nan", "range_bound_huge", "year_huge",
             "timestep_huge", "reward_weight_huge", "normalize_factor_huge",
-            "penalty_per_violation_huge", "cores_infinity", "price_base_nan", "dc_id_huge"])
+            "penalty_per_violation_huge", "cores_infinity", "price_base_nan", "dc_id_huge",
+            "timezone_shift_nan", "setpoint_nan"])
     def test_cli_number_not_finite(self, tmp_path, capsys, config, keys, value, expected):
         """A configured number must be finite; the one error line names the file and field."""
         args, path = self._edited_args(tmp_path, config, keys, value)
@@ -524,10 +588,44 @@ class TestCli:
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
 
-    def test_cli_unknown_hvac_policy(self, tmp_path, capsys):
-        args, _ = self._edited_fleet_args(tmp_path, ["hvac", "policy"], "magic")
+    @pytest.mark.parametrize("config, keys, value, expected", [
+        ("datacenters", ["datacenters", 0, "total_cores"], True,
+         "datacenter 0: total_cores: must be a number, not true or false"),
+        ("datacenters", ["datacenters", 0, "dc_id"], True,
+         "datacenter 0: dc_id: must be a number, not true or false"),
+        ("sim", ["simulation", "init_hour"], False,
+         "simulation: init_hour: must be a number, not true or false"),
+        ("sim", ["simulation", "synthetic_workload", "cores_req"], [True, 16],
+         "simulation: bad synthetic_workload ranges: cores_req: "
+         "bounds must be numbers, not true or false"),
+        ("reward", ["reward", "components", "energy_price", "weight"], True,
+         "component 'energy_price': weight must be a finite number"),
+        ("reward", ["reward", "components", "energy_price", "args", "normalize_factor"], True,
+         "component 'energy_price': normalize_factor must be > 0 and finite"),
+        ("reward", ["reward", "components", "sla_penalty", "args", "penalty_per_violation"],
+         True, "component 'sla_penalty': penalty_per_violation must be >= 0 and finite"),
+    ], ids=["total_cores", "dc_id", "init_hour", "cores_req", "reward_weight",
+            "normalize_factor", "penalty_per_violation"])
+    def test_cli_boolean_is_not_a_number(self, tmp_path, capsys, config, keys, value, expected):
+        """A YAML true or false where a number belongs stops the run instead of reading
+        as 1 or 0; the one error line names the file and the field."""
+        args, path = self._edited_args(tmp_path, config, keys, value)
         assert main(args) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: dc 1: unknown hvac policy 'magic'"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
+
+    def test_cli_unknown_hvac_policy(self, tmp_path, capsys):
+        args, fleet = self._edited_fleet_args(tmp_path, ["hvac", "policy"], "magic")
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {fleet}: datacenter 0: hvac.policy: must be 'fixed' or 'deadband', "
+            "got 'magic'"]
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seeds", "0,-2"]],
+                             ids=["seed", "seeds"])
+    def test_cli_negative_seed(self, tmp_path, capsys, flags):
+        assert main(self._args(tmp_path, flags)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: seed must be >= 0, got {flags[1].split(',')[-1]}"]
 
 
 class TestFileInputs:
