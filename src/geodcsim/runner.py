@@ -314,10 +314,15 @@ def _build_series(spec: DcSpec, sim: SimConfig, seeds: list[int]):
     return price, carbon, drybulb, humidity
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a negative run seed, which ``SeedSequence`` takes no entropy from."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) -> SchedulingEnv:
     """Assemble the environment for one seeded episode; ``seed`` must be >= 0."""
-    if seed < 0:  # SeedSequence takes no negative entropy
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     seeds = _seed_ints(seed, 2 + 3 * len(fleet))
     workload_seed, env_seed = seeds[0], seeds[1]
 
@@ -371,10 +376,13 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
     if sim.workload_path:
         trace = load_trace(sim.workload_path)
     else:
-        trace = generate_synthetic_trace(
-            sim.start, sim.duration_days * STEPS_PER_DAY,
-            sim.mean_tasks_per_interval, sim.resource_ranges, workload_seed,
-        )
+        try:
+            trace = generate_synthetic_trace(
+                sim.start, sim.duration_days * STEPS_PER_DAY,
+                sim.mean_tasks_per_interval, sim.resource_ranges, workload_seed,
+            )
+        except ValueError as exc:  # e.g. a drawn task whose deadline overflows a date
+            raise ConfigError(f"synthetic_workload: {exc}") from exc
 
     reward_fn = CompositeReward.from_config(reward_doc)
     return SchedulingEnv(
@@ -437,7 +445,7 @@ def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
         now = env.now
         snapshots = snapshot_cluster(env.cluster, now)
         actions = controller.decide(snapshots, env.current_tasks)
-        _, reward, done, outcome = env.step(actions)
+        reward, done, outcome = env.advance(actions)
         rows.append(_log_row(step_idx, now, outcome.cluster_info, reward, dc_ids))
     kpis = env.kpis()
     if out_dir is not None:
@@ -471,9 +479,12 @@ def summarize_kpis(kpi_rows: list[dict]) -> dict:
 
 
 def run_sweep(sim: SimConfig, fleet, reward_doc, seeds, out_dir=None) -> dict:
-    """Run one episode per seed and aggregate KPIs; any failed seed aborts."""
+    """Run one episode per seed and aggregate KPIs; any failed seed aborts, and every
+    seed is checked before the first episode runs."""
     if not seeds:
         raise ConfigError("at least one seed is required")
+    for seed in seeds:
+        _check_seed(seed)
     kpi_rows = []
     for seed in seeds:
         _, kpis = run_episode(sim, fleet, reward_doc, seed, out_dir=out_dir)

@@ -215,7 +215,6 @@ class SchedulingEnv:
         interval = self._intervals.get(now)
         if interval is None:
             return []
-        # Every Task field is immutable, so a shallow copy is a full clone.
         tasks = [copy.copy(t) for t in interval.tasks]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
@@ -232,9 +231,16 @@ class SchedulingEnv:
         return build_observation(self.cluster, self.current_tasks, self.now)
 
     def step(self, actions):
-        """Apply one decision per pending task; returns (obs, reward, done, outcome).
-        Every action and the action count are checked before any state changes;
-        action 0 (defer) is valid only while deferral is enabled."""
+        """Apply one decision per pending task; returns (obs, reward, done, outcome):
+        ``advance`` followed by the next observation."""
+        reward, done, outcome = self.advance(actions)
+        return self._observe(), reward, done, outcome
+
+    def advance(self, actions):
+        """``step`` without building the next observation, for callers that do not
+        read it; returns (reward, done, outcome). Every action and the action count
+        are checked before any state changes; action 0 (defer) is valid only while
+        deferral is enabled."""
         if self._done:
             raise ProtocolError("episode is done; call reset()")
         try:
@@ -273,7 +279,7 @@ class SchedulingEnv:
         self.current_tasks = deferred + (
             [] if self._done else self._inject_arrivals(self.now)
         )
-        return self._observe(), breakdown.total, self._done, StepOutcome(info, breakdown)
+        return breakdown.total, self._done, StepOutcome(info, breakdown)
 
     def _fold(self, info: ClusterInfo) -> None:
         """Add one step's accounting to the ledger, each sum a left fold over steps."""

@@ -8,8 +8,10 @@ simulation cannot resolve them.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields, asdict
 from datetime import datetime, timedelta, timezone
@@ -91,11 +93,24 @@ class Task:
                 raise ValueError(f"task {self.job_id}: {name} must be >= 0")
         if not 1.0 <= self.sla_multiplier < math.inf:
             raise ValueError(f"task {self.job_id}: sla_multiplier must be finite and >= 1")
+        self._set_deadline()
+
+    def _set_deadline(self) -> None:
         try:
             self.sla_deadline = compute_sla_deadline(self)
         except OverflowError as exc:
             raise ValueError(f"task {self.job_id}: duration_min {self.duration_min} "
                              "times sla_multiplier overflows the deadline") from exc
+
+    def __copy__(self) -> Task:
+        # Every field is immutable, so copying the attributes is a full clone. Setting
+        # them one by one, in this task's order, keeps the clone's values in the
+        # instance's key-shared slots; a __dict__.update, as copy.copy's default
+        # __reduce_ex__ path does, would give each clone a dict object of its own.
+        clone = object.__new__(Task)
+        for name, value in self.__dict__.items():
+            setattr(clone, name, value)
+        return clone
 
     def set_status(self, new: TaskStatus) -> None:
         if new not in _ALLOWED_TRANSITIONS[self.status]:
@@ -128,17 +143,27 @@ class TraceInterval:
                 )
 
 
-_TRACE_FIELDS = (
-    "job_id",
-    "arrival_time",
-    "duration_min",
-    "cores_req",
-    "gpu_req",
-    "mem_req",
-    "bandwidth_gb",
-    "sla_multiplier",
-    "origin_dc_id",
-)
+_TRACE_NUMBERS = ("duration_min", "cores_req", "gpu_req", "mem_req", "bandwidth_gb",
+                  "sla_multiplier")
+_TRACE_FIELDS = ("job_id", "arrival_time", *_TRACE_NUMBERS, "origin_dc_id")
+
+
+def _trace_number(job_id: str, key: str, value) -> float:
+    """A trace field as a float: a JSON number or numeric text, not true, false or null."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):  # an integer too large for a float
+            pass
+    raise ValueError(f"task {job_id}: {key} must be a number, got {json.dumps(value)}")
+
+
+def _trace_origin(job_id: str, value) -> int | None:
+    """A trace origin: a JSON integer or null, so that ``true`` cannot match dc 1."""
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ValueError(
+        f"task {job_id}: origin_dc_id must be an integer or null, got {json.dumps(value)}")
 
 
 def load_trace(path) -> list[TraceInterval]:
@@ -154,16 +179,13 @@ def load_trace(path) -> list[TraceInterval]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
             try:
+                job_id = str(rec["job_id"])
+                rec.setdefault("sla_multiplier", DEFAULT_SLA_MULTIPLIER)
                 task = Task(
-                    job_id=str(rec["job_id"]),
+                    job_id=job_id,
                     arrival_time=datetime.fromisoformat(rec["arrival_time"]),
-                    duration_min=float(rec["duration_min"]),
-                    cores_req=float(rec["cores_req"]),
-                    gpu_req=float(rec["gpu_req"]),
-                    mem_req=float(rec["mem_req"]),
-                    bandwidth_gb=float(rec["bandwidth_gb"]),
-                    sla_multiplier=float(rec.get("sla_multiplier", DEFAULT_SLA_MULTIPLIER)),
-                    origin_dc_id=rec.get("origin_dc_id"),
+                    **{key: _trace_number(job_id, key, rec[key]) for key in _TRACE_NUMBERS},
+                    origin_dc_id=_trace_origin(job_id, rec.get("origin_dc_id")),
                 )
             except KeyError as exc:
                 raise DataError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from exc
@@ -230,6 +252,8 @@ class ResourceRanges:
             lo, hi = getattr(self, f.name)
             if isinstance(lo, bool) or isinstance(hi, bool):
                 raise ValueError(f"{f.name}: bounds must be numbers, not true or false")
+            if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+                raise ValueError(f"{f.name}: bounds must be numbers")
             if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
                 raise ValueError(f"{f.name}: bounds must be finite")  # NaN, inf or 10**400
             if lo > hi:
@@ -269,19 +293,25 @@ def generate_synthetic_trace(
     highs = [bounds[name][1] for name in drawn]
     intervals = []
     job_counter = 0
+    template = None  # the first task, built and checked by the constructor
     for i in range(num_intervals):
         t0 = start + i * STEP
         count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
         tasks = []
         for row in rng.uniform(lows, highs, size=(count, len(drawn))).tolist():
             job_counter += 1
-            tasks.append(
-                Task(
-                    job_id=f"job-{job_counter:06d}",
-                    arrival_time=t0,
-                    **fixed,
-                    **dict(zip(drawn, row)),
-                )
-            )
+            job_id = f"job-{job_counter:06d}"
+            if template is None:
+                task = template = Task(job_id, t0, **fixed, **dict(zip(drawn, row)))
+            else:
+                # start is UTC and on the grid, so is every t0, and ResourceRanges
+                # bounds every draw: only the deadline is left to compute.
+                task = copy.copy(template)
+                task.job_id = job_id
+                task.arrival_time = t0
+                for name, value in zip(drawn, row):
+                    setattr(task, name, value)
+                task._set_deadline()
+            tasks.append(task)
         intervals.append(TraceInterval(t0, tasks))
     return intervals

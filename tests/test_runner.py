@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -115,6 +116,20 @@ class TestRunEpisode:
         assert (tmp_path / "kpi_seed1.json").exists()
         assert set(kpis) == set(KPI_KEYS)
 
+    def test_builds_no_observation_after_reset(self, monkeypatch):
+        """The CLI reads no observation, so stepping builds none."""
+        calls = []
+        original = schedenv.build_observation
+
+        def counted(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(schedenv, "build_observation", counted)
+        rows, _ = run_episode(small_sim(), small_fleet(), REWARD, seed=1)
+        assert len(rows) == 96
+        assert calls == [small_sim().start]  # the one reset() returns
+
     def test_same_seed_byte_identical_logs(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -203,8 +218,8 @@ class TestKpiLedger:
 
 
 class TestSeriesReads:
-    """Each site's four series are interpolated once per instant: at every step and
-    at the final observation, whoever reads them."""
+    """Each site's four series are interpolated once per instant, whoever reads them:
+    at every step, and at the final observation for a caller that builds it."""
 
     @pytest.fixture
     def value_at_calls(self, monkeypatch):
@@ -226,7 +241,7 @@ class TestSeriesReads:
     def test_run_episode(self, value_at_calls):
         sim, fleet, reward_doc = self._shipped()
         rows, _ = run_episode(sim, fleet, reward_doc, seed=0)
-        assert len(value_at_calls) == 4 * len(fleet) * (len(rows) + 1)
+        assert len(value_at_calls) == 4 * len(fleet) * len(rows)  # no final observation
 
     def test_agent_loop(self, value_at_calls):
         env = build_env(*self._shipped(), seed=0)
@@ -463,9 +478,11 @@ class TestCli:
          "simulation: region_map_path: must be a string or null"),
         (["simulation", "synthetic_workload"], [1],
          "simulation: synthetic_workload: must be a mapping"),
+        (["simulation", "synthetic_workload", "duration_min"], [15, "abc"],
+         "simulation: bad synthetic_workload ranges: duration_min: bounds must be numbers"),
     ], ids=["shuffle_string", "single_action_int", "workload_path_int", "workload_path_true",
             "cost_matrix_list", "delay_params_int", "region_map_mapping",
-            "synthetic_workload_list"])
+            "synthetic_workload_list", "range_bound_string"])
     def test_cli_sim_value_of_wrong_kind(self, tmp_path, capsys, keys, value, expected):
         """A bool takes only a boolean, a path a string or null, a section a mapping."""
         args, sim = self._edited_args(tmp_path, "sim", keys, value)
@@ -623,9 +640,20 @@ class TestCli:
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seeds", "0,-2"]],
                              ids=["seed", "seeds"])
     def test_cli_negative_seed(self, tmp_path, capsys, flags):
+        """Every seed is checked before the first episode, so none leaves output."""
         assert main(self._args(tmp_path, flags)) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: seed must be >= 0, got {flags[1].split(',')[-1]}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_synthetic_deadline_overflow(self, tmp_path, capsys):
+        """A drawn duration whose deadline overflows a date ends as one error line."""
+        args, _ = self._edited_args(
+            tmp_path, "sim", ["simulation", "synthetic_workload", "duration_min"], [15, 1.0e300])
+        assert main(args) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"error: synthetic_workload: task job-\d{6}: duration_min \S+ "
+                            "times sla_multiplier overflows the deadline", err)
 
 
 class TestFileInputs:

@@ -213,6 +213,31 @@ class TestStep:
 
         assert run() == run()
 
+    def test_advance_is_step_without_the_observation(self):
+        """Under a random deferring policy ``advance`` and ``step`` give bit-equal
+        rewards and step accounting, and present the same tasks next."""
+        trace = generate_synthetic_trace(T0, 96, 3.0, ResourceRanges(), seed=4)
+        by_step, by_advance = make_env(trace, duration_days=1), make_env(trace, duration_days=1)
+        by_step.reset()
+        by_advance.reset()
+        rng = np.random.default_rng(2)
+        done, deferred = False, 0
+        while not done:
+            actions = rng.integers(0, by_step.num_dcs + 1, len(by_step.current_tasks))
+            obs, reward, done, outcome = by_step.step(actions)
+            assert len(obs) == len(by_step.current_tasks)
+            got = by_advance.advance(actions)
+            assert (float.hex(got[0]), got[1]) == (float.hex(reward), done)
+            assert repr(got[2].cluster_info) == repr(outcome.cluster_info)
+            assert got[2].reward_breakdown == outcome.reward_breakdown
+            assert ([t.job_id for t in by_advance.current_tasks]
+                    == [t.job_id for t in by_step.current_tasks])
+            deferred += outcome.cluster_info.tasks_deferred_count
+        assert deferred > 0
+        assert by_advance.kpis() == by_step.kpis()
+        with pytest.raises(ProtocolError, match="episode is done"):
+            by_advance.advance([])
+
     def test_episode_leaves_trace_tasks_untouched(self):
         trace = generate_synthetic_trace(T0, 96, 3.0, ResourceRanges(), seed=4)
         trace[0].tasks[0].origin_dc_id = 2

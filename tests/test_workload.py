@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from dataclasses import astuple
@@ -127,6 +128,19 @@ class TestTask:
             t.set_status(TaskStatus.DEFERRED)
 
 
+class TestCopy:
+    def test_clone_equals_its_source_and_shares_no_state(self):
+        source = Task("j", T0, 60.0, 1.0, 0.0, 1.0, 0.1, origin_dc_id=2)
+        clone = copy.copy(source)
+        assert type(clone) is Task and clone is not source and vars(clone) is not vars(source)
+        assert list(vars(clone).items()) == list(vars(source).items())
+        before = dict(vars(source))
+        clone.set_status(TaskStatus.RUNNING)
+        clone.origin_dc_id, clone.dest_dc_id, clone.start_exec_time = 3, 3, T0
+        clone.cores_req = 5.0
+        assert vars(source) == before and source.status is TaskStatus.PENDING
+
+
 class TestLoadTrace:
     def test_grouping(self, tmp_path):
         p = write_trace(tmp_path / "t.jsonl", [
@@ -172,6 +186,28 @@ class TestLoadTrace:
         bad[field] = value
         p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}: line 2: task b: {field} "):
+            load_trace(p)
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("cores_req", True, "cores_req must be a number, got true"),
+        ("gpu_req", False, "gpu_req must be a number, got false"),
+        ("duration_min", True, "duration_min must be a number, got true"),
+        ("sla_multiplier", True, "sla_multiplier must be a number, got true"),
+        ("mem_req", None, "mem_req must be a number, got null"),
+        ("bandwidth_gb", [1], "bandwidth_gb must be a number, got [1]"),
+        ("cores_req", 10**400, f"cores_req must be a number, got {10**400}"),
+        ("origin_dc_id", True, "origin_dc_id must be an integer or null, got true"),
+        ("origin_dc_id", "1", 'origin_dc_id must be an integer or null, got "1"'),
+        ("origin_dc_id", 1.5, "origin_dc_id must be an integer or null, got 1.5"),
+    ], ids=["cores_true", "gpu_false", "duration_true", "multiplier_true", "mem_null",
+            "bandwidth_list", "cores_too_large", "origin_true", "origin_string", "origin_fraction"])
+    def test_field_of_wrong_kind_names_file_line_task_and_field(self, tmp_path, field, value,
+                                                               expected):
+        """A JSON true or false is not a task number, and an origin is an integer or null."""
+        bad = task_record("b")
+        bad[field] = value
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}: line 2: task b: {expected}')}$"):
             load_trace(p)
 
     def test_round_trip(self, tmp_path):
@@ -275,6 +311,18 @@ class TestSyntheticTrace:
         assert got_tasks == want_tasks
         assert [list(map(type, t)) for t in got_tasks] == [list(map(type, t)) for t in want_tasks]
         assert (len(got_tasks) > 1000) == (mean > 0)
+        # the same attributes, sla_deadline included, in the constructor's order
+        assert ([list(vars(t).items()) for iv in got for t in iv.tasks]
+                == [list(vars(t).items()) for iv in want for t in iv.tasks])
+
+    def test_deadline_overflow_names_the_task_as_the_constructor_does(self):
+        # about half the drawn deadlines pass year 9999; at this seed the first fits
+        ranges = ResourceRanges(duration_min=(15.0, 5.6e9))
+        with pytest.raises(ValueError, match="^task job-000006: .* overflows the deadline$") as got:
+            generate_synthetic_trace(T0, 4, 6.0, ranges, seed=5)
+        with pytest.raises(ValueError) as want:
+            reference_trace(T0, 4, 6.0, ranges, seed=5)
+        assert str(got.value) == str(want.value)
 
     def test_tasks_satisfy_invariants(self):
         ranges = ResourceRanges(duration_min=(15.0, 45.0), cores_req=(0.5, 8.0))
