@@ -34,6 +34,7 @@ from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
                         it_power_and_return_temp, step_setpoint)
 from .envdata import TimeSeries, value_at, wet_bulb
 from .errors import ConfigError, ProtocolError
+from .floats import left_sum
 from .workload import Task, TaskStatus
 
 logger = logging.getLogger(__name__)
@@ -296,7 +297,7 @@ class ClusterInfo:
     tasks_deferred_count: int = 0
 
     def total(self, attr: str) -> float:
-        return sum(getattr(d, attr) for d in self.datacenters.values())
+        return left_sum(getattr(d, attr) for d in self.datacenters.values())
 
     def cost_usd(self) -> float:
         return self.total("energy_cost_usd") + self.transmission_cost_total_usd

@@ -20,6 +20,7 @@ from datetime import timedelta
 from enum import Enum
 
 from .errors import ConfigError
+from .floats import left_sum
 from .workload import STEP
 
 logger = logging.getLogger(__name__)
@@ -272,7 +273,7 @@ def total_it_power(
         p += gpus
         p += memory
         per_rack.append(p)
-    return sum(per_rack), per_rack
+    return left_sum(per_rack), per_rack
 
 
 def rack_outlet_temp(
@@ -287,7 +288,7 @@ def rack_outlet_temp(
 def crac_return_temp(params: DcPhysicsParams, rack_outlet_temps_c) -> float:
     """Mean over racks of outlet temperature plus the rack's return approach offset."""
     temps = zip(rack_outlet_temps_c, params.return_approach_temps_c)
-    return sum(t + dt for t, dt in temps) / params.num_racks
+    return left_sum(t + dt for t, dt in temps) / params.num_racks
 
 
 def pump_power(pressure_drop_pa: float, flow_m3s: float, efficiency: float) -> float:

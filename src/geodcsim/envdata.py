@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -47,6 +48,9 @@ class TimeSeries:
     """A uniformly spaced, validated time series anchored at a UTC instant.
 
     Immutable after construction; safe to share read-only across episodes.
+    ``end``, the instant of the last native point, is derived once here, and so
+    is the ``array('d')`` copy of ``values`` that ``value_at`` reads: its items
+    come out as Python floats, at 8 bytes each.
     """
 
     location_code: str
@@ -54,6 +58,8 @@ class TimeSeries:
     start: datetime
     step: timedelta
     values: np.ndarray = field(repr=False)
+    end: datetime = field(init=False, repr=False)
+    _points: array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.start.tzinfo is None:
@@ -73,13 +79,11 @@ class TimeSeries:
             raise DataError("relative humidity must lie in [0, 100]")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "end", self.start + (len(vals) - 1) * self.step)
+        object.__setattr__(self, "_points", array("d", vals.tobytes()))
 
     def __len__(self):
         return len(self.values)
-
-    @property
-    def end(self) -> datetime:
-        return self.start + (len(self.values) - 1) * self.step
 
     def covers(self, t0: datetime, t1: datetime) -> bool:
         return self.start <= t0 and t1 <= self.end
@@ -238,10 +242,11 @@ def value_at(series: TimeSeries, t: datetime) -> float:
     offset = (t - series.start) / series.step
     idx = int(offset)
     frac = offset - idx
-    if frac == 0.0 or idx >= len(series.values) - 1:
-        return float(series.values[min(idx, len(series.values) - 1)])
-    lo = float(series.values[idx])
-    hi = float(series.values[idx + 1])
+    points = series._points
+    if frac == 0.0 or idx >= len(points) - 1:
+        return points[min(idx, len(points) - 1)]
+    lo = points[idx]
+    hi = points[idx + 1]
     return lo + (hi - lo) * frac
 
 
@@ -254,12 +259,41 @@ def _humidity_ratio(vapor_pressure_pa: float) -> float:
     return 0.622 * vapor_pressure_pa / (101325.0 - vapor_pressure_pa)  # sea-level Pa
 
 
+def _stull_wet_bulb(t_c: float, rh_pct: float) -> float:
+    # Stull (2011)'s empirical fit; within about 3 degC of the root over 1-100 %
+    # and -30..60 degC, so it is only a starting point for the secant steps
+    return (t_c * math.atan(0.151977 * math.sqrt(rh_pct + 8.313659))
+            + math.atan(t_c + rh_pct) - math.atan(rh_pct - 1.676331)
+            + 0.00391838 * rh_pct ** 1.5 * math.atan(0.023101 * rh_pct) - 4.686035)
+
+
+# Certified band around the estimated root: its half-width (degC) and the least
+# |residual| its ends must show. The computed residual is within 1e-15 of the
+# exact one (term-by-term rounding bound; at most 1.4e-16 measured against
+# 200-bit arithmetic), so a margin over twice that fixes the sign of every point
+# beyond an end. Where the band is used, the residual rises at least 4e-4 per
+# degC, so the margin lies within 2.5e-11 degC of the root; the half-width doubles that.
+_WB_BAND_HALF_WIDTH_C = 5e-11
+_WB_BAND_MARGIN = 1e-14
+
+
 def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     """Thermodynamic wet-bulb temperature (degC) at sea-level pressure.
 
-    Solves the adiabatic-saturation humidity-ratio balance by bisection, so the
-    result is always <= the dry-bulb temperature, equals it at saturation, and
-    increases monotonically with relative humidity.
+    Solves the adiabatic-saturation humidity-ratio balance by bisection on
+    ``[t - 60, t]`` (widened downwards while needed), so the result is always <=
+    the dry-bulb temperature, equals it at saturation, and increases
+    monotonically with relative humidity.
+
+    The residual strictly increases on the search range. For 1-100 % humidity
+    and -30..60 degC, Stull's closed form refined by secant steps estimates the
+    root, and two residual evaluations certify a narrow band around it: the
+    computed residual is at most ``-_WB_BAND_MARGIN`` at its lower end and at
+    least ``+_WB_BAND_MARGIN`` at its upper end. The bisection then takes the
+    side of every midpoint outside the band, and skips the bracket checks,
+    without evaluating the residual there; those evaluations would have given
+    the same signs, so the result is bit for bit that of the plain bisection.
+    Outside that range, or when the certificate fails, every midpoint is evaluated.
     """
     if not 0.0 <= rh_pct <= 100.0:
         raise ValueError(f"relative humidity {rh_pct} outside [0, 100]")
@@ -274,17 +308,37 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
         den = 2501.0 + 1.86 * t - 4.186 * twb
         return num / den - w_actual
 
+    a = b = math.nan  # the certified band; NaN compares false, so nothing is skipped
+    if 1.0 <= rh_pct and -30.0 <= t <= 60.0:
+        # secant steps from Stull's estimate (within t - 37 and t here) and a point
+        # 0.5 degC below it; a step under 1e-9 leaves x1 within about 1e-13 of the root
+        x0 = min(t, _stull_wet_bulb(t, rh_pct))
+        x1 = x0 - 0.5
+        r0, r1 = residual(x0), residual(x1)
+        for _ in range(8):
+            if r1 == r0:
+                break
+            x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
+            if abs(x1 - x0) < 1e-9 or not t - 60.0 < x1 < t:
+                break
+            r1 = residual(x1)
+        lo, hi = x1 - _WB_BAND_HALF_WIDTH_C, x1 + _WB_BAND_HALF_WIDTH_C
+        if (t - 60.0 < lo and hi < t and residual(lo) <= -_WB_BAND_MARGIN
+                and residual(hi) >= _WB_BAND_MARGIN):
+            a, b = lo, hi
+
     hi = t
-    if residual(hi) <= 0.0:
+    if not b < t and residual(hi) <= 0.0:
         return hi
     lo = t - 60.0
-    while residual(lo) > 0.0:
-        lo -= 60.0
+    if not t - 60.0 < a:
+        while residual(lo) > 0.0:
+            lo -= 60.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # converged: every later step would keep lo and hi
             break
-        if residual(mid) > 0.0:
+        if mid > b or (not mid < a and residual(mid) > 0.0):
             hi = mid
         else:
             lo = mid

@@ -29,6 +29,7 @@ from .controllers import RuleBasedController, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
 from .errors import ConfigError, SimulationError
+from .floats import left_sum
 from .rewards import CompositeReward
 from .schedenv import KPI_KEYS, STEPS_PER_DAY, SchedulingEnv  # KPI_KEYS: re-exported
 from .workload import STEP, ResourceRanges, generate_synthetic_trace, load_trace
@@ -472,8 +473,8 @@ def summarize_kpis(kpi_rows: list[dict]) -> dict:
     summary = {}
     for key in KPI_KEYS:
         vals = [row[key] for row in kpi_rows]
-        mean = sum(vals) / len(vals)
-        var = sum((v - mean) ** 2 for v in vals) / len(vals)
+        mean = left_sum(vals) / len(vals)
+        var = left_sum((v - mean) ** 2 for v in vals) / len(vals)
         summary[key] = {"mean": mean, "std": math.sqrt(var)}
     return summary
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .cluster import Cluster, ClusterInfo
 from .errors import ConfigError, ProtocolError
+from .floats import left_sum
 from .rewards import CompositeReward, RewardBreakdown
 from .workload import STEP, TaskStatus, TraceInterval, assign_task_origins
 
@@ -95,9 +96,9 @@ def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
         k = float(len(pending_tasks))
         agg = [
             k,
-            sum(t.cores_req for t in pending_tasks) / k,
-            sum(t.gpu_req for t in pending_tasks) / k,
-            sum(t.duration_min for t in pending_tasks) / k,
+            left_sum(t.cores_req for t in pending_tasks) / k,
+            left_sum(t.gpu_req for t in pending_tasks) / k,
+            left_sum(t.duration_min for t in pending_tasks) / k,
             min(_minutes_to_deadline(t, now) for t in pending_tasks),
         ]
     else:

@@ -89,8 +89,8 @@ class Task:
                 f"at least the {MIN_DURATION_MIN:.0f}-minute floor"
             )
         for name in ("cores_req", "gpu_req", "mem_req", "bandwidth_gb"):
-            if not getattr(self, name) >= 0:  # also rejects NaN
-                raise ValueError(f"task {self.job_id}: {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"task {self.job_id}: {name} must be >= 0 and finite")
         if not 1.0 <= self.sla_multiplier < math.inf:
             raise ValueError(f"task {self.job_id}: sla_multiplier must be finite and >= 1")
         self._set_deadline()
@@ -158,6 +158,17 @@ def _trace_number(job_id: str, key: str, value) -> float:
     raise ValueError(f"task {job_id}: {key} must be a number, got {json.dumps(value)}")
 
 
+def _trace_arrival(job_id: str, value) -> datetime:
+    """A trace arrival time: an ISO 8601 date-time string."""
+    if isinstance(value, str):
+        try:
+            return datetime.fromisoformat(value)
+        except ValueError:
+            pass
+    raise ValueError(
+        f"task {job_id}: arrival_time must be an ISO 8601 date-time, got {json.dumps(value)}")
+
+
 def _trace_origin(job_id: str, value) -> int | None:
     """A trace origin: a JSON integer or null, so that ``true`` cannot match dc 1."""
     if value is None or (isinstance(value, int) and not isinstance(value, bool)):
@@ -178,12 +189,15 @@ def load_trace(path) -> list[TraceInterval]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}: line {lineno}: a task must be a JSON object, "
+                                f"got {json.dumps(rec)}")
             try:
                 job_id = str(rec["job_id"])
                 rec.setdefault("sla_multiplier", DEFAULT_SLA_MULTIPLIER)
                 task = Task(
                     job_id=job_id,
-                    arrival_time=datetime.fromisoformat(rec["arrival_time"]),
+                    arrival_time=_trace_arrival(job_id, rec["arrival_time"]),
                     **{key: _trace_number(job_id, key, rec[key]) for key in _TRACE_NUMBERS},
                     origin_dc_id=_trace_origin(job_id, rec.get("origin_dc_id")),
                 )

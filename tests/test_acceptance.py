@@ -5,13 +5,17 @@ Criteria 7-8 drive full two-day, three-site episodes on synthetic data; the
 golden log under tests/data/ pins byte-level determinism of the step logs.
 """
 
+import importlib
 import json
+import math
+import pkgutil
 from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geodcsim
 from geodcsim.controllers import RbcStrategy, RuleBasedController, snapshot_cluster
 from geodcsim.dcphysics import (
     DcPhysicsParams,
@@ -28,6 +32,7 @@ from geodcsim.dcphysics import (
     water_usage_rate,
 )
 from geodcsim.errors import ProtocolError
+from geodcsim.floats import left_sum
 from geodcsim.network import transmission_energy_kwh
 from geodcsim.rewards import CompositeReward, get_component
 from geodcsim.runner import (
@@ -150,11 +155,11 @@ def test_criterion_2_conservation_and_bounds():
         tx = cluster.route_assignments(decisions, step, now)
         cluster.step(step, now, tx)
         for node in cluster.nodes:
-            assert node.available_cores == node.total_cores - sum(
+            assert node.available_cores == node.total_cores - left_sum(
                 t.cores_req for t in node.running)
-            assert node.available_gpus == node.total_gpus - sum(
+            assert node.available_gpus == node.total_gpus - left_sum(
                 t.gpu_req for t in node.running)
-            assert node.available_mem_gb == node.total_mem_gb - sum(
+            assert node.available_mem_gb == node.total_mem_gb - left_sum(
                 t.mem_req for t in node.running)
             assert 0.0 <= node.available_cores <= node.total_cores
         census = cluster.census()
@@ -422,6 +427,55 @@ def test_criterion_8_determinism_golden(tmp_path):
         "floating-point policy and regeneration instructions"
     )
     _report(8, "episodes byte-identical; golden log matched bit-for-bit")
+
+
+def compensated_sum(iterable, /, start=0):
+    """An emulation of CPython 3.12's ``sum()``: exact ints add on an int fast path, and
+    from the first exact float on, floats add with Neumaier's compensation, ints
+    without it; the compensation is folded in at the end or before an item of any
+    other type, which adds with ``+`` from there on."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(item) is not int:
+                break
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+            elif type(item) is int:
+                total += float(item)
+            else:
+                result = total + comp if comp and math.isfinite(comp) else total
+                result = result + item
+                break
+        else:
+            return total + comp if comp and math.isfinite(comp) else total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_golden_log_under_compensated_sum(tmp_path, monkeypatch):
+    """Python 3.12's compensated ``sum()``, swapped into every geodcsim module,
+    leaves the golden log as it is: float totals on the output path are left folds."""
+    assert compensated_sum([0.1] * 10) == 1.0 and left_sum([0.1] * 10) != 1.0
+    for info in pkgutil.iter_modules(geodcsim.__path__):
+        module = importlib.import_module(f"geodcsim.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    sim, fleet, reward = golden_scenario()
+    run_episode(sim, fleet, reward, seed=1234, out_dir=tmp_path)
+    assert (tmp_path / "steps_seed1234.csv").read_bytes() == GOLDEN_LOG.read_bytes()
 
 
 def test_criterion_9_sweep_aggregation(tmp_path):

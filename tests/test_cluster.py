@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from geodcsim.cluster import BLOCK, release_completed, schedule_fifo_first_fit
 from geodcsim.dcphysics import HvacAction, WeatherSample, dc_physics_step, desk_scale_params
 from geodcsim.errors import ConfigError, ProtocolError
+from geodcsim.floats import left_sum
 from geodcsim.workload import TaskStatus
 
 from conftest import T0, make_cluster, make_node, make_task
@@ -20,18 +21,18 @@ STEP = timedelta(minutes=15)
 
 
 def assert_bookkeeping(node):
-    assert node.available_cores == node.total_cores - sum(t.cores_req for t in node.running)
-    assert node.available_gpus == node.total_gpus - sum(t.gpu_req for t in node.running)
-    assert node.available_mem_gb == node.total_mem_gb - sum(t.mem_req for t in node.running)
+    assert node.available_cores == node.total_cores - left_sum(t.cores_req for t in node.running)
+    assert node.available_gpus == node.total_gpus - left_sum(t.gpu_req for t in node.running)
+    assert node.available_mem_gb == node.total_mem_gb - left_sum(t.mem_req for t in node.running)
     assert 0 <= node.available_cores <= node.total_cores
     assert 0 <= node.available_gpus <= node.total_gpus
     assert 0 <= node.available_mem_gb <= node.total_mem_gb
 
 
 def reference_recompute(node):
-    node.available_cores = node.total_cores - sum(t.cores_req for t in node.running)
-    node.available_gpus = node.total_gpus - sum(t.gpu_req for t in node.running)
-    node.available_mem_gb = node.total_mem_gb - sum(t.mem_req for t in node.running)
+    node.available_cores = node.total_cores - left_sum(t.cores_req for t in node.running)
+    node.available_gpus = node.total_gpus - left_sum(t.gpu_req for t in node.running)
+    node.available_mem_gb = node.total_mem_gb - left_sum(t.mem_req for t in node.running)
 
 
 def reference_first_fit(node, now):
@@ -259,9 +260,9 @@ def test_block_queue_matches_full_scan_property(caps, ops):
         assert [t.job_id for t in node.pending] == [t.job_id for t in ref.pending]
         assert availability(node) == availability(ref)
         assert_queue_shape(node.pending)
-        assert node.available_cores + sum(t.cores_req for t in node.running) == node.total_cores
-        assert node.available_gpus + sum(t.gpu_req for t in node.running) == node.total_gpus
-        assert node.available_mem_gb + sum(t.mem_req for t in node.running) == node.total_mem_gb
+        assert node.available_cores + left_sum(t.cores_req for t in node.running) == node.total_cores
+        assert node.available_gpus + left_sum(t.gpu_req for t in node.running) == node.total_gpus
+        assert node.available_mem_gb + left_sum(t.mem_req for t in node.running) == node.total_mem_gb
 
 
 class TestOversizeWarning:

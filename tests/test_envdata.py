@@ -1,9 +1,10 @@
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geodcsim import envdata
+from geodcsim import cluster, envdata, runner
 from geodcsim.envdata import (
     HOUR,
     SeriesKind,
@@ -218,6 +219,17 @@ class TestValueAt:
         with pytest.raises(CoverageError):
             value_at(self._series(), T0 + HOUR + timedelta(seconds=1))
 
+    def test_reads_python_floats_exactly_to_the_end(self):
+        values = np.random.default_rng(5).normal(50.0, 30.0, size=24)
+        s = self._series(values)
+        assert s.end == T0 + 23 * HOUR
+        for i, v in enumerate(values):
+            got = value_at(s, T0 + i * HOUR)
+            assert type(got) is float and got == v
+        assert type(value_at(s, T0 + timedelta(minutes=15))) is float
+        with pytest.raises(CoverageError):
+            value_at(s, s.end + timedelta(microseconds=1))
+
     def test_before_start_raises(self):
         with pytest.raises(CoverageError):
             value_at(self._series(), T0 - timedelta(seconds=1))
@@ -266,10 +278,48 @@ class TestWetBulb:
         humidities = np.concatenate([rng.uniform(0.0, 100.0, 10_000), np.zeros(181)])
         humidities[-90:] = 100.0
         points = [(float(t), float(rh)) for t, rh in zip(temps, humidities)]
-        points += [(t, rh) for t in (-40.0, -0.0, 0.0, 50.0) for rh in (0.0, 1e-9, 50.0, 100.0)]
+        # no band is used below 1 % humidity, outside -30..60 degC or at saturation
+        points += [(t, rh) for t in (-40.0, -30.0000001, -0.0, 0.0, 50.0, 60.5)
+                   for rh in (0.0, 1e-9, 0.5, 50.0, 100.0)]
         mismatches = [(t, rh) for t, rh in points
                       if wet_bulb(t, rh).hex() != reference_wet_bulb(t, rh).hex()]
         assert len(points) > 10_000 and mismatches == []
+
+    @pytest.fixture(scope="class")
+    def shipped_pairs(self):
+        """Every (dry-bulb, humidity) pair the shipped configs feed over 7 days at seeds 0-3."""
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        sim = runner.load_sim_config(configs / "sim.yaml")
+        fleet = runner.load_dc_fleet(configs / "datacenters.yaml")
+        reward = runner.load_reward_config(configs / "reward.yaml")
+        sim.duration_days = 7
+        pairs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cluster, "wet_bulb", lambda t, rh: pairs.append((t, rh)) or wet_bulb(t, rh))
+            for seed in range(4):
+                runner.run_episode(sim, fleet, reward, seed)
+        assert len(pairs) == 4 * 7 * 96 * len(fleet)
+        return pairs
+
+    def test_bit_equal_on_the_shipped_inputs(self, shipped_pairs):
+        mismatches = [(t, rh) for t, rh in shipped_pairs
+                      if wet_bulb(t, rh).hex() != reference_wet_bulb(t, rh).hex()]
+        assert mismatches == []
+
+    def test_certified_band_saves_residual_calls(self, shipped_pairs, monkeypatch):
+        calls = 0
+        pressure = envdata._saturation_vapor_pressure_pa
+
+        def counting(t_c):
+            nonlocal calls
+            calls += 1
+            return pressure(t_c)
+
+        monkeypatch.setattr(envdata, "_saturation_vapor_pressure_pa", counting)
+        for t, rh in shipped_pairs:
+            wet_bulb(t, rh)
+        # the plain bisection makes about 58 calls per wet-bulb here
+        assert calls / len(shipped_pairs) <= 30
 
     def test_bisection_stops_once_converged(self, monkeypatch):
         expected = reference_wet_bulb(20.0, 50.0)

@@ -708,6 +708,20 @@ class TestFileInputs:
         assert float(row["dc1_cost_usd"]) == float(row["dc1_energy_kwh"]) * prices[3] / 1000.0
         assert sum(int(r["dc1_sla_met"]) + int(r["dc1_sla_violated"]) for r in rows) > 0
 
+    def test_cli_trace_infinite_bandwidth(self, tmp_path, capsys):
+        """A remote transfer of an infinite size has no delay: the trace is refused."""
+        args = self._args(tmp_path, origin=3)
+        trace = tmp_path / "trace.jsonl"
+        lines = trace.read_text().splitlines()
+        task = json.loads(lines[1])
+        task["bandwidth_gb"] = math.inf
+        lines[1] = json.dumps(task)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main([*args, "--strategy", "round_robin", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {trace}: line 2: task {task['job_id']}: "
+                       "bandwidth_gb must be >= 0 and finite"]
+
     def test_cli_trace_origin_must_be_a_configured_dc(self, tmp_path, capsys):
         args = self._args(tmp_path, origin=9)
         assert main([*args, "--out", str(tmp_path / "out")]) == 1

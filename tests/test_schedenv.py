@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodcsim.errors import ConfigError, ProtocolError
+from geodcsim.floats import left_sum
 from geodcsim.schedenv import STEPS_PER_DAY, SchedulingEnv, build_observation, observation_dim
 from geodcsim.workload import ResourceRanges, TaskStatus, TraceInterval, generate_synthetic_trace
 
@@ -386,9 +387,9 @@ def test_census_and_resource_books_hold_after_every_step_property(intervals, shu
         census = env.task_census()
         assert census.pop("injected") == sum(census.values())
         for node in env.cluster.nodes:
-            assert node.available_cores + sum(t.cores_req for t in node.running) == node.total_cores
-            assert node.available_gpus + sum(t.gpu_req for t in node.running) == node.total_gpus
-            assert node.available_mem_gb + sum(t.mem_req for t in node.running) == node.total_mem_gb
+            assert node.available_cores + left_sum(t.cores_req for t in node.running) == node.total_cores
+            assert node.available_gpus + left_sum(t.gpu_req for t in node.running) == node.total_gpus
+            assert node.available_mem_gb + left_sum(t.mem_req for t in node.running) == node.total_mem_gb
 
 
 class TestActionContract:

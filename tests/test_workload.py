@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
@@ -110,6 +111,14 @@ class TestTask:
         with pytest.raises(ValueError, match="must be >= 0"):
             Task(*args)
 
+    @pytest.mark.parametrize("field", range(3, 7), ids=["cores", "gpu", "mem", "bandwidth"])
+    def test_infinite_resource_rejected(self, field):
+        """An infinite demand never fits, and an infinite transfer has no delay."""
+        args = ["j", T0, 60.0, 1.0, 0.0, 1.0, 0.1]
+        args[field] = math.inf
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            Task(*args)
+
     def test_status_machine(self):
         t = Task("j", T0, 60.0, 1, 0, 1, 0.1)
         t.set_status(TaskStatus.DEFERRED)
@@ -208,6 +217,33 @@ class TestLoadTrace:
         bad[field] = value
         p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
         with pytest.raises(DataError, match=f"^{re.escape(f'{p}: line 2: task b: {expected}')}$"):
+            load_trace(p)
+
+    @pytest.mark.parametrize("line", ["[1]", '"a"', "5", "null"],
+                             ids=["array", "string", "number", "null"])
+    def test_line_that_is_not_an_object_names_file_and_line(self, tmp_path, line):
+        p = tmp_path / "t.jsonl"
+        p.write_text(json.dumps(task_record("a")) + "\n" + line + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}: line 2: a task must be a JSON object, got {line}')}$"):
+            load_trace(p)
+
+    @pytest.mark.parametrize("value", [5, None, ["2024-03-01T00:00:00+00:00"], "noon"],
+                             ids=["number", "null", "array", "unparsable"])
+    def test_arrival_time_not_an_iso_string_names_task_and_field(self, tmp_path, value):
+        bad = task_record("b")
+        bad["arrival_time"] = value
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
+        expected = f"{p}: line 2: task b: arrival_time must be an ISO 8601 date-time, got "
+        with pytest.raises(DataError, match=f"^{re.escape(expected + json.dumps(value))}$"):
+            load_trace(p)
+
+    @pytest.mark.parametrize("field", ["cores_req", "gpu_req", "mem_req", "bandwidth_gb"])
+    def test_infinite_demand_names_file_line_task_and_field(self, tmp_path, field):
+        bad = task_record("b")
+        bad[field] = math.inf  # written as the JSON extension Infinity, which json reads
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
+        expected = f"{p}: line 2: task b: {field} must be >= 0 and finite"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             load_trace(p)
 
     def test_round_trip(self, tmp_path):
