@@ -28,6 +28,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from operator import attrgetter
 
 from . import network
 from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
@@ -102,6 +103,10 @@ def check_deadband(dc_id: int, band) -> None:
     )
     if not (numbers and band[0] < band[1]):
         raise ConfigError(f"dc {dc_id}: deadband must be two numbers lo < hi, got {band}")
+
+
+def _used_frac(total, avail):
+    return (total - avail) / total if total > 0 else 0.0
 
 
 @dataclass
@@ -244,13 +249,10 @@ class DatacenterNode:
         )
 
     def utilization_fractions(self) -> tuple[float, float, float]:
-        def used_frac(total, avail):
-            return (total - avail) / total if total > 0 else 0.0
-
         return (
-            used_frac(self.total_cores, self.available_cores),
-            used_frac(self.total_gpus, self.available_gpus),
-            used_frac(self.total_mem_gb, self.available_mem_gb),
+            _used_frac(self.total_cores, self.available_cores),
+            _used_frac(self.total_gpus, self.available_gpus),
+            _used_frac(self.total_mem_gb, self.available_mem_gb),
         )
 
     def mem_used_gb(self) -> float:
@@ -264,7 +266,7 @@ class InTransit:
     ready_step: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DcStepInfo:
     """Per-site accounting for one step."""
 
@@ -297,7 +299,7 @@ class ClusterInfo:
     tasks_deferred_count: int = 0
 
     def total(self, attr: str) -> float:
-        return left_sum(getattr(d, attr) for d in self.datacenters.values())
+        return left_sum(map(attrgetter(attr), self.datacenters.values()))
 
     def cost_usd(self) -> float:
         return self.total("energy_cost_usd") + self.transmission_cost_total_usd
@@ -376,27 +378,21 @@ class Cluster:
         self.advance_transit(step)
         for node in self.nodes:
             released = release_completed(node, now)
-            self.completed.extend(t for t, _ in released)
+            met = 0
+            if released:
+                self.completed.extend(t for t, _ in released)
+                met = sum(1 for _, ok in released if ok)
             schedule_fifo_first_fit(node, now)
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
             price, ci, drybulb, rh = node.conditions(now)
             result = node.physics_step(node.hvac_action(), u_cpu, u_gpu, node.mem_used_gb(),
                                        drybulb, wet_bulb(drybulb, rh))
-            met = sum(1 for _, ok in released if ok)
-            violated = len(released) - met
+            energy = result.energy_kwh
+            # positional, in DcStepInfo's field order
             info.datacenters[node.dc_id] = DcStepInfo(
-                energy_consumption_kwh=result.energy_kwh,
-                energy_cost_usd=result.energy_kwh * price / 1000.0,
-                carbon_emissions_kg=result.energy_kwh * ci / 1000.0,
-                water_l=result.water_l_15min,
-                sla_met=met,
-                sla_violated=violated,
-                cpu_util_pct=100.0 * u_cpu,
-                gpu_util_pct=100.0 * u_gpu,
-                mem_util_pct=100.0 * u_mem,
-                running_count=len(node.running),
-                pending_count=len(node.pending),
-            )
+                energy, energy * price / 1000.0, energy * ci / 1000.0, result.water_l_15min,
+                met, len(released) - met, 100.0 * u_cpu, 100.0 * u_gpu, 100.0 * u_mem,
+                len(node.running), len(node.pending))
         return info
 
     def census(self) -> dict:

@@ -24,7 +24,7 @@ class RbcStrategy(Enum):
     ROUND_ROBIN = "round_robin"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DcSnapshot:
     """Instantaneous per-site view a controller decides against."""
 
@@ -46,20 +46,11 @@ class DcSnapshot:
 
 def snapshot_cluster(cluster: Cluster, now: datetime) -> list[DcSnapshot]:
     snaps = []
-    for i, node in enumerate(cluster.nodes):
+    for i, node in enumerate(cluster.nodes, 1):
         price, ci, _, _ = node.conditions(now)
-        snaps.append(
-            DcSnapshot(
-                action_index=i + 1,
-                dc_id=node.dc_id,
-                ci_g_per_kwh=ci,
-                price_usd_per_mwh=price,
-                available_cores=node.available_cores,
-                available_gpus=node.available_gpus,
-                available_mem_gb=node.available_mem_gb,
-                total_cores=node.total_cores,
-            )
-        )
+        # positional, in DcSnapshot's field order
+        snaps.append(DcSnapshot(i, node.dc_id, ci, price, node.available_cores,
+                                node.available_gpus, node.available_mem_gb, node.total_cores))
     return snaps
 
 

@@ -175,7 +175,7 @@ class DcPhysicsParams:
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(DcPhysicsParams)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DcStepResult:
     """Energy, water and temperature outputs of one 15-minute physics step.
 
@@ -364,21 +364,10 @@ def hvac_step(
     w_total = w_evap * (1.0 + params.water_drift_rate)
 
     total = it_power_w + crac_fan + chiller + ct_fan + pumps
-    return DcStepResult(
-        it_power_w=it_power_w,
-        crac_fan_w=crac_fan,
-        chiller_w=chiller,
-        ct_fan_w=ct_fan,
-        pump_w=pumps,
-        total_power_w=total,
-        energy_kwh=total * STEP_HOURS / 1000.0,
-        water_l_15min=water_to_15min_liters(w_total),
-        crac_return_temp_c=t_return_c,
-        hru_recovered_w=recovered,
-        q_crac_w=q_crac,
-        q_effective_w=q_effective,
-        setpoint_c=setpoint_c,
-    )
+    # positional, in DcStepResult's field order: keywords cost several times more per step
+    return DcStepResult(it_power_w, crac_fan, chiller, ct_fan, pumps, total,
+                        total * STEP_HOURS / 1000.0, water_to_15min_liters(w_total),
+                        t_return_c, recovered, q_crac, q_effective, setpoint_c)
 
 
 def water_usage_rate(t_range_k: float, t_wetbulb_c: float) -> float:

@@ -69,6 +69,7 @@ _PENALTIES = (
     ("energy_consumption", 1000.0, ClusterInfo.energy_kwh),
     ("transmission_cost", 10.0, lambda info: info.transmission_cost_total_usd),
     ("transmission_emissions", 10.0, lambda info: info.transmission_emissions_total_kg),
+    ("water_usage", 1000.0, lambda info: info.total("water_l")),
 )
 for _name, _factor, _quantity in _PENALTIES:
     register_component(_name, functools.partial(PenaltyReward, _quantity, normalize_factor=_factor))

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from .errors import ConfigError, SimulationError
 from .floats import left_sum
 from .rewards import CompositeReward
 from .schedenv import KPI_KEYS, STEPS_PER_DAY, SchedulingEnv  # KPI_KEYS: re-exported
-from .workload import STEP, ResourceRanges, generate_synthetic_trace, load_trace
+from .workload import (STEP, ResourceRanges, first_unknown_origin, generate_synthetic_trace,
+                       load_trace)
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +53,7 @@ _DC_LOG_FIELDS = (
     ("running", "running_count"),
     ("pending", "pending_count"),
 )
+_dc_log_values = attrgetter(*(attr for _, attr in _DC_LOG_FIELDS))
 
 
 def _require_finite(spec) -> None:
@@ -376,6 +379,10 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
 
     if sim.workload_path:
         trace = load_trace(sim.workload_path)
+        bad = first_unknown_origin(trace, {spec.dc_id for spec in fleet})
+        if bad is not None:  # before any episode; reset() checks envs built otherwise
+            raise ConfigError(f"{sim.workload_path}: task {bad.job_id}: "
+                              f"origin {bad.origin_dc_id} is not a configured dc")
     else:
         try:
             trace = generate_synthetic_trace(
@@ -415,8 +422,7 @@ def _fmt(value) -> str:
 def _log_row(step_idx, time_utc, info, reward, dc_ids) -> list[str]:
     row = [str(step_idx), time_utc.isoformat()]
     for dc_id in dc_ids:
-        d = info.datacenters[dc_id]
-        row.extend(_fmt(getattr(d, attr)) for _, attr in _DC_LOG_FIELDS)
+        row.extend(map(_fmt, _dc_log_values(info.datacenters[dc_id])))
     row.extend([
         _fmt(info.transmission_cost_total_usd),
         _fmt(info.transmission_energy_total_kwh),

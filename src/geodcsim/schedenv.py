@@ -24,7 +24,8 @@ from .cluster import Cluster, ClusterInfo
 from .errors import ConfigError, ProtocolError
 from .floats import left_sum
 from .rewards import CompositeReward, RewardBreakdown
-from .workload import STEP, TaskStatus, TraceInterval, assign_task_origins
+from .workload import (STEP, TaskStatus, TraceInterval, assign_task_origins,
+                       first_unknown_origin)
 
 STEPS_PER_DAY = timedelta(days=1) // STEP
 
@@ -198,9 +199,9 @@ class SchedulingEnv:
             order = self._rng.permutation(len(self.cluster.nodes))
             self.cluster.nodes = [self.cluster.nodes[i] for i in order]
         self._check_coverage()
-        for t in (t for interval in self._intervals.values() for t in interval.tasks):
-            if t.origin_dc_id is not None and t.origin_dc_id not in self.cluster.by_id:
-                raise ConfigError(f"task {t.job_id} origin {t.origin_dc_id} is not a configured dc")
+        bad = first_unknown_origin(self._intervals.values(), self.cluster.by_id)
+        if bad is not None:
+            raise ConfigError(f"task {bad.job_id} origin {bad.origin_dc_id} is not a configured dc")
         self._origin_sites = [
             (n.dc_id, n.timezone_shift_h, n.population_weight) for n in self.cluster.nodes
         ]

@@ -77,7 +77,10 @@ class Task:
     completion_time: datetime | None = None
 
     def __post_init__(self):
-        self.arrival_time = _require_utc(self.arrival_time, "arrival_time")
+        try:
+            self.arrival_time = _require_utc(self.arrival_time, "arrival_time")
+        except ValueError as exc:
+            raise ValueError(f"task {self.job_id}: {exc}") from exc
         if not _on_grid(self.arrival_time):
             raise ValueError(
                 f"task {self.job_id}: arrival_time {self.arrival_time.isoformat()} "
@@ -207,6 +210,12 @@ def load_trace(path) -> list[TraceInterval]:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
             buckets.setdefault(task.arrival_time, []).append(task)
     return [TraceInterval(start, tasks) for start, tasks in sorted(buckets.items())]
+
+
+def first_unknown_origin(intervals, dc_ids) -> Task | None:
+    """The first task, in trace order, whose explicit origin is not in ``dc_ids``."""
+    return next((t for interval in intervals for t in interval.tasks
+                 if t.origin_dc_id is not None and t.origin_dc_id not in dc_ids), None)
 
 
 def save_trace(intervals: list[TraceInterval], path) -> None:

@@ -1,7 +1,7 @@
 import logging
 import math
 from collections import deque
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from datetime import timedelta
 
 import numpy as np
@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodcsim.cluster import BLOCK, release_completed, schedule_fifo_first_fit
+from geodcsim.cluster import BLOCK, DcStepInfo, release_completed, schedule_fifo_first_fit
+from geodcsim.controllers import snapshot_cluster
 from geodcsim.dcphysics import HvacAction, WeatherSample, dc_physics_step, desk_scale_params
+from geodcsim.envdata import wet_bulb
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
 from geodcsim.workload import TaskStatus
@@ -414,6 +416,69 @@ class TestClusterStep:
         node.deadband = None
         cluster.step(1, T0 + STEP)
         assert cluster.by_id[1].setpoint_c == 21.0
+
+
+class TestStepRecords:
+    @staticmethod
+    def loaded_cluster():
+        """Three sites with a deadband; at T0 + STEP dc 1 releases one met and one
+        violated task and keeps one running and one pending, dc 2 runs a GPU task."""
+        cluster = make_cluster(temp=30.0, deadband=(24.0, 26.0))
+        late = T0 - timedelta(hours=1)
+        for task in (make_task("met", duration=15.0),
+                     make_task("late", arrival=late, duration=15.0, multiplier=1.0),
+                     make_task("long", duration=120.0, mem=100.0),
+                     make_task("wait", cores=1997.0)):
+            cluster.by_id[1].enqueue(task)
+        cluster.by_id[2].enqueue(make_task("gpu", gpu=8.0, origin=2, duration=120.0))
+        cluster.step(0, T0)
+        return cluster
+
+    def test_site_record_fields_by_name(self):
+        """Each ``DcStepInfo`` field, read by name, is the value of that name worked
+        out from the site's own physics step and readings."""
+        cluster, twin = self.loaded_cluster(), self.loaded_cluster()
+        now = T0 + STEP
+        info = cluster.step(1, now)
+        for node in twin.nodes:
+            released = release_completed(node, now)
+            schedule_fifo_first_fit(node, now)
+            u_cpu, u_gpu, u_mem = node.utilization_fractions()
+            price, ci, drybulb, rh = node.conditions(now)
+            result = node.physics_step(node.hvac_action(), u_cpu, u_gpu, node.mem_used_gb(),
+                                       drybulb, wet_bulb(drybulb, rh))
+            met = sum(1 for _, ok in released if ok)
+            expected = {
+                "energy_consumption_kwh": result.energy_kwh,
+                "energy_cost_usd": result.energy_kwh * price / 1000.0,
+                "carbon_emissions_kg": result.energy_kwh * ci / 1000.0,
+                "water_l": result.water_l_15min,
+                "sla_met": met,
+                "sla_violated": len(released) - met,
+                "cpu_util_pct": 100.0 * u_cpu,
+                "gpu_util_pct": 100.0 * u_gpu,
+                "mem_util_pct": 100.0 * u_mem,
+                "running_count": len(node.running),
+                "pending_count": len(node.pending),
+            }
+            assert list(expected) == [f.name for f in fields(DcStepInfo)]
+            got = info.datacenters[node.dc_id]
+            for name, value in expected.items():
+                assert type(getattr(got, name)) is type(value), name
+                assert getattr(got, name) == value, name
+        site = info.datacenters[1]
+        assert (site.sla_met, site.sla_violated) == (1, 1)
+        assert (site.running_count, site.pending_count) == (1, 1)
+        assert info.datacenters[2].gpu_util_pct == 20.0
+
+    def test_records_have_no_instance_dict(self):
+        cluster = self.loaded_cluster()
+        info = cluster.step(1, T0 + STEP)
+        node = cluster.nodes[0]
+        records = (info.datacenters[1], snapshot_cluster(cluster, T0 + STEP)[0],
+                   node.physics_step(None, 0.5, 0.0, 10.0, 20.0, 15.0))
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 # racks at different approach temperatures, so that high setpoints clamp some inlets

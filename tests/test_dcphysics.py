@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodcsim.dcphysics import (
+    STEP_HOURS,
     DcPhysicsParams,
+    DcStepResult,
     HvacAction,
     WeatherSample,
     apply_hvac_action,
@@ -360,6 +363,67 @@ def test_checked_params_give_a_sound_step_property(
     for value in terms + (r.total_power_w, r.energy_kwh, r.water_l_15min):
         assert math.isfinite(value) and value >= 0.0
     assert r.total_power_w == r.it_power_w + r.crac_fan_w + r.chiller_w + r.ct_fan_w + r.pump_w
+
+
+def keyword_hvac_step(params, it_power_w, t_return_c, setpoint_c, t_drybulb_c, t_wetbulb_c,
+                      hru_enabled):
+    """``hvac_step``'s arithmetic written out again, its record built by keyword."""
+    q_crac = params.crac_supply_flow_pu * it_power_w * params.c_air * max(t_return_c - setpoint_c,
+                                                                          0.0)
+    recovered = 0.0
+    if hru_enabled:
+        recovered = min(heat_recovery_w(params, t_drybulb_c),
+                        params.hru_it_load_cap_fraction * it_power_w)
+    q_effective = max(q_crac - recovered, 0.0)
+    q_served = min(q_effective, params.chiller_capacity_w)
+    crac_fan = (params.crac_fan_ref_w * (params.crac_supply_flow_pu / params.crac_ref_flow_pu) ** 3
+                * (it_power_w / params.design_it_load_w))
+    chiller = 0.0
+    if q_served > 0.0:
+        fraction = max(q_served / params.chiller_capacity_w, params.chiller_min_load_fraction)
+        chiller = params.chiller_capacity_w * fraction / chiller_cop(params, t_drybulb_c)
+    v_air = q_served / (params.c_air * params.rho_air * params.ct_delta_t_k)
+    ct_fan = params.ct_fan_ref_w * (v_air / params.ct_ref_air_flow_m3s) ** 3
+    pumps = pump_power(params.cw_pressure_drop_pa, params.cw_flow_m3s, params.cw_pump_eff)
+    pumps += pump_power(params.ct_pressure_drop_pa, params.ct_flow_m3s, params.ct_pump_eff)
+    w_evap = (max(water_usage_rate(params.condenser_t_range_k, t_wetbulb_c), 0.0) * q_served
+              / params.heat_reject_unit_w)
+    total = it_power_w + crac_fan + chiller + ct_fan + pumps
+    return DcStepResult(
+        it_power_w=it_power_w,
+        crac_fan_w=crac_fan,
+        chiller_w=chiller,
+        ct_fan_w=ct_fan,
+        pump_w=pumps,
+        total_power_w=total,
+        energy_kwh=total * STEP_HOURS / 1000.0,
+        water_l_15min=water_to_15min_liters(w_evap * (1.0 + params.water_drift_rate)),
+        crac_return_temp_c=t_return_c,
+        hru_recovered_w=recovered,
+        q_crac_w=q_crac,
+        q_effective_w=q_effective,
+        setpoint_c=setpoint_c,
+    )
+
+
+@settings(max_examples=300)
+@given(
+    params=st.sampled_from([P, desk_scale_params()]),
+    it_power=st.floats(0.0, 2e6),
+    t_return=st.floats(10.0, 60.0),
+    setpoint=st.floats(18.0, 27.0),
+    drybulb=st.floats(-40.0, 50.0),
+    wetbulb=st.floats(-40.0, 40.0),
+    hru=st.booleans(),
+)
+def test_hvac_step_fields_match_a_keyword_built_record_property(
+        params, it_power, t_return, setpoint, drybulb, wetbulb, hru):
+    """``hvac_step`` builds its record positionally: each field, read by name, holds
+    the bits of the value of that name."""
+    got = hvac_step(params, it_power, t_return, setpoint, drybulb, wetbulb, hru)
+    want = keyword_hvac_step(params, it_power, t_return, setpoint, drybulb, wetbulb, hru)
+    for f in fields(DcStepResult):
+        assert float.hex(getattr(got, f.name)) == float.hex(getattr(want, f.name)), f.name
 
 
 class TestParamsJson:

@@ -12,13 +12,14 @@ from geodcsim.rewards import (
 
 
 def info(cost=0.0, carbon=0.0, energy=0.0, met=0, violated=0,
-         tx_cost=0.0, tx_energy=0.0, tx_emissions=0.0, deferred=0, n_dcs=2):
+         tx_cost=0.0, tx_energy=0.0, tx_emissions=0.0, deferred=0, n_dcs=2, water=0.0):
     """Split the per-DC quantities evenly over n_dcs sites."""
     per = {
         i + 1: DcStepInfo(
             energy_consumption_kwh=energy / n_dcs,
             energy_cost_usd=cost / n_dcs,
             carbon_emissions_kg=carbon / n_dcs,
+            water_l=water / n_dcs,
             sla_met=met if i == 0 else 0,
             sla_violated=violated if i == 0 else 0,
         )
@@ -68,6 +69,13 @@ class TestComponents:
         assert fn.normalize_factor == 10.0
         assert fn(info(tx_emissions=2.0)) == pytest.approx(-0.2)
 
+    def test_water_usage(self):
+        fn = get_component("water_usage")
+        assert fn.normalize_factor == 1000.0
+        assert fn(info(water=500.0)) == pytest.approx(-0.5)
+        assert fn(info(water=500.0, n_dcs=5)) == pytest.approx(-0.5)
+        assert fn(info()) == 0.0
+
     def test_sla_penalty(self):
         fn = get_component("sla_penalty", penalty_per_violation=5.0)
         assert fn(info(violated=3)) == pytest.approx(-15.0)
@@ -94,6 +102,7 @@ class TestRegistry:
         assert set(registered_components()) >= {
             "energy_price", "carbon_emissions", "energy_consumption",
             "transmission_cost", "transmission_emissions", "sla_penalty", "efficiency",
+            "water_usage",
         }
 
     def test_unknown_lookup(self):

@@ -723,8 +723,9 @@ class TestFileInputs:
                        "bandwidth_gb must be >= 0 and finite"]
 
     def test_cli_trace_origin_must_be_a_configured_dc(self, tmp_path, capsys):
+        """The trace is checked against the fleet before any episode runs."""
         args = self._args(tmp_path, origin=9)
         assert main([*args, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: task job-") and "origin 9 is not a configured dc" in err[0]
+        assert err == [f"error: {tmp_path / 'trace.jsonl'}: task job-000001: "
+                       "origin 9 is not a configured dc"]

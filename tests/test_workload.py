@@ -237,6 +237,14 @@ class TestLoadTrace:
         with pytest.raises(DataError, match=f"^{re.escape(expected + json.dumps(value))}$"):
             load_trace(p)
 
+    def test_naive_arrival_time_names_file_line_and_task(self, tmp_path):
+        bad = task_record("b")
+        bad["arrival_time"] = "2024-03-01T00:00:00"
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
+        expected = f"{p}: line 2: task b: arrival_time must be timezone-aware UTC"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            load_trace(p)
+
     @pytest.mark.parametrize("field", ["cores_req", "gpu_req", "mem_req", "bandwidth_gb"])
     def test_infinite_demand_names_file_line_task_and_field(self, tmp_path, field):
         bad = task_record("b")
