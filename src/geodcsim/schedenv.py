@@ -13,7 +13,6 @@ generator drives datacenter shuffling and task-origin sampling.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -217,7 +216,7 @@ class SchedulingEnv:
         interval = self._intervals.get(now)
         if interval is None:
             return []
-        tasks = [copy.copy(t) for t in interval.tasks]
+        tasks = [t.__copy__() for t in interval.tasks]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
             assign_task_origins(unassigned, self._origin_sites, now, self._rng)

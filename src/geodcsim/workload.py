@@ -8,12 +8,11 @@ simulation cannot resolve them.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 
@@ -57,7 +56,7 @@ def _on_grid(dt: datetime) -> bool:
     return not ((dt.minute * 60 + dt.second) % STEP.seconds or dt.microsecond)
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One schedulable job: resource demands, origin, SLA state, lifecycle status."""
 
@@ -106,13 +105,24 @@ class Task:
                              "times sla_multiplier overflows the deadline") from exc
 
     def __copy__(self) -> Task:
-        # Every field is immutable, so copying the attributes is a full clone. Setting
-        # them one by one, in this task's order, keeps the clone's values in the
-        # instance's key-shared slots; a __dict__.update, as copy.copy's default
-        # __reduce_ex__ path does, would give each clone a dict object of its own.
+        # Every field is immutable, so assigning each one is a full clone. Naming the
+        # fields is several times faster than a getattr/setattr loop over __slots__;
+        # a test checks that the slots are these fields and that a clone keeps each.
         clone = object.__new__(Task)
-        for name, value in self.__dict__.items():
-            setattr(clone, name, value)
+        clone.job_id = self.job_id
+        clone.arrival_time = self.arrival_time
+        clone.duration_min = self.duration_min
+        clone.cores_req = self.cores_req
+        clone.gpu_req = self.gpu_req
+        clone.mem_req = self.mem_req
+        clone.bandwidth_gb = self.bandwidth_gb
+        clone.sla_multiplier = self.sla_multiplier
+        clone.origin_dc_id = self.origin_dc_id
+        clone.sla_deadline = self.sla_deadline
+        clone.dest_dc_id = self.dest_dc_id
+        clone.status = self.status
+        clone.start_exec_time = self.start_exec_time
+        clone.completion_time = self.completion_time
         return clone
 
     def set_status(self, new: TaskStatus) -> None:
@@ -180,6 +190,15 @@ def _trace_origin(job_id: str, value) -> int | None:
         f"task {job_id}: origin_dc_id must be an integer or null, got {json.dumps(value)}")
 
 
+def _trace_job_id(value) -> str:
+    """A trace job id: a JSON string, or an integer read as its decimal text."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"job_id must be a string or an integer, got {json.dumps(value)}")
+
+
 def load_trace(path) -> list[TraceInterval]:
     """Load a JSONL trace, grouping tasks into time-sorted 15-minute intervals."""
     buckets: dict[datetime, list[Task]] = {}
@@ -196,7 +215,7 @@ def load_trace(path) -> list[TraceInterval]:
                 raise DataError(f"{path}: line {lineno}: a task must be a JSON object, "
                                 f"got {json.dumps(rec)}")
             try:
-                job_id = str(rec["job_id"])
+                job_id = _trace_job_id(rec["job_id"])
                 rec.setdefault("sla_multiplier", DEFAULT_SLA_MULTIPLIER)
                 task = Task(
                     job_id=job_id,
@@ -223,7 +242,7 @@ def save_trace(intervals: list[TraceInterval], path) -> None:
     with open(path, "w") as fh:
         for interval in intervals:
             for t in interval.tasks:
-                rec = {k: v for k, v in asdict(t).items() if k in _TRACE_FIELDS}
+                rec = {k: getattr(t, k) for k in _TRACE_FIELDS}
                 rec["arrival_time"] = t.arrival_time.isoformat()
                 fh.write(json.dumps(rec) + "\n")
 
@@ -329,7 +348,7 @@ def generate_synthetic_trace(
             else:
                 # start is UTC and on the grid, so is every t0, and ResourceRanges
                 # bounds every draw: only the deadline is left to compute.
-                task = copy.copy(template)
+                task = template.__copy__()
                 task.job_id = job_id
                 task.arrival_time = t0
                 for name, value in zip(drawn, row):

@@ -137,6 +137,22 @@ class TestRunEpisode:
         run_episode(small_sim(), small_fleet(), REWARD, seed=3, out_dir=b)
         assert (a / "steps_seed3.csv").read_bytes() == (b / "steps_seed3.csv").read_bytes()
 
+    def test_saved_synthetic_trace_runs_byte_for_byte_as_the_synthetic_one(self, tmp_path):
+        """The synthetic trace clones a checked template and a trace file runs the
+        constructor per task: both must give the same episode."""
+        sim = small_sim(strategy="round_robin", mean_tasks_per_interval=4.0)
+        fleet = small_fleet(3)
+        env = build_env(sim, fleet, REWARD, seed=4)
+        trace = tmp_path / "trace.jsonl"
+        save_trace(list(env._intervals.values()), trace)
+        assert len(trace.read_text().splitlines()) > 300
+        run_episode(sim, fleet, REWARD, seed=4, out_dir=tmp_path / "synthetic")
+        run_episode(replace(sim, workload_path=str(trace)), fleet, REWARD, seed=4,
+                    out_dir=tmp_path / "file")
+        for name in ("steps_seed4.csv", "kpi_seed4.json"):
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "synthetic" / name).read_bytes()), name
+
     def test_local_only_tx_columns_zero(self, tmp_path):
         run_episode(small_sim(strategy="local_only"), small_fleet(), REWARD,
                     seed=2, out_dir=tmp_path)

@@ -2,7 +2,7 @@ import copy
 import json
 import math
 import re
-from dataclasses import astuple
+from dataclasses import MISSING, astuple, fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -66,6 +66,11 @@ def task_record(job_id="a", arrival="2024-03-01T00:00:00+00:00", duration=60.0,
         "cores_req": cores, "gpu_req": gpu, "mem_req": mem, "bandwidth_gb": bw,
         "sla_multiplier": 1.5, "origin_dc_id": origin,
     }
+
+
+def field_items(task):
+    """A task's fields as (name, value) pairs, in field order."""
+    return [(f.name, getattr(task, f.name)) for f in fields(Task)]
 
 
 def write_trace(path, records):
@@ -141,13 +146,39 @@ class TestCopy:
     def test_clone_equals_its_source_and_shares_no_state(self):
         source = Task("j", T0, 60.0, 1.0, 0.0, 1.0, 0.1, origin_dc_id=2)
         clone = copy.copy(source)
-        assert type(clone) is Task and clone is not source and vars(clone) is not vars(source)
-        assert list(vars(clone).items()) == list(vars(source).items())
-        before = dict(vars(source))
+        assert type(clone) is Task and clone is not source
+        assert field_items(clone) == field_items(source)
+        assert ([type(v) for _, v in field_items(clone)]
+                == [type(v) for _, v in field_items(source)])
+        before = field_items(source)
         clone.set_status(TaskStatus.RUNNING)
         clone.origin_dc_id, clone.dest_dc_id, clone.start_exec_time = 3, 3, T0
         clone.cores_req = 5.0
-        assert vars(source) == before and source.status is TaskStatus.PENDING
+        assert field_items(source) == before and source.status is TaskStatus.PENDING
+
+    def test_slots_are_the_fields_and_a_task_has_no_dict(self):
+        """``__copy__`` assigns each field by name: a new field must reach it."""
+        assert list(Task.__slots__) == [f.name for f in fields(Task)]
+        task = Task("j", T0, 60.0, 1.0, 0.0, 1.0, 0.1)
+        assert not hasattr(task, "__dict__")
+        with pytest.raises(AttributeError):
+            task.note = "ad hoc"
+
+    def test_clone_keeps_every_field_set_away_from_its_default(self):
+        source = Task("j", T0, 60.0, 2.0, 3.0, 4.0, 0.5, sla_multiplier=1.25, origin_dc_id=1)
+        source.set_status(TaskStatus.RUNNING)
+        source.dest_dc_id = 5
+        source.start_exec_time, source.completion_time = T0 + STEP, T0 + 4 * STEP
+        items = field_items(source)
+        # no field at its default and no two fields equal, so a dropped or a
+        # crossed assignment cannot clone equal
+        assert all(getattr(source, f.name) != f.default for f in fields(Task)
+                   if f.default is not MISSING)
+        assert len({v for _, v in items}) == len(items) == 14
+        clone = copy.copy(source)
+        assert type(clone) is Task and clone is not source
+        assert field_items(clone) == items
+        assert [type(v) for _, v in field_items(clone)] == [type(v) for _, v in items]
 
 
 class TestLoadTrace:
@@ -254,6 +285,42 @@ class TestLoadTrace:
         with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             load_trace(p)
 
+    @pytest.mark.parametrize("value", [None, True, False, [1], 1.5, {"id": 1}],
+                             ids=["null", "true", "false", "array", "fraction", "object"])
+    def test_job_id_not_a_string_or_integer_names_file_and_line(self, tmp_path, value):
+        bad = task_record("b")
+        bad["job_id"] = value
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a"), bad])
+        expected = (f"{p}: line 2: job_id must be a string or an integer, "
+                    f"got {json.dumps(value)}")
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            load_trace(p)
+
+    def test_integer_job_id_reads_as_its_decimal_text(self, tmp_path):
+        p = write_trace(tmp_path / "t.jsonl", [task_record(7), task_record(-12)])
+        assert [t.job_id for t in load_trace(p)[0].tasks] == ["7", "-12"]
+
+    def test_saved_bytes(self, tmp_path):
+        """The exact text ``save_trace`` writes: keys in field order, lifecycle left out."""
+        a = Task("a", T0, 60.0, 4.0, 0.0, 8.0, 1.0, origin_dc_id=2)
+        b = Task("b", T0, 15.0, 16.5, 2, 0.1 + 0.2, 1e-05, sla_multiplier=1.2)
+        b.set_status(TaskStatus.RUNNING)
+        b.dest_dc_id, b.start_exec_time = 3, T0
+        c = Task("c", T0 + STEP, 180.0, 1.0, 0.0, 2.0, 0.25)
+        out = tmp_path / "t.jsonl"
+        save_trace([TraceInterval(T0, [a, b]), TraceInterval(T0 + STEP, [c])], out)
+        assert out.read_bytes() == (
+            b'{"job_id": "a", "arrival_time": "2024-03-01T00:00:00+00:00", "duration_min": 60.0, '
+            b'"cores_req": 4.0, "gpu_req": 0.0, "mem_req": 8.0, "bandwidth_gb": 1.0, '
+            b'"sla_multiplier": 1.5, "origin_dc_id": 2}\n'
+            b'{"job_id": "b", "arrival_time": "2024-03-01T00:00:00+00:00", "duration_min": 15.0, '
+            b'"cores_req": 16.5, "gpu_req": 2, "mem_req": 0.30000000000000004, '
+            b'"bandwidth_gb": 1e-05, "sla_multiplier": 1.2, "origin_dc_id": null}\n'
+            b'{"job_id": "c", "arrival_time": "2024-03-01T00:15:00+00:00", "duration_min": 180.0, '
+            b'"cores_req": 1.0, "gpu_req": 0.0, "mem_req": 2.0, "bandwidth_gb": 0.25, '
+            b'"sla_multiplier": 1.5, "origin_dc_id": null}\n'
+        )
+
     def test_round_trip(self, tmp_path):
         p = write_trace(tmp_path / "t.jsonl", [
             task_record("a", origin=2),
@@ -355,9 +422,9 @@ class TestSyntheticTrace:
         assert got_tasks == want_tasks
         assert [list(map(type, t)) for t in got_tasks] == [list(map(type, t)) for t in want_tasks]
         assert (len(got_tasks) > 1000) == (mean > 0)
-        # the same attributes, sla_deadline included, in the constructor's order
-        assert ([list(vars(t).items()) for iv in got for t in iv.tasks]
-                == [list(vars(t).items()) for iv in want for t in iv.tasks])
+        # the same fields, sla_deadline included, by name and in field order
+        assert ([field_items(t) for iv in got for t in iv.tasks]
+                == [field_items(t) for iv in want for t in iv.tasks])
 
     def test_deadline_overflow_names_the_task_as_the_constructor_does(self):
         # about half the drawn deadlines pass year 9999; at this seed the first fits
