@@ -8,7 +8,7 @@ from .dcphysics import DcPhysicsParams, DcStepResult, HvacAction, dc_physics_ste
 from .envdata import SeriesKind, TimeSeries, value_at, wet_bulb
 from .rewards import CompositeReward, RewardBreakdown
 from .schedenv import SchedulingEnv, build_agg_observation, build_observation
-from .workload import Task, TaskStatus, TraceInterval
+from .workload import Task, TaskStatus
 
 __all__ = [
     "Cluster",
@@ -26,7 +26,6 @@ __all__ = [
     "Task",
     "TaskStatus",
     "TimeSeries",
-    "TraceInterval",
     "build_agg_observation",
     "build_observation",
     "dc_physics_step",

@@ -78,6 +78,9 @@ class CostMatrix:
         if len(rows) - 1 != len(regions):
             raise DataFormatError(f"{path}: expected {len(regions)} data rows")
         for i, row in enumerate(rows[1:]):
+            if len(row) != len(regions) + 1:  # blank, or short enough for numpy to broadcast
+                raise DataError(f"{path}: row {i + 2}: expected a label and "
+                                f"{len(regions)} costs, got {len(row)} cells")
             if row[0].strip() != regions[i]:
                 raise DataFormatError(
                     f"{path}: row label {row[0]!r} does not match column order"
@@ -86,7 +89,25 @@ class CostMatrix:
                 mat[i, :] = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}: unparsable cost in row {i + 2}") from exc
-        return cls(tuple(regions), mat)
+        try:
+            return cls(tuple(regions), mat)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
+def _dict_rows(path, needed) -> list[tuple[int, dict]]:
+    """Each data row of CSV ``path`` with its line number, once the header names every
+    column in ``needed``; a row too short to hold one of them is a ``DataError``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(needed).issubset(reader.fieldnames):
+            raise DataFormatError(f"{path}: expected columns {sorted(needed)}")
+        rows = [(reader.line_num, row) for row in reader]  # line_num counts blank lines
+    for i, row in rows:
+        missing = [key for key in needed if row[key] is None]  # past the row's last cell
+        if missing:
+            raise DataError(f"{path}: row {i}: missing {', '.join(missing)}")
+    return rows
 
 
 @dataclass
@@ -115,20 +136,19 @@ class DelayTable:
     @classmethod
     def from_csv(cls, path) -> "DelayTable":
         throughput, rtt = {}, {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"origin_cluster", "dest_cluster", "throughput_mbps", "rtt_ms"}
-            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-                raise DataFormatError(f"{path}: expected columns {sorted(needed)}")
-            for i, row in enumerate(reader, start=2):
-                try:
-                    a = MacroCluster(row["origin_cluster"].strip())
-                    b = MacroCluster(row["dest_cluster"].strip())
-                    throughput[(a, b)] = float(row["throughput_mbps"])
-                    rtt[(a, b)] = float(row["rtt_ms"])
-                except ValueError as exc:
-                    raise DataError(f"{path}: bad row {i}: {exc}") from exc
-        return cls(throughput, rtt)
+        for i, row in _dict_rows(path, ("origin_cluster", "dest_cluster", "throughput_mbps",
+                                        "rtt_ms")):
+            try:
+                a = MacroCluster(row["origin_cluster"].strip())
+                b = MacroCluster(row["dest_cluster"].strip())
+                throughput[(a, b)] = float(row["throughput_mbps"])
+                rtt[(a, b)] = float(row["rtt_ms"])
+            except ValueError as exc:
+                raise DataError(f"{path}: bad row {i}: {exc}") from exc
+        try:
+            return cls(throughput, rtt)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -152,17 +172,12 @@ class RegionMap:
     @classmethod
     def from_csv(cls, path) -> "RegionMap":
         mapping = {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"location_code", "cloud_region", "macro_cluster"}
-            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-                raise DataFormatError(f"{path}: expected columns {sorted(needed)}")
-            for i, row in enumerate(reader, start=2):
-                try:
-                    cluster = MacroCluster(row["macro_cluster"].strip())
-                except ValueError as exc:
-                    raise DataError(f"{path}: bad macro_cluster in row {i}") from exc
-                mapping[row["location_code"].strip()] = (row["cloud_region"].strip(), cluster)
+        for i, row in _dict_rows(path, ("location_code", "cloud_region", "macro_cluster")):
+            try:
+                cluster = MacroCluster(row["macro_cluster"].strip())
+            except ValueError as exc:
+                raise DataError(f"{path}: bad macro_cluster in row {i}") from exc
+            mapping[row["location_code"].strip()] = (row["cloud_region"].strip(), cluster)
         return cls(mapping)
 
 

@@ -77,7 +77,7 @@ class SyntheticWeatherSpec:
     base_temp_c: float = 18.0
     daily_amplitude: float = 0.0
     noise_sd: float = 0.0
-    rel_humidity_pct: float = 50.0
+    rel_humidity_pct: float = envdata.DEFAULT_REL_HUMIDITY_PCT
 
     __post_init__ = _require_finite
 
@@ -94,7 +94,7 @@ class DcSpec:
     dc_config_file: str | None = None
     hru_enabled: bool = False
     hvac_policy: str = "fixed"
-    hvac_setpoint_c: float = 22.0
+    hvac_setpoint_c: float = DatacenterNode.setpoint_c
     hvac_deadband: tuple = (24.0, 26.0)
     price_csv: str | None = None
     carbon_csv: str | None = None
@@ -156,6 +156,8 @@ def _read_section(path, name: str, kind: type):
     except yaml.YAMLError as exc:  # its message spans lines: keep only the line number
         line = f" at line {exc.problem_mark.line + 1}" if getattr(exc, "problem_mark", None) else ""
         raise ConfigError(f"{path}: invalid YAML{line}") from exc
+    except ValueError as exc:  # a bad date, or an integer past Python's int digit limit
+        raise ConfigError(f"{path}: unreadable value: {exc}") from exc
     section = doc.get(name) if isinstance(doc, dict) else None
     if not (section and isinstance(section, kind)):
         what = "list" if kind is list else "mapping"

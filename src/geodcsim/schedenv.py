@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from .cluster import Cluster, ClusterInfo
 from .errors import ConfigError, ProtocolError
 from .floats import left_sum
 from .rewards import CompositeReward, RewardBreakdown
-from .workload import (STEP, TaskStatus, TraceInterval, assign_task_origins,
-                       first_unknown_origin)
+from .workload import STEP, TaskStatus, assign_task_origins, first_unknown_origin
 
 STEPS_PER_DAY = timedelta(days=1) // STEP
 
@@ -135,7 +135,7 @@ class SchedulingEnv:
     def __init__(
         self,
         cluster_factory,
-        trace: list[TraceInterval],
+        trace,
         start: datetime,
         duration_days: int,
         reward_fn: CompositeReward,
@@ -147,7 +147,9 @@ class SchedulingEnv:
         if duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
         self._cluster_factory = cluster_factory
-        self._intervals = {iv.interval_start: iv for iv in trace}
+        self._arrivals = {}  # arrival_time -> that step's tasks, in trace order
+        for task in trace:  # one pass: tasks sharing an arrival need not be adjacent
+            self._arrivals.setdefault(task.arrival_time, []).append(task)
         self.start = start
         self.duration_days = duration_days
         self.horizon_steps = duration_days * STEPS_PER_DAY
@@ -198,7 +200,7 @@ class SchedulingEnv:
             order = self._rng.permutation(len(self.cluster.nodes))
             self.cluster.nodes = [self.cluster.nodes[i] for i in order]
         self._check_coverage()
-        bad = first_unknown_origin(self._intervals.values(), self.cluster.by_id)
+        bad = first_unknown_origin(chain.from_iterable(self._arrivals.values()), self.cluster.by_id)
         if bad is not None:
             raise ConfigError(f"task {bad.job_id} origin {bad.origin_dc_id} is not a configured dc")
         self._origin_sites = [
@@ -213,10 +215,7 @@ class SchedulingEnv:
         return self._observe()
 
     def _inject_arrivals(self, now: datetime) -> list:
-        interval = self._intervals.get(now)
-        if interval is None:
-            return []
-        tasks = [t.__copy__() for t in interval.tasks]
+        tasks = [t.__copy__() for t in self._arrivals.get(now, ())]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
             assign_task_origins(unassigned, self._origin_sites, now, self._rng)

@@ -1,9 +1,9 @@
 """Task records, trace ingestion, origin assignment, and synthetic trace generation.
 
-The canonical trace format is line-delimited JSON, one task per line, grouped on
-load into 15-minute arrival intervals. Resource demands are absolute units
-(cores, GPU units, GB). Tasks shorter than 15 minutes are rejected because the
-simulation cannot resolve them.
+The canonical trace format is line-delimited JSON, one task per line. A trace is
+the list of its tasks in arrival order; each task's ``arrival_time`` is the step
+it arrives at. Resource demands are absolute units (cores, GPU units, GB). Tasks
+shorter than 15 minutes are rejected because the simulation cannot resolve them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -139,23 +140,6 @@ def compute_sla_deadline(task: Task) -> datetime:
     return task.arrival_time + timedelta(minutes=task.sla_multiplier * task.duration_min)
 
 
-@dataclass
-class TraceInterval:
-    """All tasks arriving during one 15-minute slot."""
-
-    interval_start: datetime
-    tasks: list[Task] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.interval_start = _require_utc(self.interval_start, "interval_start")
-        for t in self.tasks:
-            if t.arrival_time != self.interval_start:
-                raise ValueError(
-                    f"task {t.job_id} arrival {t.arrival_time.isoformat()} does not "
-                    f"match interval start {self.interval_start.isoformat()}"
-                )
-
-
 _TRACE_NUMBERS = ("duration_min", "cores_req", "gpu_req", "mem_req", "bandwidth_gb",
                   "sla_multiplier")
 _TRACE_FIELDS = ("job_id", "arrival_time", *_TRACE_NUMBERS, "origin_dc_id")
@@ -199,9 +183,9 @@ def _trace_job_id(value) -> str:
     raise ValueError(f"job_id must be a string or an integer, got {json.dumps(value)}")
 
 
-def load_trace(path) -> list[TraceInterval]:
-    """Load a JSONL trace, grouping tasks into time-sorted 15-minute intervals."""
-    buckets: dict[datetime, list[Task]] = {}
+def load_trace(path) -> list[Task]:
+    """Load a JSONL trace as its tasks sorted by arrival, in file order within one."""
+    tasks = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -211,6 +195,8 @@ def load_trace(path) -> list[TraceInterval]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
+            except ValueError as exc:  # an integer past Python's int digit limit
+                raise DataError(f"{path}: line {lineno}: unreadable value: {exc}") from exc
             if not isinstance(rec, dict):
                 raise DataError(f"{path}: line {lineno}: a task must be a JSON object, "
                                 f"got {json.dumps(rec)}")
@@ -227,24 +213,23 @@ def load_trace(path) -> list[TraceInterval]:
                 raise DataError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from exc
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            buckets.setdefault(task.arrival_time, []).append(task)
-    return [TraceInterval(start, tasks) for start, tasks in sorted(buckets.items())]
+            tasks.append(task)
+    return sorted(tasks, key=attrgetter("arrival_time"))  # stable: file order kept
 
 
-def first_unknown_origin(intervals, dc_ids) -> Task | None:
+def first_unknown_origin(tasks, dc_ids) -> Task | None:
     """The first task, in trace order, whose explicit origin is not in ``dc_ids``."""
-    return next((t for interval in intervals for t in interval.tasks
+    return next((t for t in tasks
                  if t.origin_dc_id is not None and t.origin_dc_id not in dc_ids), None)
 
 
-def save_trace(intervals: list[TraceInterval], path) -> None:
-    """Write intervals back to the JSONL trace format (lifecycle state excluded)."""
+def save_trace(tasks, path) -> None:
+    """Write tasks back to the JSONL trace format (lifecycle state excluded)."""
     with open(path, "w") as fh:
-        for interval in intervals:
-            for t in interval.tasks:
-                rec = {k: getattr(t, k) for k in _TRACE_FIELDS}
-                rec["arrival_time"] = t.arrival_time.isoformat()
-                fh.write(json.dumps(rec) + "\n")
+        for t in tasks:
+            rec = {k: getattr(t, k) for k in _TRACE_FIELDS}
+            rec["arrival_time"] = t.arrival_time.isoformat()
+            fh.write(json.dumps(rec) + "\n")
 
 
 def origin_probabilities(dcs, utc_now: datetime) -> np.ndarray:
@@ -287,7 +272,7 @@ class ResourceRanges:
     gpu_req: tuple[float, float] = (0.0, 4.0)
     mem_req: tuple[float, float] = (2.0, 64.0)
     bandwidth_gb: tuple[float, float] = (0.05, 2.0)
-    sla_multiplier: tuple[float, float] = (1.5, 1.5)
+    sla_multiplier: tuple[float, float] = (DEFAULT_SLA_MULTIPLIER, DEFAULT_SLA_MULTIPLIER)
 
     def __post_init__(self):
         for f in fields(self):
@@ -315,8 +300,8 @@ def generate_synthetic_trace(
     mean_tasks_per_interval: float,
     ranges: ResourceRanges,
     seed: int,
-) -> list[TraceInterval]:
-    """Seeded synthetic trace: Poisson arrivals per interval, uniform resource draws.
+) -> list[Task]:
+    """Seeded synthetic trace in arrival order: Poisson arrivals per step, uniform draws.
 
     Origins are left unassigned (``origin_dc_id=None``) so the environment can
     apply its probabilistic origin model. ``mean_tasks_per_interval`` must be
@@ -333,13 +318,12 @@ def generate_synthetic_trace(
     drawn = [name for name in bounds if name not in fixed]
     lows = [bounds[name][0] for name in drawn]
     highs = [bounds[name][1] for name in drawn]
-    intervals = []
+    tasks = []
     job_counter = 0
     template = None  # the first task, built and checked by the constructor
     for i in range(num_intervals):
         t0 = start + i * STEP
         count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
-        tasks = []
         for row in rng.uniform(lows, highs, size=(count, len(drawn))).tolist():
             job_counter += 1
             job_id = f"job-{job_counter:06d}"
@@ -355,5 +339,4 @@ def generate_synthetic_trace(
                     setattr(task, name, value)
                 task._set_deadline()
             tasks.append(task)
-        intervals.append(TraceInterval(t0, tasks))
-    return intervals
+    return tasks

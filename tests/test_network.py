@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,35 @@ class TestPackagedDefaults:
         assert rm.region_of("X") == "us-east-1"
         with pytest.raises(ConfigError):
             rm.region_of("Y")
+
+
+class TestBadCsvRows:
+    """Each bad row of a network table is one ``DataError`` naming the file and row."""
+
+    @pytest.mark.parametrize("loader, text, row", [
+        (RegionMap, "location_code,cloud_region,macro_cluster\nX,us-east-1,US\nY,us-east-1\n", 3),
+        (RegionMap, "location_code,cloud_region,macro_cluster\n\nX,us-east-1,US\nY,us-east-1\n", 4),
+        (DelayTable, "origin_cluster,dest_cluster,throughput_mbps,rtt_ms\nUS,EU,250.0\n", 2),
+        (DelayTable, "origin_cluster,dest_cluster,throughput_mbps,rtt_ms\nUS\n", 2),
+        (CostMatrix, "region,a,b\na,0,1\n\n", 3),
+        (CostMatrix, "region,a,b\na,0,1\nb,0\n", 3),
+        (CostMatrix, "region,a,b\na,0,1,2\nb,1,0\n", 2),
+    ], ids=["region_map_short", "region_map_short_after_blank_line", "delay_short", "delay_label_only", "cost_blank",
+            "cost_too_few_cells", "cost_too_many_cells"])
+    def test_short_or_blank_row(self, tmp_path, loader, text, row):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row {row}: "):
+            loader.from_csv(path)
+
+    @pytest.mark.parametrize("loader, text, expected", [
+        (CostMatrix, "region,a,b\na,1,1\nb,1,0\n", "cost matrix diagonal must be 0"),
+        (CostMatrix, "region,a,b\na,0,-1\nb,1,0\n", "cost matrix entries must be >= 0"),
+        (DelayTable, "origin_cluster,dest_cluster,throughput_mbps,rtt_ms\nUS,EU,0,90\n",
+         "throughput for US->EU must be > 0"),
+    ], ids=["cost_diagonal", "cost_negative", "delay_zero_throughput"])
+    def test_table_value_error_names_the_file(self, tmp_path, loader, text, expected):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+            loader.from_csv(path)

@@ -144,7 +144,7 @@ class TestRunEpisode:
         fleet = small_fleet(3)
         env = build_env(sim, fleet, REWARD, seed=4)
         trace = tmp_path / "trace.jsonl"
-        save_trace(list(env._intervals.values()), trace)
+        save_trace([t for tasks in env._arrivals.values() for t in tasks], trace)
         assert len(trace.read_text().splitlines()) > 300
         run_episode(sim, fleet, REWARD, seed=4, out_dir=tmp_path / "synthetic")
         run_episode(replace(sim, workload_path=str(trace)), fleet, REWARD, seed=4,
@@ -391,6 +391,15 @@ class TestCli:
         """CLI args whose fleet is the shipped one with dc 1's ``keys`` path set to ``value``."""
         return self._edited_args(tmp_path, "datacenters", ["datacenters", 0, *keys], value)
 
+    def test_cli_short_region_map_row(self, tmp_path, capsys):
+        region_map = tmp_path / "regions.csv"
+        region_map.write_text("location_code,cloud_region,macro_cluster\nUS-CAL-CISO,us-west-1\n")
+        args, _ = self._edited_args(tmp_path, "sim", ["simulation", "region_map_path"],
+                                    str(region_map))
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {region_map}: row 2: ")
+
     def test_cli_malformed_physics_json(self, tmp_path, capsys):
         bad = tmp_path / "dc.json"
         bad.write_text("{not json")
@@ -477,6 +486,21 @@ class TestCli:
         args[args.index(_CONFIG_FLAGS[config]) + 1] = str(path)
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
+
+    @pytest.mark.parametrize("config, edit", [
+        ("datacenters", lambda text: text.replace("total_cores: 2000", "total_cores: " + "9" * 5001)),
+        ("sim", lambda text: text.replace("simulation:\n", "simulation:\n  when: 2024-13-01\n")),
+    ], ids=["fleet_integer_past_the_digit_limit", "sim_impossible_date"])
+    def test_cli_unreadable_yaml_value_names_the_file(self, tmp_path, capsys, config, edit):
+        """A YAML value that cannot be built (an integer longer than Python converts, a
+        date with month 13) ends as one line naming the file, whatever its wording."""
+        path = tmp_path / f"{config}.yaml"
+        path.write_text(edit((CONFIG_DIR / f"{config}.yaml").read_text()))
+        args = self._args(tmp_path)
+        args[args.index(_CONFIG_FLAGS[config]) + 1] = str(path)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("keys, value, expected", [
         (["simulation", "shuffle_datacenters"], "no",
@@ -686,9 +710,8 @@ class TestFileInputs:
         save_series_csv(carbon, tmp_path / "carbon.csv")
         save_weather_json(drybulb, humidity, tmp_path / "weather.json")
         trace = generate_synthetic_trace(start, 96, 2.0, ResourceRanges(), seed=5)
-        for interval in trace:
-            for task in interval.tasks:
-                task.origin_dc_id = origin
+        for task in trace:
+            task.origin_dc_id = origin
         save_trace(trace, tmp_path / "trace.jsonl")
 
         fleet = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())

@@ -1,5 +1,7 @@
 import math
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
 from geodcsim.schedenv import STEPS_PER_DAY, SchedulingEnv, build_observation, observation_dim
-from geodcsim.workload import ResourceRanges, TaskStatus, TraceInterval, generate_synthetic_trace
+from geodcsim.workload import (ResourceRanges, TaskStatus, generate_synthetic_trace, load_trace,
+                               save_trace)
 
 from conftest import T0, default_reward, make_cluster, make_env, make_task
 
@@ -17,15 +20,15 @@ STEP = timedelta(minutes=15)
 
 
 def trace_of(*task_lists):
-    """Builds consecutive 15-minute intervals starting at T0."""
-    intervals = []
+    """One trace whose i-th list of tasks arrives at T0 + i steps."""
+    trace = []
     for i, tasks in enumerate(task_lists):
         start = T0 + i * STEP
         for t in tasks:
             t.arrival_time = start
             t.sla_deadline = start + timedelta(minutes=t.sla_multiplier * t.duration_min)
-        intervals.append(TraceInterval(start, tasks))
-    return intervals
+            trace.append(t)
+    return trace
 
 
 class TestReset:
@@ -241,18 +244,17 @@ class TestStep:
 
     def test_episode_leaves_trace_tasks_untouched(self):
         trace = generate_synthetic_trace(T0, 96, 3.0, ResourceRanges(), seed=4)
-        trace[0].tasks[0].origin_dc_id = 2
+        trace[0].origin_dc_id = 2
         env = make_env(trace, duration_days=1)
         obs, done = env.reset(), False
         while not done:
             obs, _, done, _ = env.step([(i % 4) for i in range(len(obs))])
         assert env.cluster.census()["completed"] > 100
-        tasks = [t for iv in trace for t in iv.tasks]
-        assert all(t.status is TaskStatus.PENDING for t in tasks)
-        assert all(t.completion_time is None and t.start_exec_time is None for t in tasks)
-        assert all(t.dest_dc_id is None for t in tasks)
-        assert tasks[0].origin_dc_id == 2
-        assert all(t.origin_dc_id is None for t in tasks[1:])
+        assert all(t.status is TaskStatus.PENDING for t in trace)
+        assert all(t.completion_time is None and t.start_exec_time is None for t in trace)
+        assert all(t.dest_dc_id is None for t in trace)
+        assert trace[0].origin_dc_id == 2
+        assert all(t.origin_dc_id is None for t in trace[1:])
 
     def test_reset_restores_pristine_state(self):
         tasks = [[make_task("a"), make_task("b")]]
@@ -390,6 +392,37 @@ def test_census_and_resource_books_hold_after_every_step_property(intervals, shu
             assert node.available_cores + left_sum(t.cores_req for t in node.running) == node.total_cores
             assert node.available_gpus + left_sum(t.gpu_req for t in node.running) == node.total_gpus
             assert node.available_mem_gb + left_sum(t.mem_req for t in node.running) == node.total_mem_gb
+
+
+@settings(max_examples=30)
+@given(offsets=st.lists(st.one_of(st.integers(-2, 2), st.integers(-2, 99)), max_size=30),
+       data=st.data())
+def test_flat_trace_injects_each_task_once_at_its_arrival_property(offsets, data):
+    """A shuffled trace with repeated arrivals, some before the first step and some
+    after the last (step 95): each task whose arrival is a step is injected once, at
+    that step, in trace order among the tasks sharing it; no other task is."""
+    tasks = [make_task(f"t{i}", arrival=T0 + k * STEP, origin=1 + i % 3)
+             for i, k in enumerate(offsets)]
+    trace = data.draw(st.permutations(tasks))
+    env = make_env(trace)
+    steps = [T0 + k * STEP for k in range(env.horizon_steps)]
+    expected = {now: [t.job_id for t in trace if t.arrival_time == now] for now in steps}
+    injected = {}
+    env.reset()
+    for now in steps:
+        assert all(t.arrival_time == now for t in env.current_tasks)
+        injected[now] = [t.job_id for t in env.current_tasks]
+        env.advance([1] * len(env.current_tasks))  # no deferral: only arrivals are shown
+    assert injected == expected
+    assert env.task_census()["injected"] == sum(map(len, expected.values()))
+
+    in_order = sorted(trace, key=lambda t: t.arrival_time)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        save_trace(trace, path)
+        assert load_trace(path) == in_order
+        save_trace(in_order, path)
+        assert load_trace(path) == in_order
 
 
 class TestActionContract:

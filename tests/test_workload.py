@@ -13,7 +13,6 @@ from geodcsim.workload import (
     ResourceRanges,
     Task,
     TaskStatus,
-    TraceInterval,
     assign_task_origins,
     compute_sla_deadline,
     generate_synthetic_trace,
@@ -30,7 +29,7 @@ def reference_trace(start, num_intervals, mean_tasks_per_interval, ranges, seed)
     """Scalar-draw form of ``generate_synthetic_trace``: one ``uniform`` call per
     non-constant range of each task."""
     rng = np.random.default_rng(seed)
-    intervals = []
+    tasks = []
     job_counter = 0
 
     def draw(bounds):
@@ -40,7 +39,6 @@ def reference_trace(start, num_intervals, mean_tasks_per_interval, ranges, seed)
     for i in range(num_intervals):
         t0 = start + i * STEP
         count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
-        tasks = []
         for _ in range(count):
             job_counter += 1
             tasks.append(
@@ -55,8 +53,7 @@ def reference_trace(start, num_intervals, mean_tasks_per_interval, ranges, seed)
                     sla_multiplier=draw(ranges.sla_multiplier),
                 )
             )
-        intervals.append(TraceInterval(t0, tasks))
-    return intervals
+    return tasks
 
 
 def task_record(job_id="a", arrival="2024-03-01T00:00:00+00:00", duration=60.0,
@@ -189,8 +186,7 @@ class TestLoadTrace:
             task_record("c", arrival="2024-03-01T00:15:00+00:00"),
         ])
         trace = load_trace(p)
-        assert [len(iv.tasks) for iv in trace] == [2, 1]
-        assert trace[0].interval_start == T0
+        assert [t.arrival_time for t in trace] == [T0, T0, T0 + STEP]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -296,9 +292,19 @@ class TestLoadTrace:
         with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             load_trace(p)
 
+    def test_integer_past_the_digit_limit_names_file_and_line(self, tmp_path):
+        # Python caps int() at 4,300 digits; without the cap the number is too large
+        # for a float instead. Either way the error names the file and line.
+        p = tmp_path / "t.jsonl"
+        p.write_text(json.dumps(task_record("a")) + "\n"
+                     + json.dumps(task_record("b")).replace('"cores_req": 4.0',
+                                                          '"cores_req": ' + "9" * 5001) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: line 2: "):
+            load_trace(p)
+
     def test_integer_job_id_reads_as_its_decimal_text(self, tmp_path):
         p = write_trace(tmp_path / "t.jsonl", [task_record(7), task_record(-12)])
-        assert [t.job_id for t in load_trace(p)[0].tasks] == ["7", "-12"]
+        assert [t.job_id for t in load_trace(p)] == ["7", "-12"]
 
     def test_saved_bytes(self, tmp_path):
         """The exact text ``save_trace`` writes: keys in field order, lifecycle left out."""
@@ -308,7 +314,7 @@ class TestLoadTrace:
         b.dest_dc_id, b.start_exec_time = 3, T0
         c = Task("c", T0 + STEP, 180.0, 1.0, 0.0, 2.0, 0.25)
         out = tmp_path / "t.jsonl"
-        save_trace([TraceInterval(T0, [a, b]), TraceInterval(T0 + STEP, [c])], out)
+        save_trace([a, b, c], out)
         assert out.read_bytes() == (
             b'{"job_id": "a", "arrival_time": "2024-03-01T00:00:00+00:00", "duration_min": 60.0, '
             b'"cores_req": 4.0, "gpu_req": 0.0, "mem_req": 8.0, "bandwidth_gb": 1.0, '
@@ -331,13 +337,6 @@ class TestLoadTrace:
         out = tmp_path / "t2.jsonl"
         save_trace(trace, out)
         assert load_trace(out) == trace
-
-
-class TestTraceInterval:
-    def test_mismatched_arrival_rejected(self):
-        t = Task("j", T0, 60.0, 1, 0, 1, 0.1)
-        with pytest.raises(ValueError):
-            TraceInterval(T0 + timedelta(minutes=15), [t])
 
 
 class TestOrigins:
@@ -387,8 +386,7 @@ class TestOrigins:
 class TestSyntheticTrace:
     def test_zero_mean_is_empty(self):
         trace = generate_synthetic_trace(T0, 10, 0.0, ResourceRanges(), seed=0)
-        assert all(not iv.tasks for iv in trace)
-        assert len(trace) == 10
+        assert trace == []
 
     def test_same_seed_identical(self):
         a = generate_synthetic_trace(T0, 20, 3.0, ResourceRanges(), seed=5)
@@ -397,7 +395,7 @@ class TestSyntheticTrace:
 
     def test_mean_close_to_target(self):
         trace = generate_synthetic_trace(T0, 1000, 10.0, ResourceRanges(), seed=1)
-        mean = sum(len(iv.tasks) for iv in trace) / len(trace)
+        mean = len(trace) / 1000
         assert mean == pytest.approx(10.0, rel=0.05)
 
     def test_duration_floor_enforced(self):
@@ -416,15 +414,13 @@ class TestSyntheticTrace:
     def test_matches_scalar_draws(self, mean, ranges):
         got = generate_synthetic_trace(T0, 200, mean, ranges, seed=3)
         want = reference_trace(T0, 200, mean, ranges, seed=3)
-        assert [iv.interval_start for iv in got] == [iv.interval_start for iv in want]
-        got_tasks = [astuple(t) for iv in got for t in iv.tasks]
-        want_tasks = [astuple(t) for iv in want for t in iv.tasks]
+        got_tasks = [astuple(t) for t in got]
+        want_tasks = [astuple(t) for t in want]
         assert got_tasks == want_tasks
         assert [list(map(type, t)) for t in got_tasks] == [list(map(type, t)) for t in want_tasks]
         assert (len(got_tasks) > 1000) == (mean > 0)
         # the same fields, sla_deadline included, by name and in field order
-        assert ([field_items(t) for iv in got for t in iv.tasks]
-                == [field_items(t) for iv in want for t in iv.tasks])
+        assert [field_items(t) for t in got] == [field_items(t) for t in want]
 
     def test_deadline_overflow_names_the_task_as_the_constructor_does(self):
         # about half the drawn deadlines pass year 9999; at this seed the first fits
@@ -438,9 +434,9 @@ class TestSyntheticTrace:
     def test_tasks_satisfy_invariants(self):
         ranges = ResourceRanges(duration_min=(15.0, 45.0), cores_req=(0.5, 8.0))
         trace = generate_synthetic_trace(T0, 50, 4.0, ranges, seed=2)
-        for iv in trace:
-            for t in iv.tasks:
-                assert t.arrival_time == iv.interval_start
-                assert 15.0 <= t.duration_min <= 45.0
-                assert 0.5 <= t.cores_req <= 8.0
-                assert t.sla_deadline > t.arrival_time
+        steps = {T0 + i * STEP for i in range(50)}
+        for t in trace:
+            assert t.arrival_time in steps
+            assert 15.0 <= t.duration_min <= 45.0
+            assert 0.5 <= t.cores_req <= 8.0
+            assert t.sla_deadline > t.arrival_time
