@@ -192,8 +192,8 @@ class DatacenterNode:
         """Price, carbon intensity, dry-bulb and relative humidity at ``now``. Each
         series is interpolated once per instant: the last reading is kept with it."""
         if self._reading[0] != now:
-            series = (self.price, self.carbon, self.drybulb, self.humidity)
-            self._reading = (now, tuple(value_at(s, now) for s in series))
+            self._reading = (now, (value_at(self.price, now), value_at(self.carbon, now),
+                                   value_at(self.drybulb, now), value_at(self.humidity, now)))
         return self._reading[1]
 
     def physics_step(self, action: HvacAction | None, u_cpu: float, u_gpu: float,

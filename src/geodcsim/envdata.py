@@ -301,12 +301,15 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
         raise ValueError("dry-bulb temperature must be finite")
     t = float(t_drybulb_c)
     w_actual = _humidity_ratio(rh_pct / 100.0 * _saturation_vapor_pressure_pa(t))
+    exp = math.exp  # bound per call, so that a patched ``math.exp`` sees every use
+    den_t = 2501.0 + 1.86 * t  # the denominator's left-to-right first sum
 
     def residual(twb: float) -> float:
-        ws = _humidity_ratio(_saturation_vapor_pressure_pa(twb))
+        # _humidity_ratio(_saturation_vapor_pressure_pa(twb)), inline: same operations
+        p = 610.94 * exp(17.625 * twb / (twb + 243.04))
+        ws = 0.622 * p / (101325.0 - p)
         num = (2501.0 - 2.326 * twb) * ws - 1.006 * (t - twb)
-        den = 2501.0 + 1.86 * t - 4.186 * twb
-        return num / den - w_actual
+        return num / (den_t - 4.186 * twb) - w_actual
 
     a = b = math.nan  # the certified band; NaN compares false, so nothing is skipped
     if 1.0 <= rh_pct and -30.0 <= t <= 60.0:

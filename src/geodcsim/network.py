@@ -97,13 +97,17 @@ class CostMatrix:
 
 def _dict_rows(path, needed) -> list[tuple[int, dict]]:
     """Each data row of CSV ``path`` with its line number, once the header names every
-    column in ``needed``; a row too short to hold one of them is a ``DataError``."""
+    column in ``needed``; a row too short to hold one of them, or longer than the
+    header, is a ``DataError``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(needed).issubset(reader.fieldnames):
             raise DataFormatError(f"{path}: expected columns {sorted(needed)}")
         rows = [(reader.line_num, row) for row in reader]  # line_num counts blank lines
     for i, row in rows:
+        if None in row:  # DictReader files the cells past the header under None
+            raise DataError(f"{path}: row {i}: {len(row[None])} cells past the "
+                            f"{len(reader.fieldnames)} columns")
         missing = [key for key in needed if row[key] is None]  # past the row's last cell
         if missing:
             raise DataError(f"{path}: row {i}: missing {', '.join(missing)}")
@@ -141,10 +145,12 @@ class DelayTable:
             try:
                 a = MacroCluster(row["origin_cluster"].strip())
                 b = MacroCluster(row["dest_cluster"].strip())
-                throughput[(a, b)] = float(row["throughput_mbps"])
-                rtt[(a, b)] = float(row["rtt_ms"])
+                values = float(row["throughput_mbps"]), float(row["rtt_ms"])
             except ValueError as exc:
                 raise DataError(f"{path}: bad row {i}: {exc}") from exc
+            if (a, b) in throughput:
+                raise DataError(f"{path}: row {i}: repeats {a.value}->{b.value}")
+            throughput[(a, b)], rtt[(a, b)] = values
         try:
             return cls(throughput, rtt)
         except DataError as exc:
@@ -177,7 +183,10 @@ class RegionMap:
                 cluster = MacroCluster(row["macro_cluster"].strip())
             except ValueError as exc:
                 raise DataError(f"{path}: bad macro_cluster in row {i}") from exc
-            mapping[row["location_code"].strip()] = (row["cloud_region"].strip(), cluster)
+            code = row["location_code"].strip()
+            if code in mapping:
+                raise DataError(f"{path}: row {i}: repeats location_code {code!r}")
+            mapping[code] = (row["cloud_region"].strip(), cluster)
         return cls(mapping)
 
 

@@ -54,6 +54,8 @@ _DC_LOG_FIELDS = (
     ("pending", "pending_count"),
 )
 _dc_log_values = attrgetter(*(attr for _, attr in _DC_LOG_FIELDS))
+# one site's columns of a step-log line: "%s" is str, which for a float is its repr
+_DC_LOG_FORMAT = ",".join(["%s"] * len(_DC_LOG_FIELDS))
 
 
 def _require_finite(spec) -> None:
@@ -326,6 +328,20 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def _check_trace_window(env: SchedulingEnv, path, n_tasks: int) -> None:
+    """Refuse a trace file none of whose tasks the environment will inject, and warn
+    once with the count when only some of them arrive at no step of its window."""
+    missed = env.tasks_never_injected()
+    if not missed:
+        return
+    window = f"[{env.start.isoformat()}, {env.end.isoformat()})"
+    if missed == n_tasks:
+        raise ConfigError(f"{path}: none of its {missed} tasks arrives at a "
+                          f"step of the simulation window {window}")
+    logger.warning("%s: %d of %d tasks arrive at no step of the simulation window %s "
+                   "and never run", path, missed, n_tasks, window)
+
+
 def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) -> SchedulingEnv:
     """Assemble the environment for one seeded episode; ``seed`` must be >= 0."""
     _check_seed(seed)
@@ -395,7 +411,7 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
             raise ConfigError(f"synthetic_workload: {exc}") from exc
 
     reward_fn = CompositeReward.from_config(reward_doc)
-    return SchedulingEnv(
+    env = SchedulingEnv(
         cluster_factory=cluster_factory,
         trace=trace,
         start=sim.start,
@@ -406,6 +422,9 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         disable_defer_action=sim.disable_defer_action,
         shuffle_datacenters=sim.shuffle_datacenters,
     )
+    if sim.workload_path:
+        _check_trace_window(env, sim.workload_path, len(trace))
+    return env
 
 
 def _log_header(dc_ids) -> list[str]:
@@ -416,28 +435,24 @@ def _log_header(dc_ids) -> list[str]:
     return cols
 
 
-def _fmt(value) -> str:
-    # repr gives the shortest round-trip decimal for IEEE-754 doubles
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def _log_row(step_idx, time_utc, info, reward, dc_ids) -> list[str]:
-    row = [str(step_idx), time_utc.isoformat()]
-    for dc_id in dc_ids:
-        row.extend(map(_fmt, _dc_log_values(info.datacenters[dc_id])))
-    row.extend([
-        _fmt(info.transmission_cost_total_usd),
-        _fmt(info.transmission_energy_total_kwh),
-        _fmt(info.transmission_emissions_total_kg),
-        str(info.tasks_deferred_count),
-        _fmt(reward),
+def _log_row(step_idx, time_utc, info, reward, dc_ids) -> str:
+    """One step-log data line, without its newline. Every value cell is ``%s``, which
+    is ``repr`` for a float. No value holds a comma, a quote or a line break, so
+    joining with "," gives the bytes ``csv.writer`` would."""
+    sites = info.datacenters
+    return ",".join([
+        str(step_idx),
+        time_utc.isoformat(),
+        *[_DC_LOG_FORMAT % _dc_log_values(sites[dc_id]) for dc_id in dc_ids],
+        "%s,%s,%s,%s,%s" % (info.transmission_cost_total_usd, info.transmission_energy_total_kwh,
+                            info.transmission_emissions_total_kg, info.tasks_deferred_count,
+                            reward),
     ])
-    return row
 
 
 def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
-    """Drive one seeded episode; returns (log rows, ``env.kpis()``) and optionally
-    writes them."""
+    """Drive one seeded episode; returns (the step log's data lines, each a ``str``
+    without its newline, and ``env.kpis()``) and optionally writes them."""
     if sim.single_action_mode:
         raise ConfigError(
             "single_action_mode drives the programmatic step_single_action interface; "
@@ -447,7 +462,7 @@ def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
     env = build_env(sim, fleet, reward_doc, seed)
     env.reset()
     dc_ids = sorted(spec.dc_id for spec in fleet)
-    rows = []
+    lines = []
     done = False
     while not done:
         step_idx = env.step_index
@@ -455,23 +470,23 @@ def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
         snapshots = snapshot_cluster(env.cluster, now)
         actions = controller.decide(snapshots, env.current_tasks)
         reward, done, outcome = env.advance(actions)
-        rows.append(_log_row(step_idx, now, outcome.cluster_info, reward, dc_ids))
+        lines.append(_log_row(step_idx, now, outcome.cluster_info, reward, dc_ids))
     kpis = env.kpis()
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_step_log(out_dir / f"steps_seed{seed}.csv", dc_ids, rows)
+        write_step_log(out_dir / f"steps_seed{seed}.csv", dc_ids, lines)
         with open(out_dir / f"kpi_seed{seed}.json", "w") as fh:
             json.dump(kpis, fh, indent=2)
-    return rows, kpis
+    return lines, kpis
 
 
-def write_step_log(path, dc_ids, rows) -> None:
+def write_step_log(path, dc_ids, lines) -> None:
+    """The schema line, the CSV header and each of ``_log_row``'s data ``lines``."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {STEP_LOG_SCHEMA}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_log_header(dc_ids))
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(_log_header(dc_ids))
+        fh.writelines(line + "\n" for line in lines)
 
 
 def summarize_kpis(kpi_rows: list[dict]) -> dict:

@@ -153,6 +153,7 @@ class SchedulingEnv:
         self.start = start
         self.duration_days = duration_days
         self.horizon_steps = duration_days * STEPS_PER_DAY
+        self.end = start + self.horizon_steps * STEP  # the first instant past the episode
         self.reward_fn = reward_fn
         self.seed = seed
         self.single_action_mode = single_action_mode
@@ -174,12 +175,16 @@ class SchedulingEnv:
     def num_dcs(self) -> int:
         return len(self.cluster.nodes)
 
+    def tasks_never_injected(self) -> int:
+        """How many of the trace's tasks arrive at no step of the episode, so never run."""
+        steps = {self.start + k * STEP for k in range(self.horizon_steps)}
+        return sum(len(tasks) for at, tasks in self._arrivals.items() if at not in steps)
+
     def _check_coverage(self):
-        end = self.start + self.horizon_steps * STEP
         missing = []
         for node in self.cluster.nodes:
             for series in (node.price, node.carbon, node.drybulb, node.humidity):
-                if not series.covers(self.start, end):
+                if not series.covers(self.start, self.end):
                     missing.append(
                         f"dc {node.dc_id} {series.kind.value} covers "
                         f"[{series.start.isoformat()}, {series.end.isoformat()}]"
@@ -187,7 +192,7 @@ class SchedulingEnv:
         if missing:
             raise ConfigError(
                 "series do not cover the simulation window "
-                f"[{self.start.isoformat()}, {end.isoformat()}]: " + "; ".join(missing)
+                f"[{self.start.isoformat()}, {self.end.isoformat()}]: " + "; ".join(missing)
             )
 
     def reset(self, seed: int | None = None):

@@ -182,6 +182,29 @@ class TestBadCsvRows:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row {row}: "):
             loader.from_csv(path)
 
+    @pytest.mark.parametrize("loader, text, row", [
+        (RegionMap, "location_code,cloud_region,macro_cluster\nX,us-east-1,US,EU\n", 2),
+        (RegionMap, "location_code,cloud_region,macro_cluster\nX,us-east-1,US\nY,a,EU,\n", 3),
+        (DelayTable, "origin_cluster,dest_cluster,throughput_mbps,rtt_ms\nUS,EU,300,90,7\n", 2),
+    ], ids=["region_map_extra_cell", "region_map_empty_extra_cell", "delay_extra_cell"])
+    def test_row_longer_than_the_header(self, tmp_path, loader, text, row):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row {row}: 1 cells past"):
+            loader.from_csv(path)
+
+    @pytest.mark.parametrize("loader, text, expected", [
+        (RegionMap, "location_code,cloud_region,macro_cluster\nX,us-east-1,US\n"
+                    "Z,us-east-1,US\nX,eu-central-1,EU\n", "row 4: repeats location_code 'X'"),
+        (DelayTable, "origin_cluster,dest_cluster,throughput_mbps,rtt_ms\nUS,EU,300,90\n"
+                     "EU,US,300,90\nUS,EU,250,80\n", "row 4: repeats US->EU"),
+    ], ids=["region_map", "delay"])
+    def test_repeated_key(self, tmp_path, loader, text, expected):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+            loader.from_csv(path)
+
     @pytest.mark.parametrize("loader, text, expected", [
         (CostMatrix, "region,a,b\na,1,1\nb,1,0\n", "cost matrix diagonal must be 0"),
         (CostMatrix, "region,a,b\na,0,-1\nb,1,0\n", "cost matrix entries must be >= 0"),

@@ -1,16 +1,21 @@
 import csv
+import io
 import json
+import logging
 import math
 import re
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodcsim import cluster, schedenv
+from geodcsim import cluster, runner, schedenv
+from geodcsim.cluster import ClusterInfo, DcStepInfo
 from geodcsim.controllers import RuleBasedController, snapshot_cluster
 from geodcsim.envdata import (
     SeriesKind,
@@ -116,6 +121,13 @@ class TestRunEpisode:
         assert (tmp_path / "kpi_seed1.json").exists()
         assert set(kpis) == set(KPI_KEYS)
 
+    def test_returned_lines_are_the_logs_data_lines(self, tmp_path):
+        lines, _ = run_episode(small_sim(strategy="round_robin"), small_fleet(3), REWARD,
+                               seed=1, out_dir=tmp_path)
+        written = (tmp_path / "steps_seed1.csv").read_text().split("\n")
+        assert all(type(line) is str for line in lines)
+        assert written[2:] == [*lines, ""]  # the schema line, the header, then one per step
+
     def test_builds_no_observation_after_reset(self, monkeypatch):
         """The CLI reads no observation, so stepping builds none."""
         calls = []
@@ -181,6 +193,64 @@ class TestRunEpisode:
         assert kpis["total_cost_usd"] == pytest.approx(cost_total, rel=1e-12)
         assert kpis["tx_cost_usd"] == pytest.approx(col_sum("tx_cost_usd"), rel=1e-12)
         assert kpis["tasks_deferred"] == col_sum("tasks_deferred")
+
+
+def reference_log_row(step_idx, time_utc, info, reward, dc_ids) -> str:
+    """A step-log line as ``csv.writer`` writes the list of cells that each value's
+    ``repr(float(v))`` (for a float) or ``str(v)`` makes."""
+    def fmt(value):
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    row = [str(step_idx), time_utc.isoformat()]
+    for dc_id in dc_ids:
+        site = info.datacenters[dc_id]
+        row.extend(fmt(getattr(site, attr)) for _, attr in runner._DC_LOG_FIELDS)
+    row.extend([fmt(info.transmission_cost_total_usd), fmt(info.transmission_energy_total_kwh),
+                fmt(info.transmission_emissions_total_kg), str(info.tasks_deferred_count),
+                fmt(reward)])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue().removesuffix("\n")
+
+
+_LOG_FLOATS = st.one_of(
+    st.floats(),  # NaN and both infinities included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1e15]),
+)
+_LOG_VALUES = st.one_of(_LOG_FLOATS, st.integers(), _LOG_FLOATS.map(np.float64))
+
+
+@st.composite
+def step_infos(draw):
+    """A ``ClusterInfo`` of 1 or 48 sites with random values, and its sorted dc ids."""
+    n = draw(st.sampled_from([1, 48]))
+    dc_ids = sorted(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n,
+                                  unique=True)))
+    sites = {dc_id: DcStepInfo(*draw(st.tuples(*[_LOG_VALUES] * len(runner._DC_LOG_FIELDS))))
+             for dc_id in dc_ids}
+    info = ClusterInfo(sites, draw(_LOG_VALUES), draw(_LOG_VALUES), draw(_LOG_VALUES),
+                       draw(st.integers(0, 10**6)))
+    return info, dc_ids
+
+
+class TestLogRow:
+    @settings(max_examples=60)
+    @given(step_infos(), _LOG_VALUES, st.integers(0, 10**6),
+           st.datetimes(timezones=st.just(timezone.utc)))
+    def test_one_line_is_the_csv_writer_row(self, info_ids, reward, step_idx, now):
+        info, dc_ids = info_ids
+        line = runner._log_row(step_idx, now, info, reward, dc_ids)
+        assert line == reference_log_row(step_idx, now, info, reward, dc_ids)
+
+    def test_special_values_of_every_type(self):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 7, -3]
+        specials += [np.float64(v) for v in specials[:6]]
+        for value in specials:
+            info = ClusterInfo({1: DcStepInfo(*[value] * len(runner._DC_LOG_FIELDS))},
+                               value, value, value, 0)
+            now = datetime(2024, 3, 1, tzinfo=timezone.utc)
+            line = runner._log_row(5, now, info, value, [1])
+            assert line == reference_log_row(5, now, info, value, [1]), repr(value)
 
 
 class TestKpiLedger:
@@ -699,7 +769,7 @@ class TestCli:
 class TestFileInputs:
     """A run whose dc 1 reads its series from files and whose tasks come from a trace."""
 
-    def _args(self, tmp_path, origin=None):
+    def _args(self, tmp_path, origin=None, trace_start=None):
         start = datetime(2024, 3, 1, tzinfo=timezone.utc)
         hours = 25  # covers the one-day window, end included
         price = synth_series(SeriesKind.PRICE, 90.0, 35.0, 4.0, start, hours, 1)
@@ -709,7 +779,7 @@ class TestFileInputs:
         save_series_csv(price, tmp_path / "price.csv")
         save_series_csv(carbon, tmp_path / "carbon.csv")
         save_weather_json(drybulb, humidity, tmp_path / "weather.json")
-        trace = generate_synthetic_trace(start, 96, 2.0, ResourceRanges(), seed=5)
+        trace = generate_synthetic_trace(trace_start or start, 96, 2.0, ResourceRanges(), seed=5)
         for task in trace:
             task.origin_dc_id = origin
         save_trace(trace, tmp_path / "trace.jsonl")
@@ -768,3 +838,61 @@ class TestFileInputs:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {tmp_path / 'trace.jsonl'}: task job-000001: "
                        "origin 9 is not a configured dc"]
+
+    def test_cli_trace_outside_the_window(self, tmp_path, capsys):
+        """A trace of 2023 under a 2024 window would run no task: it is refused."""
+        args = self._args(tmp_path, trace_start=datetime(2023, 3, 1, tzinfo=timezone.utc))
+        assert main([*args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'trace.jsonl'}: none of ")
+        assert not (tmp_path / "out").exists()
+
+
+class TestTraceWindow:
+    """``build_env`` counts a trace file's tasks that arrive at no step of the window."""
+
+    WINDOW = "[2024-03-01T00:00:00+00:00, 2024-03-02T00:00:00+00:00)"
+
+    def _sim(self, tmp_path, tasks):
+        path = tmp_path / "trace.jsonl"
+        save_trace(tasks, path)
+        return small_sim(workload_path=str(path)), path
+
+    def _trace(self, start, steps=96):
+        return generate_synthetic_trace(start, steps, 2.0, ResourceRanges(), seed=5)
+
+    def test_every_task_outside_is_an_error(self, tmp_path):
+        sim, path = self._sim(tmp_path, self._trace(datetime(2023, 3, 1, tzinfo=timezone.utc)))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: none of its ")) as info:
+            build_env(sim, small_fleet(), REWARD, seed=0)
+        assert str(info.value).endswith(f"window {self.WINDOW}")
+
+    def test_some_tasks_outside_warn_once_with_the_count(self, tmp_path, caplog):
+        start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+        inside = self._trace(start)
+        late = self._trace(start + timedelta(days=1), steps=4)  # the end is not a step
+        early = self._trace(start - timedelta(minutes=60), steps=4)
+        missed = len(late) + len(early)
+        assert min(len(late), len(early)) > 0
+        sim, path = self._sim(tmp_path, inside + late + early)
+        with caplog.at_level(logging.WARNING, logger="geodcsim.runner"):
+            env = build_env(sim, small_fleet(), REWARD, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: {missed} of {len(inside) + missed} tasks arrive at no step of the "
+            f"simulation window {self.WINDOW} and never run"]
+        env.reset()
+        done = False
+        while not done:
+            _, _, done, _ = env.step([1] * len(env.current_tasks))
+        assert env._injected == len(inside)
+
+    def test_a_trace_inside_the_window_is_silent(self, tmp_path, caplog):
+        sim, _ = self._sim(tmp_path, self._trace(datetime(2024, 3, 1, tzinfo=timezone.utc)))
+        with caplog.at_level(logging.WARNING):
+            build_env(sim, small_fleet(), REWARD, seed=0)
+        assert caplog.records == []
+
+    def test_an_empty_trace_still_runs(self, tmp_path):
+        sim, _ = self._sim(tmp_path, [])
+        rows, kpis = run_episode(sim, small_fleet(), REWARD, seed=0)
+        assert len(rows) == 96 and kpis["avg_cpu_util_pct"] == 0.0

@@ -400,7 +400,8 @@ def test_census_and_resource_books_hold_after_every_step_property(intervals, shu
 def test_flat_trace_injects_each_task_once_at_its_arrival_property(offsets, data):
     """A shuffled trace with repeated arrivals, some before the first step and some
     after the last (step 95): each task whose arrival is a step is injected once, at
-    that step, in trace order among the tasks sharing it; no other task is."""
+    that step, in trace order among the tasks sharing it; no other task is, and
+    ``tasks_never_injected`` counts those."""
     tasks = [make_task(f"t{i}", arrival=T0 + k * STEP, origin=1 + i % 3)
              for i, k in enumerate(offsets)]
     trace = data.draw(st.permutations(tasks))
@@ -415,6 +416,7 @@ def test_flat_trace_injects_each_task_once_at_its_arrival_property(offsets, data
         env.advance([1] * len(env.current_tasks))  # no deferral: only arrivals are shown
     assert injected == expected
     assert env.task_census()["injected"] == sum(map(len, expected.values()))
+    assert env.tasks_never_injected() == len(trace) - env.task_census()["injected"]
 
     in_order = sorted(trace, key=lambda t: t.arrival_time)
     with tempfile.TemporaryDirectory() as tmp:
