@@ -95,14 +95,26 @@ class PendingQueue:
         return self.count
 
 
-def check_deadband(dc_id: int, band) -> None:
-    """Reject a return-temperature deadband that is not two finite numbers ``lo < hi``."""
-    numbers = len(band) == 2 and all(
-        isinstance(b, (int, float)) and not isinstance(b, bool) and abs(b) <= sys.float_info.max
-        for b in band
+def check_site(dc_id: int, capacities, timezone_shift_h, population_weight, deadband) -> None:
+    """Reject a site's capacities unless ``>= 0`` and finite, a timezone shift that
+    is not finite, a population weight not ``> 0`` and, unless ``None``, a
+    return-temperature deadband that is not two finite numbers ``lo < hi``. The
+    comparisons also reject NaN."""
+    top = sys.float_info.max
+    if not all(0 <= c <= top for c in capacities):
+        raise ConfigError(f"dc {dc_id}: capacities must be >= 0 and finite")
+    if not abs(timezone_shift_h) <= top:
+        raise ConfigError(f"dc {dc_id}: timezone_shift_h must be finite")
+    if not population_weight > 0:
+        raise ConfigError(f"dc {dc_id}: population_weight must be > 0")
+    if deadband is None:
+        return
+    numbers = len(deadband) == 2 and all(
+        isinstance(b, (int, float)) and not isinstance(b, bool) and abs(b) <= top
+        for b in deadband
     )
-    if not (numbers and band[0] < band[1]):
-        raise ConfigError(f"dc {dc_id}: deadband must be two numbers lo < hi, got {band}")
+    if not (numbers and deadband[0] < deadband[1]):
+        raise ConfigError(f"dc {dc_id}: deadband must be two numbers lo < hi, got {deadband}")
 
 
 def _used_frac(total, avail):
@@ -145,22 +157,15 @@ class DatacenterNode:
     _thermal: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        top = sys.float_info.max  # the comparisons below also reject NaN
-        if not abs(self.dc_id) <= top:  # observations carry it as a float
+        if not abs(self.dc_id) <= sys.float_info.max:  # observations carry it as a float
             raise ConfigError(f"dc {self.dc_id}: dc_id must fit a float")
-        if not all(0 <= c <= top for c in (self.total_cores, self.total_gpus, self.total_mem_gb)):
-            raise ConfigError(f"dc {self.dc_id}: capacities must be >= 0 and finite")
-        if not abs(self.timezone_shift_h) <= top:
-            raise ConfigError(f"dc {self.dc_id}: timezone_shift_h must be finite")
-        if not self.population_weight > 0:  # also rejects NaN
-            raise ConfigError(f"dc {self.dc_id}: population_weight must be > 0")
+        check_site(self.dc_id, (self.total_cores, self.total_gpus, self.total_mem_gb),
+                   self.timezone_shift_h, self.population_weight, self.deadband)
         lo, hi = self.physics.setpoint_range_c
         if not lo <= self.setpoint_c <= hi:
             raise ConfigError(
                 f"dc {self.dc_id}: setpoint {self.setpoint_c} outside its SETPOINT_RANGE [{lo}, {hi}]"
             )
-        if self.deadband is not None:
-            check_deadband(self.dc_id, self.deadband)
         self._recompute_available()
 
     def _recompute_available(self):
@@ -248,6 +253,14 @@ class DatacenterNode:
             or task.mem_req > self.total_mem_gb
         )
 
+    def free_fractions(self) -> tuple[float, float, float]:
+        """Free share of cores, GPUs and memory, 0 where the site has none."""
+        return (
+            self.available_cores / self.total_cores if self.total_cores else 0.0,
+            self.available_gpus / self.total_gpus if self.total_gpus else 0.0,
+            self.available_mem_gb / self.total_mem_gb if self.total_mem_gb else 0.0,
+        )
+
     def utilization_fractions(self) -> tuple[float, float, float]:
         return (
             _used_frac(self.total_cores, self.available_cores),
@@ -261,8 +274,7 @@ class DatacenterNode:
 
 @dataclass
 class InTransit:
-    task: Task
-    dest_dc_id: int
+    task: Task  # its dest_dc_id says where it is bound
     ready_step: int
 
 
@@ -357,7 +369,7 @@ class Cluster:
             info.transmission_energy_total_kwh += energy
             info.transmission_emissions_total_kg += emissions
             task.set_status(TaskStatus.IN_TRANSIT)
-            self.in_transit.append(InTransit(task, dest_id, step + network.delay_steps(delay)))
+            self.in_transit.append(InTransit(task, step + network.delay_steps(delay)))
         return info
 
     def advance_transit(self, step: int) -> None:
@@ -366,7 +378,7 @@ class Cluster:
         for item in self.in_transit:
             if item.ready_step <= step:
                 item.task.set_status(TaskStatus.PENDING)
-                self.by_id[item.dest_dc_id].enqueue(item.task)
+                self.by_id[item.task.dest_dc_id].enqueue(item.task)
             else:
                 still.append(item)
         self.in_transit = still

@@ -1,9 +1,11 @@
 """Rule-based schedulers.
 
-The five task-placement heuristics decide immediately and never defer. The
-price/carbon strategies only consider sites that can fit the task right now,
-falling back to the task's origin when none can. Ties break toward the lowest
-dc_id so runs are reproducible.
+The five task-placement heuristics decide immediately and never defer. They
+read each site through a ``DcSnapshot``: the site's node, which owns its
+capacities, free resources and ``fits`` test, plus its grid price and carbon
+intensity at the instant of decision. The price/carbon strategies only consider
+sites that can fit the task right now, falling back to the task's origin when
+none can. Ties break toward the lowest dc_id so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from operator import attrgetter
 
 from .cluster import Cluster, DatacenterNode
 from .errors import ConfigError
@@ -26,32 +29,18 @@ class RbcStrategy(Enum):
 
 @dataclass(slots=True)
 class DcSnapshot:
-    """Instantaneous per-site view a controller decides against."""
+    """A site as a controller sees it at one instant: the node itself, which holds
+    its capacities and free resources, and its price and carbon intensity then."""
 
-    action_index: int  # position in the environment's action space (1-based)
-    dc_id: int
-    ci_g_per_kwh: float
+    node: DatacenterNode
     price_usd_per_mwh: float
-    available_cores: float
-    available_gpus: float
-    available_mem_gb: float
-    total_cores: float
-
-    @property
-    def available_core_fraction(self) -> float:
-        return self.available_cores / self.total_cores if self.total_cores else 0.0
-
-    fits = DatacenterNode.fits  # reads the available_* fields, named alike on both classes
+    ci_g_per_kwh: float
 
 
 def snapshot_cluster(cluster: Cluster, now: datetime) -> list[DcSnapshot]:
-    snaps = []
-    for i, node in enumerate(cluster.nodes, 1):
-        price, ci, _, _ = node.conditions(now)
-        # positional, in DcSnapshot's field order
-        snaps.append(DcSnapshot(i, node.dc_id, ci, price, node.available_cores,
-                                node.available_gpus, node.available_mem_gb, node.total_cores))
-    return snaps
+    """One snapshot per node in cluster order; a snapshot's position, counted
+    from 1, is its site's index in the environment's action space."""
+    return [DcSnapshot(node, *node.conditions(now)[:2]) for node in cluster.nodes]
 
 
 class RuleBasedController:
@@ -67,28 +56,25 @@ class RuleBasedController:
 
     def decide(self, snapshots: list[DcSnapshot], tasks) -> list[int]:
         """One action index per task, never the deferral action."""
-        by_id = {s.dc_id: s for s in snapshots}
+        index = {s.node.dc_id: i for i, s in enumerate(snapshots, 1)}
+        strategy = self.strategy
+        if strategy is RbcStrategy.LOCAL_ONLY:
+            return [index[task.origin_dc_id] for task in tasks]
+        if strategy is RbcStrategy.MOST_AVAILABLE:  # the same site for every task
+            best = min(snapshots, key=lambda s: (-s.node.free_fractions()[0], s.node.dc_id))
+            return [index[best.node.dc_id]] * len(tasks)
+        if strategy is RbcStrategy.ROUND_ROBIN:
+            actions = [(self._cursor + k) % len(snapshots) + 1 for k in range(len(tasks))]
+            self._cursor += len(tasks)
+            return actions
+        key = attrgetter("ci_g_per_kwh" if strategy is RbcStrategy.LOWEST_CARBON
+                         else "price_usd_per_mwh")
         actions = []
         for task in tasks:
-            if self.strategy is RbcStrategy.LOCAL_ONLY:
-                actions.append(by_id[task.origin_dc_id].action_index)
-            elif self.strategy is RbcStrategy.LOWEST_CARBON:
-                actions.append(self._cheapest(snapshots, task, by_id, lambda s: s.ci_g_per_kwh))
-            elif self.strategy is RbcStrategy.LOWEST_PRICE:
-                actions.append(self._cheapest(snapshots, task, by_id, lambda s: s.price_usd_per_mwh))
-            elif self.strategy is RbcStrategy.MOST_AVAILABLE:
-                best = min(snapshots, key=lambda s: (-s.available_core_fraction, s.dc_id))
-                actions.append(best.action_index)
-            else:  # ROUND_ROBIN
-                actions.append(self._cursor % len(snapshots) + 1)
-                self._cursor += 1
+            feasible = [s for s in snapshots if s.node.fits(task)]
+            if feasible:
+                best = min(feasible, key=lambda s: (key(s), s.node.dc_id))
+                actions.append(index[best.node.dc_id])
+            else:
+                actions.append(index[task.origin_dc_id])
         return actions
-
-    @staticmethod
-    def _cheapest(snapshots, task, by_id, key) -> int:
-        feasible = [s for s in snapshots if s.fits(task)]
-        if not feasible:
-            return by_id[task.origin_dc_id].action_index
-        best = min(feasible, key=lambda s: (key(s), s.dc_id))
-        return best.action_index
-

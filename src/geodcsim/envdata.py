@@ -16,6 +16,7 @@ import csv
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -110,6 +111,22 @@ def _parse_utc(text: str, row: int) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
+def _parse_value(text, row: int) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"row {row}: unparsable value {text!r}") from exc
+
+
+@contextmanager
+def _naming(path):
+    """Prefix ``path`` to a data or format error raised inside."""
+    try:
+        yield
+    except (DataError, DataFormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _grid_from_points(points, location, kind) -> TimeSeries:
     """Validate (timestamp, value) pairs onto the hourly grid, forward-filling short gaps."""
     times = [p[0] for p in points]
@@ -140,23 +157,20 @@ def _grid_from_points(points, location, kind) -> TimeSeries:
 
 
 def _load_hourly_csv(path, location, value_col, kind) -> TimeSeries:
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _naming(path):
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or PRICE_TIME_COL not in reader.fieldnames:
-            raise DataFormatError(f"{path}: missing column {PRICE_TIME_COL!r}")
-        if value_col not in reader.fieldnames:
-            raise DataFormatError(f"{path}: missing column {value_col!r}")
+        for col in (PRICE_TIME_COL, value_col):
+            if col not in (reader.fieldnames or ()):
+                raise DataFormatError(f"missing column {col!r}")
         points = []
         for i, row in enumerate(reader, start=1):
-            t = _parse_utc(row[PRICE_TIME_COL], i)
-            try:
-                v = float(row[value_col])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"row {i}: unparsable value {row[value_col]!r}") from exc
-            points.append((t, v))
-    if not points:
-        raise DataError(f"{path}: no data rows")
-    return _grid_from_points(points, location, kind)
+            if None in row:  # DictReader files the cells past the header under None
+                raise DataError(f"row {i}: {len(row[None])} cells past the "
+                                f"{len(reader.fieldnames)} columns")
+            points.append((_parse_utc(row[PRICE_TIME_COL], i), _parse_value(row[value_col], i)))
+        if not points:
+            raise DataError("no data rows")
+        return _grid_from_points(points, location, kind)
 
 
 def load_price_csv(path, location: str) -> TimeSeries:
@@ -186,34 +200,34 @@ def load_weather_json(path, location: str) -> tuple[TimeSeries, TimeSeries]:
     ``hourly.relative_humidity_2m`` is optional; a constant 50% series is
     substituted when absent. Returns (dry-bulb degC, relative humidity %).
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    hourly = doc.get("hourly")
-    if not isinstance(hourly, dict):
-        raise DataFormatError(f"{path}: missing 'hourly' object")
-    times_raw = hourly.get("time")
-    temps_raw = hourly.get("temperature_2m")
-    if times_raw is None or temps_raw is None:
-        raise DataFormatError(f"{path}: 'hourly' must contain 'time' and 'temperature_2m'")
-    if len(times_raw) != len(temps_raw):
-        raise DataFormatError(
-            f"{path}: time ({len(times_raw)}) and temperature_2m ({len(temps_raw)}) lengths differ"
-        )
-    rh_raw = hourly.get("relative_humidity_2m")
-    if rh_raw is not None and len(rh_raw) != len(times_raw):
-        raise DataFormatError(
-            f"{path}: relative_humidity_2m length {len(rh_raw)} does not match time"
-        )
-    times = [_parse_utc(t, i) for i, t in enumerate(times_raw, start=1)]
-    temp_points = list(zip(times, [float(v) for v in temps_raw]))
-    drybulb = _grid_from_points(temp_points, location, SeriesKind.DRY_BULB_TEMP_C)
-    if rh_raw is None:
-        rh_vals = np.full(len(drybulb), DEFAULT_REL_HUMIDITY_PCT)
-        humidity = TimeSeries(location, SeriesKind.REL_HUMIDITY_PCT, drybulb.start, HOUR, rh_vals)
-    else:
-        rh_points = list(zip(times, [float(v) for v in rh_raw]))
-        humidity = _grid_from_points(rh_points, location, SeriesKind.REL_HUMIDITY_PCT)
-    return drybulb, humidity
+    with open(path) as fh, _naming(path):
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"invalid JSON: {exc}") from exc
+        hourly = doc.get("hourly") if isinstance(doc, dict) else None
+        if not isinstance(hourly, dict):
+            raise DataFormatError("missing 'hourly' object")
+        times_raw = hourly.get("time")
+        temps_raw = hourly.get("temperature_2m")
+        if times_raw is None or temps_raw is None:
+            raise DataFormatError("'hourly' must contain 'time' and 'temperature_2m'")
+        if len(times_raw) != len(temps_raw):
+            raise DataFormatError(
+                f"time ({len(times_raw)}) and temperature_2m ({len(temps_raw)}) lengths differ"
+            )
+        rh_raw = hourly.get("relative_humidity_2m")
+        if rh_raw is not None and len(rh_raw) != len(times_raw):
+            raise DataFormatError(f"relative_humidity_2m length {len(rh_raw)} does not match time")
+        times = [_parse_utc(t, i) for i, t in enumerate(times_raw, start=1)]
+        temps = [_parse_value(v, i) for i, v in enumerate(temps_raw, start=1)]
+        drybulb = _grid_from_points(list(zip(times, temps)), location, SeriesKind.DRY_BULB_TEMP_C)
+        kind = SeriesKind.REL_HUMIDITY_PCT
+        if rh_raw is None:
+            rh_vals = np.full(len(drybulb), DEFAULT_REL_HUMIDITY_PCT)
+            return drybulb, TimeSeries(location, kind, drybulb.start, HOUR, rh_vals)
+        rh = [_parse_value(v, i) for i, v in enumerate(rh_raw, start=1)]
+        return drybulb, _grid_from_points(list(zip(times, rh)), location, kind)
 
 
 def save_weather_json(drybulb: TimeSeries, humidity: TimeSeries, path) -> None:

@@ -46,6 +46,8 @@ class CostMatrix:
     def __post_init__(self):
         mat = np.asarray(self.cost_per_gb, dtype=np.float64)
         n = len(self.regions)
+        if len(set(self.regions)) != n:
+            raise DataError(f"regions must be named once each, got {list(self.regions)}")
         if mat.shape != (n, n):
             raise DataError(f"cost matrix must be {n}x{n}, got {mat.shape}")
         if not np.all(np.isfinite(mat)):

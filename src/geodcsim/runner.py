@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import envdata, network
-from .cluster import Cluster, DatacenterNode, check_deadband
+from .cluster import Cluster, DatacenterNode, check_site
 from .controllers import RuleBasedController, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
@@ -81,7 +81,10 @@ class SyntheticWeatherSpec:
     noise_sd: float = 0.0
     rel_humidity_pct: float = envdata.DEFAULT_REL_HUMIDITY_PCT
 
-    __post_init__ = _require_finite
+    def __post_init__(self):
+        _require_finite(self)
+        if not 0.0 <= self.rel_humidity_pct <= 100.0:  # synth_series would clip it
+            raise ValueError(f"rel_humidity_pct: must lie in [0, 100], got {self.rel_humidity_pct}")
 
 
 @dataclass
@@ -110,7 +113,9 @@ class DcSpec:
             raise ValueError("dc_id: must fit a float")
         if self.hvac_policy not in ("fixed", "deadband"):  # read from the hvac section
             raise ValueError(f"policy: must be 'fixed' or 'deadband', got {self.hvac_policy!r}")
-        check_deadband(self.dc_id, self.hvac_deadband)  # a fixed site's too
+        check_site(self.dc_id, (self.total_cores, self.total_gpus, self.total_mem_gb),
+                   self.timezone_shift, self.population_weight,
+                   self.hvac_deadband)  # a fixed site's deadband too
 
 
 @dataclass

@@ -55,11 +55,8 @@ def _time_features(now: datetime) -> list[float]:
 def _dc_features(cluster: Cluster, now: datetime) -> list[float]:
     feats = []
     for node in cluster.nodes:
-        cores_frac = node.available_cores / node.total_cores if node.total_cores else 0.0
-        gpu_frac = node.available_gpus / node.total_gpus if node.total_gpus else 0.0
-        mem_frac = node.available_mem_gb / node.total_mem_gb if node.total_mem_gb else 0.0
         price, ci, _, _ = node.conditions(now)
-        feats.extend([cores_frac, gpu_frac, mem_frac, ci / 1000.0, price / 100.0])
+        feats.extend([*node.free_fractions(), ci / 1000.0, price / 100.0])
     return feats
 
 

@@ -5,6 +5,7 @@ Criteria 7-8 drive full two-day, three-site episodes on synthetic data; the
 golden log under tests/data/ pins byte-level determinism of the step logs.
 """
 
+import hashlib
 import importlib
 import json
 import math
@@ -270,7 +271,7 @@ def test_criterion_4_mdp_contract():
                    disable_defer_action=True)
     env.reset()
     env.step_single_action(0)  # maps onto datacenter 1 when deferral is disabled
-    assert env.cluster.in_transit[0].dest_dc_id == 1
+    assert env.cluster.in_transit[0].task.dest_dc_id == 1
     with pytest.raises(ProtocolError):
         env.step_single_action(3)
     _report(4, "observation dims, horizon, deferral order, override, protocol errors")
@@ -428,6 +429,30 @@ def test_criterion_8_determinism_golden(tmp_path):
     )
     _report(8, "episodes byte-identical; golden log matched bit-for-bit")
 
+
+
+# SHA-256 of the step log and of the KPI JSON of the golden scenario run under each
+# strategy the golden log does not cover, which leaves the controllers' decisions pinned
+STRATEGY_DIGESTS = {
+    "local_only": ("674604cf4f57d3e25c981b805e2ae6f93176fbfdfca39a086981f8fcae767f36",
+                   "d3e5c8be8f15a7cd9d8b009fbdcf7613dbfda55b8f66050057a4366d24507317"),
+    "lowest_price": ("3d4b7cbcfe98f1be23f1698c4a1a1c49137df57eed72e655950e3d3bd7836133",
+                     "8c8ae4b25b095a1be66c006ab8e7deba81505bcf82009626be533c6e3a81c009"),
+    "most_available": ("de9862be1b7799feaa72e356f3db1fb345d2064eb6bfb65addb61673b60c8710",
+                       "26cbcf411e427bd54b5f61699e2014a7fe2c291b5e38bbba6b333e25796ebebe"),
+    "round_robin": ("3690302ad00a623ea8c673bbb8421341580ad1c4b4c04d78e33e3d28c786a8a8",
+                    "7c81c2e84fb5120f86bb646b7b4c8720c6aedeaaf24758d1f779cd487cc5dc3d"),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_DIGESTS))
+def test_strategy_outputs_pinned(tmp_path, strategy):
+    sim, fleet, reward = golden_scenario()
+    sim.strategy = strategy
+    run_episode(sim, fleet, reward, seed=1234, out_dir=tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("steps_seed1234.csv", "kpi_seed1234.json"))
+    assert digests == STRATEGY_DIGESTS[strategy]
 
 def compensated_sum(iterable, /, start=0):
     """An emulation of CPython 3.12's ``sum()``: exact ints add on an int fast path, and

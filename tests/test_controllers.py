@@ -42,16 +42,9 @@ def step_local(env):
 
 def snap(idx, dc_id=None, ci=100.0, price=50.0, cores=1000.0, total=1000.0,
          gpus=50.0, mem=1000.0):
-    return DcSnapshot(
-        action_index=idx,
-        dc_id=dc_id if dc_id is not None else idx,
-        ci_g_per_kwh=ci,
-        price_usd_per_mwh=price,
-        available_cores=cores,
-        available_gpus=gpus,
-        available_mem_gb=mem,
-        total_cores=total,
-    )
+    node = make_node(dc_id if dc_id is not None else idx, cores=total, gpus=gpus, mem=mem)
+    node.available_cores = cores
+    return DcSnapshot(node, price, ci)
 
 
 class TestStrategies:
@@ -123,18 +116,18 @@ class TestSnapshot:
     def test_snapshot_reads_cluster_state(self):
         cluster = make_cluster()
         snaps = snapshot_cluster(cluster, T0)
-        assert [s.dc_id for s in snaps] == [1, 2, 3]
-        assert [s.action_index for s in snaps] == [1, 2, 3]
+        assert [s.node.dc_id for s in snaps] == [1, 2, 3]
+        assert [s.node for s in snaps] == cluster.nodes
         assert snaps[0].price_usd_per_mwh == 100.0
         assert snaps[0].ci_g_per_kwh == 300.0
-        assert snaps[0].available_core_fraction == 1.0
+        assert snaps[0].node.free_fractions()[0] == 1.0
 
     def test_snapshot_tracks_node_order(self):
         cluster = make_cluster()
         cluster.nodes = [cluster.nodes[2], cluster.nodes[0], cluster.nodes[1]]
         snaps = snapshot_cluster(cluster, T0)
-        assert [s.dc_id for s in snaps] == [3, 1, 2]
-        assert [s.action_index for s in snaps] == [1, 2, 3]
+        assert [s.node.dc_id for s in snaps] == [3, 1, 2]
+        assert [s.node for s in snaps] == cluster.nodes
 
 
 class TestHvacPolicies:

@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -117,6 +118,20 @@ class TestPriceCsv:
         with pytest.raises(DataError, match="row 2"):
             load_price_csv(p, "X")
 
+    @pytest.mark.parametrize("rows, expected", [
+        ([("2024-01-01 00:00:00+00:00", 50.0), ("2024-01-01 01:00:00+00:00", "oops")],
+         "row 2: unparsable value 'oops'"),
+        ([("2024-01-01 00:00:00+00:00", "50,99"), ("2024-01-01 01:00:00+00:00", 60.0)],
+         "row 1: 1 cells past the 2 columns"),
+        ([("2024-01-01 00:00:00+00:00", 50.0), ("2024-01-01 00:00:00+00:00", 60.0)],
+         "duplicate timestamp 2024-01-01T00:00:00+00:00"),
+        ([], "no data rows"),
+    ], ids=["unparsable", "extra_cell", "duplicate", "empty"])
+    def test_data_errors_name_the_file(self, tmp_path, rows, expected):
+        p = write_price_csv(tmp_path / "p.csv", rows)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}: {expected}')}$"):
+            load_price_csv(p, "X")
+
     def test_negative_price_allowed(self, tmp_path):
         p = write_price_csv(tmp_path / "p.csv", [
             ("2024-01-01 00:00:00+00:00", -12.5),
@@ -192,6 +207,35 @@ class TestWeatherJson:
         p = tmp_path / "w.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError):
+            load_weather_json(p, "X")
+
+    @pytest.mark.parametrize("edit, error, expected", [
+        (lambda doc: doc["hourly"]["temperature_2m"].__setitem__(2, "warm"), DataError,
+         "row 3: unparsable value 'warm'"),
+        (lambda doc: doc["hourly"]["relative_humidity_2m"].__setitem__(0, None), DataError,
+         "row 1: unparsable value None"),
+        (lambda doc: doc["hourly"]["relative_humidity_2m"].__setitem__(1, 101.0), DataError,
+         "relative humidity must lie in [0, 100]"),
+        (lambda doc: doc["hourly"].pop("time"), DataFormatError,
+         "'hourly' must contain 'time' and 'temperature_2m'"),
+    ], ids=["temperature_unparsable", "humidity_null", "humidity_over_100", "no_time"])
+    def test_errors_name_the_file(self, tmp_path, edit, error, expected):
+        import json
+        doc = self._doc(6)
+        edit(doc)
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error, match=f"^{re.escape(f'{p}: {expected}')}$"):
+            load_weather_json(p, "X")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("[1, 2]", "missing 'hourly' object"),
+        ("{not json", "invalid JSON: "),
+    ], ids=["top_level_list", "not_json"])
+    def test_unusable_document_names_the_file(self, tmp_path, text, expected):
+        p = tmp_path / "w.json"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{p}: {expected}')}"):
             load_weather_json(p, "X")
 
     def test_round_trip(self, tmp_path):

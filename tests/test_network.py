@@ -210,7 +210,9 @@ class TestBadCsvRows:
         (CostMatrix, "region,a,b\na,0,-1\nb,1,0\n", "cost matrix entries must be >= 0"),
         (DelayTable, "origin_cluster,dest_cluster,throughput_mbps,rtt_ms\nUS,EU,0,90\n",
          "throughput for US->EU must be > 0"),
-    ], ids=["cost_diagonal", "cost_negative", "delay_zero_throughput"])
+        (CostMatrix, "region,a,a\na,0,1\na,2,0\n",
+         "regions must be named once each, got ['a', 'a']"),
+    ], ids=["cost_diagonal", "cost_negative", "delay_zero_throughput", "cost_region_twice"])
     def test_table_value_error_names_the_file(self, tmp_path, loader, text, expected):
         path = tmp_path / "t.csv"
         path.write_text(text)

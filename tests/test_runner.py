@@ -537,6 +537,23 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: ") and expected.format(fleet=fleet) in err[0]
 
+    @pytest.mark.parametrize("keys, value, expected", [
+        (["total_cores"], -5, "dc 1: capacities must be >= 0 and finite"),
+        (["total_mem_gb"], -1.5, "dc 1: capacities must be >= 0 and finite"),
+        (["population_weight"], 0, "dc 1: population_weight must be > 0"),
+        (["synthetic"], {"weather": {"rel_humidity_pct": 150.0}},
+         "synthetic.weather.rel_humidity_pct: must lie in [0, 100], got 150.0"),
+        (["synthetic"], {"weather": {"rel_humidity_pct": -0.5}},
+         "synthetic.weather.rel_humidity_pct: must lie in [0, 100], got -0.5"),
+    ], ids=["cores_negative", "mem_negative", "population_weight_zero", "humidity_over_100",
+            "humidity_negative"])
+    def test_cli_bad_site_number_names_the_fleet(self, tmp_path, capsys, keys, value, expected):
+        """A site number the node would refuse stops the fleet load, naming the file."""
+        args, fleet = self._edited_fleet_args(tmp_path, keys, value)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {fleet}: datacenter 0: {expected}"]
+
     @pytest.mark.parametrize("config, text, expected", [
         ("sim", b"simulation: [\n  year: 1\n", "invalid YAML at line 3"),
         ("sim", b"simulation:\n  year: \xc3\x28\n", "invalid YAML"),
@@ -816,6 +833,19 @@ class TestFileInputs:
         assert float(row["dc1_energy_kwh"]) > 0.0
         assert float(row["dc1_cost_usd"]) == float(row["dc1_energy_kwh"]) * prices[3] / 1000.0
         assert sum(int(r["dc1_sla_met"]) + int(r["dc1_sla_violated"]) for r in rows) > 0
+
+    @pytest.mark.parametrize("name, edit, expected", [
+        ("price.csv", lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",oops"] + lines[3:],
+         "row 2: unparsable value 'oops'"),
+        ("carbon.csv", lambda lines: lines[:1] + [lines[1] + ",99"] + lines[2:],
+         "row 1: 1 cells past the 2 columns"),
+    ], ids=["price_unparsable", "carbon_extra_cell"])
+    def test_cli_bad_series_row_names_the_file(self, tmp_path, capsys, name, edit, expected):
+        args = self._args(tmp_path)
+        path = tmp_path / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert main([*args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
 
     def test_cli_trace_infinite_bandwidth(self, tmp_path, capsys):
         """A remote transfer of an infinite size has no delay: the trace is refused."""

@@ -325,7 +325,7 @@ class TestSingleActionMode:
         env.reset()
         env.step_single_action(0)  # maps onto datacenter 1
         assert len(env.cluster.in_transit) == 1
-        assert env.cluster.in_transit[0].dest_dc_id == 1
+        assert env.cluster.in_transit[0].task.dest_dc_id == 1
 
     def test_disable_defer_range(self):
         env = self._env([make_task()], disable_defer_action=True)
@@ -473,7 +473,7 @@ class TestActionContract:
         node = env.cluster.by_id[2]
         # the origin-2 task starts locally; the origin-3 task is in transit to dc 2
         assert len(node.pending) + len(node.running) == 1
-        assert [t.dest_dc_id for t in env.cluster.in_transit] == [2]
+        assert [t.task.dest_dc_id for t in env.cluster.in_transit] == [2]
 
     @pytest.mark.parametrize("actions", [5, None], ids=["int", "none"])
     def test_non_iterable_actions_are_rejected_and_change_nothing(self, actions):
@@ -496,7 +496,7 @@ class TestActionContract:
             assert self._state(env) == before
         _, _, _, outcome = env.step([1, 3])
         assert outcome.cluster_info.tasks_deferred_count == 0
-        assert [t.dest_dc_id for t in env.cluster.in_transit] == [3]
+        assert [t.task.dest_dc_id for t in env.cluster.in_transit] == [3]
 
     def test_disabled_deferral_bounds_single_actions_at_n_minus_one(self):
         env = make_env(trace_of([make_task()]), single_action_mode=True,
@@ -507,4 +507,4 @@ class TestActionContract:
                 env.step_single_action(action)
         assert env.step_index == 0
         env.step_single_action(np.int64(2))  # onto datacenter 3
-        assert [t.dest_dc_id for t in env.cluster.in_transit] == [3]
+        assert [t.task.dest_dc_id for t in env.cluster.in_transit] == [3]
