@@ -25,7 +25,6 @@ queue into one block per task.
 from __future__ import annotations
 
 import logging
-import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from operator import attrgetter
@@ -35,7 +34,7 @@ from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
                         it_power_and_return_temp, step_setpoint)
 from .envdata import TimeSeries, value_at, wet_bulb
 from .errors import ConfigError, ProtocolError
-from .floats import left_sum
+from .floats import checked, left_sum
 from .workload import Task, TaskStatus
 
 logger = logging.getLogger(__name__)
@@ -95,26 +94,29 @@ class PendingQueue:
         return self.count
 
 
-def check_site(dc_id: int, capacities, timezone_shift_h, population_weight, deadband) -> None:
-    """Reject a site's capacities unless ``>= 0`` and finite, a timezone shift that
-    is not finite, a population weight not ``> 0`` and, unless ``None``, a
-    return-temperature deadband that is not two finite numbers ``lo < hi``. The
-    comparisons also reject NaN."""
-    top = sys.float_info.max
-    if not all(0 <= c <= top for c in capacities):
-        raise ConfigError(f"dc {dc_id}: capacities must be >= 0 and finite")
-    if not abs(timezone_shift_h) <= top:
-        raise ConfigError(f"dc {dc_id}: timezone_shift_h must be finite")
-    if not population_weight > 0:
-        raise ConfigError(f"dc {dc_id}: population_weight must be > 0")
+def check_site(dc_id: int, capacities, timezone_shift_h, population_weight, deadband):
+    """Check a site's numbers, each finite: capacities ``>= 0``, a population weight
+    ``> 0`` and a deadband, unless ``None``, of two numbers ``lo < hi``, which it returns."""
+    try:
+        checked(dc_id, "dc_id")  # observations carry it as a float
+        checked(timezone_shift_h, "timezone_shift_h")
+        checked(population_weight, "population_weight", 0.0, lo_open=True)
+    except ValueError as exc:
+        raise ConfigError(f"dc {dc_id}: {exc}") from None
+    try:
+        for capacity in capacities:
+            checked(capacity, "capacities", 0.0)
+    except ValueError:  # one wording for the three
+        raise ConfigError(f"dc {dc_id}: capacities must be >= 0 and finite") from None
     if deadband is None:
-        return
-    numbers = len(deadband) == 2 and all(
-        isinstance(b, (int, float)) and not isinstance(b, bool) and abs(b) <= top
-        for b in deadband
-    )
-    if not (numbers and deadband[0] < deadband[1]):
-        raise ConfigError(f"dc {dc_id}: deadband must be two numbers lo < hi, got {deadband}")
+        return None
+    try:
+        lo, hi = (checked(b, "deadband") for b in deadband)
+        if lo < hi:
+            return lo, hi
+    except (TypeError, ValueError):  # not two numbers
+        pass
+    raise ConfigError(f"dc {dc_id}: deadband must be two numbers lo < hi, got {deadband}")
 
 
 def _used_frac(total, avail):
@@ -157,10 +159,9 @@ class DatacenterNode:
     _thermal: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        if not abs(self.dc_id) <= sys.float_info.max:  # observations carry it as a float
-            raise ConfigError(f"dc {self.dc_id}: dc_id must fit a float")
-        check_site(self.dc_id, (self.total_cores, self.total_gpus, self.total_mem_gb),
-                   self.timezone_shift_h, self.population_weight, self.deadband)
+        self.deadband = check_site(
+            self.dc_id, (self.total_cores, self.total_gpus, self.total_mem_gb),
+            self.timezone_shift_h, self.population_weight, self.deadband)
         lo, hi = self.physics.setpoint_range_c
         if not lo <= self.setpoint_c <= hi:
             raise ConfigError(

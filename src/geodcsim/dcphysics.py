@@ -20,7 +20,7 @@ from datetime import timedelta
 from enum import Enum
 
 from .errors import ConfigError
-from .floats import left_sum
+from .floats import checked, left_sum
 from .workload import STEP
 
 logger = logging.getLogger(__name__)
@@ -112,34 +112,25 @@ class DcPhysicsParams:
     setpoint_range_c: tuple = (18.0, 27.0)
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():  # lists become floats; all must be finite
-            value = getattr(self, name)
-            try:
-                if kind is tuple:
-                    value = tuple(map(float, value))
-                    object.__setattr__(self, name, value)
-                    finite = all(map(math.isfinite, value))
-                else:
-                    finite = math.isfinite(value)
-            except (TypeError, ValueError, OverflowError) as exc:  # isfinite(10**400)
-                raise ValueError(f"{name}: {exc}") from exc
-            if not finite:
-                raise ValueError(f"{name} must be finite")
-        if self.num_racks < 1:
-            raise ValueError("num_racks must be >= 1")
-        if self.cpus_per_rack < 0 or self.gpus_per_rack < 0:
-            raise ValueError("per-rack device counts must be >= 0")
+        for name, domain in _DOMAINS.items():
+            value, kind = getattr(self, name), _FIELD_TYPES[name]
+            if kind is tuple:  # one domain for every element, or a list of one per element
+                each = domain if isinstance(domain, list) else [domain] * len(value)
+                if len(value) != len(each):
+                    raise ValueError(f"{name} must hold {len(each)} numbers")
+                value = tuple(checked(v, name, *d) for v, d in zip(value, each))
+            else:
+                value = checked(value, name, *domain, kind=kind)
+            object.__setattr__(self, name, value)
         for name in ("supply_approach_temps_c", "return_approach_temps_c"):
-            vals = getattr(self, name)
-            if not vals:
-                vals = (0.0,) * self.num_racks
+            vals = getattr(self, name) or (0.0,) * self.num_racks
             if len(vals) != self.num_racks:
                 raise ValueError(f"{name} must have one entry per rack ({self.num_racks})")
             object.__setattr__(self, name, vals)
         for name in ("cpu_power_ratio_lb", "cpu_power_ratio_ub",
                      "fan_airflow_ratio_lb", "fan_airflow_ratio_ub"):
             pair = getattr(self, name)
-            if len(pair) != 2 or not (pair[0] >= 0 and pair[1] >= 0):  # also rejects NaN
+            if len(pair) != 2 or not (pair[0] >= 0 and pair[1] >= 0):
                 raise ValueError(f"{name} must be two numbers >= 0")
         for lb, ub in ((self.cpu_power_ratio_lb, self.cpu_power_ratio_ub),
                        (self.fan_airflow_ratio_lb, self.fan_airflow_ratio_ub)):
@@ -149,30 +140,30 @@ class DcPhysicsParams:
             bounds = getattr(self, name)
             if len(bounds) != 2 or not bounds[0] < bounds[1]:
                 raise ValueError(f"{name} must be ordered: two numbers lo < hi")
-        if len(self.thermal_coeffs) != 5:
-            raise ValueError("thermal_coeffs must be (c, d, e, f, g)")
         if self.thermal_coeffs[3] == 0:
             raise ValueError("thermal_coeffs f must be nonzero")
-        for name in ("cpu_full_w", "gpu_full_w", "fan_ref_w", "fan_ref_ratio", "crac_fan_ref_w",
+
+
+# each field's default type, int, float or tuple (of floats): a value is cast to it
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(DcPhysicsParams)}
+
+_POSITIVE = (0.0, math.inf, True)
+_EXPONENT = (0.0, 2.0)  # a greater power of a rack's power or air flow overflows or underflows
+# Each field's domain, or each element's for a tuple field; a field given () need only
+# be finite. __post_init__ checks every number of a parameter block against it.
+_DOMAINS = dict.fromkeys(_FIELD_TYPES, ()) | {
+    "num_racks": (1, 100_000), "cpus_per_rack": (0, 10_000), "gpus_per_rack": (0, 10_000),
+    "thermal_coeffs": [(), _EXPONENT, _EXPONENT, (), ()],  # c, d, e, f, g
+    "cw_pump_eff": (0.0, 1.0, True), "ct_pump_eff": (0.0, 1.0, True),
+    **dict.fromkeys(("cpu_full_w", "gpu_full_w", "fan_ref_w", "fan_ref_ratio", "crac_fan_ref_w",
                      "ct_fan_ref_w", "ct_ref_air_flow_m3s", "crac_supply_flow_pu",
                      "crac_ref_flow_pu", "design_it_load_w", "chiller_capacity_w",
                      "chiller_cop_min", "heat_reject_unit_w", "ct_delta_t_k", "c_air",
-                     "rho_air"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("cpu_idle_w", "gpu_idle_w", "mem_w_per_gb", "cw_pressure_drop_pa",
-                     "ct_pressure_drop_pa", "cw_flow_m3s", "ct_flow_m3s", "water_drift_rate"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("cw_pump_eff", "ct_pump_eff"):
-            eff = getattr(self, name)
-            if not 0 < eff <= 1:
-                raise ValueError(f"{name} must lie in (0, 1]")
-
-
-# each field's default type, int, float or tuple: a read value is cast to it, and
-# __post_init__ makes each tuple's values floats
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(DcPhysicsParams)}
+                     "rho_air"), _POSITIVE),
+    **dict.fromkeys(("cpu_idle_w", "gpu_idle_w", "mem_w_per_gb", "cw_pressure_drop_pa",
+                     "ct_pressure_drop_pa", "cw_flow_m3s", "ct_flow_m3s", "water_drift_rate"),
+                    (0.0,)),
+}
 
 
 @dataclass(slots=True)
@@ -562,8 +553,8 @@ def _read(doc, layout: dict) -> dict:
                     raise ValueError(f"expected [idle W, full W], got {value!r}")
                 kwargs.update(zip(target, map(float, value)))
             else:
-                kwargs[target] = _FIELD_TYPES[target](value)
-        except (TypeError, ValueError) as exc:
+                kwargs[target] = _FIELD_TYPES[target](value)  # DcPhysicsParams checks it
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ValueError(f"{key}: {exc}") from exc
     return kwargs
 

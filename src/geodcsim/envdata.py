@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CoverageError, DataError, DataFormatError
+from .floats import checked
 
 HOUR = timedelta(hours=1)
 
@@ -36,12 +37,25 @@ CARBON_VALUE_COL = "Carbon Intensity gCO2eq/kWh (direct)"
 
 DEFAULT_REL_HUMIDITY_PCT = 50.0
 
+# Dry-bulb temperatures (degC) a series may hold and wet_bulb accepts: the recorded
+# extremes are -89.2 and 56.7, and near 100 a wet-bulb temperature means nothing.
+DRY_BULB_RANGE_C = (-90.0, 70.0)
+
 
 class SeriesKind(Enum):
     PRICE = "price"                        # USD/MWh
     CARBON_INTENSITY = "carbon_intensity"  # gCO2eq/kWh
     DRY_BULB_TEMP_C = "dry_bulb_temp_c"    # degC
     REL_HUMIDITY_PCT = "rel_humidity_pct"  # percent
+
+
+# what each kind of series measures, and the (lo, hi) its values must lie in
+_DOMAINS = {
+    SeriesKind.PRICE: ("price", -math.inf, math.inf),  # prices may be negative
+    SeriesKind.CARBON_INTENSITY: ("carbon intensity", 0.0, math.inf),
+    SeriesKind.DRY_BULB_TEMP_C: ("dry-bulb temperature", *DRY_BULB_RANGE_C),
+    SeriesKind.REL_HUMIDITY_PCT: ("relative humidity", 0.0, 100.0),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +84,12 @@ class TimeSeries:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("series must be a non-empty 1-D array")
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise DataError(f"non-finite value at index {bad}")
-        if self.kind is SeriesKind.CARBON_INTENSITY and np.any(vals < 0):
-            bad = int(np.flatnonzero(vals < 0)[0])
-            raise DataError(f"carbon intensity must be >= 0 (index {bad})")
-        if self.kind is SeriesKind.REL_HUMIDITY_PCT and (np.any(vals < 0) or np.any(vals > 100)):
-            raise DataError("relative humidity must lie in [0, 100]")
+        what, lo, hi = _DOMAINS[self.kind]
+        try:  # the least and greatest values, NaN if any is; two checks, not one per value
+            checked(vals.min(), what, lo, hi)
+            checked(vals.max(), what, lo, hi)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "end", self.start + (len(vals) - 1) * self.step)
@@ -104,7 +116,7 @@ class TimeSeries:
 def _parse_utc(text: str, row: int) -> datetime:
     try:
         dt = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:  # no text, or no date-time in it
         raise DataError(f"row {row}: unparsable timestamp {text!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
@@ -113,47 +125,41 @@ def _parse_utc(text: str, row: int) -> datetime:
 
 def _parse_value(text, row: int) -> float:
     try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
+        return checked(text, f"row {row}")
+    except ValueError as exc:
         raise DataError(f"row {row}: unparsable value {text!r}") from exc
 
 
 @contextmanager
 def _naming(path):
-    """Prefix ``path`` to a data or format error raised inside."""
+    """Prefix ``path`` to a data or format error raised inside; bytes that are no text are one."""
     try:
         yield
     except (DataError, DataFormatError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _grid_from_points(points, location, kind) -> TimeSeries:
-    """Validate (timestamp, value) pairs onto the hourly grid, forward-filling short gaps."""
-    times = [p[0] for p in points]
-    for i in range(1, len(times)):
-        if times[i] == times[i - 1]:
-            raise DataError(f"duplicate timestamp {times[i].isoformat()}")
-        if times[i] < times[i - 1]:
-            raise DataError(
-                f"timestamps not increasing at {times[i].isoformat()} (row {i})"
-            )
+    """Validate (timestamp, value, row) points onto the hourly grid, forward-filling short gaps."""
+    if not points:
+        raise DataError("no data rows")
     filled = [points[0][1]]
-    for i in range(1, len(points)):
-        gap = times[i] - times[i - 1]
-        n_steps, rem = divmod(gap, HOUR)
+    for (t0, v0, _), (t, v, row) in zip(points, points[1:]):
+        if t == t0:
+            raise DataError(f"duplicate timestamp {t.isoformat()}")
+        if t < t0:
+            raise DataError(f"timestamps not increasing at {t.isoformat()} (row {row})")
+        n_steps, rem = divmod(t - t0, HOUR)
         if rem != timedelta(0):
-            raise DataError(
-                f"timestamp {times[i].isoformat()} is off the {HOUR} grid"
-            )
-        missing = n_steps - 1
-        if missing > MAX_FFILL_GAP:
-            raise DataError(
-                f"gap of {missing} missing points before {times[i].isoformat()} "
-                f"exceeds the forward-fill limit of {MAX_FFILL_GAP}"
-            )
-        filled.extend([points[i - 1][1]] * missing)
-        filled.append(points[i][1])
-    return TimeSeries(location, kind, times[0], HOUR, np.array(filled))
+            raise DataError(f"timestamp {t.isoformat()} is off the {HOUR} grid")
+        if n_steps - 1 > MAX_FFILL_GAP:
+            raise DataError(f"gap of {n_steps - 1} missing points before {t.isoformat()} "
+                            f"exceeds the forward-fill limit of {MAX_FFILL_GAP}")
+        filled.extend([v0] * (n_steps - 1))
+        filled.append(v)
+    return TimeSeries(location, kind, points[0][0], HOUR, np.array(filled))
 
 
 def _load_hourly_csv(path, location, value_col, kind) -> TimeSeries:
@@ -163,13 +169,12 @@ def _load_hourly_csv(path, location, value_col, kind) -> TimeSeries:
             if col not in (reader.fieldnames or ()):
                 raise DataFormatError(f"missing column {col!r}")
         points = []
-        for i, row in enumerate(reader, start=1):
+        for row in reader:
+            i = reader.line_num  # a row is named by its file line, the header being line 1
             if None in row:  # DictReader files the cells past the header under None
                 raise DataError(f"row {i}: {len(row[None])} cells past the "
                                 f"{len(reader.fieldnames)} columns")
-            points.append((_parse_utc(row[PRICE_TIME_COL], i), _parse_value(row[value_col], i)))
-        if not points:
-            raise DataError("no data rows")
+            points.append((_parse_utc(row[PRICE_TIME_COL], i), _parse_value(row[value_col], i), i))
         return _grid_from_points(points, location, kind)
 
 
@@ -212,22 +217,22 @@ def load_weather_json(path, location: str) -> tuple[TimeSeries, TimeSeries]:
         temps_raw = hourly.get("temperature_2m")
         if times_raw is None or temps_raw is None:
             raise DataFormatError("'hourly' must contain 'time' and 'temperature_2m'")
+        for key in ("time", "temperature_2m", "relative_humidity_2m"):
+            if not isinstance(hourly.get(key, []), list):
+                raise DataFormatError(f"'hourly.{key}' must be a list, got {json.dumps(hourly[key])}")
         if len(times_raw) != len(temps_raw):
-            raise DataFormatError(
-                f"time ({len(times_raw)}) and temperature_2m ({len(temps_raw)}) lengths differ"
-            )
-        rh_raw = hourly.get("relative_humidity_2m")
-        if rh_raw is not None and len(rh_raw) != len(times_raw):
+            raise DataFormatError(f"time ({len(times_raw)}) and temperature_2m "
+                                  f"({len(temps_raw)}) lengths differ")
+        rh_raw = hourly.get("relative_humidity_2m", [DEFAULT_REL_HUMIDITY_PCT] * len(times_raw))
+        if len(rh_raw) != len(times_raw):
             raise DataFormatError(f"relative_humidity_2m length {len(rh_raw)} does not match time")
-        times = [_parse_utc(t, i) for i, t in enumerate(times_raw, start=1)]
-        temps = [_parse_value(v, i) for i, v in enumerate(temps_raw, start=1)]
-        drybulb = _grid_from_points(list(zip(times, temps)), location, SeriesKind.DRY_BULB_TEMP_C)
-        kind = SeriesKind.REL_HUMIDITY_PCT
-        if rh_raw is None:
-            rh_vals = np.full(len(drybulb), DEFAULT_REL_HUMIDITY_PCT)
-            return drybulb, TimeSeries(location, kind, drybulb.start, HOUR, rh_vals)
-        rh = [_parse_value(v, i) for i, v in enumerate(rh_raw, start=1)]
-        return drybulb, _grid_from_points(list(zip(times, rh)), location, kind)
+        rows = range(1, len(times_raw) + 1)  # a point's place in the lists
+        times = [_parse_utc(t, i) for i, t in zip(rows, times_raw)]
+        return tuple(
+            _grid_from_points([(t, _parse_value(v, i), i) for t, v, i in zip(times, raw, rows)],
+                              location, kind)
+            for kind, raw in ((SeriesKind.DRY_BULB_TEMP_C, temps_raw),
+                              (SeriesKind.REL_HUMIDITY_PCT, rh_raw)))
 
 
 def save_weather_json(drybulb: TimeSeries, humidity: TimeSeries, path) -> None:
@@ -311,8 +316,9 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     """
     if not 0.0 <= rh_pct <= 100.0:
         raise ValueError(f"relative humidity {rh_pct} outside [0, 100]")
-    if not math.isfinite(t_drybulb_c):
-        raise ValueError("dry-bulb temperature must be finite")
+    lo, hi = DRY_BULB_RANGE_C
+    if not lo <= t_drybulb_c <= hi:  # also NaN; within it the bracket search below ends
+        raise ValueError(f"dry-bulb temperature {t_drybulb_c} outside [{lo}, {hi}]")
     t = float(t_drybulb_c)
     w_actual = _humidity_ratio(rh_pct / 100.0 * _saturation_vapor_pressure_pa(t))
     exp = math.exp  # bound per call, so that a patched ``math.exp`` sees every use
@@ -374,8 +380,8 @@ def synth_series(
 ) -> TimeSeries:
     """Seeded synthetic hourly series: daily sinusoid around ``base`` plus Gaussian noise.
 
-    Deterministic for a given seed. Carbon intensity is clipped at 0 and relative
-    humidity at [0, 100] so the generated series always satisfies its invariants.
+    Deterministic for a given seed. Carbon intensity is clipped at 0 and relative humidity
+    at [0, 100]; ``TimeSeries`` refuses any other value off its kind's domain.
     """
     if daily_amplitude < 0 or noise_sd < 0:
         raise ValueError("daily_amplitude and noise_sd must be >= 0")

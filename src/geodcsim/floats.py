@@ -1,4 +1,10 @@
-"""Float addition on the output path.
+"""Floats in and out: the one check of a number read from an input, and float
+addition on the output path.
+
+Every number read from outside the program (a config key, a trace field, a CSV
+cell, a JSON value, a public constructor's argument) passes ``checked``, whose
+``ValueError`` reads ``<what>: <reason>`` for a value that is no number and
+``<what> must ...`` for one not finite or off its domain.
 
 Every total that reaches a step log, a KPI, a reward or an observation adds its
 terms with ``left_sum``: left to right from 0, one rounding per addition. That
@@ -10,7 +16,29 @@ output path does not call it.
 from __future__ import annotations
 
 import functools
+import math
 import operator
+import sys
+
+
+def checked(value, what: str, lo=-math.inf, hi=math.inf, lo_open=False, *, kind=float):
+    """``value`` as a finite ``kind`` in ``[lo, hi]``, or ``(lo, hi]`` with ``lo_open``.
+    An ``int`` kind, for a count or an id, is exact at any size: its domain bounds it."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what}: must be a number, not true or false")
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} must fit a float")
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # text, null, int(inf)
+        raise ValueError(f"{what}: {exc}") from exc
+    if number != number or abs(number) == math.inf:
+        raise ValueError(f"{what} must be finite")
+    if (number <= lo if lo_open else number < lo) or number > hi:
+        domain = (f"be {'>' if lo_open else '>='} {lo:g}" if hi == math.inf
+                  else f"lie in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
+        raise ValueError(f"{what} must {domain}")
+    return number
 
 
 def left_sum(values):

@@ -22,6 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, DataError, DataFormatError
+from .floats import checked
 from .workload import STEP
 
 TRANSMISSION_KWH_PER_GB = 0.06
@@ -88,9 +89,9 @@ class CostMatrix:
                     f"{path}: row label {row[0]!r} does not match column order"
                 )
             try:
-                mat[i, :] = [float(v) for v in row[1:]]
+                mat[i, :] = [checked(v, f"row {i + 2}: cost") for v in row[1:]]
             except ValueError as exc:
-                raise DataError(f"{path}: unparsable cost in row {i + 2}") from exc
+                raise DataError(f"{path}: {exc}") from exc
         try:
             return cls(tuple(regions), mat)
         except DataError as exc:
@@ -124,12 +125,13 @@ class DelayTable:
     rtt_ms: dict
 
     def __post_init__(self):
-        for (a, b), thr in self.throughput_mbps.items():
-            if not thr > 0:  # also rejects NaN
-                raise DataError(f"throughput for {a.value}->{b.value} must be > 0")
-        for (a, b), rtt in self.rtt_ms.items():
-            if not rtt >= 0:
-                raise DataError(f"RTT for {a.value}->{b.value} must be >= 0")
+        try:
+            for (a, b), thr in self.throughput_mbps.items():
+                checked(thr, f"throughput for {a.value}->{b.value}", 0.0, lo_open=True)
+            for (a, b), rtt in self.rtt_ms.items():
+                checked(rtt, f"RTT for {a.value}->{b.value}", 0.0)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
 
     def lookup(self, origin: MacroCluster, dest: MacroCluster) -> tuple[float, float]:
         if origin is dest:
@@ -147,7 +149,7 @@ class DelayTable:
             try:
                 a = MacroCluster(row["origin_cluster"].strip())
                 b = MacroCluster(row["dest_cluster"].strip())
-                values = float(row["throughput_mbps"]), float(row["rtt_ms"])
+                values = tuple(checked(row[key], key) for key in ("throughput_mbps", "rtt_ms"))
             except ValueError as exc:
                 raise DataError(f"{path}: bad row {i}: {exc}") from exc
             if (a, b) in throughput:

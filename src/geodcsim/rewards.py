@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .cluster import ClusterInfo
 from .errors import ConfigError
+from .floats import checked
 
 _REGISTRY: dict = {}
 
@@ -45,10 +45,12 @@ def registered_components() -> tuple:
     return tuple(sorted(_REGISTRY))
 
 
-def _require_positive(value, what):
-    if isinstance(value, bool) or not 0 < value <= sys.float_info.max:  # and NaN, inf, 10**400
-        raise ConfigError(f"{what} must be > 0 and finite")
-    return float(value)
+def _require(value, what, lo_open=False):
+    """``value`` as a finite float ``>= 0``, or ``> 0`` with ``lo_open``."""
+    try:
+        return checked(value, what, 0.0, lo_open=lo_open)
+    except ValueError:
+        raise ConfigError(f"{what} must be {'>' if lo_open else '>='} 0 and finite") from None
 
 
 class PenaltyReward:
@@ -56,7 +58,7 @@ class PenaltyReward:
 
     def __init__(self, quantity, normalize_factor: float):
         self.quantity = quantity
-        self.normalize_factor = _require_positive(normalize_factor, "normalize_factor")
+        self.normalize_factor = _require(normalize_factor, "normalize_factor", lo_open=True)
 
     def __call__(self, info: ClusterInfo) -> float:
         return -self.quantity(info) / self.normalize_factor
@@ -78,10 +80,7 @@ for _name, _factor, _quantity in _PENALTIES:
 @register_component("sla_penalty")
 class SlaPenaltyReward:
     def __init__(self, penalty_per_violation: float = 1.0):
-        if isinstance(penalty_per_violation, bool) or not (
-                0 <= penalty_per_violation <= sys.float_info.max):
-            raise ConfigError("penalty_per_violation must be >= 0 and finite")
-        self.penalty_per_violation = float(penalty_per_violation)
+        self.penalty_per_violation = _require(penalty_per_violation, "penalty_per_violation")
 
     def __call__(self, info: ClusterInfo) -> float:
         return -info.total("sla_violated") * self.penalty_per_violation
@@ -92,7 +91,7 @@ class EfficiencyReward:
     """Rewards completed-within-SLA tasks per unit of energy consumed."""
 
     def __init__(self, epsilon: float = 1e-6):
-        self.epsilon = _require_positive(epsilon, "epsilon")
+        self.epsilon = _require(epsilon, "epsilon", lo_open=True)
 
     def __call__(self, info: ClusterInfo) -> float:
         return info.total("sla_met") / (info.energy_kwh() + self.epsilon)
@@ -152,11 +151,10 @@ class CompositeReward:
             for key in cfg:
                 if key not in ("weight", "args"):
                     raise ConfigError(f"component {name!r}: {key}: unknown key")
-            weight = cfg.get("weight", 1.0)
-            if isinstance(weight, bool) or not (
-                    isinstance(weight, (int, float)) and abs(weight) <= sys.float_info.max):
-                raise ConfigError(f"component {name!r}: weight must be a finite number")
-            weight = float(weight)
+            try:
+                weight = checked(cfg.get("weight", 1.0), "weight")
+            except ValueError:
+                raise ConfigError(f"component {name!r}: weight must be a finite number") from None
             args = cfg.get("args", {}) or {}
             try:
                 fn = get_component(name, **args)

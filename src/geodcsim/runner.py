@@ -29,8 +29,8 @@ from .cluster import Cluster, DatacenterNode, check_site
 from .controllers import RuleBasedController, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
-from .errors import ConfigError, SimulationError
-from .floats import left_sum
+from .errors import ConfigError, DataError, SimulationError
+from .floats import checked, left_sum
 from .rewards import CompositeReward
 from .schedenv import KPI_KEYS, STEPS_PER_DAY, SchedulingEnv  # KPI_KEYS: re-exported
 from .workload import (STEP, ResourceRanges, first_unknown_origin, generate_synthetic_trace,
@@ -58,20 +58,11 @@ _dc_log_values = attrgetter(*(attr for _, attr in _DC_LOG_FIELDS))
 _DC_LOG_FORMAT = ",".join(["%s"] * len(_DC_LOG_FIELDS))
 
 
-def _require_finite(spec) -> None:
-    """Reject a NaN or infinite field of dataclass ``spec``, naming the field."""
-    for f in fields(spec):
-        if not math.isfinite(getattr(spec, f.name)):
-            raise ValueError(f"{f.name}: must be finite")
-
-
 @dataclass
-class SyntheticSeriesSpec:
+class SyntheticSeriesSpec:  # synth_series checks it, and what it draws
     base: float
     daily_amplitude: float = 0.0
     noise_sd: float = 0.0
-
-    __post_init__ = _require_finite
 
 
 @dataclass
@@ -82,7 +73,6 @@ class SyntheticWeatherSpec:
     rel_humidity_pct: float = envdata.DEFAULT_REL_HUMIDITY_PCT
 
     def __post_init__(self):
-        _require_finite(self)
         if not 0.0 <= self.rel_humidity_pct <= 100.0:  # synth_series would clip it
             raise ValueError(f"rel_humidity_pct: must lie in [0, 100], got {self.rel_humidity_pct}")
 
@@ -109,13 +99,13 @@ class DcSpec:
     synth_weather: SyntheticWeatherSpec = field(default_factory=SyntheticWeatherSpec)
 
     def __post_init__(self):
-        if not abs(self.dc_id) <= sys.float_info.max:  # observations carry it as a float
-            raise ValueError("dc_id: must fit a float")
+        _cast(vars(self), "dc_id", float)  # observations carry it as a float
         if self.hvac_policy not in ("fixed", "deadband"):  # read from the hvac section
             raise ValueError(f"policy: must be 'fixed' or 'deadband', got {self.hvac_policy!r}")
-        check_site(self.dc_id, (self.total_cores, self.total_gpus, self.total_mem_gb),
-                   self.timezone_shift, self.population_weight,
-                   self.hvac_deadband)  # a fixed site's deadband too
+        self.hvac_deadband = check_site(
+            self.dc_id, (self.total_cores, self.total_gpus, self.total_mem_gb),
+            self.timezone_shift, self.population_weight,
+            self.hvac_deadband)  # a fixed site's deadband too
 
 
 @dataclass
@@ -140,10 +130,11 @@ class SimConfig:
     def __post_init__(self):
         if self.timestep_minutes != STEP // timedelta(minutes=1):
             raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
-        if self.duration_days < 1:
-            raise ConfigError("duration_days must be >= 1")
-        if not self.mean_tasks_per_interval >= 0:  # also rejects NaN
-            raise ConfigError("synthetic_workload.mean_tasks_per_interval must be >= 0")
+        try:
+            checked(self.duration_days, "duration_days", 1, kind=int)
+            checked(self.mean_tasks_per_interval, "synthetic_workload.mean_tasks_per_interval", 0.0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         try:
             self.start = datetime(
                 self.year, self.month, self.init_day, self.init_hour, tzinfo=timezone.utc
@@ -184,26 +175,21 @@ def _section(doc: dict, key: str, where: str = "") -> dict:
 
 
 def _cast(doc: dict, key: str, kind, where: str = ""):
-    """``doc[key]`` as ``kind``: a bool takes only a YAML boolean, an int or float
-    anything but one, and a path (kind ``NoneType``, from a ``None`` default) only
-    a string or null; any other kind casts with ``kind(value)``, and a float must
-    be finite. A failure names ``where`` + ``key``."""
-    value = doc[key]
+    """``doc[key]`` as ``kind``: a bool takes only a YAML boolean, an int or float is
+    read by ``checked``, a path (kind ``NoneType``, from a ``None`` default) takes only
+    a string or null, and any other kind casts with ``kind(value)``. A failure reads
+    ``<where><key>: <problem>``."""
+    value, name = doc[key], f"{where}{key}"
     if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{where}{key}: must be true or false")
-    if kind in (int, float) and isinstance(value, bool):
-        raise ValueError(f"{where}{key}: must be a number, not true or false")
+        raise ValueError(f"{name}: must be true or false")
     if kind is type(None):
         if value is None or isinstance(value, str):
             return value
-        raise ValueError(f"{where}{key}: must be a string or null")
+        raise ValueError(f"{name}: must be a string or null")
     try:
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise ValueError(f"{where}{key}: {exc}") from exc
-    if kind is float and not math.isfinite(value):
-        raise ValueError(f"{where}{key}: must be finite")
-    return value
+        return checked(value, name, kind=kind) if kind in (int, float) else kind(value)
+    except (TypeError, ValueError) as exc:  # checked's "<name> must ..." gains the colon too
+        raise ValueError(f"{name}: {str(exc).removeprefix(name).lstrip(': ')}") from exc
 
 
 def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = "", also=()):
@@ -241,13 +227,9 @@ def load_sim_config(path) -> SimConfig:
             ranges = _with_doc(ResourceRanges(), ranges_doc, also=rate)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic_workload ranges: {exc}") from exc
-        base = SimConfig(
-            year=_cast(sim, "year", int),
-            month=_cast(sim, "month", int),
-            init_day=_cast(sim, "init_day", int),
-            duration_days=_cast(sim, "duration_days", int),
-            resource_ranges=ranges,
-        )
+        base = SimConfig(**{key: _cast(sim, key, int)
+                            for key in ("year", "month", "init_day", "duration_days")},
+                         resource_ranges=ranges)
         base = _with_doc(base, ranges_doc, rate, where="synthetic_workload.",
                          also=ranges_doc)  # the ranges read checked its keys
         return _with_doc(base, sim, names, also=["synthetic_workload"])
@@ -264,13 +246,9 @@ def load_dc_fleet(path) -> list[DcSpec]:
     specs = []
     for i, entry in enumerate(_read_section(path, "datacenters", list)):
         try:
-            spec = DcSpec(
-                dc_id=_cast(entry, "dc_id", int),
-                location=str(entry["location"]),
-                total_cores=_cast(entry, "total_cores", float),
-                total_gpus=_cast(entry, "total_gpus", float),
-                total_mem_gb=_cast(entry, "total_mem_gb", float),
-            )
+            spec = DcSpec(dc_id=_cast(entry, "dc_id", int), location=str(entry["location"]),
+                          **{key: _cast(entry, key, float)
+                             for key in ("total_cores", "total_gpus", "total_mem_gb")})
             spec = _with_doc(spec, entry, top, also=["hvac", "data", "synthetic"])
             spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
             spec = _with_doc(spec, _section(entry, "data"), data, where="data.")
@@ -303,28 +281,26 @@ def _seed_ints(seed: int, n: int) -> list[int]:
 
 
 def _build_series(spec: DcSpec, sim: SimConfig, seeds: list[int]):
+    """The site's four series, each read from its file or drawn; a failed draw names the dc."""
     hours = sim.duration_days * 24 + 1
-    if spec.price_csv:
-        price = envdata.load_price_csv(spec.price_csv, spec.location)
-    else:
-        p = spec.synth_price
-        price = synth_series(SeriesKind.PRICE, p.base, p.daily_amplitude, p.noise_sd,
-                             sim.start, hours, seeds[0], spec.location)
-    if spec.carbon_csv:
-        carbon = envdata.load_carbon_csv(spec.carbon_csv, spec.location)
-    else:
-        c = spec.synth_carbon
-        carbon = synth_series(SeriesKind.CARBON_INTENSITY, c.base, c.daily_amplitude,
-                              c.noise_sd, sim.start, hours, seeds[1], spec.location)
+
+    def draw(kind, base, amplitude, noise_sd, seed):
+        try:
+            return synth_series(kind, base, amplitude, noise_sd, sim.start, hours, seed,
+                                spec.location)
+        except (TypeError, ValueError, DataError) as exc:  # DataError: a value off its domain
+            raise ConfigError(f"dc {spec.dc_id}: {exc}") from exc
+
+    p, c, w = spec.synth_price, spec.synth_carbon, spec.synth_weather
+    price = (envdata.load_price_csv(spec.price_csv, spec.location) if spec.price_csv
+             else draw(SeriesKind.PRICE, p.base, p.daily_amplitude, p.noise_sd, seeds[0]))
+    carbon = (envdata.load_carbon_csv(spec.carbon_csv, spec.location) if spec.carbon_csv else
+              draw(SeriesKind.CARBON_INTENSITY, c.base, c.daily_amplitude, c.noise_sd, seeds[1]))
     if spec.weather_json:
-        drybulb, humidity = envdata.load_weather_json(spec.weather_json, spec.location)
-    else:
-        w = spec.synth_weather
-        drybulb = synth_series(SeriesKind.DRY_BULB_TEMP_C, w.base_temp_c, w.daily_amplitude,
-                               w.noise_sd, sim.start, hours, seeds[2], spec.location)
-        humidity = synth_series(SeriesKind.REL_HUMIDITY_PCT, w.rel_humidity_pct, 0.0, 0.0,
-                                sim.start, hours, seeds[2], spec.location)
-    return price, carbon, drybulb, humidity
+        return price, carbon, *envdata.load_weather_json(spec.weather_json, spec.location)
+    return (price, carbon,
+            draw(SeriesKind.DRY_BULB_TEMP_C, w.base_temp_c, w.daily_amplitude, w.noise_sd, seeds[2]),
+            draw(SeriesKind.REL_HUMIDITY_PCT, w.rel_humidity_pct, 0.0, 0.0, seeds[2]))
 
 
 def _check_seed(seed: int) -> None:
@@ -368,14 +344,13 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
     for spec in fleet:
         region_map.region_of(spec.location)  # fail before step 0 on unmapped locations
 
-    site_data = []
+    site_data, physics = [], {}  # physics: one parameter block per file, None: desk scale
     for i, spec in enumerate(fleet):
-        try:
-            series = _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dc {spec.dc_id}: {exc}") from exc
-        params = load_dc_config(spec.dc_config_file) if spec.dc_config_file else desk_scale_params()
-        site_data.append((spec, params, series))
+        series = _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i])
+        file = spec.dc_config_file
+        if file not in physics:
+            physics[file] = load_dc_config(file) if file else desk_scale_params()
+        site_data.append((spec, physics[file], series))
 
     def cluster_factory() -> Cluster:
         nodes = [

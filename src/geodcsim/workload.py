@@ -9,9 +9,7 @@ shorter than 15 minutes are rejected because the simulation cannot resolve them.
 from __future__ import annotations
 
 import json
-import math
 import numbers
-import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -20,10 +18,15 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DataError
+from .floats import checked
 
 STEP = timedelta(minutes=15)  # the simulation's one time grid
 MIN_DURATION_MIN = STEP / timedelta(minutes=1)  # one step: shorter tasks cannot be resolved
 DEFAULT_SLA_MULTIPLIER = 1.5
+
+# a task's numbers, in the order of a trace record and of ResourceRanges, and their floors
+_FLOORS = {"duration_min": MIN_DURATION_MIN, "cores_req": 0.0, "gpu_req": 0.0, "mem_req": 0.0,
+           "bandwidth_gb": 0.0, "sla_multiplier": 1.0}
 
 BUSINESS_HOURS = range(8, 20)
 OFF_HOURS_ACTIVITY = 0.3
@@ -86,16 +89,11 @@ class Task:
                 f"task {self.job_id}: arrival_time {self.arrival_time.isoformat()} "
                 "is not aligned to the 15-minute grid"
             )
-        if not MIN_DURATION_MIN <= self.duration_min < math.inf:  # also rejects NaN
-            raise ValueError(
-                f"task {self.job_id}: duration_min {self.duration_min} must be finite and "
-                f"at least the {MIN_DURATION_MIN:.0f}-minute floor"
-            )
-        for name in ("cores_req", "gpu_req", "mem_req", "bandwidth_gb"):
-            if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
-                raise ValueError(f"task {self.job_id}: {name} must be >= 0 and finite")
-        if not 1.0 <= self.sla_multiplier < math.inf:
-            raise ValueError(f"task {self.job_id}: sla_multiplier must be finite and >= 1")
+        for name, floor in _FLOORS.items():
+            try:
+                checked(getattr(self, name), name, floor)
+            except ValueError:  # one wording, whatever is wrong with the number
+                raise ValueError(f"task {self.job_id}: {name} must be >= {floor:g} and finite") from None
         self._set_deadline()
 
     def _set_deadline(self) -> None:
@@ -140,19 +138,17 @@ def compute_sla_deadline(task: Task) -> datetime:
     return task.arrival_time + timedelta(minutes=task.sla_multiplier * task.duration_min)
 
 
-_TRACE_NUMBERS = ("duration_min", "cores_req", "gpu_req", "mem_req", "bandwidth_gb",
-                  "sla_multiplier")
-_TRACE_FIELDS = ("job_id", "arrival_time", *_TRACE_NUMBERS, "origin_dc_id")
+_TRACE_FIELDS = ("job_id", "arrival_time", *_FLOORS, "origin_dc_id")
 
 
 def _trace_number(job_id: str, key: str, value) -> float:
-    """A trace field as a float: a JSON number or numeric text, not true, false or null."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):  # an integer too large for a float
-            pass
-    raise ValueError(f"task {job_id}: {key} must be a number, got {json.dumps(value)}")
+    """A trace field as a float: a JSON number or numeric text; ``Task`` checks its range."""
+    if isinstance(value, float):
+        return value
+    try:
+        return checked(value, key)
+    except ValueError:
+        raise ValueError(f"task {job_id}: {key} must be a number, got {json.dumps(value)}") from None
 
 
 def _trace_arrival(job_id: str, value) -> datetime:
@@ -206,7 +202,7 @@ def load_trace(path) -> list[Task]:
                 task = Task(
                     job_id=job_id,
                     arrival_time=_trace_arrival(job_id, rec["arrival_time"]),
-                    **{key: _trace_number(job_id, key, rec[key]) for key in _TRACE_NUMBERS},
+                    **{key: _trace_number(job_id, key, rec[key]) for key in _FLOORS},
                     origin_dc_id=_trace_origin(job_id, rec.get("origin_dc_id")),
                 )
             except KeyError as exc:
@@ -281,17 +277,15 @@ class ResourceRanges:
                 raise ValueError(f"{f.name}: bounds must be numbers, not true or false")
             if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
                 raise ValueError(f"{f.name}: bounds must be numbers")
-            if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
-                raise ValueError(f"{f.name}: bounds must be finite")  # NaN, inf or 10**400
+            try:
+                checked(lo, f.name)
+                checked(hi, f.name)
+            except ValueError:  # NaN, an infinity or an int too large for a float
+                raise ValueError(f"{f.name}: bounds must be finite") from None
             if lo > hi:
                 raise ValueError(f"{f.name}: lower bound {lo} exceeds upper bound {hi}")
-        if self.duration_min[0] < MIN_DURATION_MIN:
-            raise ValueError(f"duration_min range must start at >= {MIN_DURATION_MIN:.0f}")
-        if self.sla_multiplier[0] < 1.0:
-            raise ValueError("sla_multiplier range must start at >= 1")
-        for name in ("cores_req", "gpu_req", "mem_req", "bandwidth_gb"):
-            if getattr(self, name)[0] < 0:
-                raise ValueError(f"{name} range must be nonnegative")
+            if lo < _FLOORS[f.name]:
+                raise ValueError(f"{f.name} range must start at >= {_FLOORS[f.name]:g}")
 
 
 def generate_synthetic_trace(

@@ -1,5 +1,7 @@
-"""Shared fixtures: small clusters, constant series, and quick env builders."""
+"""Shared fixtures: small clusters, constant series, quick env builders and a deadline."""
 
+import signal
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -20,6 +22,22 @@ T0 = datetime(2024, 3, 1, 0, 0, tzinfo=timezone.utc)
 # database; each sets its own max_examples.
 settings.register_profile("geodcsim", derandomize=True, database=None, deadline=None)
 settings.load_profile("geodcsim")
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the test once ``seconds`` of wall time have passed, so
+    that a hang fails the test instead of stalling the run (main thread, POSIX only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def constant_series(kind, value, hours=None, start=T0, location="SYN"):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodcsim.cluster import BLOCK, DcStepInfo, release_completed, schedule_fifo_first_fit
+from geodcsim.cluster import (BLOCK, DcStepInfo, check_site, release_completed,
+                              schedule_fifo_first_fit)
 from geodcsim.controllers import snapshot_cluster
 from geodcsim.dcphysics import HvacAction, WeatherSample, dc_physics_step, desk_scale_params
 from geodcsim.envdata import wet_bulb
@@ -98,6 +99,26 @@ class TestNodeChecks:
     def test_non_finite_site_number(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             make_node(**kwargs)
+
+    @pytest.mark.parametrize("weight, match", [
+        (math.inf, "dc 1: population_weight must be finite"),
+        (10**400, "dc 1: population_weight must fit a float"),
+    ], ids=["inf", "huge"])
+    def test_population_weight_must_be_finite(self, weight, match):
+        """An infinite weight was accepted, and ``origin_probabilities`` then returned
+        ``[nan, 0.]``."""
+        with pytest.raises(ConfigError, match=match):
+            check_site(1, (1.0, 1.0, 1.0), 0.0, weight, None)
+        with pytest.raises(ConfigError, match=match):
+            make_node(population_weight=weight)
+
+    def test_check_site_returns_the_deadband_as_floats(self):
+        assert check_site(1, (1.0, 1.0, 1.0), 0.0, 1.0, None) is None
+        band = check_site(1, (1.0, 1.0, 1.0), 0.0, 1.0, [24, "26.5"])
+        assert band == (24.0, 26.5) and all(type(b) is float for b in band)
+        for bad in (5, [24.0], ["a", 26.0], [26.0, 24.0]):
+            with pytest.raises(ConfigError, match="deadband must be two numbers lo < hi"):
+                check_site(1, (1.0, 1.0, 1.0), 0.0, 1.0, bad)
 
 
 class TestScheduling:

@@ -504,3 +504,37 @@ class TestParamsJson:
     def test_validation_error_is_config_error(self, tmp_path):
         doc = {"hvac_configuration": {"SETPOINT_RANGE": [27, 18]}}
         assert "setpoint_range_c must be ordered" in self._load(tmp_path, json.dumps(doc))
+
+    def test_infinite_count_is_a_config_error(self, tmp_path):
+        """``int(-inf)`` raised OverflowError, which the CLI printed as a traceback."""
+        doc = {"data_center_configuration": {"CPUS_PER_RACK": -math.inf}}
+        message = self._load(tmp_path, json.dumps(doc))
+        assert message.endswith("data_center_configuration: CPUS_PER_RACK: "
+                                "cannot convert float infinity to integer")
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("NUM_RACKS", 0, "num_racks must lie in [1, 100000]"),
+        ("NUM_RACKS", 10**20, "num_racks must lie in [1, 100000]"),
+        ("GPUS_PER_RACK", -1, "gpus_per_rack must lie in [0, 10000]"),
+    ], ids=["no_rack", "racks_1e20", "negative_gpus"])
+    def test_counts_are_bounded(self, tmp_path, key, value, expected):
+        doc = {"data_center_configuration": {key: value}}
+        assert self._load(tmp_path, json.dumps(doc)).endswith(expected)
+
+    @pytest.mark.parametrize("coeffs", [[1, 1, 1e30, 1, 0], [1, 1e30, 1, 1, 0], [1, 1, -1, 1, 0]],
+                             ids=["e_1e30", "d_1e30", "e_negative"])
+    def test_thermal_exponent_outside_its_domain_is_a_config_error(self, tmp_path, coeffs):
+        """``fan_flow ** 1e30`` underflowed to 0, so the step divided by zero."""
+        doc = {"server_characteristics": {"THERMAL_COEFFS": coeffs}}
+        assert self._load(tmp_path, json.dumps(doc)).endswith("thermal_coeffs must lie in [0, 2]")
+
+    def test_thermal_coeffs_hold_five_numbers(self, tmp_path):
+        doc = {"server_characteristics": {"THERMAL_COEFFS": [1, 1, 1, 1, 0, 9]}}
+        assert self._load(tmp_path, json.dumps(doc)).endswith("thermal_coeffs must hold 5 numbers")
+
+    @pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0, 2.5),
+                                        (1.0, 0.0, 2.0, -1.0, 0.0)])
+    def test_thermal_exponents_inside_their_domain_step_soundly(self, coeffs):
+        params = desk_scale_params(thermal_coeffs=coeffs)
+        r = dc_physics_step(params, 22.0, 0.5, 0.5, 100.0, MILD)
+        assert math.isfinite(r.total_power_w) and math.isfinite(r.crac_return_temp_c)

@@ -22,6 +22,8 @@ from geodcsim.envdata import (
 )
 from geodcsim.errors import CoverageError, DataError, DataFormatError
 
+from conftest import deadline
+
 T0 = datetime(2024, 1, 1, 0, 0, tzinfo=timezone.utc)
 
 
@@ -115,14 +117,14 @@ class TestPriceCsv:
             ("2024-01-01 00:00:00+00:00", 50.0),
             ("2024-01-01 01:00:00+00:00", "oops"),
         ])
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match="row 3"):
             load_price_csv(p, "X")
 
     @pytest.mark.parametrize("rows, expected", [
         ([("2024-01-01 00:00:00+00:00", 50.0), ("2024-01-01 01:00:00+00:00", "oops")],
-         "row 2: unparsable value 'oops'"),
+         "row 3: unparsable value 'oops'"),
         ([("2024-01-01 00:00:00+00:00", "50,99"), ("2024-01-01 01:00:00+00:00", 60.0)],
-         "row 1: 1 cells past the 2 columns"),
+         "row 2: 1 cells past the 2 columns"),
         ([("2024-01-01 00:00:00+00:00", 50.0), ("2024-01-01 00:00:00+00:00", 60.0)],
          "duplicate timestamp 2024-01-01T00:00:00+00:00"),
         ([], "no data rows"),
@@ -150,6 +152,17 @@ class TestPriceCsv:
         out = tmp_path / "roundtrip.csv"
         save_series_csv(series, out)
         assert load_price_csv(out, "X") == series
+
+
+    def test_rows_are_named_by_their_file_line(self, tmp_path):
+        """Every CSV names a row by its file line, the header being line 1."""
+        p = write_price_csv(tmp_path / "p.csv", [
+            ("2024-01-01 01:00:00+00:00", 50.0),
+            ("2024-01-01 00:00:00+00:00", 70.0),
+        ])
+        with pytest.raises(DataError, match=r"not increasing at 2024-01-01T00:00:00\+00:00 "
+                                            r"\(row 3\)$"):
+            load_price_csv(p, "X")
 
 
 class TestCarbonCsv:
@@ -236,6 +249,42 @@ class TestWeatherJson:
         p = tmp_path / "w.json"
         p.write_text(text)
         with pytest.raises(DataFormatError, match=f"^{re.escape(f'{p}: {expected}')}"):
+            load_weather_json(p, "X")
+
+    @pytest.mark.parametrize("edit, error, expected", [
+        (lambda doc: doc["hourly"]["time"].__setitem__(0, 0), DataError,
+         "row 1: unparsable timestamp 0"),
+        (lambda doc: doc["hourly"]["time"].__setitem__(1, True), DataError,
+         "row 2: unparsable timestamp True"),
+        (lambda doc: doc["hourly"].__setitem__("time", 5), DataFormatError,
+         "'hourly.time' must be a list, got 5"),
+        (lambda doc: doc["hourly"].__setitem__("temperature_2m", "warm"), DataFormatError,
+         "'hourly.temperature_2m' must be a list, got \"warm\""),
+        (lambda doc: doc["hourly"].__setitem__("relative_humidity_2m", {"a": 1}), DataFormatError,
+         "'hourly.relative_humidity_2m' must be a list, got {\"a\": 1}"),
+    ], ids=["time_number", "time_true", "time_not_a_list", "temperature_not_a_list",
+            "humidity_not_a_list"])
+    def test_shape_errors_name_the_file_and_element(self, tmp_path, edit, error, expected):
+        """A ``time`` element that is no text and a field that is no list each end as one
+        typed error naming the file; they raised AttributeError and TypeError."""
+        import json
+        doc = self._doc(6)
+        edit(doc)
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error, match=f"^{re.escape(f'{p}: {expected}')}$"):
+            load_weather_json(p, "X")
+
+    @pytest.mark.parametrize("value", [1e30, -1e5, 70.5], ids=["1e30", "minus_1e5", "70.5"])
+    def test_dry_bulb_outside_its_range_names_the_file(self, tmp_path, value):
+        """A temperature of 1e30 loaded, and its wet-bulb solve never returned."""
+        import json
+        doc = self._doc(6)
+        doc["hourly"]["temperature_2m"][3] = value
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: dry-bulb temperature must "
+                                            r"lie in \[-90, 70\]$"):
             load_weather_json(p, "X")
 
     def test_round_trip(self, tmp_path):
@@ -378,11 +427,48 @@ class TestWetBulb:
         # one call for the actual humidity, two for the bracket, then the bisection
         assert 3 < len(calls) < 3 + 80
 
+    @pytest.mark.parametrize("t", [1e16, -1e5, 1e30, -1e30, math.inf, math.nan, 70.5, -90.5])
+    def test_dry_bulb_outside_its_range_is_refused_at_once(self, t):
+        """The bracket search widened without end for 1e16 and -1e5 degC; a dry-bulb
+        temperature outside ``DRY_BULB_RANGE_C`` is now a ValueError."""
+        with deadline(3.0), pytest.raises(ValueError, match="^dry-bulb temperature .* outside "):
+            wet_bulb(t, 50.0)
+
+    def test_the_corners_of_the_domain_solve_within_a_deadline(self):
+        lo, hi = envdata.DRY_BULB_RANGE_C
+        for t in (lo, hi):
+            for rh in (0.0, 100.0):
+                with deadline(3.0):
+                    twb = wet_bulb(t, rh)
+                assert t - 60.0 < twb <= t and (rh < 100.0 or twb == t)
+        assert lo <= -89.2 and 56.7 <= hi < 70.5 and -90.5 < lo
+
     def test_rh_out_of_range(self):
         with pytest.raises(ValueError):
             wet_bulb(20.0, 101.0)
         with pytest.raises(ValueError):
             wet_bulb(20.0, -0.5)
+
+
+class TestSeriesDomains:
+    @pytest.mark.parametrize("kind, values, expected", [
+        (SeriesKind.DRY_BULB_TEMP_C, [20.0, 1e30], "dry-bulb temperature must lie in [-90, 70]"),
+        (SeriesKind.DRY_BULB_TEMP_C, [-100000.0, 20.0],
+         "dry-bulb temperature must lie in [-90, 70]"),
+        (SeriesKind.CARBON_INTENSITY, [1.0, -0.5], "carbon intensity must be >= 0"),
+        (SeriesKind.REL_HUMIDITY_PCT, [100.5, 1.0], "relative humidity must lie in [0, 100]"),
+        (SeriesKind.PRICE, [1.0, math.nan], "price must be finite"),
+        (SeriesKind.PRICE, [math.inf, 1.0], "price must be finite"),
+    ], ids=["dry_bulb_high", "dry_bulb_low", "carbon", "humidity", "price_nan", "price_inf"])
+    def test_a_value_off_its_kind_domain_is_refused(self, kind, values, expected):
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            TimeSeries("X", kind, T0, HOUR, np.array(values))
+
+    def test_the_range_holds_every_value_of_the_domain(self):
+        lo, hi = envdata.DRY_BULB_RANGE_C
+        series = TimeSeries("X", SeriesKind.DRY_BULB_TEMP_C, T0, HOUR, np.array([lo, hi]))
+        assert list(series.values) == [lo, hi]
+        assert list(TimeSeries("X", SeriesKind.PRICE, T0, HOUR, np.array([-5.0])).values) == [-5.0]
 
 
 class TestSynthSeries:

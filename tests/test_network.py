@@ -128,6 +128,17 @@ class TestDelay:
                        {(MacroCluster.US, MacroCluster.EU): rtt})
 
 
+    @pytest.mark.parametrize("throughput, rtt, expected", [
+        (100.0, float("inf"), "RTT for US->EU must be finite"),
+        (float("inf"), 1.0, "throughput for US->EU must be finite"),
+        (100.0, -1.0, "RTT for US->EU must be >= 0"),
+    ], ids=["rtt_inf", "throughput_inf", "rtt_negative"])
+    def test_table_values_must_be_finite(self, throughput, rtt, expected):
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            DelayTable({(MacroCluster.US, MacroCluster.EU): throughput},
+                       {(MacroCluster.US, MacroCluster.EU): rtt})
+
+
 class TestLinearity:
     def test_cost_and_energy_linear_in_bandwidth(self):
         matrix, delay, region_map = tiny_network()
@@ -218,3 +229,23 @@ class TestBadCsvRows:
         path.write_text(text)
         with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {expected}')}$"):
             loader.from_csv(path)
+
+
+@pytest.mark.parametrize("row, field", [
+    ("US,EU,250,inf", "rtt_ms"), ("US,EU,250,1e400", "rtt_ms"), ("US,EU,inf,90", "throughput_mbps"),
+], ids=["rtt_inf", "rtt_1e400", "throughput_inf"])
+def test_infinite_delay_value_is_refused_at_load(tmp_path, row, field):
+    """An infinite RTT loaded, and the first remote transfer then raised OverflowError
+    in ``delay_steps``."""
+    path = tmp_path / "delay.csv"
+    path.write_text(f"origin_cluster,dest_cluster,throughput_mbps,rtt_ms\n{row}\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: bad row 2: {field} must be finite$"):
+        DelayTable.from_csv(path)
+
+
+def test_unparsable_cost_names_the_file_line_and_cell(tmp_path):
+    path = tmp_path / "cost.csv"
+    path.write_text("region,a,b\na,0,1\nb,x,0\n")
+    expected = f"{path}: row 3: cost: could not convert string to float: 'x'"
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+        CostMatrix.from_csv(path)

@@ -3,7 +3,10 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from geodcsim import cluster, runner, schedenv
 from geodcsim.cluster import ClusterInfo, DcStepInfo
 from geodcsim.controllers import RuleBasedController, snapshot_cluster
+from geodcsim.dcphysics import desk_scale_params, save_dc_config
 from geodcsim.envdata import (
     SeriesKind,
     load_price_csv,
@@ -41,7 +45,8 @@ from geodcsim.runner import (
 )
 from geodcsim.workload import ResourceRanges, generate_synthetic_trace, save_trace
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def small_sim(**overrides):
@@ -836,9 +841,9 @@ class TestFileInputs:
 
     @pytest.mark.parametrize("name, edit, expected", [
         ("price.csv", lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",oops"] + lines[3:],
-         "row 2: unparsable value 'oops'"),
+         "row 3: unparsable value 'oops'"),
         ("carbon.csv", lambda lines: lines[:1] + [lines[1] + ",99"] + lines[2:],
-         "row 1: 1 cells past the 2 columns"),
+         "row 2: 1 cells past the 2 columns"),
     ], ids=["price_unparsable", "carbon_extra_cell"])
     def test_cli_bad_series_row_names_the_file(self, tmp_path, capsys, name, edit, expected):
         args = self._args(tmp_path)
@@ -876,6 +881,17 @@ class TestFileInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'trace.jsonl'}: none of ")
         assert not (tmp_path / "out").exists()
+
+    def test_cli_weather_time_that_is_no_text_names_the_file(self, tmp_path, capsys):
+        """A ``time`` element 0 raised AttributeError, printed as a traceback."""
+        args = self._args(tmp_path)
+        path = tmp_path / "weather.json"
+        doc = json.loads(path.read_text())
+        doc["hourly"]["time"][0] = 0
+        path.write_text(json.dumps(doc))
+        assert main([*args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: row 1: unparsable timestamp 0"]
 
 
 class TestTraceWindow:
@@ -926,3 +942,59 @@ class TestTraceWindow:
         sim, _ = self._sim(tmp_path, [])
         rows, kpis = run_episode(sim, small_fleet(), REWARD, seed=0)
         assert len(rows) == 96 and kpis["avg_cpu_util_pct"] == 0.0
+
+
+class TestNumberDomains:
+    """Numbers the fleet or the code gives a site, checked by ``floats.checked``."""
+
+    def test_cli_dry_bulb_outside_its_range_exits_with_one_line(self, tmp_path):
+        """A synthetic base temperature of -100000 degC hung the run in the wet-bulb
+        solve. The CLI runs in a child process with a timeout, so a hang fails."""
+        doc = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
+        doc["datacenters"][0]["synthetic"]["weather"]["base_temp_c"] = -100000.0
+        fleet = tmp_path / "datacenters.yaml"
+        fleet.write_text(yaml.safe_dump(doc))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run(
+            [sys.executable, "-m", "geodcsim.runner", "--sim-config", str(CONFIG_DIR / "sim.yaml"),
+             "--dc-config", str(fleet), "--reward-config", str(CONFIG_DIR / "reward.yaml"),
+             "--days", "1", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: dc 1: dry-bulb temperature must lie in [-90, 70]"]
+
+    @pytest.mark.parametrize("value, expected", [
+        (math.inf, "synthetic_workload.mean_tasks_per_interval must be finite"),
+        (-1.0, "synthetic_workload.mean_tasks_per_interval must be >= 0"),
+    ], ids=["inf", "negative"])
+    def test_code_built_task_rate_must_be_finite(self, value, expected):
+        """An infinite rate built in code passed the ``>= 0`` test."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            small_sim(mean_tasks_per_interval=value)
+
+    def test_infinite_population_weight_is_refused_by_the_spec(self):
+        with pytest.raises(ConfigError, match="^dc 1: population_weight must be finite$"):
+            replace(small_fleet(1)[0], population_weight=math.inf)
+
+    def test_code_built_synthetic_spec_that_is_not_finite_names_the_dc(self):
+        """``SyntheticSeriesSpec`` keeps no check of its own: the series it draws is
+        checked against its kind's domain when the environment is built."""
+        fleet = small_fleet()
+        fleet[1] = replace(fleet[1], synth_price=SyntheticSeriesSpec(base=math.nan))
+        with pytest.raises(ConfigError, match="^dc 2: price must be finite$"):
+            build_env(small_sim(), fleet, REWARD, seed=0)
+
+    def test_one_parameter_block_per_physics_file(self, tmp_path, monkeypatch):
+        """Sites that name the same physics file share the block read from it once."""
+        physics = tmp_path / "dc.json"
+        save_dc_config(desk_scale_params(), physics)
+        calls = []
+        load = runner.load_dc_config
+        monkeypatch.setattr(runner, "load_dc_config", lambda path: calls.append(path) or load(path))
+        fleet = [replace(spec, dc_config_file=str(physics)) for spec in small_fleet(3)]
+        env = build_env(small_sim(), fleet, REWARD, seed=0)
+        env.reset()
+        nodes = env.cluster.nodes
+        assert calls == [str(physics)] and nodes[0].physics is nodes[2].physics
