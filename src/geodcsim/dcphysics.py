@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from datetime import timedelta
 from enum import Enum
 
-from .errors import ConfigError
+from .errors import ConfigError, naming
 from .floats import checked, left_sum
 from .workload import STEP
 
@@ -573,13 +573,13 @@ def params_from_config(doc: dict) -> DcPhysicsParams:
 
 def load_dc_config(path) -> DcPhysicsParams:
     """Read a physics JSON file; any malformed content raises ``ConfigError`` naming the file."""
-    with open(path) as fh:
+    with naming(path), open(path) as fh:
         try:
             return params_from_config(json.load(fh))
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # a bad byte too: UnicodeDecodeError is one
+            raise ConfigError(str(exc)) from exc
 
 
 def save_dc_config(params: DcPhysicsParams, path) -> None:

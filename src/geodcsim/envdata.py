@@ -16,14 +16,13 @@ import csv
 import json
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 
 import numpy as np
 
-from .errors import CoverageError, DataError, DataFormatError
+from .errors import CoverageError, DataError, DataFormatError, naming
 from .floats import checked
 
 HOUR = timedelta(hours=1)
@@ -130,15 +129,23 @@ def _parse_value(text, row: int) -> float:
         raise DataError(f"row {row}: unparsable value {text!r}") from exc
 
 
-@contextmanager
-def _naming(path):
-    """Prefix ``path`` to a data or format error raised inside; bytes that are no text are one."""
-    try:
-        yield
-    except (DataError, DataFormatError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+def dict_rows(path, needed) -> list[tuple[int, dict]]:
+    """Each data row of CSV ``path`` with its file line, the header being line 1, once
+    the header names every column in ``needed``; a row too short to hold one of them,
+    or longer than the header, is a ``DataError``. The caller names the file."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(needed).issubset(reader.fieldnames):
+            raise DataFormatError(f"expected columns {sorted(needed)}")
+        rows = [(reader.line_num, row) for row in reader]  # line_num counts blank lines
+    for i, row in rows:
+        if None in row:  # DictReader files the cells past the header under None
+            raise DataError(f"row {i}: {len(row[None])} cells past the "
+                            f"{len(reader.fieldnames)} columns")
+        missing = [key for key in needed if row[key] is None]  # past the row's last cell
+        if missing:
+            raise DataError(f"row {i}: missing {', '.join(missing)}")
+    return rows
 
 
 def _grid_from_points(points, location, kind) -> TimeSeries:
@@ -163,18 +170,9 @@ def _grid_from_points(points, location, kind) -> TimeSeries:
 
 
 def _load_hourly_csv(path, location, value_col, kind) -> TimeSeries:
-    with open(path, newline="") as fh, _naming(path):
-        reader = csv.DictReader(fh)
-        for col in (PRICE_TIME_COL, value_col):
-            if col not in (reader.fieldnames or ()):
-                raise DataFormatError(f"missing column {col!r}")
-        points = []
-        for row in reader:
-            i = reader.line_num  # a row is named by its file line, the header being line 1
-            if None in row:  # DictReader files the cells past the header under None
-                raise DataError(f"row {i}: {len(row[None])} cells past the "
-                                f"{len(reader.fieldnames)} columns")
-            points.append((_parse_utc(row[PRICE_TIME_COL], i), _parse_value(row[value_col], i), i))
+    with naming(path):
+        points = [(_parse_utc(row[PRICE_TIME_COL], i), _parse_value(row[value_col], i), i)
+                  for i, row in dict_rows(path, (PRICE_TIME_COL, value_col))]
         return _grid_from_points(points, location, kind)
 
 
@@ -205,7 +203,7 @@ def load_weather_json(path, location: str) -> tuple[TimeSeries, TimeSeries]:
     ``hourly.relative_humidity_2m`` is optional; a constant 50% series is
     substituted when absent. Returns (dry-bulb degC, relative humidity %).
     """
-    with open(path) as fh, _naming(path):
+    with naming(path), open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -21,13 +21,17 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DataFormatError
+from .envdata import dict_rows
+from .errors import ConfigError, DataError, DataFormatError, naming
 from .floats import checked
 from .workload import STEP
 
 TRANSMISSION_KWH_PER_GB = 0.06
 DEFAULT_INTRA_THROUGHPUT_MBPS = 1000.0
 DEFAULT_INTRA_RTT_MS = 10.0
+# Least throughput a delay table may hold: with a task's bandwidth at most
+# workload.MAX_BANDWIDTH_GB, every transfer's delay is then a finite number of steps.
+MIN_THROUGHPUT_MBPS = 1e-3
 
 
 class MacroCluster(Enum):
@@ -72,49 +76,25 @@ class CostMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "CostMatrix":
-        with open(path, newline="") as fh:
+        with naming(path), open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        if not rows or len(rows[0]) < 2:
-            raise DataFormatError(f"{path}: expected a header row of region names")
-        regions = [r.strip() for r in rows[0][1:]]
-        mat = np.zeros((len(regions), len(regions)))
-        if len(rows) - 1 != len(regions):
-            raise DataFormatError(f"{path}: expected {len(regions)} data rows")
-        for i, row in enumerate(rows[1:]):
-            if len(row) != len(regions) + 1:  # blank, or short enough for numpy to broadcast
-                raise DataError(f"{path}: row {i + 2}: expected a label and "
-                                f"{len(regions)} costs, got {len(row)} cells")
-            if row[0].strip() != regions[i]:
-                raise DataFormatError(
-                    f"{path}: row label {row[0]!r} does not match column order"
-                )
-            try:
-                mat[i, :] = [checked(v, f"row {i + 2}: cost") for v in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc}") from exc
-        try:
+            if not rows or len(rows[0]) < 2:
+                raise DataFormatError("expected a header row of region names")
+            regions = [r.strip() for r in rows[0][1:]]
+            mat = np.zeros((len(regions), len(regions)))
+            if len(rows) - 1 != len(regions):
+                raise DataFormatError(f"expected {len(regions)} data rows")
+            for i, row in enumerate(rows[1:]):
+                if len(row) != len(regions) + 1:  # blank, or short enough for numpy to broadcast
+                    raise DataError(f"row {i + 2}: expected a label and {len(regions)} costs, "
+                                    f"got {len(row)} cells")
+                if row[0].strip() != regions[i]:
+                    raise DataFormatError(f"row label {row[0]!r} does not match column order")
+                try:
+                    mat[i, :] = [checked(v, f"row {i + 2}: cost") for v in row[1:]]
+                except ValueError as exc:
+                    raise DataError(str(exc)) from exc
             return cls(tuple(regions), mat)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
-
-
-def _dict_rows(path, needed) -> list[tuple[int, dict]]:
-    """Each data row of CSV ``path`` with its line number, once the header names every
-    column in ``needed``; a row too short to hold one of them, or longer than the
-    header, is a ``DataError``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(needed).issubset(reader.fieldnames):
-            raise DataFormatError(f"{path}: expected columns {sorted(needed)}")
-        rows = [(reader.line_num, row) for row in reader]  # line_num counts blank lines
-    for i, row in rows:
-        if None in row:  # DictReader files the cells past the header under None
-            raise DataError(f"{path}: row {i}: {len(row[None])} cells past the "
-                            f"{len(reader.fieldnames)} columns")
-        missing = [key for key in needed if row[key] is None]  # past the row's last cell
-        if missing:
-            raise DataError(f"{path}: row {i}: missing {', '.join(missing)}")
-    return rows
 
 
 @dataclass
@@ -127,7 +107,9 @@ class DelayTable:
     def __post_init__(self):
         try:
             for (a, b), thr in self.throughput_mbps.items():
-                checked(thr, f"throughput for {a.value}->{b.value}", 0.0, lo_open=True)
+                what = f"throughput for {a.value}->{b.value}"
+                if checked(thr, what, 0.0, lo_open=True) < MIN_THROUGHPUT_MBPS:
+                    raise ValueError(f"{what} must be >= {MIN_THROUGHPUT_MBPS:g}")
             for (a, b), rtt in self.rtt_ms.items():
                 checked(rtt, f"RTT for {a.value}->{b.value}", 0.0)
         except ValueError as exc:
@@ -144,21 +126,19 @@ class DelayTable:
     @classmethod
     def from_csv(cls, path) -> "DelayTable":
         throughput, rtt = {}, {}
-        for i, row in _dict_rows(path, ("origin_cluster", "dest_cluster", "throughput_mbps",
-                                        "rtt_ms")):
-            try:
-                a = MacroCluster(row["origin_cluster"].strip())
-                b = MacroCluster(row["dest_cluster"].strip())
-                values = tuple(checked(row[key], key) for key in ("throughput_mbps", "rtt_ms"))
-            except ValueError as exc:
-                raise DataError(f"{path}: bad row {i}: {exc}") from exc
-            if (a, b) in throughput:
-                raise DataError(f"{path}: row {i}: repeats {a.value}->{b.value}")
-            throughput[(a, b)], rtt[(a, b)] = values
-        try:
+        with naming(path):
+            for i, row in dict_rows(path, ("origin_cluster", "dest_cluster", "throughput_mbps",
+                                           "rtt_ms")):
+                try:
+                    a = MacroCluster(row["origin_cluster"].strip())
+                    b = MacroCluster(row["dest_cluster"].strip())
+                    values = tuple(checked(row[key], key) for key in ("throughput_mbps", "rtt_ms"))
+                except ValueError as exc:
+                    raise DataError(f"bad row {i}: {exc}") from exc
+                if (a, b) in throughput:
+                    raise DataError(f"row {i}: repeats {a.value}->{b.value}")
+                throughput[(a, b)], rtt[(a, b)] = values
             return cls(throughput, rtt)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -182,15 +162,16 @@ class RegionMap:
     @classmethod
     def from_csv(cls, path) -> "RegionMap":
         mapping = {}
-        for i, row in _dict_rows(path, ("location_code", "cloud_region", "macro_cluster")):
-            try:
-                cluster = MacroCluster(row["macro_cluster"].strip())
-            except ValueError as exc:
-                raise DataError(f"{path}: bad macro_cluster in row {i}") from exc
-            code = row["location_code"].strip()
-            if code in mapping:
-                raise DataError(f"{path}: row {i}: repeats location_code {code!r}")
-            mapping[code] = (row["cloud_region"].strip(), cluster)
+        with naming(path):
+            for i, row in dict_rows(path, ("location_code", "cloud_region", "macro_cluster")):
+                try:
+                    cluster = MacroCluster(row["macro_cluster"].strip())
+                except ValueError as exc:
+                    raise DataError(f"bad macro_cluster in row {i}") from exc
+                code = row["location_code"].strip()
+                if code in mapping:
+                    raise DataError(f"row {i}: repeats location_code {code!r}")
+                mapping[code] = (row["cloud_region"].strip(), cluster)
         return cls(mapping)
 
 
@@ -228,20 +209,19 @@ def delay_steps(delay_s: float) -> int:
     return math.ceil(delay_s / STEP.total_seconds())
 
 
-def _data_path(name: str):
+def packaged_table(name: str):
+    """The path of the packaged table ``name``: ``cost_matrix.csv``, ``delay_params.csv``
+    or ``region_map.csv``."""
     return resources.files("geodcsim").joinpath("data", name)
 
 
 def default_cost_matrix() -> CostMatrix:
-    with resources.as_file(_data_path("cost_matrix.csv")) as p:
-        return CostMatrix.from_csv(p)
+    return CostMatrix.from_csv(packaged_table("cost_matrix.csv"))
 
 
 def default_delay_table() -> DelayTable:
-    with resources.as_file(_data_path("delay_params.csv")) as p:
-        return DelayTable.from_csv(p)
+    return DelayTable.from_csv(packaged_table("delay_params.csv"))
 
 
 def default_region_map() -> RegionMap:
-    with resources.as_file(_data_path("region_map.csv")) as p:
-        return RegionMap.from_csv(p)
+    return RegionMap.from_csv(packaged_table("region_map.csv"))

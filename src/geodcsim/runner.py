@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import permutations
 from operator import attrgetter
 from pathlib import Path
 
@@ -29,10 +30,11 @@ from .cluster import Cluster, DatacenterNode, check_site
 from .controllers import RuleBasedController, snapshot_cluster
 from .dcphysics import desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
-from .errors import ConfigError, DataError, SimulationError
+from .errors import ConfigError, DataError, SimulationError, naming
 from .floats import checked, left_sum
 from .rewards import CompositeReward
-from .schedenv import KPI_KEYS, STEPS_PER_DAY, SchedulingEnv  # KPI_KEYS: re-exported
+from .schedenv import (KPI_KEYS, STEPS_PER_DAY, SchedulingEnv,  # KPI_KEYS: re-exported
+                       check_coverage)
 from .workload import (STEP, ResourceRanges, first_unknown_origin, generate_synthetic_trace,
                        load_trace)
 
@@ -147,19 +149,19 @@ class SimConfig:
 
 def _read_section(path, name: str, kind: type):
     """The top-level ``name`` section of YAML file ``path``, a non-empty ``kind`` (dict
-    or list); each failure is one ``ConfigError`` line naming the file."""
+    or list); each failure is one ``ConfigError`` line, which the caller names."""
     try:
         with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes raise a YAMLError
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as exc:  # its message spans lines: keep only the line number
         line = f" at line {exc.problem_mark.line + 1}" if getattr(exc, "problem_mark", None) else ""
-        raise ConfigError(f"{path}: invalid YAML{line}") from exc
+        raise ConfigError(f"invalid YAML{line}") from exc
     except ValueError as exc:  # a bad date, or an integer past Python's int digit limit
-        raise ConfigError(f"{path}: unreadable value: {exc}") from exc
+        raise ConfigError(f"unreadable value: {exc}") from exc
     section = doc.get(name) if isinstance(doc, dict) else None
     if not (section and isinstance(section, kind)):
         what = "list" if kind is list else "mapping"
-        raise ConfigError(f"{path}: needs a non-empty top-level {name!r} {what}")
+        raise ConfigError(f"needs a non-empty top-level {name!r} {what}")
     return section
 
 
@@ -218,61 +220,61 @@ def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = "", al
 
 
 def load_sim_config(path) -> SimConfig:
-    sim = _read_section(path, "simulation", dict)
-    rate = ["mean_tasks_per_interval"]  # read from synthetic_workload, with the ranges
-    names = [f.name for f in fields(SimConfig) if f.name not in (*rate, "resource_ranges")]
-    try:
-        ranges_doc = _section(sim, "synthetic_workload")
+    with naming(path):
+        sim = _read_section(path, "simulation", dict)
+        rate = ["mean_tasks_per_interval"]  # read from synthetic_workload, with the ranges
+        names = [f.name for f in fields(SimConfig) if f.name not in (*rate, "resource_ranges")]
         try:
-            ranges = _with_doc(ResourceRanges(), ranges_doc, also=rate)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic_workload ranges: {exc}") from exc
-        base = SimConfig(**{key: _cast(sim, key, int)
-                            for key in ("year", "month", "init_day", "duration_days")},
-                         resource_ranges=ranges)
-        base = _with_doc(base, ranges_doc, rate, where="synthetic_workload.",
-                         also=ranges_doc)  # the ranges read checked its keys
-        return _with_doc(base, sim, names, also=["synthetic_workload"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing simulation field {exc.args[0]!r}") from exc
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{path}: simulation: {exc}") from exc
+            ranges_doc = _section(sim, "synthetic_workload")
+            try:
+                ranges = _with_doc(ResourceRanges(), ranges_doc, also=rate)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad synthetic_workload ranges: {exc}") from exc
+            base = SimConfig(**{key: _cast(sim, key, int)
+                                for key in ("year", "month", "init_day", "duration_days")},
+                             resource_ranges=ranges)
+            base = _with_doc(base, ranges_doc, rate, where="synthetic_workload.",
+                             also=ranges_doc)  # the ranges read checked its keys
+            return _with_doc(base, sim, names, also=["synthetic_workload"])
+        except KeyError as exc:
+            raise ConfigError(f"missing simulation field {exc.args[0]!r}") from exc
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"simulation: {exc}") from exc
 
 
 def load_dc_fleet(path) -> list[DcSpec]:
-    data = ["price_csv", "carbon_csv", "weather_json"]  # read from the data section
-    top = [f.name for f in fields(DcSpec)
-           if f.name not in data and not f.name.startswith(("hvac_", "synth_"))]
-    specs = []
-    for i, entry in enumerate(_read_section(path, "datacenters", list)):
-        try:
-            spec = DcSpec(dc_id=_cast(entry, "dc_id", int), location=str(entry["location"]),
-                          **{key: _cast(entry, key, float)
-                             for key in ("total_cores", "total_gpus", "total_mem_gb")})
-            spec = _with_doc(spec, entry, top, also=["hvac", "data", "synthetic"])
-            spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
-            spec = _with_doc(spec, _section(entry, "data"), data, where="data.")
-            spec = _with_doc(spec, _section(entry, "synthetic"), prefix="synth_",
-                             where="synthetic.")
-        except KeyError as exc:
-            raise ConfigError(f"{path}: datacenter {i}: missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}: datacenter {i}: {exc}") from exc
-        specs.append(spec)
-    ids = [s.dc_id for s in specs]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"{path}: dc_id values must be unique")
-    return specs
+    with naming(path):
+        data = ["price_csv", "carbon_csv", "weather_json"]  # read from the data section
+        top = [f.name for f in fields(DcSpec)
+               if f.name not in data and not f.name.startswith(("hvac_", "synth_"))]
+        specs = []
+        for i, entry in enumerate(_read_section(path, "datacenters", list)):
+            try:
+                spec = DcSpec(dc_id=_cast(entry, "dc_id", int), location=str(entry["location"]),
+                              **{key: _cast(entry, key, float)
+                                 for key in ("total_cores", "total_gpus", "total_mem_gb")})
+                spec = _with_doc(spec, entry, top, also=["hvac", "data", "synthetic"])
+                spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
+                spec = _with_doc(spec, _section(entry, "data"), data, where="data.")
+                spec = _with_doc(spec, _section(entry, "synthetic"), prefix="synth_",
+                                 where="synthetic.")
+            except KeyError as exc:
+                raise ConfigError(f"datacenter {i}: missing field {exc.args[0]!r}") from exc
+            except (TypeError, ValueError, ConfigError) as exc:
+                raise ConfigError(f"datacenter {i}: {exc}") from exc
+            specs.append(spec)
+        ids = [s.dc_id for s in specs]
+        if len(set(ids)) != len(ids):
+            raise ConfigError("dc_id values must be unique")
+        return specs
 
 
 def load_reward_config(path) -> dict:
     """``{"reward": …}``, checked by building the composite once, so that a bad
     component stops the run naming the file before any episode starts."""
-    doc = {"reward": _read_section(path, "reward", dict)}
-    try:
+    with naming(path):
+        doc = {"reward": _read_section(path, "reward", dict)}
         CompositeReward.from_config(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return doc
 
 
@@ -317,32 +319,35 @@ def _check_trace_window(env: SchedulingEnv, path, n_tasks: int) -> None:
         return
     window = f"[{env.start.isoformat()}, {env.end.isoformat()})"
     if missed == n_tasks:
-        raise ConfigError(f"{path}: none of its {missed} tasks arrives at a "
+        raise ConfigError(f"none of its {missed} tasks arrives at a "
                           f"step of the simulation window {window}")
     logger.warning("%s: %d of %d tasks arrive at no step of the simulation window %s "
                    "and never run", path, missed, n_tasks, window)
 
 
 def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) -> SchedulingEnv:
-    """Assemble the environment for one seeded episode; ``seed`` must be >= 0."""
+    """Assemble the environment for one seeded episode; ``seed`` must be >= 0. Each
+    cross-file check runs here, before any episode, naming the file at fault."""
     _check_seed(seed)
     seeds = _seed_ints(seed, 2 + 3 * len(fleet))
     workload_seed, env_seed = seeds[0], seeds[1]
 
-    cost_matrix = (
-        network.CostMatrix.from_csv(sim.cost_matrix_path)
-        if sim.cost_matrix_path else network.default_cost_matrix()
-    )
-    delay_table = (
-        network.DelayTable.from_csv(sim.delay_params_path)
-        if sim.delay_params_path else network.default_delay_table()
-    )
-    region_map = (
-        network.RegionMap.from_csv(sim.region_map_path)
-        if sim.region_map_path else network.default_region_map()
-    )
-    for spec in fleet:
-        region_map.region_of(spec.location)  # fail before step 0 on unmapped locations
+    cost_path = sim.cost_matrix_path or network.packaged_table("cost_matrix.csv")
+    delay_path = sim.delay_params_path or network.packaged_table("delay_params.csv")
+    region_path = sim.region_map_path or network.packaged_table("region_map.csv")
+    cost_matrix = network.CostMatrix.from_csv(cost_path)
+    delay_table = network.DelayTable.from_csv(delay_path)
+    region_map = network.RegionMap.from_csv(region_path)
+    # The fleet against the tables, one lookup per distinct region and cluster pair.
+    with naming(region_path):
+        sites = dict.fromkeys((region_map.region_of(spec.location),
+                               region_map.cluster_of(spec.location)) for spec in fleet)
+    with naming(cost_path), naming(region_path):  # the two tables disagree: name both
+        for region, _ in sites:
+            cost_matrix.rate(region, region)
+    with naming(delay_path):
+        for pair in permutations(dict.fromkeys(cluster for _, cluster in sites), 2):
+            delay_table.lookup(*pair)
 
     site_data, physics = [], {}  # physics: one parameter block per file, None: desk scale
     for i, spec in enumerate(fleet):
@@ -379,8 +384,9 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         trace = load_trace(sim.workload_path)
         bad = first_unknown_origin(trace, {spec.dc_id for spec in fleet})
         if bad is not None:  # before any episode; reset() checks envs built otherwise
-            raise ConfigError(f"{sim.workload_path}: task {bad.job_id}: "
-                              f"origin {bad.origin_dc_id} is not a configured dc")
+            with naming(sim.workload_path):
+                raise ConfigError(f"task {bad.job_id}: origin {bad.origin_dc_id} "
+                                  "is not a configured dc")
     else:
         try:
             trace = generate_synthetic_trace(
@@ -403,7 +409,14 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         shuffle_datacenters=sim.shuffle_datacenters,
     )
     if sim.workload_path:
-        _check_trace_window(env, sim.workload_path, len(trace))
+        with naming(sim.workload_path):
+            _check_trace_window(env, sim.workload_path, len(trace))
+    for spec, _, series in site_data:  # a drawn series covers the window by construction
+        files = (spec.price_csv, spec.carbon_csv, spec.weather_json, spec.weather_json)
+        for path, one in zip(files, series):
+            if path:
+                with naming(path):
+                    check_coverage([(spec.dc_id, one)], env.start, env.end)
     return env
 
 

@@ -103,6 +103,17 @@ def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
     return np.asarray(time_feats + agg + _dc_features(cluster, now), dtype=np.float32)
 
 
+def check_coverage(site_series, start: datetime, end: datetime) -> None:
+    """Refuse, in one ``ConfigError``, every ``(dc_id, series)`` pair of ``site_series``
+    whose series does not cover ``[start, end]``."""
+    missing = [f"dc {dc_id} {series.kind.value} covers "
+               f"[{series.start.isoformat()}, {series.end.isoformat()}]"
+               for dc_id, series in site_series if not series.covers(start, end)]
+    if missing:
+        raise ConfigError("series do not cover the simulation window "
+                          f"[{start.isoformat()}, {end.isoformat()}]: " + "; ".join(missing))
+
+
 def _check_action(action, lo: int, hi: int) -> int:
     """``action`` as an int if it is a whole number in ``lo..hi``, else a ``ProtocolError``."""
     try:
@@ -178,19 +189,9 @@ class SchedulingEnv:
         return sum(len(tasks) for at, tasks in self._arrivals.items() if at not in steps)
 
     def _check_coverage(self):
-        missing = []
-        for node in self.cluster.nodes:
-            for series in (node.price, node.carbon, node.drybulb, node.humidity):
-                if not series.covers(self.start, self.end):
-                    missing.append(
-                        f"dc {node.dc_id} {series.kind.value} covers "
-                        f"[{series.start.isoformat()}, {series.end.isoformat()}]"
-                    )
-        if missing:
-            raise ConfigError(
-                "series do not cover the simulation window "
-                f"[{self.start.isoformat()}, {self.end.isoformat()}]: " + "; ".join(missing)
-            )
+        check_coverage([(node.dc_id, series) for node in self.cluster.nodes
+                        for series in (node.price, node.carbon, node.drybulb, node.humidity)],
+                       self.start, self.end)
 
     def reset(self, seed: int | None = None):
         """Build a fresh episode and return the first observation."""

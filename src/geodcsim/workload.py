@@ -9,6 +9,7 @@ shorter than 15 minutes are rejected because the simulation cannot resolve them.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -17,16 +18,21 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, naming
 from .floats import checked
 
 STEP = timedelta(minutes=15)  # the simulation's one time grid
 MIN_DURATION_MIN = STEP / timedelta(minutes=1)  # one step: shorter tasks cannot be resolved
 DEFAULT_SLA_MULTIPLIER = 1.5
 
-# a task's numbers, in the order of a trace record and of ResourceRanges, and their floors
-_FLOORS = {"duration_min": MIN_DURATION_MIN, "cores_req": 0.0, "gpu_req": 0.0, "mem_req": 0.0,
-           "bandwidth_gb": 0.0, "sla_multiplier": 1.0}
+# Largest data volume of one task (1 PB): its transfer over the slowest link a delay
+# table may hold (network.MIN_THROUGHPUT_MBPS) still takes a finite time.
+MAX_BANDWIDTH_GB = 1e6
+# a task's numbers, in the order of a trace record and of ResourceRanges, and the
+# (floor, ceiling) of each
+_DOMAINS = {"duration_min": (MIN_DURATION_MIN, math.inf), "cores_req": (0.0, math.inf),
+            "gpu_req": (0.0, math.inf), "mem_req": (0.0, math.inf),
+            "bandwidth_gb": (0.0, MAX_BANDWIDTH_GB), "sla_multiplier": (1.0, math.inf)}
 
 BUSINESS_HOURS = range(8, 20)
 OFF_HOURS_ACTIVITY = 0.3
@@ -89,11 +95,13 @@ class Task:
                 f"task {self.job_id}: arrival_time {self.arrival_time.isoformat()} "
                 "is not aligned to the 15-minute grid"
             )
-        for name, floor in _FLOORS.items():
+        for name, (floor, ceiling) in _DOMAINS.items():
             try:
-                checked(getattr(self, name), name, floor)
+                value = checked(getattr(self, name), name, floor)
             except ValueError:  # one wording, whatever is wrong with the number
                 raise ValueError(f"task {self.job_id}: {name} must be >= {floor:g} and finite") from None
+            if value > ceiling:
+                raise ValueError(f"task {self.job_id}: {name} must be <= {ceiling:g}")
         self._set_deadline()
 
     def _set_deadline(self) -> None:
@@ -138,7 +146,7 @@ def compute_sla_deadline(task: Task) -> datetime:
     return task.arrival_time + timedelta(minutes=task.sla_multiplier * task.duration_min)
 
 
-_TRACE_FIELDS = ("job_id", "arrival_time", *_FLOORS, "origin_dc_id")
+_TRACE_FIELDS = ("job_id", "arrival_time", *_DOMAINS, "origin_dc_id")
 
 
 def _trace_number(job_id: str, key: str, value) -> float:
@@ -182,7 +190,7 @@ def _trace_job_id(value) -> str:
 def load_trace(path) -> list[Task]:
     """Load a JSONL trace as its tasks sorted by arrival, in file order within one."""
     tasks = []
-    with open(path) as fh:
+    with naming(path), open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -190,11 +198,11 @@ def load_trace(path) -> list[Task]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
+                raise DataError(f"line {lineno}: invalid JSON") from exc
             except ValueError as exc:  # an integer past Python's int digit limit
-                raise DataError(f"{path}: line {lineno}: unreadable value: {exc}") from exc
+                raise DataError(f"line {lineno}: unreadable value: {exc}") from exc
             if not isinstance(rec, dict):
-                raise DataError(f"{path}: line {lineno}: a task must be a JSON object, "
+                raise DataError(f"line {lineno}: a task must be a JSON object, "
                                 f"got {json.dumps(rec)}")
             try:
                 job_id = _trace_job_id(rec["job_id"])
@@ -202,13 +210,13 @@ def load_trace(path) -> list[Task]:
                 task = Task(
                     job_id=job_id,
                     arrival_time=_trace_arrival(job_id, rec["arrival_time"]),
-                    **{key: _trace_number(job_id, key, rec[key]) for key in _FLOORS},
+                    **{key: _trace_number(job_id, key, rec[key]) for key in _DOMAINS},
                     origin_dc_id=_trace_origin(job_id, rec.get("origin_dc_id")),
                 )
             except KeyError as exc:
-                raise DataError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from exc
+                raise DataError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
             except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                raise DataError(f"line {lineno}: {exc}") from exc
             tasks.append(task)
     return sorted(tasks, key=attrgetter("arrival_time"))  # stable: file order kept
 
@@ -284,8 +292,11 @@ class ResourceRanges:
                 raise ValueError(f"{f.name}: bounds must be finite") from None
             if lo > hi:
                 raise ValueError(f"{f.name}: lower bound {lo} exceeds upper bound {hi}")
-            if lo < _FLOORS[f.name]:
-                raise ValueError(f"{f.name} range must start at >= {_FLOORS[f.name]:g}")
+            floor, ceiling = _DOMAINS[f.name]
+            if lo < floor:
+                raise ValueError(f"{f.name} range must start at >= {floor:g}")
+            if hi > ceiling:  # the synthetic trace's clones skip Task's checks
+                raise ValueError(f"{f.name} range must end at <= {ceiling:g}")
 
 
 def generate_synthetic_trace(

@@ -3,16 +3,15 @@
 Each example writes one input file of every kind that a run reads: a trace
 (JSONL), dc 1's price and carbon CSVs, its weather JSON and its physics JSON, and
 the cost matrix, delay table and region map. It damages one of them: cuts it
-short, or replaces one JSON leaf or one CSV cell with a number no input should
-hold (``1e16``, ``-1e5``, ``1e400``, an infinity, NaN), ``true`` or text. It then
-runs that file's loader, ``build_env`` and a one-day ``run_episode``.
+short, writes one byte that is no UTF-8 (``0xff``) into it, or replaces one JSON
+leaf or one CSV cell with a number no input should hold (``1e16``, ``-1e5``,
+``1e400``, an infinity, NaN), ``true`` or text. It then runs that file's loader,
+``build_env`` and a one-day ``run_episode``.
 
 A ``SimulationError`` or an ``OSError`` with a one-line message is the expected
-way to fail, and a failure of the loader names the file it read. Any other
-exception is a leak the CLI would print as a traceback; a run still going after
-``SECONDS`` is a hang. A series that no longer covers the window, a delay pair
-or a region missing from a table are found after the files are read, and their
-errors do not name a file.
+way to fail, and a ``SimulationError`` names the damaged file, whether the loader,
+``build_env``, ``reset`` or the episode raised it. Any other exception is a leak
+the CLI would print as a traceback; a run still going after ``SECONDS`` is a hang.
 """
 
 import copy
@@ -145,17 +144,22 @@ _REPLACED_CELL = st.builds(
 _TRUNCATED_FILE = st.sampled_from(sorted(FILES)).flatmap(
     lambda kind: st.integers(0, len(TEXTS[kind])).map(lambda n: (kind, TEXTS[kind][:n]))
 )
+_NO_TEXT_BYTE = st.sampled_from(sorted(FILES)).flatmap(  # the texts are ASCII
+    lambda kind: st.integers(0, len(TEXTS[kind])).map(
+        lambda n: (kind, TEXTS[kind][:n].encode() + b"\xff" + TEXTS[kind][n:].encode()))
+)
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=SECONDS))
-@given(damage=st.one_of(_REPLACED_LEAF, _REPLACED_CELL, _TRUNCATED_FILE))
+@given(damage=st.one_of(_REPLACED_LEAF, _REPLACED_CELL, _TRUNCATED_FILE, _NO_TEXT_BYTE))
 def test_damaged_input_file_gives_typed_error_or_clean_run(tmp_path_factory, damage):
     kind, text = damage
     root = tmp_path_factory.getbasetemp() / "data_fuzz"
     root.mkdir(exist_ok=True)
     paths = {k: root / name for k, (name, _) in FILES.items()}
     for k, path in paths.items():
-        path.write_text(text if k == kind else TEXTS[k])
+        data = text if k == kind else TEXTS[k]
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
     sim = replace(SIM, workload_path=str(paths["trace"]), cost_matrix_path=str(paths["cost"]),
                   delay_params_path=str(paths["delay"]), region_map_path=str(paths["regions"]))
     fleet = [replace(FLEET[0], price_csv=str(paths["price"]), carbon_csv=str(paths["carbon"]),
@@ -172,3 +176,5 @@ def test_damaged_input_file_gives_typed_error_or_clean_run(tmp_path_factory, dam
             run_episode(sim, fleet, REWARD, seed=0)
         except (SimulationError, OSError) as exc:
             assert "\n" not in str(exc), f"error spans lines: {exc}"
+            if isinstance(exc, SimulationError):
+                assert str(paths[kind]) in str(exc), f"error does not name the file: {exc}"

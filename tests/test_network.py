@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from geodcsim.errors import ConfigError, DataError
+from geodcsim.errors import ConfigError, DataError, DataFormatError
 from geodcsim.network import (
+    MIN_THROUGHPUT_MBPS,
     CostMatrix,
     DelayTable,
     MacroCluster,
@@ -13,11 +14,13 @@ from geodcsim.network import (
     default_delay_table,
     default_region_map,
     delay_steps,
+    packaged_table,
     transmission_cost,
     transmission_delay_s,
     transmission_emissions_kg,
     transmission_energy_kwh,
 )
+from geodcsim.workload import MAX_BANDWIDTH_GB
 
 from conftest import tiny_network
 
@@ -223,12 +226,36 @@ class TestBadCsvRows:
          "throughput for US->EU must be > 0"),
         (CostMatrix, "region,a,a\na,0,1\na,2,0\n",
          "regions must be named once each, got ['a', 'a']"),
-    ], ids=["cost_diagonal", "cost_negative", "delay_zero_throughput", "cost_region_twice"])
+        (DelayTable, "origin_cluster,dest_cluster,throughput_mbps,rtt_ms\nUS,EU,1e-320,90\n",
+         "throughput for US->EU must be >= 0.001"),
+    ], ids=["cost_diagonal", "cost_negative", "delay_zero_throughput", "cost_region_twice",
+            "delay_throughput_below_the_floor"])
     def test_table_value_error_names_the_file(self, tmp_path, loader, text, expected):
         path = tmp_path / "t.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {expected}')}$"):
             loader.from_csv(path)
+
+
+@pytest.mark.parametrize("loader, name", [
+    (CostMatrix, "cost_matrix.csv"), (DelayTable, "delay_params.csv"), (RegionMap, "region_map.csv"),
+], ids=["cost", "delay", "region_map"])
+def test_bytes_that_are_no_text_name_the_file(tmp_path, loader, name):
+    """A byte 0xff in a packaged table's copy leaked a UnicodeDecodeError."""
+    path = tmp_path / name
+    text = packaged_table(name).read_bytes()
+    path.write_bytes(text[:40] + b"\xff" + text[40:])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't "
+                                              "decode byte 0xff in position 40: "):
+        loader.from_csv(path)
+
+
+def test_throughput_floor_keeps_the_largest_transfer_finite():
+    """A table may hold 1e-3 Mbps; a task of the largest size then takes finite steps."""
+    table = DelayTable({(MacroCluster.US, MacroCluster.EU): MIN_THROUGHPUT_MBPS},
+                       {(MacroCluster.US, MacroCluster.EU): 1e308})
+    region_map = RegionMap({"A": ("a", MacroCluster.US), "B": ("b", MacroCluster.EU)})
+    assert delay_steps(transmission_delay_s(table, region_map, MAX_BANDWIDTH_GB, "A", "B")) > 0
 
 
 @pytest.mark.parametrize("row, field", [

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodcsim import cluster, runner, schedenv
+from geodcsim import cluster, network, runner, schedenv
 from geodcsim.cluster import ClusterInfo, DcStepInfo
 from geodcsim.controllers import RuleBasedController, snapshot_cluster
 from geodcsim.dcphysics import desk_scale_params, save_dc_config
@@ -475,6 +475,18 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {region_map}: row 2: ")
 
+    def test_cli_truncated_delay_table_names_it_before_step_0(self, tmp_path, capsys):
+        """Without its EU,US row the table failed mid-episode, naming no file."""
+        delays = tmp_path / "delay_params.csv"
+        lines = network.packaged_table("delay_params.csv").read_text().splitlines()
+        delays.write_text("\n".join(line for line in lines if not line.startswith("EU,US,")) + "\n")
+        args, _ = self._edited_args(tmp_path, "sim", ["simulation", "delay_params_path"],
+                                    str(delays))
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {delays}: no delay parameters for EU->US"]
+        assert not (tmp_path / "out").exists()
+
     def test_cli_malformed_physics_json(self, tmp_path, capsys):
         bad = tmp_path / "dc.json"
         bad.write_text("{not json")
@@ -866,6 +878,19 @@ class TestFileInputs:
         assert err == [f"error: {trace}: line 2: task {task['job_id']}: "
                        "bandwidth_gb must be >= 0 and finite"]
 
+    def test_cli_trace_bandwidth_above_its_ceiling(self, tmp_path, capsys):
+        """A 1e306 GB transfer overflowed its delay in ``delay_steps``: it is refused."""
+        args = self._args(tmp_path, origin=3)
+        trace = tmp_path / "trace.jsonl"
+        lines = trace.read_text().splitlines()
+        task = json.loads(lines[1])
+        task["bandwidth_gb"] = 1e306
+        lines[1] = json.dumps(task)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main([*args, "--strategy", "round_robin", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {trace}: line 2: task {task['job_id']}: bandwidth_gb must be <= 1e+06"]
+
     def test_cli_trace_origin_must_be_a_configured_dc(self, tmp_path, capsys):
         """The trace is checked against the fleet before any episode runs."""
         args = self._args(tmp_path, origin=9)
@@ -998,3 +1023,70 @@ class TestNumberDomains:
         env.reset()
         nodes = env.cluster.nodes
         assert calls == [str(physics)] and nodes[0].physics is nodes[2].physics
+
+
+class TestCrossFileChecks:
+    """``build_env`` checks the fleet against the network tables and the series files
+    against the window once, before any episode, naming the file at fault."""
+
+    PACKAGED = {name: network.packaged_table(name)
+                for name in ("cost_matrix.csv", "delay_params.csv", "region_map.csv")}
+
+    def _copy(self, tmp_path, name, keep):
+        """A copy of packaged table ``name`` holding the lines for which ``keep`` holds."""
+        path = tmp_path / name
+        lines = self.PACKAGED[name].read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if keep(line)) + "\n")
+        return path
+
+    def test_location_the_region_map_lacks(self, tmp_path):
+        regions = self._copy(tmp_path, "region_map.csv", lambda line: not line.startswith("SG,"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(regions))}: location 'SG' "
+                                              "has no region mapping$"):
+            build_env(small_sim(region_map_path=str(regions)), small_fleet(3), REWARD, seed=0)
+
+    def test_a_packaged_table_is_named_by_its_packaged_path(self):
+        fleet = small_fleet()
+        fleet[0].location = "ATLANTIS"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(self.PACKAGED['region_map.csv']))}"
+                                              ": location 'ATLANTIS' has no region mapping$"):
+            build_env(small_sim(), fleet, REWARD, seed=0)
+
+    def test_region_the_cost_matrix_lacks_names_both_tables(self, tmp_path):
+        costs = tmp_path / "cost_matrix.csv"
+        costs.write_text("region,us-west-1,eu-central-1\nus-west-1,0,1\neu-central-1,1,0\n")
+        with pytest.raises(ConfigError, match=(
+                f"^{re.escape(str(costs))}: {re.escape(str(self.PACKAGED['region_map.csv']))}: "
+                "region 'ap-southeast-1' not in cost matrix$")):
+            build_env(small_sim(cost_matrix_path=str(costs)), small_fleet(3), REWARD, seed=0)
+
+    def test_cluster_pair_the_delay_table_lacks(self, tmp_path):
+        """A local-only run never looks the pair up: it ran to the end before."""
+        delays = self._copy(tmp_path, "delay_params.csv", lambda line: not line.startswith("EU,US,"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(delays))}: "
+                                              "no delay parameters for EU->US$"):
+            run_episode(small_sim(delay_params_path=str(delays)), small_fleet(3), REWARD, seed=0)
+
+    def test_series_file_short_of_the_window(self, tmp_path):
+        start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+        price = tmp_path / "price.csv"
+        save_series_csv(synth_series(SeriesKind.PRICE, 90.0, 0.0, 0.0, start, 12, 1), price)
+        fleet = small_fleet()
+        fleet[1] = replace(fleet[1], price_csv=str(price))
+        with pytest.raises(ConfigError, match=(
+                f"^{re.escape(str(price))}: series do not cover the simulation window "
+                r"\[2024-03-01T00:00:00\+00:00, 2024-03-02T00:00:00\+00:00\]: dc 2 price "
+                r"covers \[2024-03-01T00:00:00\+00:00, 2024-03-01T11:00:00\+00:00\]$")):
+            build_env(small_sim(), fleet, REWARD, seed=0)
+
+    def test_one_lookup_per_distinct_region_and_cluster_pair(self, monkeypatch):
+        """48 sites at 3 locations: 3 regions and 6 ordered cluster pairs, not 48**2."""
+        calls = []
+        for kind, name in ((network.CostMatrix, "rate"), (network.DelayTable, "lookup")):
+            method = getattr(kind, name)
+            monkeypatch.setattr(kind, name, lambda self, *args, method=method, name=name:
+                                calls.append(name) or method(self, *args))
+        fleet = [replace(spec, dc_id=spec.dc_id + 3 * k)
+                 for k in range(16) for spec in small_fleet(3)]
+        build_env(small_sim(), fleet, REWARD, seed=0)
+        assert sorted(calls) == ["lookup"] * 6 + ["rate"] * 3

@@ -8,8 +8,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from geodcsim.errors import DataError
+from geodcsim.errors import DataError, DataFormatError
 from geodcsim.workload import (
+    MAX_BANDWIDTH_GB,
     ResourceRanges,
     Task,
     TaskStatus,
@@ -121,6 +122,12 @@ class TestTask:
         with pytest.raises(ValueError, match="must be >= 0 and finite"):
             Task(*args)
 
+    def test_bandwidth_above_its_ceiling_rejected(self):
+        """A transfer of 1e306 GB overflowed its delay to an infinity in ``delay_steps``."""
+        with pytest.raises(ValueError, match=r"^task j: bandwidth_gb must be <= 1e\+06$"):
+            Task("j", T0, 60.0, 1, 0, 1, 1e306)
+        assert Task("j", T0, 60.0, 1, 0, 1, MAX_BANDWIDTH_GB).bandwidth_gb == MAX_BANDWIDTH_GB
+
     def test_status_machine(self):
         t = Task("j", T0, 60.0, 1, 0, 1, 0.1)
         t.set_status(TaskStatus.DEFERRED)
@@ -192,6 +199,19 @@ class TestLoadTrace:
         p = tmp_path / "t.jsonl"
         p.write_text("")
         assert load_trace(p) == []
+
+    def test_bytes_that_are_no_text_name_the_file(self, tmp_path):
+        """A byte 0xff leaked a UnicodeDecodeError, which the CLI printed as a traceback."""
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a")])
+        p.write_bytes(p.read_bytes()[:10] + b"\xff" + p.read_bytes()[10:])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: 'utf-8' codec "):
+            load_trace(p)
+
+    def test_bandwidth_above_its_ceiling_names_the_file(self, tmp_path):
+        p = write_trace(tmp_path / "t.jsonl", [task_record("a"), task_record("b", bw=1e306)])
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: line 2: task b: "
+                                            r"bandwidth_gb must be <= 1e\+06$"):
+            load_trace(p)
 
     def test_short_task_cites_floor(self, tmp_path):
         p = write_trace(tmp_path / "t.jsonl", [task_record("a", duration=10.0)])
@@ -401,6 +421,12 @@ class TestSyntheticTrace:
     def test_duration_floor_enforced(self):
         with pytest.raises(ValueError):
             ResourceRanges(duration_min=(5.0, 60.0))
+
+    def test_bandwidth_ceiling_enforced(self):
+        """The trace's clones skip ``Task``'s checks, so the range holds the ceiling."""
+        with pytest.raises(ValueError, match=r"^bandwidth_gb range must end at <= 1e\+06$"):
+            ResourceRanges(bandwidth_gb=(0.1, 1e306))
+        assert ResourceRanges(bandwidth_gb=(0.1, MAX_BANDWIDTH_GB)).bandwidth_gb[1] == 1e6
 
     @pytest.mark.parametrize("mean, ranges", [
         (6.0, ResourceRanges()),
