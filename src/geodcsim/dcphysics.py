@@ -154,6 +154,7 @@ _EXPONENT = (0.0, 2.0)  # a greater power of a rack's power or air flow overflow
 _DOMAINS = dict.fromkeys(_FIELD_TYPES, ()) | {
     "num_racks": (1, 100_000), "cpus_per_rack": (0, 10_000), "gpus_per_rack": (0, 10_000),
     "thermal_coeffs": [(), _EXPONENT, _EXPONENT, (), ()],  # c, d, e, f, g
+    "fan_power_exponent": (0.0, 3.0),  # at most the fan affinity law's cube
     "cw_pump_eff": (0.0, 1.0, True), "ct_pump_eff": (0.0, 1.0, True),
     **dict.fromkeys(("cpu_full_w", "gpu_full_w", "fan_ref_w", "fan_ref_ratio", "crac_fan_ref_w",
                      "ct_fan_ref_w", "ct_ref_air_flow_m3s", "crac_supply_flow_pu",

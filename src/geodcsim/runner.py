@@ -28,7 +28,7 @@ import yaml
 from . import envdata, network
 from .cluster import Cluster, DatacenterNode, check_site
 from .controllers import RuleBasedController, snapshot_cluster
-from .dcphysics import desk_scale_params, load_dc_config
+from .dcphysics import DcPhysicsParams, desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
 from .errors import ConfigError, DataError, SimulationError, naming
 from .floats import checked, left_sum
@@ -99,6 +99,8 @@ class DcSpec:
     synth_price: SyntheticSeriesSpec = field(default_factory=lambda: SyntheticSeriesSpec(80.0, 30.0))
     synth_carbon: SyntheticSeriesSpec = field(default_factory=lambda: SyntheticSeriesSpec(300.0, 100.0))
     synth_weather: SyntheticWeatherSpec = field(default_factory=SyntheticWeatherSpec)
+    # the block of dc_config_file that load_dc_fleet read; None: build_env reads it
+    physics: DcPhysicsParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _cast(vars(self), "dc_id", float)  # observations carry it as a float
@@ -245,8 +247,8 @@ def load_sim_config(path) -> SimConfig:
 def load_dc_fleet(path) -> list[DcSpec]:
     with naming(path):
         data = ["price_csv", "carbon_csv", "weather_json"]  # read from the data section
-        top = [f.name for f in fields(DcSpec)
-               if f.name not in data and not f.name.startswith(("hvac_", "synth_"))]
+        top = [f.name for f in fields(DcSpec) if f.init
+               and f.name not in data and not f.name.startswith(("hvac_", "synth_"))]
         specs = []
         for i, entry in enumerate(_read_section(path, "datacenters", list)):
             try:
@@ -266,7 +268,30 @@ def load_dc_fleet(path) -> list[DcSpec]:
         ids = [s.dc_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError("dc_id values must be unique")
-        return specs
+        try:  # origin sampling divides each site's weight by their sum
+            checked(left_sum(s.population_weight for s in specs), "the sum of population_weight")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    for i, (spec, params) in enumerate(zip(specs, _physics_blocks(specs))):
+        spec.physics = params
+        lo, hi = params.setpoint_range_c
+        if not lo <= spec.hvac_setpoint_c <= hi:
+            with naming(path):
+                raise ConfigError(f"datacenter {i}: hvac.setpoint_c: {spec.hvac_setpoint_c} "
+                                  f"outside its physics SETPOINT_RANGE [{lo}, {hi}]")
+    return specs
+
+
+def _physics_blocks(specs) -> list:
+    """Each spec's physics block: the one it holds, else the one read from its
+    ``dc_config_file`` (once per file), else the desk-scale block."""
+    read = {}
+    for spec in specs:
+        file = spec.dc_config_file
+        if spec.physics is None and file not in read:
+            read[file] = load_dc_config(file) if file else desk_scale_params()
+    return [read[spec.dc_config_file] if spec.physics is None else spec.physics
+            for spec in specs]
 
 
 def load_reward_config(path) -> dict:
@@ -349,13 +374,8 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
         for pair in permutations(dict.fromkeys(cluster for _, cluster in sites), 2):
             delay_table.lookup(*pair)
 
-    site_data, physics = [], {}  # physics: one parameter block per file, None: desk scale
-    for i, spec in enumerate(fleet):
-        series = _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i])
-        file = spec.dc_config_file
-        if file not in physics:
-            physics[file] = load_dc_config(file) if file else desk_scale_params()
-        site_data.append((spec, physics[file], series))
+    site_data = [(spec, params, _build_series(spec, sim, seeds[2 + 3 * i: 5 + 3 * i]))
+                 for i, (spec, params) in enumerate(zip(fleet, _physics_blocks(fleet)))]
 
     def cluster_factory() -> Cluster:
         nodes = [

@@ -24,7 +24,8 @@ from .cluster import Cluster, ClusterInfo
 from .errors import ConfigError, ProtocolError
 from .floats import left_sum
 from .rewards import CompositeReward, RewardBreakdown
-from .workload import STEP, TaskStatus, assign_task_origins, first_unknown_origin
+from .workload import (STEP, TaskStatus, assign_task_origins, first_unknown_origin,
+                       origin_table)
 
 STEPS_PER_DAY = timedelta(days=1) // STEP
 
@@ -173,6 +174,7 @@ class SchedulingEnv:
         self.step_index = 0
         self._rng: np.random.Generator | None = None
         self._origin_sites: list = []  # (dc_id, timezone_shift_h, population_weight) per site
+        self._origin_tables: dict = {}  # UTC time of day -> origin_table of _origin_sites
         self._done = True
         # The episode's KPI ledger, which step() adds to and kpis() reads (the avg_
         # keys hold sums until then), and the count of tasks injected.
@@ -209,6 +211,7 @@ class SchedulingEnv:
         self._origin_sites = [
             (n.dc_id, n.timezone_shift_h, n.population_weight) for n in self.cluster.nodes
         ]
+        self._origin_tables = {}
         self.now = self.start
         self.step_index = 0
         self._done = False
@@ -221,7 +224,12 @@ class SchedulingEnv:
         tasks = [t.__copy__() for t in self._arrivals.get(now, ())]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
-            assign_task_origins(unassigned, self._origin_sites, now, self._rng)
+            # A site's local hour, and so the table, depends only on the UTC time of day.
+            key = now.time()
+            table = self._origin_tables.get(key)
+            if table is None:
+                table = self._origin_tables[key] = origin_table(self._origin_sites, now)
+            assign_task_origins(unassigned, *table, self._rng)
         self._injected += len(tasks)
         return tasks
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -18,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DataError, naming
+from .errors import ConfigError, DataError, naming
 from .floats import checked
 
 STEP = timedelta(minutes=15)  # the simulation's one time grid
@@ -241,7 +242,8 @@ def origin_probabilities(dcs, utc_now: datetime) -> np.ndarray:
 
     ``dcs`` is a sequence of (dc_id, timezone_shift_h, population_weight > 0). Each
     site's score is its population weight scaled by an activity factor of 1.0
-    during local business hours (08-20) and 0.3 otherwise.
+    during local business hours (08-20) and 0.3 otherwise. Scores whose sum is not
+    a positive float (weights summing past the largest float) are a ``ConfigError``.
     """
     if not dcs:
         raise ValueError("at least one data center is required")
@@ -252,18 +254,29 @@ def origin_probabilities(dcs, utc_now: datetime) -> np.ndarray:
         activity = 1.0 if local_hour in BUSINESS_HOURS else OFF_HOURS_ACTIVITY
         scores.append(weight * activity)
     scores = np.asarray(scores, dtype=np.float64)
-    return scores / scores.sum()
+    total = scores.sum()
+    if not 0.0 < total < math.inf:
+        raise ConfigError(f"population weights: their activity-scaled sum is {total}, "
+                          "not a positive finite float")
+    return scores / total
 
 
-def assign_task_origins(tasks, dcs, utc_now: datetime, rng: np.random.Generator) -> None:
-    """Sample an origin dc_id for every task from the activity-weighted distribution."""
-    probs = origin_probabilities(dcs, utc_now)
-    if not tasks:
-        return
-    ids = np.array([dc[0] for dc in dcs])
-    draws = rng.choice(ids, size=len(tasks), p=probs)
-    for task, dc_id in zip(tasks, draws):
-        task.origin_dc_id = int(dc_id)
+def origin_table(dcs, utc_now: datetime) -> tuple[list[int], list[float]]:
+    """The site ids of ``dcs`` and their cumulative origin distribution at ``utc_now``,
+    built as ``Generator.choice(p=...)`` builds it: the running sum of
+    ``origin_probabilities``, divided by its last element."""
+    cdf = origin_probabilities(dcs, utc_now).cumsum()
+    cdf /= cdf[-1]
+    return [int(dc[0]) for dc in dcs], cdf.tolist()
+
+
+def assign_task_origins(tasks, ids, cdf, rng: np.random.Generator) -> None:
+    """Give each task an origin from ``origin_table``'s ``ids`` and ``cdf``: one
+    ``rng.random()`` draw per task, placed in the table where ``Generator.choice``
+    places it (``searchsorted(side="right")``). The origins and the stream after them
+    are those of ``Generator.choice(ids, size=len(tasks), p=probabilities)``."""
+    for task, u in zip(tasks, rng.random(len(tasks)).tolist()):
+        task.origin_dc_id = ids[bisect_right(cdf, u)]
 
 
 @dataclass(frozen=True)

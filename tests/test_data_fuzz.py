@@ -22,7 +22,7 @@ from datetime import timedelta
 from importlib import resources
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodcsim.dcphysics import desk_scale_params, load_dc_config, params_to_config
@@ -152,6 +152,9 @@ _NO_TEXT_BYTE = st.sampled_from(sorted(FILES)).flatmap(  # the texts are ASCII
 
 @settings(max_examples=300, deadline=timedelta(seconds=SECONDS))
 @given(damage=st.one_of(_REPLACED_LEAF, _REPLACED_CELL, _TRUNCATED_FILE, _NO_TEXT_BYTE))
+# a negative fan exponent loaded, and the first step overflowed raising a ratio below 1 to it
+@example(damage=("physics", _replaced_leaf(
+    "physics", 0, ("server_characteristics", "IT_FAN_POWER_EXPONENT"), "-1e5")))
 def test_damaged_input_file_gives_typed_error_or_clean_run(tmp_path_factory, damage):
     kind, text = damage
     root = tmp_path_factory.getbasetemp() / "data_fuzz"

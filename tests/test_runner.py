@@ -495,6 +495,62 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON")
 
+    def _fleet_args(self, tmp_path, edit):
+        """CLI args whose fleet is the shipped one after ``edit(datacenters)``; returns
+        them and the edited file."""
+        doc = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())
+        edit(doc["datacenters"])
+        path = tmp_path / "datacenters.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        args = self._args(tmp_path)
+        args[args.index("--dc-config") + 1] = str(path)
+        return args, path
+
+    def test_cli_population_weights_whose_sum_overflows(self, tmp_path, capsys):
+        """Two weights of 1e308 each load, and ``rng.choice`` refused their
+        probabilities mid-episode in a traceback; the fleet load refuses their sum."""
+        def edit(dcs):
+            dcs[0]["population_weight"] = dcs[1]["population_weight"] = 1.0e308
+
+        args, path = self._fleet_args(tmp_path, edit)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: the sum of population_weight must be finite"]
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_setpoint_outside_the_desk_scale_range_names_the_fleet(self, tmp_path, capsys):
+        """The node's own check named neither the file nor the datacenter's index."""
+        args, path = self._edited_fleet_args(tmp_path, ["hvac", "setpoint_c"], 40.0)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: datacenter 0: hvac.setpoint_c: 40.0 outside its physics "
+            "SETPOINT_RANGE [18.0, 27.0]"]
+
+    def test_cli_setpoint_outside_a_physics_file_range(self, tmp_path, capsys, monkeypatch):
+        """The range comes from the physics file, which the load reads once for the
+        three sites that share it and which ``build_env`` does not read again."""
+        physics = tmp_path / "dc.json"
+        physics.write_text(json.dumps({"hvac_configuration": {"SETPOINT_RANGE": [18.0, 23.0]}}))
+        calls = []
+        load = runner.load_dc_config
+        monkeypatch.setattr(runner, "load_dc_config", lambda p: calls.append(p) or load(p))
+
+        def edit(dcs, setpoint):
+            for dc in dcs:
+                dc["dc_config_file"] = str(physics)
+            dcs[2]["hvac"]["setpoint_c"] = setpoint
+
+        args, path = self._fleet_args(tmp_path, lambda dcs: edit(dcs, 23.5))
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: datacenter 2: hvac.setpoint_c: 23.5 outside its physics "
+            "SETPOINT_RANGE [18.0, 23.0]"]
+        assert calls == [str(physics)]
+        calls.clear()
+        args, _ = self._fleet_args(tmp_path, lambda dcs: edit(dcs, 23.0))
+        assert main([*args, "--seeds", "0,1"]) == 0
+        assert calls == [str(physics)]
+
     @pytest.mark.parametrize("section, values, expected", [
         ("hvac_configuration", {"CW_PRESSURE_DROP": -3e5}, "cw_pressure_drop_pa must be >= 0"),
         ("hvac_configuration", {"WATER_DRIFT_RATE": -2}, "water_drift_rate must be >= 0"),

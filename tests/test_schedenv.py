@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodcsim.cluster import Cluster
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
 from geodcsim.schedenv import STEPS_PER_DAY, SchedulingEnv, build_observation, observation_dim
 from geodcsim.workload import (ResourceRanges, TaskStatus, generate_synthetic_trace, load_trace,
-                               save_trace)
+                               origin_probabilities, save_trace)
 
-from conftest import T0, default_reward, make_cluster, make_env, make_task
+from conftest import (T0, default_reward, make_cluster, make_env, make_node, make_task,
+                      tiny_network)
 
 STEP = timedelta(minutes=15)
 
@@ -107,6 +109,53 @@ class TestObservationFeatures:
         cluster = make_cluster()
         obs = build_observation(cluster, [make_task()], T0)
         assert obs[0].dtype == np.float32
+
+
+class TestOrigins:
+    SITES = ((-7.0, 0.4, "US-CAL-CISO"), (1.0, 0.3, "DE-LU"), (8.0, 0.2, "SG"),
+             (5.5, 0.1, "US-CAL-CISO"))  # (timezone shift, population weight, location)
+
+    @classmethod
+    def _cluster(cls):
+        return Cluster([make_node(dc_id=i + 1, location=loc, hours=50, timezone_shift_h=shift,
+                                  population_weight=weight)
+                        for i, (shift, weight, loc) in enumerate(cls.SITES)], *tiny_network())
+
+    def _origins(self, env, seed):
+        """Every injected task's (job id, origin) over one episode run with ``seed``."""
+        env.reset(seed)
+        origins, done = [], False
+        while not done:
+            origins.extend((t.job_id, t.origin_dc_id) for t in env.current_tasks)
+            _, done, _ = env.advance([1] * len(env.current_tasks))
+        return origins
+
+    def _choice_origins(self, trace, seed):
+        """The same episode's origins from ``Generator.choice`` over the shuffled sites."""
+        rng = np.random.default_rng(seed)
+        sites = [(i + 1, shift, weight) for i, (shift, weight, _) in enumerate(self.SITES)]
+        sites = [sites[i] for i in rng.permutation(len(sites))]
+        origins = []
+        for k in range(2 * STEPS_PER_DAY):
+            now = T0 + k * STEP
+            tasks = [t for t in trace if t.arrival_time == now]
+            if tasks:
+                draws = rng.choice([dc_id for dc_id, _, _ in sites], size=len(tasks),
+                                   p=origin_probabilities(sites, now))
+                origins.extend(zip((t.job_id for t in tasks), draws.tolist()))
+        return origins
+
+    def test_shuffled_origins_repeat_over_resets_and_are_generator_choice(self):
+        """One seed gives one set of origins, those of ``Generator.choice`` over that
+        seed's site order, however many resets, with other seeds, come between: each
+        reset builds its own origin tables, and a table serves both days."""
+        trace = generate_synthetic_trace(T0, 2 * STEPS_PER_DAY, 2.0, ResourceRanges(), seed=4)
+        env = SchedulingEnv(self._cluster, trace, T0, 2, default_reward(),
+                            shuffle_datacenters=True)
+        first, other, again = (self._origins(env, seed) for seed in (5, 6, 5))
+        assert first == again == self._choice_origins(trace, 5)
+        assert other == self._choice_origins(trace, 6) != first
+        assert [n.dc_id for n in env.cluster.nodes] != [1, 2, 3, 4]  # the sites are shuffled
 
 
 class TestStep:

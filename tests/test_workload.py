@@ -8,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from geodcsim.errors import DataError, DataFormatError
+from geodcsim.errors import ConfigError, DataError, DataFormatError
 from geodcsim.workload import (
     MAX_BANDWIDTH_GB,
     ResourceRanges,
@@ -19,6 +19,7 @@ from geodcsim.workload import (
     generate_synthetic_trace,
     load_trace,
     origin_probabilities,
+    origin_table,
     save_trace,
 )
 
@@ -384,7 +385,7 @@ class TestOrigins:
         now = T0.replace(hour=12)
         dcs = [(1, 0, 0.5), (2, 14, 0.5)]
         tasks = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(100_000)]
-        assign_task_origins(tasks, dcs, now, np.random.default_rng(123))
+        assign_task_origins(tasks, *origin_table(dcs, now), np.random.default_rng(123))
         freq1 = sum(1 for t in tasks if t.origin_dc_id == 1) / len(tasks)
         assert freq1 == pytest.approx(0.7692, abs=0.01)
         assert all(t.origin_dc_id in (1, 2) for t in tasks)
@@ -393,13 +394,43 @@ class TestOrigins:
         dcs = [(1, 0, 0.5), (2, 5, 0.5)]
         a = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(50)]
         b = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(50)]
-        assign_task_origins(a, dcs, T0, np.random.default_rng(7))
-        assign_task_origins(b, dcs, T0, np.random.default_rng(7))
+        assign_task_origins(a, *origin_table(dcs, T0), np.random.default_rng(7))
+        assign_task_origins(b, *origin_table(dcs, T0), np.random.default_rng(7))
         assert [t.origin_dc_id for t in a] == [t.origin_dc_id for t in b]
 
     def test_empty_dc_list(self):
         with pytest.raises(ValueError):
             origin_probabilities([], T0)
+
+    @pytest.mark.parametrize("n_sites", [1, 3, 48])
+    @pytest.mark.parametrize("n_tasks", [0, 1, 2, 40])
+    def test_table_draw_is_generator_choice(self, n_sites, n_tasks):
+        """One ``random()`` draw per task placed in the cumulative table gives the
+        origins ``Generator.choice`` gives, and leaves the stream where it leaves it."""
+        shifts = [-7.0, 1.0, 8.0, 5.5, -3.25]
+        dcs = [(i + 10, shifts[i % len(shifts)], 0.05 + (i * 0.37) % 1.0)
+               for i in range(n_sites)]
+        for hour in (0, 9, 15, 21):
+            now = T0.replace(hour=hour, minute=45)
+            tasks = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(n_tasks)]
+            ours, theirs = np.random.default_rng(hour), np.random.default_rng(hour)
+            assign_task_origins(tasks, *origin_table(dcs, now), ours)
+            expected = theirs.choice([dc[0] for dc in dcs], size=n_tasks,
+                                     p=origin_probabilities(dcs, now))
+            assert [t.origin_dc_id for t in tasks] == expected.tolist()
+            assert all(type(t.origin_dc_id) is int for t in tasks)
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("weights, hour", [((1e308, 1e308), 12), ((5e-324,), 0)],
+                             ids=["overflow", "underflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's sum
+    def test_weights_whose_scaled_sum_is_no_positive_float_are_refused(self, weights, hour):
+        """Weights summing past the largest float made ``rng.choice`` fail on its ``p``
+        check; the table has no such check, so its builder refuses them, naming them.
+        The smallest subnormal weight scaled by the off-hours activity is 0."""
+        dcs = [(i + 1, 0, w) for i, w in enumerate(weights)]
+        with pytest.raises(ConfigError, match="^population weights: "):
+            origin_table(dcs, T0.replace(hour=hour))
 
 
 
