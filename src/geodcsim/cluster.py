@@ -63,9 +63,12 @@ class _Block:
     def add(self, tasks, least):
         """Append ``tasks``; ``least`` is a task or block holding their least demands."""
         self.tasks += tasks
-        self.cores_req = min(self.cores_req, least.cores_req)
-        self.gpu_req = min(self.gpu_req, least.gpu_req)
-        self.mem_req = min(self.mem_req, least.mem_req)
+        if least.cores_req < self.cores_req:  # as __init__: three min() calls cost more
+            self.cores_req = least.cores_req
+        if least.gpu_req < self.gpu_req:
+            self.gpu_req = least.gpu_req
+        if least.mem_req < self.mem_req:
+            self.mem_req = least.mem_req
 
 
 class PendingQueue:

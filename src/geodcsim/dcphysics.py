@@ -142,6 +142,15 @@ class DcPhysicsParams:
                 raise ValueError(f"{name} must be ordered: two numbers lo < hi")
         if self.thermal_coeffs[3] == 0:
             raise ValueError("thermal_coeffs f must be nonzero")
+        # fan_power's largest draw: its ratio curve is linear in the clamped inlet and
+        # in u_eff, which lies in [0, 1], so the curve peaks at a corner
+        largest = max(fan_velocity_ratio(self, t, u) for t in self.inlet_temp_range_c
+                      for u in (0.0, 1.0))
+        what = f"fan_ref_w * (largest fan ratio {largest:g} / fan_ref_ratio) ** fan_power_exponent"
+        try:
+            checked(self.fan_ref_w * (largest / self.fan_ref_ratio) ** self.fan_power_exponent, what)
+        except OverflowError:  # float ** raises where * gives an infinity
+            raise ValueError(f"{what} must be finite") from None
 
 
 # each field's default type, int, float or tuple (of floats): a value is cast to it

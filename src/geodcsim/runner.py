@@ -35,8 +35,8 @@ from .floats import checked, left_sum
 from .rewards import CompositeReward
 from .schedenv import (KPI_KEYS, STEPS_PER_DAY, SchedulingEnv,  # KPI_KEYS: re-exported
                        check_coverage)
-from .workload import (STEP, ResourceRanges, first_unknown_origin, generate_synthetic_trace,
-                       load_trace)
+from .workload import (OFF_HOURS_ACTIVITY, STEP, ResourceRanges, first_unknown_origin,
+                       generate_synthetic_trace, load_trace)
 
 logger = logging.getLogger(__name__)
 
@@ -268,8 +268,11 @@ def load_dc_fleet(path) -> list[DcSpec]:
         ids = [s.dc_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError("dc_id values must be unique")
-        try:  # origin sampling divides each site's weight by their sum
+        try:  # origin sampling divides each site's activity-scaled weight by their sum
             checked(left_sum(s.population_weight for s in specs), "the sum of population_weight")
+            checked(left_sum(s.population_weight * OFF_HOURS_ACTIVITY for s in specs),
+                    f"the sum of population_weight * {OFF_HOURS_ACTIVITY} (off hours)",
+                    0.0, lo_open=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     for i, (spec, params) in enumerate(zip(specs, _physics_blocks(specs))):

@@ -138,7 +138,8 @@ class SchedulingEnv:
 
     Instances are single-threaded; independent instances may run concurrently.
     ``cluster_factory`` must return a fresh cluster each call so reset() starts
-    from pristine state.
+    from pristine state. ``trace`` holds ``workload.TaskSpec``s, which each episode
+    injects as new ``Task``s.
     """
 
     def __init__(
@@ -156,9 +157,9 @@ class SchedulingEnv:
         if duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
         self._cluster_factory = cluster_factory
-        self._arrivals = {}  # arrival_time -> that step's tasks, in trace order
-        for task in trace:  # one pass: tasks sharing an arrival need not be adjacent
-            self._arrivals.setdefault(task.arrival_time, []).append(task)
+        self._arrivals = {}  # arrival_time -> that step's specs, in trace order
+        for spec in trace:  # one pass: specs sharing an arrival need not be adjacent
+            self._arrivals.setdefault(spec.arrival_time, []).append(spec)
         self.start = start
         self.duration_days = duration_days
         self.horizon_steps = duration_days * STEPS_PER_DAY
@@ -221,7 +222,7 @@ class SchedulingEnv:
         return self._observe()
 
     def _inject_arrivals(self, now: datetime) -> list:
-        tasks = [t.__copy__() for t in self._arrivals.get(now, ())]
+        tasks = [spec.task() for spec in self._arrivals.get(now, ())]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
             # A site's local hour, and so the table, depends only on the UTC time of day.

@@ -1,8 +1,8 @@
 """Task records, trace ingestion, origin assignment, and synthetic trace generation.
 
 The canonical trace format is line-delimited JSON, one task per line. A trace is
-the list of its tasks in arrival order; each task's ``arrival_time`` is the step
-it arrives at. Resource demands are absolute units (cores, GPU units, GB). Tasks
+the list of its tasks' ``TaskSpec``s in arrival order; each task's ``arrival_time``
+is the step it arrives at. Resource demands are absolute units (cores, GPU units, GB). Tasks
 shorter than 15 minutes are rejected because the simulation cannot resolve them.
 """
 
@@ -15,7 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +49,14 @@ class TaskStatus(Enum):
     COMPLETED = "completed"
 
 
-_ALLOWED_TRANSITIONS = {
-    TaskStatus.PENDING: {TaskStatus.DEFERRED, TaskStatus.IN_TRANSIT, TaskStatus.RUNNING},
-    TaskStatus.DEFERRED: {TaskStatus.PENDING},
-    TaskStatus.IN_TRANSIT: {TaskStatus.PENDING},
-    TaskStatus.RUNNING: {TaskStatus.COMPLETED},
-    TaskStatus.COMPLETED: set(),
-}
+# Each status's allowed successors, a tuple on the member itself: a dict or a set
+# keyed by a status would call Enum's Python-level __hash__ at every transition.
+TaskStatus.PENDING.successors = (TaskStatus.DEFERRED, TaskStatus.IN_TRANSIT, TaskStatus.RUNNING)
+TaskStatus.DEFERRED.successors = (TaskStatus.PENDING,)
+TaskStatus.IN_TRANSIT.successors = (TaskStatus.PENDING,)
+TaskStatus.RUNNING.successors = (TaskStatus.COMPLETED,)
+TaskStatus.COMPLETED.successors = ()
+_PENDING = TaskStatus.PENDING  # reading a member off an Enum class costs about 0.1 µs
 
 
 def _require_utc(dt: datetime, what: str) -> datetime:
@@ -103,38 +106,19 @@ class Task:
                 raise ValueError(f"task {self.job_id}: {name} must be >= {floor:g} and finite") from None
             if value > ceiling:
                 raise ValueError(f"task {self.job_id}: {name} must be <= {ceiling:g}")
-        self._set_deadline()
-
-    def _set_deadline(self) -> None:
         try:
-            self.sla_deadline = compute_sla_deadline(self)
+            self.sla_deadline = compute_sla_deadline(self.arrival_time, self.duration_min,
+                                                     self.sla_multiplier)
         except OverflowError as exc:
             raise ValueError(f"task {self.job_id}: duration_min {self.duration_min} "
                              "times sla_multiplier overflows the deadline") from exc
 
-    def __copy__(self) -> Task:
-        # Every field is immutable, so assigning each one is a full clone. Naming the
-        # fields is several times faster than a getattr/setattr loop over __slots__;
-        # a test checks that the slots are these fields and that a clone keeps each.
-        clone = object.__new__(Task)
-        clone.job_id = self.job_id
-        clone.arrival_time = self.arrival_time
-        clone.duration_min = self.duration_min
-        clone.cores_req = self.cores_req
-        clone.gpu_req = self.gpu_req
-        clone.mem_req = self.mem_req
-        clone.bandwidth_gb = self.bandwidth_gb
-        clone.sla_multiplier = self.sla_multiplier
-        clone.origin_dc_id = self.origin_dc_id
-        clone.sla_deadline = self.sla_deadline
-        clone.dest_dc_id = self.dest_dc_id
-        clone.status = self.status
-        clone.start_exec_time = self.start_exec_time
-        clone.completion_time = self.completion_time
-        return clone
+    def spec(self) -> TaskSpec:
+        """This task's first ten fields, as a trace holds them."""
+        return TaskSpec._make(getattr(self, name) for name in TaskSpec._fields)
 
     def set_status(self, new: TaskStatus) -> None:
-        if new not in _ALLOWED_TRANSITIONS[self.status]:
+        if new not in self.status.successors:
             raise ValueError(
                 f"task {self.job_id}: illegal status transition "
                 f"{self.status.value} -> {new.value}"
@@ -142,9 +126,38 @@ class Task:
         self.status = new
 
 
-def compute_sla_deadline(task: Task) -> datetime:
+class TaskSpec(NamedTuple):
+    """A trace's entry: a checked task's first ten fields, immutable. Each episode
+    injects a new ``Task`` built from it (``TaskSpec.task``)."""
+
+    job_id: str
+    arrival_time: datetime
+    duration_min: float
+    cores_req: float
+    gpu_req: float
+    mem_req: float
+    bandwidth_gb: float
+    sla_multiplier: float
+    origin_dc_id: int | None
+    sla_deadline: datetime
+
+    def task(self) -> Task:
+        """A pending ``Task`` of these fields, built without the checks they passed."""
+        task = object.__new__(Task)
+        (task.job_id, task.arrival_time, task.duration_min, task.cores_req, task.gpu_req,
+         task.mem_req, task.bandwidth_gb, task.sla_multiplier, task.origin_dc_id,
+         task.sla_deadline) = self
+        task.dest_dc_id = None
+        task.status = _PENDING
+        task.start_exec_time = None
+        task.completion_time = None
+        return task
+
+
+def compute_sla_deadline(arrival_time: datetime, duration_min: float,
+                         sla_multiplier: float) -> datetime:
     """Deadline rule: arrival + sla_multiplier * duration."""
-    return task.arrival_time + timedelta(minutes=task.sla_multiplier * task.duration_min)
+    return arrival_time + timedelta(minutes=sla_multiplier * duration_min)
 
 
 _TRACE_FIELDS = ("job_id", "arrival_time", *_DOMAINS, "origin_dc_id")
@@ -188,9 +201,10 @@ def _trace_job_id(value) -> str:
     raise ValueError(f"job_id must be a string or an integer, got {json.dumps(value)}")
 
 
-def load_trace(path) -> list[Task]:
-    """Load a JSONL trace as its tasks sorted by arrival, in file order within one."""
-    tasks = []
+def load_trace(path) -> list[TaskSpec]:
+    """Load a JSONL trace as its tasks' specs sorted by arrival, in file order within
+    one; each task passes ``Task``'s checks."""
+    specs = []
     with naming(path), open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -218,18 +232,18 @@ def load_trace(path) -> list[Task]:
                 raise DataError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
             except ValueError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
-            tasks.append(task)
-    return sorted(tasks, key=attrgetter("arrival_time"))  # stable: file order kept
+            specs.append(task.spec())
+    return sorted(specs, key=attrgetter("arrival_time"))  # stable: file order kept
 
 
-def first_unknown_origin(tasks, dc_ids) -> Task | None:
+def first_unknown_origin(tasks, dc_ids) -> TaskSpec | None:
     """The first task, in trace order, whose explicit origin is not in ``dc_ids``."""
     return next((t for t in tasks
                  if t.origin_dc_id is not None and t.origin_dc_id not in dc_ids), None)
 
 
 def save_trace(tasks, path) -> None:
-    """Write tasks back to the JSONL trace format (lifecycle state excluded)."""
+    """Write tasks or specs back to the JSONL trace format (lifecycle state excluded)."""
     with open(path, "w") as fh:
         for t in tasks:
             rec = {k: getattr(t, k) for k in _TRACE_FIELDS}
@@ -308,7 +322,7 @@ class ResourceRanges:
             floor, ceiling = _DOMAINS[f.name]
             if lo < floor:
                 raise ValueError(f"{f.name} range must start at >= {floor:g}")
-            if hi > ceiling:  # the synthetic trace's clones skip Task's checks
+            if hi > ceiling:  # the synthetic trace's specs skip Task's checks
                 raise ValueError(f"{f.name} range must end at <= {ceiling:g}")
 
 
@@ -318,7 +332,7 @@ def generate_synthetic_trace(
     mean_tasks_per_interval: float,
     ranges: ResourceRanges,
     seed: int,
-) -> list[Task]:
+) -> list[TaskSpec]:
     """Seeded synthetic trace in arrival order: Poisson arrivals per step, uniform draws.
 
     Origins are left unassigned (``origin_dc_id=None``) so the environment can
@@ -329,32 +343,36 @@ def generate_synthetic_trace(
     if not _on_grid(start):
         raise ValueError("start must be aligned to the 15-minute grid")
     rng = np.random.default_rng(seed)
-    # One row-major (tasks, columns) draw per interval reads the stream task by
-    # task, each task's non-constant ranges in field order; constant ones draw nothing.
     bounds = {f.name: getattr(ranges, f.name) for f in fields(ranges)}
-    fixed = {name: lo for name, (lo, hi) in bounds.items() if lo == hi}
-    drawn = [name for name in bounds if name not in fixed]
-    lows = [bounds[name][0] for name in drawn]
-    highs = [bounds[name][1] for name in drawn]
-    tasks = []
+    drawn = [(name, float(lo), float(hi) - float(lo))
+             for name, (lo, hi) in bounds.items() if lo != hi]
+    k = len(drawn)
+    specs = []
     job_counter = 0
-    template = None  # the first task, built and checked by the constructor
     for i in range(num_intervals):
-        t0 = start + i * STEP
         count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
-        for row in rng.uniform(lows, highs, size=(count, len(drawn))).tolist():
-            job_counter += 1
-            job_id = f"job-{job_counter:06d}"
-            if template is None:
-                task = template = Task(job_id, t0, **fixed, **dict(zip(drawn, row)))
-            else:
-                # start is UTC and on the grid, so is every t0, and ResourceRanges
-                # bounds every draw: only the deadline is left to compute.
-                task = template.__copy__()
-                task.job_id = job_id
-                task.arrival_time = t0
-                for name, value in zip(drawn, row):
-                    setattr(task, name, value)
-                task._set_deadline()
-            tasks.append(task)
-    return tasks
+        if not count:
+            continue
+        t0 = start + i * STEP
+        # One row-major (tasks, drawn ranges) draw reads the stream task by task, each
+        # task's non-constant ranges in field order, as ``uniform`` over that shape
+        # does, and ``lo + span * u`` is its formula; constant ranges draw nothing.
+        u = rng.random(count * k).tolist()
+        columns = {name: [lo] * count for name, (lo, _) in bounds.items()}
+        for j, (name, lo, span) in enumerate(drawn):
+            columns[name] = [lo + span * x for x in u[j::k]]
+        values = [columns[name] for name in _DOMAINS]  # in Task's field order
+        job_ids = [f"job-{n:06d}" for n in range(job_counter + 1, job_counter + count + 1)]
+        job_counter += count
+        # start is UTC and on the grid, so is every t0, and ResourceRanges bounds
+        # every draw: only the deadline is left to check.
+        try:
+            deadlines = list(map(compute_sla_deadline, repeat(t0),
+                                 columns["duration_min"], columns["sla_multiplier"]))
+        except OverflowError:  # the constructor names the first task it overflows for
+            for job_id, *row in zip(job_ids, *values):
+                Task(job_id, t0, *row)
+            raise
+        specs.extend(map(TaskSpec._make,
+                         zip(job_ids, repeat(t0), *values, repeat(None), deadlines)))
+    return specs

@@ -64,8 +64,7 @@ def _texts() -> dict:
     trace with explicit and sampled origins, and the packaged network tables."""
     hours = SIM.duration_days * 24 + 1
     trace = generate_synthetic_trace(SIM.start, 96, 2.0, SIM.resource_ranges, seed=5)
-    for i, task in enumerate(trace):
-        task.origin_dc_id = (1, 2, 3, None)[i % 4]
+    trace = [spec._replace(origin_dc_id=(1, 2, 3, None)[i % 4]) for i, spec in enumerate(trace)]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         save_trace(trace, tmp / "trace.jsonl")
@@ -101,10 +100,11 @@ def _leaves(doc, path=()):
         yield from _leaves(value, (*path, key))
 
 
-def _replaced_leaf(kind, line, path, token) -> str:
-    """``TEXTS[kind]`` with the leaf at ``path`` of JSON line ``line`` (the whole
-    document unless it is JSONL) written as ``token``."""
-    lines = TEXTS[kind].splitlines() if kind == "trace" else [TEXTS[kind]]
+def _replaced_leaf(kind, line, path, token, text=None) -> str:
+    """``text``, by default ``TEXTS[kind]``, with the leaf at ``path`` of JSON line
+    ``line`` (the whole document unless it is JSONL) written as ``token``."""
+    text = TEXTS[kind] if text is None else text
+    lines = text.splitlines() if kind == "trace" else [text]
     doc = copy.deepcopy(json.loads(lines[line]))
     section = doc
     for key in path[:-1]:
@@ -155,6 +155,10 @@ _NO_TEXT_BYTE = st.sampled_from(sorted(FILES)).flatmap(  # the texts are ASCII
 # a negative fan exponent loaded, and the first step overflowed raising a ratio below 1 to it
 @example(damage=("physics", _replaced_leaf(
     "physics", 0, ("server_characteristics", "IT_FAN_POWER_EXPONENT"), "-1e5")))
+# a tiny reference fan ratio loaded, and the first step overflowed the ratio's cube
+@example(damage=("physics", _replaced_leaf(
+    "physics", 0, ("server_characteristics", "ITFAN_REF_V_RATIO"), "1e-300",
+    text=_replaced_leaf("physics", 0, ("server_characteristics", "IT_FAN_POWER_EXPONENT"), "3"))))
 def test_damaged_input_file_gives_typed_error_or_clean_run(tmp_path_factory, damage):
     kind, text = damage
     root = tmp_path_factory.getbasetemp() / "data_fuzz"

@@ -155,8 +155,8 @@ class TestRunEpisode:
         assert (a / "steps_seed3.csv").read_bytes() == (b / "steps_seed3.csv").read_bytes()
 
     def test_saved_synthetic_trace_runs_byte_for_byte_as_the_synthetic_one(self, tmp_path):
-        """The synthetic trace clones a checked template and a trace file runs the
-        constructor per task: both must give the same episode."""
+        """The synthetic trace builds its specs from its draws and a trace file runs
+        the constructor per task: both must give the same episode."""
         sim = small_sim(strategy="round_robin", mean_tasks_per_interval=4.0)
         fleet = small_fleet(3)
         env = build_env(sim, fleet, REWARD, seed=4)
@@ -169,6 +169,31 @@ class TestRunEpisode:
         for name in ("steps_seed4.csv", "kpi_seed4.json"):
             assert ((tmp_path / "file" / name).read_bytes()
                     == (tmp_path / "synthetic" / name).read_bytes()), name
+
+    @staticmethod
+    def _episode(env, sim, fleet):
+        """``run_episode``'s loop over ``env``'s next episode: its log lines and KPIs."""
+        controller = RuleBasedController(sim.strategy)
+        dc_ids = sorted(spec.dc_id for spec in fleet)
+        env.reset()
+        lines, done = [], False
+        while not done:
+            step_idx, now = env.step_index, env.now
+            actions = controller.decide(snapshot_cluster(env.cluster, now), env.current_tasks)
+            reward, done, outcome = env.advance(actions)
+            lines.append(runner._log_row(step_idx, now, outcome.cluster_info, reward, dc_ids))
+        return lines, json.dumps(env.kpis())
+
+    def test_later_episodes_of_one_env_repeat_a_fresh_envs_first(self):
+        """Each reset injects new tasks from the same specs, so episodes 2 and 3 of one
+        env log the bytes, and give the KPIs, of a fresh env's first episode."""
+        sim = small_sim(strategy="round_robin", mean_tasks_per_interval=6.0)
+        fleet = small_fleet(3)
+        lines, kpis = run_episode(sim, fleet, REWARD, seed=4)
+        env = build_env(sim, fleet, REWARD, seed=4)
+        episodes = [self._episode(env, sim, fleet) for _ in range(3)]
+        assert episodes[0] == episodes[1] == episodes[2] == (lines, json.dumps(kpis))
+        assert env.task_census()["injected"] > 500
 
     def test_local_only_tx_columns_zero(self, tmp_path):
         run_episode(small_sim(strategy="local_only"), small_fleet(), REWARD,
@@ -516,6 +541,19 @@ class TestCli:
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: the sum of population_weight must be finite"]
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_population_weights_whose_off_hours_scores_are_zero(self, tmp_path, capsys):
+        """A lone site weighted by the smallest subnormal scores 0 off hours, and the run
+        stopped at its first off-hours step, naming no file; the fleet load refuses it."""
+        def edit(dcs):
+            dcs[:] = dcs[1:2]
+            dcs[0]["population_weight"] = 5.0e-324
+
+        args, path = self._fleet_args(tmp_path, edit)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: the sum of population_weight * 0.3 (off hours) must be > 0"]
         assert not (tmp_path / "out").exists()
 
     def test_cli_setpoint_outside_the_desk_scale_range_names_the_fleet(self, tmp_path, capsys):
@@ -870,8 +908,7 @@ class TestFileInputs:
         save_series_csv(carbon, tmp_path / "carbon.csv")
         save_weather_json(drybulb, humidity, tmp_path / "weather.json")
         trace = generate_synthetic_trace(trace_start or start, 96, 2.0, ResourceRanges(), seed=5)
-        for task in trace:
-            task.origin_dc_id = origin
+        trace = [spec._replace(origin_dc_id=origin) for spec in trace]
         save_trace(trace, tmp_path / "trace.jsonl")
 
         fleet = yaml.safe_load((CONFIG_DIR / "datacenters.yaml").read_text())

@@ -12,8 +12,9 @@ from geodcsim.cluster import Cluster
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
 from geodcsim.schedenv import STEPS_PER_DAY, SchedulingEnv, build_observation, observation_dim
-from geodcsim.workload import (ResourceRanges, TaskStatus, generate_synthetic_trace, load_trace,
-                               origin_probabilities, save_trace)
+from geodcsim.workload import (ResourceRanges, Task, TaskSpec, TaskStatus,
+                               generate_synthetic_trace, load_trace, origin_probabilities,
+                               save_trace)
 
 from conftest import (T0, default_reward, make_cluster, make_env, make_node, make_task,
                       tiny_network)
@@ -22,14 +23,14 @@ STEP = timedelta(minutes=15)
 
 
 def trace_of(*task_lists):
-    """One trace whose i-th list of tasks arrives at T0 + i steps."""
+    """One trace of specs whose i-th list of tasks arrives at T0 + i steps."""
     trace = []
     for i, tasks in enumerate(task_lists):
         start = T0 + i * STEP
         for t in tasks:
             t.arrival_time = start
             t.sla_deadline = start + timedelta(minutes=t.sla_multiplier * t.duration_min)
-            trace.append(t)
+            trace.append(t.spec())
     return trace
 
 
@@ -293,17 +294,37 @@ class TestStep:
 
     def test_episode_leaves_trace_tasks_untouched(self):
         trace = generate_synthetic_trace(T0, 96, 3.0, ResourceRanges(), seed=4)
-        trace[0].origin_dc_id = 2
+        trace[0] = trace[0]._replace(origin_dc_id=2)
+        before = list(trace)
         env = make_env(trace, duration_days=1)
         obs, done = env.reset(), False
         while not done:
             obs, _, done, _ = env.step([(i % 4) for i in range(len(obs))])
         assert env.cluster.census()["completed"] > 100
-        assert all(t.status is TaskStatus.PENDING for t in trace)
-        assert all(t.completion_time is None and t.start_exec_time is None for t in trace)
-        assert all(t.dest_dc_id is None for t in trace)
+        # a spec has no lifecycle fields, and is a tuple no episode can change
+        assert trace == before and all(type(spec) is TaskSpec for spec in trace)
         assert trace[0].origin_dc_id == 2
         assert all(t.origin_dc_id is None for t in trace[1:])
+
+    def test_each_reset_injects_new_tasks_and_leaves_the_specs(self):
+        trace = trace_of([make_task("a"), make_task("b", origin=None)], [make_task("c")])
+        before = list(trace)
+        env = make_env(trace, seed=2)
+        env.reset()
+        first = list(env.current_tasks)
+        env.step([1, 0])  # a starts at dc 1 and b is deferred
+        assert [t.status for t in first] == [TaskStatus.RUNNING, TaskStatus.PENDING]
+        assert first[0].dest_dc_id == 1 and first[0].start_exec_time == T0
+        env.reset()
+        second = list(env.current_tasks)
+        assert [t.job_id for t in first] == [t.job_id for t in second] == ["a", "b"]
+        assert all(type(t) is Task for t in second)
+        assert not any(old is new for old in first for new in second)
+        assert all(t.status is TaskStatus.PENDING and t.dest_dc_id is None
+                   and t.start_exec_time is None and t.completion_time is None for t in second)
+        assert second[1].origin_dc_id == first[1].origin_dc_id  # one seed, one origin
+        assert trace == before and all(type(spec) is TaskSpec for spec in trace)
+        assert trace[1].origin_dc_id is None
 
     def test_reset_restores_pristine_state(self):
         tasks = [[make_task("a"), make_task("b")]]
@@ -451,7 +472,7 @@ def test_flat_trace_injects_each_task_once_at_its_arrival_property(offsets, data
     after the last (step 95): each task whose arrival is a step is injected once, at
     that step, in trace order among the tasks sharing it; no other task is, and
     ``tasks_never_injected`` counts those."""
-    tasks = [make_task(f"t{i}", arrival=T0 + k * STEP, origin=1 + i % 3)
+    tasks = [make_task(f"t{i}", arrival=T0 + k * STEP, origin=1 + i % 3).spec()
              for i, k in enumerate(offsets)]
     trace = data.draw(st.permutations(tasks))
     env = make_env(trace)

@@ -13,6 +13,7 @@ from geodcsim.workload import (
     MAX_BANDWIDTH_GB,
     ResourceRanges,
     Task,
+    TaskSpec,
     TaskStatus,
     assign_task_origins,
     compute_sla_deadline,
@@ -84,7 +85,8 @@ class TestTask:
 
     def test_exact_multiplier_one(self):
         t = Task("j", T0, 60.0, 1, 0, 1, 0.1, sla_multiplier=1.0)
-        assert compute_sla_deadline(t) == T0 + timedelta(minutes=60)
+        assert compute_sla_deadline(t.arrival_time, t.duration_min,
+                                    t.sla_multiplier) == T0 + timedelta(minutes=60)
 
     def test_multiplier_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +164,7 @@ class TestCopy:
         assert field_items(source) == before and source.status is TaskStatus.PENDING
 
     def test_slots_are_the_fields_and_a_task_has_no_dict(self):
-        """``__copy__`` assigns each field by name: a new field must reach it."""
+        """``TaskSpec.task`` assigns each field by name: a new field must reach it."""
         assert list(Task.__slots__) == [f.name for f in fields(Task)]
         task = Task("j", T0, 60.0, 1.0, 0.0, 1.0, 0.1)
         assert not hasattr(task, "__dict__")
@@ -184,6 +186,24 @@ class TestCopy:
         assert type(clone) is Task and clone is not source
         assert field_items(clone) == items
         assert [type(v) for _, v in field_items(clone)] == [type(v) for _, v in items]
+
+
+class TestSpec:
+    def test_spec_fields_are_the_tasks_first_ten(self):
+        assert list(TaskSpec._fields) == [f.name for f in fields(Task)][:10]
+
+    def test_task_of_a_spec_is_a_new_pending_task_with_its_fields(self):
+        source = Task("j", T0, 60.0, 2.0, 3.0, 4.0, 0.5, sla_multiplier=1.25, origin_dc_id=1)
+        spec = source.spec()
+        assert type(spec) is TaskSpec and tuple(spec) == astuple(source)[:10]
+        tasks = [spec.task(), spec.task()]
+        assert tasks[0] is not tasks[1]
+        for task in tasks:
+            assert type(task) is Task
+            assert field_items(task) == field_items(source)
+            assert [type(v) for _, v in field_items(task)] == [type(v) for _, v in field_items(source)]
+        tasks[0].set_status(TaskStatus.RUNNING)
+        assert tasks[1].status is TaskStatus.PENDING and spec == source.spec()
 
 
 class TestLoadTrace:
@@ -471,13 +491,14 @@ class TestSyntheticTrace:
     def test_matches_scalar_draws(self, mean, ranges):
         got = generate_synthetic_trace(T0, 200, mean, ranges, seed=3)
         want = reference_trace(T0, 200, mean, ranges, seed=3)
-        got_tasks = [astuple(t) for t in got]
-        want_tasks = [astuple(t) for t in want]
+        got_tasks = [tuple(spec) for spec in got]
+        want_tasks = [astuple(t)[:10] for t in want]  # a spec holds a task's first ten fields
         assert got_tasks == want_tasks
         assert [list(map(type, t)) for t in got_tasks] == [list(map(type, t)) for t in want_tasks]
         assert (len(got_tasks) > 1000) == (mean > 0)
         # the same fields, sla_deadline included, by name and in field order
-        assert [field_items(t) for t in got] == [field_items(t) for t in want]
+        assert ([list(zip(TaskSpec._fields, spec)) for spec in got]
+                == [field_items(t)[:10] for t in want])
 
     def test_deadline_overflow_names_the_task_as_the_constructor_does(self):
         # about half the drawn deadlines pass year 9999; at this seed the first fits
