@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import timedelta
 from enum import Enum
 
+from .envdata import DRY_BULB_RANGE_C
 from .errors import ConfigError, naming
 from .floats import checked, left_sum
 from .workload import STEP
@@ -40,80 +41,101 @@ class WeatherSample:
     wetbulb_c: float
 
 
+# The JSON document's sections, each as its path of keys
+_DC = ("data_center_configuration",)
+_SERVER = ("server_characteristics",)
+_HVAC = ("hvac_configuration",)
+_HRU = (*_HVAC, "HRU")
+
+# domains, as ``checked``'s bounds
+_FINITE = ()
+_NONNEGATIVE = (0.0,)
+_POSITIVE = (0.0, math.inf, True)
+_EFFICIENCY = (0.0, 1.0, True)
+_EXPONENT = (0.0, 2.0)  # a greater power of a rack's power or air flow overflows or underflows
+
+
+def _param(default, section, key, domain=_FINITE, *, half=None):
+    """A parameter's one declaration: its default, its key in the JSON ``section``,
+    and its domain, for a tuple one for every element or a list of one per element.
+    The two halves of a two-number list, such as ``HP_PROLIANT``'s ``[idle W, full
+    W]``, are two parameters that share its key, ``half=0`` and ``half=1``."""
+    return field(default=default,
+                 metadata={"keys": (*section, key), "domain": domain, "half": half})
+
+
 @dataclass(frozen=True)
 class DcPhysicsParams:
     """Physical constants of one site. Immutable after load.
 
     CPU/fan curves are linear in inlet temperature between the lower/upper ratio
     bounds over ``inlet_temp_range_c``; GPU power is logarithmic in utilization.
+    Each field declares its default, its JSON key and its domain, in the order the
+    JSON document writes its keys.
     """
 
-    # layout
-    num_racks: int = 4
-    cpus_per_rack: int = 50
-    gpus_per_rack: int = 10
-    supply_approach_temps_c: tuple = ()
-    return_approach_temps_c: tuple = ()
+    num_racks: int = _param(4, _DC, "NUM_RACKS", (1, 100_000))
+    cpus_per_rack: int = _param(50, _DC, "CPUS_PER_RACK", (0, 10_000))
+    gpus_per_rack: int = _param(10, _DC, "GPUS_PER_RACK", (0, 10_000))
+    supply_approach_temps_c: tuple = _param((), _DC, "RACK_SUPPLY_APPROACH_TEMP_LIST")
+    return_approach_temps_c: tuple = _param((), _DC, "RACK_RETURN_APPROACH_TEMP_LIST")
 
-    # server characteristics
-    cpu_power_ratio_lb: tuple = (0.01, 1.00)
-    cpu_power_ratio_ub: tuple = (0.03, 1.02)
-    inlet_temp_range_c: tuple = (16.0, 28.0)
-    cpu_idle_w: float = 110.0  # nameplate reference; the ratio curve governs actual idle draw
-    cpu_full_w: float = 170.0
-    gpu_idle_w: float = 25.0
-    gpu_full_w: float = 250.0
-    fan_airflow_ratio_lb: tuple = (0.01, 0.225)
-    fan_airflow_ratio_ub: tuple = (0.225, 1.0)
-    fan_ref_w: float = 10.0
-    fan_ref_ratio: float = 1.0
-    fan_full_load_v_m3s: float = 0.051
-    fan_power_exponent: float = 1.0
-    mem_w_per_gb: float = 0.07
-    design_it_load_w: float = 1.0e6
+    cpu_power_ratio_lb: tuple = _param((0.01, 1.00), _SERVER, "CPU_POWER_RATIO_LB")
+    cpu_power_ratio_ub: tuple = _param((0.03, 1.02), _SERVER, "CPU_POWER_RATIO_UB")
+    inlet_temp_range_c: tuple = _param((16.0, 28.0), _SERVER, "INLET_TEMP_RANGE")
+    # nameplate reference; the ratio curve governs actual idle draw
+    cpu_idle_w: float = _param(110.0, _SERVER, "HP_PROLIANT", _NONNEGATIVE, half=0)
+    cpu_full_w: float = _param(170.0, _SERVER, "HP_PROLIANT", _POSITIVE, half=1)
+    gpu_idle_w: float = _param(25.0, _SERVER, "NVIDIA_V100", _NONNEGATIVE, half=0)
+    gpu_full_w: float = _param(250.0, _SERVER, "NVIDIA_V100", _POSITIVE, half=1)
+    fan_airflow_ratio_lb: tuple = _param((0.01, 0.225), _SERVER, "IT_FAN_AIRFLOW_RATIO_LB")
+    fan_airflow_ratio_ub: tuple = _param((0.225, 1.0), _SERVER, "IT_FAN_AIRFLOW_RATIO_UB")
+    fan_full_load_v_m3s: float = _param(0.051, _SERVER, "IT_FAN_FULL_LOAD_V")
+    fan_ref_ratio: float = _param(1.0, _SERVER, "ITFAN_REF_V_RATIO", _POSITIVE)
+    fan_ref_w: float = _param(10.0, _SERVER, "ITFAN_REF_P", _POSITIVE)
+    # at most the fan affinity law's cube
+    fan_power_exponent: float = _param(1.0, _SERVER, "IT_FAN_POWER_EXPONENT", (0.0, 3.0))
+    mem_w_per_gb: float = _param(0.07, _SERVER, "MEM_POWER_PER_GB", _NONNEGATIVE)
+    design_it_load_w: float = _param(1.0e6, _SERVER, "DESIGN_IT_LOAD_W", _POSITIVE)
     # rack outlet model T_out = T_in + c*P^d / (Cp*rho*V^e*f) + g
-    thermal_coeffs: tuple = (1.0, 1.0, 1.0, 1.0, 0.0)
+    thermal_coeffs: tuple = _param((1.0, 1.0, 1.0, 1.0, 0.0), _SERVER, "THERMAL_COEFFS",
+                                   [_FINITE, _EXPONENT, _EXPONENT, _FINITE, _FINITE])
 
-    # air properties
-    c_air: float = 1006.0
-    rho_air: float = 1.225
+    c_air: float = _param(1006.0, _HVAC, "C_AIR", _POSITIVE)
+    rho_air: float = _param(1.225, _HVAC, "RHO_AIR", _POSITIVE)
+    crac_fan_ref_w: float = _param(150.0, _HVAC, "CRAC_FAN_REF_P", _POSITIVE)
+    # kg/s per W of IT load
+    crac_supply_flow_pu: float = _param(5.663e-5, _HVAC, "CRAC_SUPPLY_AIR_FLOW_RATE_pu", _POSITIVE)
+    crac_ref_flow_pu: float = _param(9.438e-5, _HVAC, "CRAC_REFERENCE_AIR_FLOW_RATE_pu",
+                                     _POSITIVE)
+    ct_fan_ref_w: float = _param(1000.0, _HVAC, "CT_FAN_REF_P", _POSITIVE)
+    ct_ref_air_flow_m3s: float = _param(2.8315, _HVAC, "CT_REFERENCE_AIR_FLOW_RATE", _POSITIVE)
+    ct_delta_t_k: float = _param(10.0, _HVAC, "CT_DELTA_T", _POSITIVE)
+    cw_pressure_drop_pa: float = _param(3.0e5, _HVAC, "CW_PRESSURE_DROP", _NONNEGATIVE)
+    ct_pressure_drop_pa: float = _param(3.0e5, _HVAC, "CT_PRESSURE_DROP", _NONNEGATIVE)
+    cw_pump_eff: float = _param(0.87, _HVAC, "CW_PUMP_EFFICIENCY", _EFFICIENCY)
+    ct_pump_eff: float = _param(0.87, _HVAC, "CT_PUMP_EFFICIENCY", _EFFICIENCY)
+    cw_flow_m3s: float = _param(0.0011, _HVAC, "CW_WATER_FLOW_RATE", _NONNEGATIVE)
+    ct_flow_m3s: float = _param(0.0011, _HVAC, "CT_WATER_FLOW_RATE", _NONNEGATIVE)
+    chiller_cop_nominal: float = _param(5.0, _HVAC, "CHILLER_COP_NOMINAL")
+    chiller_cop_ambient_slope: float = _param(0.1, _HVAC, "CHILLER_COP_AMBIENT_SLOPE")
+    chiller_cop_min: float = _param(1.5, _HVAC, "CHILLER_COP_MIN", _POSITIVE)
+    chiller_capacity_w: float = _param(1.2e6, _HVAC, "CHILLER_CAPACITY_W", _POSITIVE)
+    chiller_min_load_fraction: float = _param(0.2, _HVAC, "CHILLER_MIN_LOAD_FRACTION")
+    condenser_t_range_k: float = _param(5.0, _HVAC, "CONDENSER_T_RANGE")
+    water_drift_rate: float = _param(0.002, _HVAC, "WATER_DRIFT_RATE", _NONNEGATIVE)
+    heat_reject_unit_w: float = _param(1.0e6, _HVAC, "HEAT_REJECT_UNIT_W", _POSITIVE)
+    setpoint_range_c: tuple = _param((18.0, 27.0), _HVAC, "SETPOINT_RANGE")
 
-    # hvac chain
-    crac_fan_ref_w: float = 150.0
-    crac_supply_flow_pu: float = 5.663e-5  # kg/s per W of IT load
-    crac_ref_flow_pu: float = 9.438e-5
-    ct_fan_ref_w: float = 1000.0
-    ct_ref_air_flow_m3s: float = 2.8315
-    ct_delta_t_k: float = 10.0
-    cw_pressure_drop_pa: float = 3.0e5
-    ct_pressure_drop_pa: float = 3.0e5
-    cw_pump_eff: float = 0.87
-    ct_pump_eff: float = 0.87
-    cw_flow_m3s: float = 0.0011
-    ct_flow_m3s: float = 0.0011
-    chiller_cop_nominal: float = 5.0
-    chiller_cop_ambient_slope: float = 0.1
-    chiller_cop_min: float = 1.5
-    chiller_capacity_w: float = 1.2e6
-    chiller_min_load_fraction: float = 0.2
-
-    # water
-    water_drift_rate: float = 0.002
-    heat_reject_unit_w: float = 1.0e6
-    condenser_t_range_k: float = 5.0
-
-    # heat recovery
-    hru_ave_hlp_w_m2k: float = 5.0
-    hru_dc_area_pu_m2_per_w: float = 0.001
-    hru_office_area_m2: float = 5000.0
-    hru_office_guide_temp_c: float = 21.0
-    hru_it_load_cap_fraction: float = 0.25
-
-    setpoint_range_c: tuple = (18.0, 27.0)
+    hru_ave_hlp_w_m2k: float = _param(5.0, _HRU, "AVE_HLP")
+    hru_dc_area_pu_m2_per_w: float = _param(0.001, _HRU, "DC_AREA_PU")
+    hru_office_area_m2: float = _param(5000.0, _HRU, "OFFICE_BUILDING_AREA")
+    hru_office_guide_temp_c: float = _param(21.0, _HRU, "OFFICE_GUIDE_TEMP")
+    hru_it_load_cap_fraction: float = _param(0.25, _HRU, "IT_LOAD_CAP_FRACTION")
 
     def __post_init__(self):
-        for name, domain in _DOMAINS.items():
-            value, kind = getattr(self, name), _FIELD_TYPES[name]
+        for name, kind, domain in _CHECKS:
+            value = getattr(self, name)
             if kind is tuple:  # one domain for every element, or a list of one per element
                 each = domain if isinstance(domain, list) else [domain] * len(value)
                 if len(value) != len(each):
@@ -142,38 +164,12 @@ class DcPhysicsParams:
                 raise ValueError(f"{name} must be ordered: two numbers lo < hi")
         if self.thermal_coeffs[3] == 0:
             raise ValueError("thermal_coeffs f must be nonzero")
-        # fan_power's largest draw: its ratio curve is linear in the clamped inlet and
-        # in u_eff, which lies in [0, 1], so the curve peaks at a corner
-        largest = max(fan_velocity_ratio(self, t, u) for t in self.inlet_temp_range_c
-                      for u in (0.0, 1.0))
-        what = f"fan_ref_w * (largest fan ratio {largest:g} / fan_ref_ratio) ** fan_power_exponent"
-        try:
-            checked(self.fan_ref_w * (largest / self.fan_ref_ratio) ** self.fan_power_exponent, what)
-        except OverflowError:  # float ** raises where * gives an infinity
-            raise ValueError(f"{what} must be finite") from None
+        _check_envelope(self)
 
 
-# each field's default type, int, float or tuple (of floats): a value is cast to it
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(DcPhysicsParams)}
-
-_POSITIVE = (0.0, math.inf, True)
-_EXPONENT = (0.0, 2.0)  # a greater power of a rack's power or air flow overflows or underflows
-# Each field's domain, or each element's for a tuple field; a field given () need only
-# be finite. __post_init__ checks every number of a parameter block against it.
-_DOMAINS = dict.fromkeys(_FIELD_TYPES, ()) | {
-    "num_racks": (1, 100_000), "cpus_per_rack": (0, 10_000), "gpus_per_rack": (0, 10_000),
-    "thermal_coeffs": [(), _EXPONENT, _EXPONENT, (), ()],  # c, d, e, f, g
-    "fan_power_exponent": (0.0, 3.0),  # at most the fan affinity law's cube
-    "cw_pump_eff": (0.0, 1.0, True), "ct_pump_eff": (0.0, 1.0, True),
-    **dict.fromkeys(("cpu_full_w", "gpu_full_w", "fan_ref_w", "fan_ref_ratio", "crac_fan_ref_w",
-                     "ct_fan_ref_w", "ct_ref_air_flow_m3s", "crac_supply_flow_pu",
-                     "crac_ref_flow_pu", "design_it_load_w", "chiller_capacity_w",
-                     "chiller_cop_min", "heat_reject_unit_w", "ct_delta_t_k", "c_air",
-                     "rho_air"), _POSITIVE),
-    **dict.fromkeys(("cpu_idle_w", "gpu_idle_w", "mem_w_per_gb", "cw_pressure_drop_pa",
-                     "ct_pressure_drop_pa", "cw_flow_m3s", "ct_flow_m3s", "water_drift_rate"),
-                    (0.0,)),
-}
+# Each field's name, the type of its default (int, float or a tuple of floats) that a
+# value is cast to, and its domain; built once, as every block reads it.
+_CHECKS = tuple((f.name, type(f.default), f.metadata["domain"]) for f in fields(DcPhysicsParams))
 
 
 @dataclass(slots=True)
@@ -432,7 +428,12 @@ def it_power_and_return_temp(
                 "inlet temperature %.2f degC clamped to [%.1f, %.1f]", t_in, t_lo, t_hi
             )
         inlets.append(clamped)
+    return _rack_half(params, inlets, u_cpu, u_gpu, mem_used_gb)
 
+
+def _rack_half(params: DcPhysicsParams, inlets, u_cpu: float, u_gpu: float,
+               mem_used_gb: float) -> tuple[float, float]:
+    """(IT power W, CRAC return degC) of racks whose inlets are at ``inlets`` degC."""
     it_power, per_rack = total_it_power(params, inlets, u_cpu, u_gpu, mem_used_gb)
 
     # All CRAC supply air is pushed through the racks in equal shares, so with the
@@ -469,116 +470,104 @@ def dc_physics_step(
     )
 
 
-# JSON parameter block: section and key names follow the conventional dc-config
-# layout. The table mirrors that layout: each key names a section, one field, or
-# the (idle W, full W) field pair written as a two-number list. It drives reading
-# and writing alike, and its order is the written key order.
-_LAYOUT = {
-    "data_center_configuration": {
-        "NUM_RACKS": "num_racks",
-        "CPUS_PER_RACK": "cpus_per_rack",
-        "GPUS_PER_RACK": "gpus_per_rack",
-        "RACK_SUPPLY_APPROACH_TEMP_LIST": "supply_approach_temps_c",
-        "RACK_RETURN_APPROACH_TEMP_LIST": "return_approach_temps_c",
-    },
-    "server_characteristics": {
-        "CPU_POWER_RATIO_LB": "cpu_power_ratio_lb",
-        "CPU_POWER_RATIO_UB": "cpu_power_ratio_ub",
-        "INLET_TEMP_RANGE": "inlet_temp_range_c",
-        "HP_PROLIANT": ("cpu_idle_w", "cpu_full_w"),
-        "NVIDIA_V100": ("gpu_idle_w", "gpu_full_w"),
-        "IT_FAN_AIRFLOW_RATIO_LB": "fan_airflow_ratio_lb",
-        "IT_FAN_AIRFLOW_RATIO_UB": "fan_airflow_ratio_ub",
-        "IT_FAN_FULL_LOAD_V": "fan_full_load_v_m3s",
-        "ITFAN_REF_V_RATIO": "fan_ref_ratio",
-        "ITFAN_REF_P": "fan_ref_w",
-        "IT_FAN_POWER_EXPONENT": "fan_power_exponent",
-        "MEM_POWER_PER_GB": "mem_w_per_gb",
-        "DESIGN_IT_LOAD_W": "design_it_load_w",
-        "THERMAL_COEFFS": "thermal_coeffs",
-    },
-    "hvac_configuration": {
-        "C_AIR": "c_air",
-        "RHO_AIR": "rho_air",
-        "CRAC_FAN_REF_P": "crac_fan_ref_w",
-        "CRAC_SUPPLY_AIR_FLOW_RATE_pu": "crac_supply_flow_pu",
-        "CRAC_REFERENCE_AIR_FLOW_RATE_pu": "crac_ref_flow_pu",
-        "CT_FAN_REF_P": "ct_fan_ref_w",
-        "CT_REFERENCE_AIR_FLOW_RATE": "ct_ref_air_flow_m3s",
-        "CT_DELTA_T": "ct_delta_t_k",
-        "CW_PRESSURE_DROP": "cw_pressure_drop_pa",
-        "CT_PRESSURE_DROP": "ct_pressure_drop_pa",
-        "CW_PUMP_EFFICIENCY": "cw_pump_eff",
-        "CT_PUMP_EFFICIENCY": "ct_pump_eff",
-        "CW_WATER_FLOW_RATE": "cw_flow_m3s",
-        "CT_WATER_FLOW_RATE": "ct_flow_m3s",
-        "CHILLER_COP_NOMINAL": "chiller_cop_nominal",
-        "CHILLER_COP_AMBIENT_SLOPE": "chiller_cop_ambient_slope",
-        "CHILLER_COP_MIN": "chiller_cop_min",
-        "CHILLER_CAPACITY_W": "chiller_capacity_w",
-        "CHILLER_MIN_LOAD_FRACTION": "chiller_min_load_fraction",
-        "CONDENSER_T_RANGE": "condenser_t_range_k",
-        "WATER_DRIFT_RATE": "water_drift_rate",
-        "HEAT_REJECT_UNIT_W": "heat_reject_unit_w",
-        "SETPOINT_RANGE": "setpoint_range_c",
-        "HRU": {
-            "AVE_HLP": "hru_ave_hlp_w_m2k",
-            "DC_AREA_PU": "hru_dc_area_pu_m2_per_w",
-            "OFFICE_BUILDING_AREA": "hru_office_area_m2",
-            "OFFICE_GUIDE_TEMP": "hru_office_guide_temp_c",
-            "IT_LOAD_CAP_FRACTION": "hru_it_load_cap_fraction",
-        },
-    },
-}
+def _check_envelope(params: DcPhysicsParams) -> None:
+    """Run the step chain at the corners of its inputs, and refuse ``params`` with a
+    ``ValueError`` if it overflows, divides by zero or gives a number that is not finite.
+
+    Each term of a rack's power (CPU, fan, GPU) grows with the rack's inlet
+    temperature and is monotone in the load, and every inlet lies in
+    ``inlet_temp_range_c``. So the rack half runs with every inlet at each end of
+    that range, at no load and at full load, with no memory: each term's smallest
+    and largest value lie among those four corners. It takes the inlets as given,
+    without the clamp and its warning.
+
+    Each output of ``hvac_step`` grows in size with IT power, CRAC return temperature
+    and wet-bulb temperature and as the setpoint falls, and is monotone in the
+    dry-bulb temperature. So the cooling chain runs at the largest IT power and return
+    temperature of those corners, the lowest setpoint and each end of
+    ``DRY_BULB_RANGE_C`` (with the wet-bulb there, its highest), with and without
+    heat recovery: eight evaluations in all.
+    """
+    peak_it, peak_return = 0.0, -math.inf
+    for t_in in params.inlet_temp_range_c:
+        for u in (0.0, 1.0):
+            try:
+                it_power, t_return = _rack_half(params, (t_in,) * params.num_racks, u, u, 0.0)
+                peak_it = max(peak_it, checked(it_power, "IT power"))
+                peak_return = max(peak_return, checked(t_return, "CRAC return temperature"))
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise ValueError(f"the step at inlet {t_in:g} degC and load {u:g}: {exc}") from None
+    setpoint = params.setpoint_range_c[0]
+    for t_drybulb in DRY_BULB_RANGE_C:
+        for hru in (False, True):
+            try:
+                result = hvac_step(params, peak_it, peak_return, setpoint, t_drybulb, t_drybulb,
+                                   hru)
+                for f in fields(result):
+                    checked(getattr(result, f.name), f.name)
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise ValueError(
+                    f"the step at IT power {peak_it:g} W, CRAC return {peak_return:g} degC, "
+                    f"setpoint {setpoint:g} degC, dry-bulb {t_drybulb:g} degC and heat "
+                    f"recovery {'on' if hru else 'off'}: {exc}") from None
 
 
-def _write(params: DcPhysicsParams, layout: dict) -> dict:
-    doc = {}
-    for key, target in layout.items():
-        if isinstance(target, dict):
-            doc[key] = _write(params, target)
-        elif isinstance(target, tuple):
-            doc[key] = [getattr(params, name) for name in target]
-        else:
-            value = getattr(params, target)
-            doc[key] = list(value) if isinstance(value, tuple) else value
-    return doc
+_ABSENT = object()  # a key the document does not hold: a JSON null is not absent
 
 
-def _read(doc, layout: dict) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object")
-    kwargs = {}
-    for key, target in layout.items():
-        if key not in doc:
-            continue
-        value = doc[key]
-        try:
-            if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-                raise ValueError("must be a number, not true or false")
-            if isinstance(target, dict):
-                kwargs.update(_read(value, target))
-            elif isinstance(target, tuple):
-                if not isinstance(value, list) or len(value) != len(target):
-                    raise ValueError(f"expected [idle W, full W], got {value!r}")
-                kwargs.update(zip(target, map(float, value)))
-            else:
-                kwargs[target] = _FIELD_TYPES[target](value)  # DcPhysicsParams checks it
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise ValueError(f"{key}: {exc}") from exc
-    return kwargs
+def _lookup(doc, keys: tuple):
+    """The JSON value at ``keys`` in ``doc``, or ``_ABSENT``. A section that is no
+    JSON object, or a value that holds true or false, raises ``ValueError`` naming
+    its keys."""
+    value = doc
+    for depth, key in enumerate(keys):
+        if not isinstance(value, dict):
+            raise ValueError(": ".join((*keys[:depth], "expected a JSON object")))
+        value = value.get(key, _ABSENT)
+        if value is _ABSENT:
+            return value
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(": ".join((*keys[:depth + 1], "must be a number, not true or false")))
+    return value
 
 
 def params_to_config(params: DcPhysicsParams) -> dict:
-    return _write(params, _LAYOUT)
+    """The JSON document of ``params``: each field under its keys, in field order."""
+    doc = {}
+    for f in fields(params):
+        *sections, key = f.metadata["keys"]
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {})
+        value = getattr(params, f.name)
+        if f.metadata["half"] is not None:
+            section.setdefault(key, []).append(value)
+        else:
+            section[key] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def params_from_config(doc: dict) -> DcPhysicsParams:
-    """Build a parameter block from the JSON document; absent keys keep defaults.
+    """Build a parameter block from the JSON document. An absent key keeps its
+    field's default, and a key that no field declares is ignored.
 
-    A malformed value raises ``ValueError`` naming its key.
+    A malformed value raises ``ValueError`` naming its keys.
     """
-    return DcPhysicsParams(**_read(doc, _LAYOUT))
+    kwargs = {}
+    for f in fields(DcPhysicsParams):
+        keys, half = f.metadata["keys"], f.metadata["half"]
+        value = _lookup(doc, keys)
+        if value is _ABSENT:
+            continue
+        try:
+            if half is not None:
+                if not isinstance(value, list) or len(value) != 2:
+                    raise ValueError(f"expected [idle W, full W], got {value!r}")
+                value = value[half]
+            kwargs[f.name] = type(f.default)(value)  # DcPhysicsParams checks it
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+            raise ValueError(": ".join((*keys, str(exc)))) from exc
+    return DcPhysicsParams(**kwargs)
 
 
 def load_dc_config(path) -> DcPhysicsParams:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodcsim.cluster import (BLOCK, DcStepInfo, check_site, release_completed,
+from geodcsim.cluster import (BLOCK, Cluster, DcStepInfo, check_site, release_completed,
                               schedule_fifo_first_fit)
 from geodcsim.controllers import snapshot_cluster
 from geodcsim.dcphysics import HvacAction, WeatherSample, dc_physics_step, desk_scale_params
@@ -18,7 +18,7 @@ from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
 from geodcsim.workload import TaskStatus
 
-from conftest import T0, make_cluster, make_node, make_task
+from conftest import T0, make_cluster, make_node, make_task, tiny_network
 
 STEP = timedelta(minutes=15)
 
@@ -623,3 +623,29 @@ class TestConservationProperties:
             ]
 
         assert run() == run()
+
+
+class TestClusterGuards:
+    def test_a_cluster_needs_a_datacenter(self):
+        matrix, delay, region_map = tiny_network()
+        with pytest.raises(ValueError, match="^a cluster needs at least one datacenter$"):
+            Cluster([], matrix, delay, region_map)
+
+    def test_dc_ids_are_unique(self):
+        matrix, delay, region_map = tiny_network()
+        nodes = [make_node(dc_id=1), make_node(dc_id=2, location="DE-LU"), make_node(dc_id=1)]
+        with pytest.raises(ValueError, match="^dc_id values must be unique$"):
+            Cluster(nodes, matrix, delay, region_map)
+
+    @pytest.mark.parametrize("origin, dest, expected", [
+        (1, 4, "unknown destination dc_id 4"),
+        (7, 2, "task t1 has unmapped origin 7"),
+    ], ids=["unknown_destination", "unmapped_origin"])
+    def test_a_decision_off_the_cluster_is_refused_before_it_routes(self, origin, dest,
+                                                                    expected):
+        cluster = make_cluster()
+        task = make_task(origin=origin)
+        with pytest.raises(ProtocolError, match=f"^{expected}$"):
+            cluster.route_assignments([(task, dest)], step=0, now=T0)
+        assert task.dest_dc_id is None and task.status is TaskStatus.PENDING
+        assert not cluster.in_transit and not any(n.pending for n in cluster.nodes)

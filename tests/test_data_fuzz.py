@@ -12,10 +12,12 @@ A ``SimulationError`` or an ``OSError`` with a one-line message is the expected
 way to fail, and a ``SimulationError`` names the damaged file, whether the loader,
 ``build_env``, ``reset`` or the episode raised it. Any other exception is a leak
 the CLI would print as a traceback; a run still going after ``SECONDS`` is a hang.
+A run that ends without an error must give a finite number for every KPI.
 """
 
 import copy
 import json
+import math
 import tempfile
 from dataclasses import replace
 from datetime import timedelta
@@ -159,6 +161,20 @@ _NO_TEXT_BYTE = st.sampled_from(sorted(FILES)).flatmap(  # the texts are ASCII
 @example(damage=("physics", _replaced_leaf(
     "physics", 0, ("server_characteristics", "ITFAN_REF_V_RATIO"), "1e-300",
     text=_replaced_leaf("physics", 0, ("server_characteristics", "IT_FAN_POWER_EXPONENT"), "3"))))
+# a tiny reference fan ratio under the default linear law loaded, and each rack's
+# power overflowed to an infinity: the run ended with NaN in every energy KPI
+@example(damage=("physics", _replaced_leaf(
+    "physics", 0, ("server_characteristics", "ITFAN_REF_V_RATIO"), "1e-306")))
+# a tiny CRAC flow loaded, and the first step divided by its square, rounded to 0
+@example(damage=("physics", _replaced_leaf(
+    "physics", 0, ("hvac_configuration", "CRAC_SUPPLY_AIR_FLOW_RATE_pu"), "1e-200",
+    text=_replaced_leaf("physics", 0, ("server_characteristics", "THERMAL_COEFFS", 2), "2"))))
+# a huge CRAC flow loaded, and the first step overflowed the CRAC fan's cube
+@example(damage=("physics", _replaced_leaf(
+    "physics", 0, ("hvac_configuration", "CRAC_SUPPLY_AIR_FLOW_RATE_pu"), "1e200")))
+# a tiny cooling-tower reference flow loaded, and the first step overflowed its fan's cube
+@example(damage=("physics", _replaced_leaf(
+    "physics", 0, ("hvac_configuration", "CT_REFERENCE_AIR_FLOW_RATE"), "1e-200")))
 def test_damaged_input_file_gives_typed_error_or_clean_run(tmp_path_factory, damage):
     kind, text = damage
     root = tmp_path_factory.getbasetemp() / "data_fuzz"
@@ -180,8 +196,10 @@ def test_damaged_input_file_gives_typed_error_or_clean_run(tmp_path_factory, dam
             assert str(paths[kind]) in str(exc), f"error does not name the file: {exc}"
         try:
             build_env(sim, fleet, REWARD, seed=0).reset()
-            run_episode(sim, fleet, REWARD, seed=0)
+            _, kpis = run_episode(sim, fleet, REWARD, seed=0)
         except (SimulationError, OSError) as exc:
             assert "\n" not in str(exc), f"error spans lines: {exc}"
             if isinstance(exc, SimulationError):
                 assert str(paths[kind]) in str(exc), f"error does not name the file: {exc}"
+        else:
+            assert all(math.isfinite(v) for v in kpis.values()), f"a KPI is not finite: {kpis}"

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from dataclasses import fields
 
@@ -24,6 +25,7 @@ from geodcsim.dcphysics import (
     gpu_power,
     heat_recovery_w,
     hvac_step,
+    it_power_and_return_temp,
     load_dc_config,
     memory_power_per_rack,
     params_from_config,
@@ -538,3 +540,116 @@ class TestParamsJson:
         params = desk_scale_params(thermal_coeffs=coeffs)
         r = dc_physics_step(params, 22.0, 0.5, 0.5, 100.0, MILD)
         assert math.isfinite(r.total_power_w) and math.isfinite(r.crac_return_temp_c)
+
+
+def _other(name, value):
+    """A value of field ``name`` other than ``value``, in its domain: a count drops by
+    one, a zero becomes 0.5, and any other number shrinks by a tenth, or grows by a
+    tenth in an upper ratio bound, so each pair of bounds stays ordered."""
+    if isinstance(value, tuple):
+        return tuple(_other(name, v) for v in value)
+    if isinstance(value, int):
+        return value - 1
+    if value == 0.0:
+        return 0.5
+    return value * (1.1 if name.endswith("_ub") else 0.9)
+
+
+FIELDS = {f.name: f for f in fields(DcPhysicsParams)}
+APPROACHES = ("supply_approach_temps_c", "return_approach_temps_c")
+
+
+class TestDeclarations:
+    """Each field declares its default, its JSON keys and its domain once."""
+
+    def test_a_block_off_every_default_round_trips(self):
+        off = {name: _other(name, getattr(P, name)) for name in FIELDS}
+        off |= {name: (0.5,) * off["num_racks"] for name in APPROACHES}
+        block = DcPhysicsParams(**off)
+        assert all(getattr(block, name) != getattr(P, name) for name in FIELDS)
+        assert params_from_config(json.loads(json.dumps(params_to_config(block)))) == block
+
+    def test_no_two_fields_share_a_key_but_the_halves_of_a_pair(self):
+        halves = {}
+        for f in FIELDS.values():
+            halves.setdefault(f.metadata["keys"], []).append(f.metadata["half"])
+        assert all(h in ([None], [0, 1]) for h in halves.values()), halves
+        assert [keys[-1] for keys, h in halves.items() if h == [0, 1]] == ["HP_PROLIANT",
+                                                                           "NVIDIA_V100"]
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_one_leaf_sets_exactly_its_field(self, name):
+        """A document holding one leaf builds the block of that one keyword."""
+        f, value = FIELDS[name], _other(name, getattr(P, name))
+        *sections, key = f.metadata["keys"]
+        doc = section = {}
+        for part in sections:
+            section = section.setdefault(part, {})
+        if f.metadata["half"] is None:
+            section[key] = list(value) if isinstance(value, tuple) else value
+        else:
+            pair = params_to_config(P)
+            for part in f.metadata["keys"]:
+                pair = pair[part]
+            section[key] = [value if i == f.metadata["half"] else v for i, v in enumerate(pair)]
+        block = params_from_config(doc)
+        assert block == DcPhysicsParams(**{name: value}) != P
+
+    def test_unknown_keys_are_ignored(self):
+        doc = {"unknown_section": {"X": 1}, "hvac_configuration": {"C_AIR": 1000.0, "X": [1],
+                                                                   "HRU": {"Y": None}}}
+        assert params_from_config(doc) == DcPhysicsParams(c_air=1000.0)
+
+    @pytest.mark.parametrize("doc, expected", [
+        ({"hvac_configuration": {"C_AIR": None}},
+         "hvac_configuration: C_AIR: float() argument must be a string or a real number, "
+         "not 'NoneType'"),
+        ({"hvac_configuration": None}, "hvac_configuration: expected a JSON object"),
+        ({"hvac_configuration": {"HRU": [1]}}, "hvac_configuration: HRU: expected a JSON object"),
+        ({"server_characteristics": True},
+         "server_characteristics: must be a number, not true or false"),
+        ([], "expected a JSON object"),
+    ], ids=["null_leaf", "null_section", "list_subsection", "true_section", "list_document"])
+    def test_a_null_or_a_section_of_the_wrong_kind_names_its_keys(self, doc, expected):
+        with pytest.raises(ValueError) as info:
+            params_from_config(doc)
+        assert str(info.value) == expected
+
+
+# Four physics blocks that loaded and then failed in the first step: a NaN in every
+# energy KPI, a division by zero and two overflows.
+UNSOUND_BLOCKS = {
+    "fan_ref_ratio_tiny": ({"fan_ref_ratio": 1e-306},
+                           "the step at inlet 16 degC and load 1: IT power must be finite"),
+    "crac_supply_flow_tiny": (
+        {"crac_supply_flow_pu": 1e-200, "thermal_coeffs": (1.0, 1.0, 2.0, 1.0, 0.0)},
+        "the step at inlet 16 degC and load 0: float division by zero"),
+    # the CRAC fan's and the cooling-tower fan's cube overflow: float ** raises
+    "crac_supply_flow_huge": ({"crac_supply_flow_pu": 1e200}, "heat recovery off: (34, "),
+    "ct_ref_air_flow_tiny": ({"ct_ref_air_flow_m3s": 1e-200}, "heat recovery off: (34, "),
+}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("overrides, expected", UNSOUND_BLOCKS.values(),
+                             ids=UNSOUND_BLOCKS.keys())
+    def test_a_block_whose_step_chain_fails_is_refused(self, overrides, expected):
+        with pytest.raises(ValueError, match="^the step at ") as info:
+            desk_scale_params(**overrides)
+        assert expected in str(info.value)
+
+    def test_the_cooling_chain_names_its_corner(self):
+        with pytest.raises(ValueError) as info:
+            desk_scale_params(heat_reject_unit_w=1e-306)
+        assert str(info.value) == (
+            "the step at IT power 45560 W, CRAC return 45.5532 degC, setpoint 18 degC, "
+            "dry-bulb 70 degC and heat recovery off: water_l_15min must be finite")
+
+    def test_the_check_logs_no_warning(self, caplog):
+        """Inlets 30 degC above the setpoint are clamped, with a warning, in a step
+        but not in the check, which takes the inlet range's ends as given."""
+        with caplog.at_level(logging.WARNING, logger="geodcsim.dcphysics"):
+            params = DcPhysicsParams(supply_approach_temps_c=(30.0,) * 4)
+            assert not caplog.records
+            it_power_and_return_temp(params, 20.0, 0.5, 0.5, 0.0)
+        assert len(caplog.records) == 4

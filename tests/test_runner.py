@@ -598,8 +598,12 @@ class TestCli:
         ("server_characteristics", {"ITFAN_REF_V_RATIO": 0}, "fan_ref_ratio must be > 0"),
         ("hvac_configuration", {"CHILLER_COP_MIN": 0, "CHILLER_COP_NOMINAL": 0},
          "chiller_cop_min must be > 0"),
+        # each server's fan draw is finite, but a rack of them overflows to an infinity
+        ("server_characteristics", {"ITFAN_REF_V_RATIO": 1e-306},
+         "the step at inlet 16 degC and load 1: IT power must be finite"),
     ], ids=["cw_pressure_drop_negative", "water_drift_negative", "gpu_idle_negative",
-            "cpu_ratio_negative", "fan_ref_ratio_zero", "chiller_cop_zero"])
+            "cpu_ratio_negative", "fan_ref_ratio_zero", "chiller_cop_zero",
+            "fan_ref_ratio_tiny"])
     def test_cli_bad_physics_value(self, tmp_path, capsys, section, values, expected):
         """Values the step chain would fail on stop the run at load, naming the file."""
         physics = tmp_path / "dc.json"
