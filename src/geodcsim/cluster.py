@@ -282,21 +282,26 @@ class InTransit:
     ready_step: int
 
 
+def _logged(default, column=None):
+    """A step-record field that the v1 step log writes, under ``column`` if not its name."""
+    return field(default=default, metadata={"column": column})
+
+
 @dataclass(slots=True)
 class DcStepInfo:
     """Per-site accounting for one step."""
 
-    energy_consumption_kwh: float = 0.0
-    energy_cost_usd: float = 0.0
-    carbon_emissions_kg: float = 0.0
-    water_l: float = 0.0
-    sla_met: int = 0
-    sla_violated: int = 0
-    cpu_util_pct: float = 0.0
-    gpu_util_pct: float = 0.0
-    mem_util_pct: float = 0.0
-    running_count: int = 0
-    pending_count: int = 0
+    energy_consumption_kwh: float = _logged(0.0, "energy_kwh")
+    energy_cost_usd: float = _logged(0.0, "cost_usd")
+    carbon_emissions_kg: float = _logged(0.0, "carbon_kg")
+    water_l: float = _logged(0.0)
+    sla_met: int = _logged(0)
+    sla_violated: int = _logged(0)
+    cpu_util_pct: float = _logged(0.0)
+    gpu_util_pct: float = _logged(0.0)
+    mem_util_pct: float = _logged(0.0)
+    running_count: int = _logged(0, "running")
+    pending_count: int = _logged(0, "pending")
 
 
 @dataclass
@@ -309,10 +314,10 @@ class ClusterInfo:
     """
 
     datacenters: dict = field(default_factory=dict)
-    transmission_cost_total_usd: float = 0.0
-    transmission_energy_total_kwh: float = 0.0
-    transmission_emissions_total_kg: float = 0.0
-    tasks_deferred_count: int = 0
+    transmission_cost_total_usd: float = _logged(0.0, "tx_cost_usd")
+    transmission_energy_total_kwh: float = _logged(0.0, "tx_energy_kwh")
+    transmission_emissions_total_kg: float = _logged(0.0, "tx_emissions_kg")
+    tasks_deferred_count: int = _logged(0, "tasks_deferred")
 
     def total(self, attr: str) -> float:
         return left_sum(map(attrgetter(attr), self.datacenters.values()))

@@ -164,7 +164,7 @@ class DcPhysicsParams:
                 raise ValueError(f"{name} must be ordered: two numbers lo < hi")
         if self.thermal_coeffs[3] == 0:
             raise ValueError("thermal_coeffs f must be nonzero")
-        _check_envelope(self)
+        check_envelope(self)
 
 
 # Each field's name, the type of its default (int, float or a tuple of floats) that a
@@ -470,16 +470,18 @@ def dc_physics_step(
     )
 
 
-def _check_envelope(params: DcPhysicsParams) -> None:
+def check_envelope(params: DcPhysicsParams, mem_gb: float = 0.0) -> None:
     """Run the step chain at the corners of its inputs, and refuse ``params`` with a
     ``ValueError`` if it overflows, divides by zero or gives a number that is not finite.
 
-    Each term of a rack's power (CPU, fan, GPU) grows with the rack's inlet
+    Each term of a rack's power (CPU, fan, GPU, memory) grows with the rack's inlet
     temperature and is monotone in the load, and every inlet lies in
     ``inlet_temp_range_c``. So the rack half runs with every inlet at each end of
-    that range, at no load and at full load, with no memory: each term's smallest
-    and largest value lie among those four corners. It takes the inlets as given,
-    without the clamp and its warning.
+    that range, at no load and at full load, with ``mem_gb`` of memory: each term's
+    smallest and largest value lie among those four corners. A block checks itself
+    with no memory, as it does not know its site's; the runner checks it again at
+    each site's full memory. It takes the inlets as given, without the clamp and
+    its warning.
 
     Each output of ``hvac_step`` grows in size with IT power, CRAC return temperature
     and wet-bulb temperature and as the setpoint falls, and is monotone in the
@@ -492,7 +494,7 @@ def _check_envelope(params: DcPhysicsParams) -> None:
     for t_in in params.inlet_temp_range_c:
         for u in (0.0, 1.0):
             try:
-                it_power, t_return = _rack_half(params, (t_in,) * params.num_racks, u, u, 0.0)
+                it_power, t_return = _rack_half(params, (t_in,) * params.num_racks, u, u, mem_gb)
                 peak_it = max(peak_it, checked(it_power, "IT power"))
                 peak_return = max(peak_return, checked(t_return, "CRAC return temperature"))
             except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -555,17 +557,22 @@ def params_from_config(doc: dict) -> DcPhysicsParams:
     """
     kwargs = {}
     for f in fields(DcPhysicsParams):
-        keys, half = f.metadata["keys"], f.metadata["half"]
+        keys, half, kind = f.metadata["keys"], f.metadata["half"], type(f.default)
         value = _lookup(doc, keys)
         if value is _ABSENT:
+            continue
+        if kind is int:  # checked, as int() drops a fraction: 4.7 racks are not 4
+            kwargs[f.name] = checked(value, ": ".join(keys), kind=int)
             continue
         try:
             if half is not None:
                 if not isinstance(value, list) or len(value) != 2:
                     raise ValueError(f"expected [idle W, full W], got {value!r}")
                 value = value[half]
-            kwargs[f.name] = type(f.default)(value)  # DcPhysicsParams checks it
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+            elif kind is tuple and not isinstance(value, list):  # tuple("01") is ("0", "1")
+                raise ValueError(f"expected a list of numbers, got {value!r}")
+            kwargs[f.name] = kind(value)  # DcPhysicsParams checks it
+        except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
             raise ValueError(": ".join((*keys, str(exc)))) from exc
     return DcPhysicsParams(**kwargs)
 

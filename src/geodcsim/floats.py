@@ -23,7 +23,8 @@ import sys
 
 def checked(value, what: str, lo=-math.inf, hi=math.inf, lo_open=False, *, kind=float):
     """``value`` as a finite ``kind`` in ``[lo, hi]``, or ``(lo, hi]`` with ``lo_open``.
-    An ``int`` kind, for a count or an id, is exact at any size: its domain bounds it."""
+    An ``int`` kind, for a count or an id, is exact at any size: its domain bounds it.
+    It takes a number only if it is whole, where ``int()`` would drop the fraction."""
     if isinstance(value, bool):
         raise ValueError(f"{what}: must be a number, not true or false")
     if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
@@ -34,6 +35,8 @@ def checked(value, what: str, lo=-math.inf, hi=math.inf, lo_open=False, *, kind=
         raise ValueError(f"{what}: {exc}") from exc
     if number != number or abs(number) == math.inf:
         raise ValueError(f"{what} must be finite")
+    if kind is int and number != value and not isinstance(value, str):  # int(4.7) is 4
+        raise ValueError(f"{what} must be a whole number")
     if (number <= lo if lo_open else number < lo) or number > hi:
         domain = (f"be {'>' if lo_open else '>='} {lo:g}" if hi == math.inf
                   else f"lie in {'(' if lo_open else '['}{lo:g}, {hi:g}]")

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import permutations
@@ -26,9 +27,9 @@ import numpy as np
 import yaml
 
 from . import envdata, network
-from .cluster import Cluster, DatacenterNode, check_site
+from .cluster import Cluster, ClusterInfo, DatacenterNode, DcStepInfo, check_site
 from .controllers import RuleBasedController, snapshot_cluster
-from .dcphysics import DcPhysicsParams, desk_scale_params, load_dc_config
+from .dcphysics import DcPhysicsParams, check_envelope, desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
 from .errors import ConfigError, DataError, SimulationError, naming
 from .floats import checked, left_sum
@@ -42,22 +43,17 @@ logger = logging.getLogger(__name__)
 
 STEP_LOG_SCHEMA = "geodcsim-steplog-v1"
 
-_DC_LOG_FIELDS = (
-    ("energy_kwh", "energy_consumption_kwh"),
-    ("cost_usd", "energy_cost_usd"),
-    ("carbon_kg", "carbon_emissions_kg"),
-    ("water_l", "water_l"),
-    ("sla_met", "sla_met"),
-    ("sla_violated", "sla_violated"),
-    ("cpu_util_pct", "cpu_util_pct"),
-    ("gpu_util_pct", "gpu_util_pct"),
-    ("mem_util_pct", "mem_util_pct"),
-    ("running", "running_count"),
-    ("pending", "pending_count"),
-)
-_dc_log_values = attrgetter(*(attr for _, attr in _DC_LOG_FIELDS))
-# one site's columns of a step-log line: "%s" is str, which for a float is its repr
-_DC_LOG_FORMAT = ",".join(["%s"] * len(_DC_LOG_FIELDS))
+
+def _log_columns(record):
+    """The v1 step-log columns that ``record``'s fields declare, in field order, a getter
+    of their values and the format that writes them: "%s" is str, for a float its repr."""
+    declared = [f for f in fields(record) if "column" in f.metadata]
+    return ([f.metadata["column"] or f.name for f in declared],
+            attrgetter(*(f.name for f in declared)), ",".join(["%s"] * len(declared)))
+
+
+_SITE_COLUMNS, _site_values, _SITE_FORMAT = _log_columns(DcStepInfo)
+_TAIL_COLUMNS, _tail_values, _TAIL_FORMAT = _log_columns(ClusterInfo)  # then the reward
 
 
 @dataclass
@@ -287,14 +283,27 @@ def load_dc_fleet(path) -> list[DcSpec]:
 
 def _physics_blocks(specs) -> list:
     """Each spec's physics block: the one it holds, else the one read from its
-    ``dc_config_file`` (once per file), else the desk-scale block."""
+    ``dc_config_file`` (once per file), else the desk-scale block. Each distinct
+    block and site memory runs the envelope check at that memory, as a block checks
+    itself with none; a refusal names the site's ``dc_config_file``."""
     read = {}
     for spec in specs:
         file = spec.dc_config_file
         if spec.physics is None and file not in read:
             read[file] = load_dc_config(file) if file else desk_scale_params()
-    return [read[spec.dc_config_file] if spec.physics is None else spec.physics
-            for spec in specs]
+    blocks = [read[spec.dc_config_file] if spec.physics is None else spec.physics
+              for spec in specs]
+    seen = set()
+    for spec, params in zip(specs, blocks):
+        if (id(params), spec.total_mem_gb) not in seen:
+            seen.add((id(params), spec.total_mem_gb))
+            try:
+                check_envelope(params, spec.total_mem_gb)
+            except ValueError as exc:
+                with naming(spec.dc_config_file) if spec.dc_config_file else nullcontext():
+                    raise ConfigError(f"dc {spec.dc_id}: at total_mem_gb "
+                                      f"{spec.total_mem_gb:g}: {exc}") from None
+    return blocks
 
 
 def load_reward_config(path) -> dict:
@@ -446,9 +455,8 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
 def _log_header(dc_ids) -> list[str]:
     cols = ["step", "time_utc"]
     for dc_id in dc_ids:
-        cols.extend(f"dc{dc_id}_{short}" for short, _ in _DC_LOG_FIELDS)
-    cols.extend(["tx_cost_usd", "tx_energy_kwh", "tx_emissions_kg", "tasks_deferred", "reward"])
-    return cols
+        cols.extend(f"dc{dc_id}_{column}" for column in _SITE_COLUMNS)
+    return [*cols, *_TAIL_COLUMNS, "reward"]
 
 
 def _log_row(step_idx, time_utc, info, reward, dc_ids) -> str:
@@ -459,10 +467,9 @@ def _log_row(step_idx, time_utc, info, reward, dc_ids) -> str:
     return ",".join([
         str(step_idx),
         time_utc.isoformat(),
-        *[_DC_LOG_FORMAT % _dc_log_values(sites[dc_id]) for dc_id in dc_ids],
-        "%s,%s,%s,%s,%s" % (info.transmission_cost_total_usd, info.transmission_energy_total_kwh,
-                            info.transmission_emissions_total_kg, info.tasks_deferred_count,
-                            reward),
+        *[_SITE_FORMAT % _site_values(sites[dc_id]) for dc_id in dc_ids],
+        _TAIL_FORMAT % _tail_values(info),
+        str(reward),
     ])
 
 

@@ -523,6 +523,24 @@ class TestParamsJson:
         doc = {"data_center_configuration": {key: value}}
         assert self._load(tmp_path, json.dumps(doc)).endswith(expected)
 
+    @pytest.mark.parametrize("key, value", [("NUM_RACKS", 4.7), ("CPUS_PER_RACK", 0.999)])
+    def test_a_count_must_be_a_whole_number(self, tmp_path, key, value):
+        """``int()`` read 4.7 racks as 4 and 0.999 CPUs as 0."""
+        doc = {"data_center_configuration": {key: value}}
+        assert self._load(tmp_path, json.dumps(doc)).endswith(
+            f"data_center_configuration: {key} must be a whole number")
+        assert params_from_config({"data_center_configuration": {key: 4.0}}).num_racks == 4
+        with pytest.raises(ValueError, match="^num_racks must be a whole number$"):
+            DcPhysicsParams(num_racks=4.7)
+
+    @pytest.mark.parametrize("value", ["0.5", "01", 0.5, {"a": 1}],
+                             ids=["string", "digit_string", "number", "object"])
+    def test_a_list_parameter_must_be_a_json_list(self, tmp_path, value):
+        """``tuple()`` read the string "01" as the pair (0.0, 1.0)."""
+        doc = {"server_characteristics": {"CPU_POWER_RATIO_LB": value}}
+        assert self._load(tmp_path, json.dumps(doc)).endswith(
+            f"server_characteristics: CPU_POWER_RATIO_LB: expected a list of numbers, got {value!r}")
+
     @pytest.mark.parametrize("coeffs", [[1, 1, 1e30, 1, 0], [1, 1e30, 1, 1, 0], [1, 1, -1, 1, 0]],
                              ids=["e_1e30", "d_1e30", "e_negative"])
     def test_thermal_exponent_outside_its_domain_is_a_config_error(self, tmp_path, coeffs):

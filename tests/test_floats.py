@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geodcsim.floats import checked
@@ -66,6 +67,12 @@ class TestChecked:
             checked(-math.inf, "n", kind=int)
         with pytest.raises(ValueError, match="^n: must be a number, not true or false$"):
             checked(True, "n", kind=int)
+
+    @pytest.mark.parametrize("value", [4.7, 0.999, -0.5, np.float64(2.5)])
+    def test_an_int_kind_refuses_a_fraction(self, value):
+        """``int()`` drops it: 4.7 racks were 4, and 0.999 CPUs none."""
+        with pytest.raises(ValueError, match="^n must be a whole number$"):
+            checked(value, "n", kind=int)
 
 
 def test_no_module_but_floats_tests_finiteness_its_own_way():

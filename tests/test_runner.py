@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -225,6 +225,23 @@ class TestRunEpisode:
         assert kpis["tasks_deferred"] == col_sum("tasks_deferred")
 
 
+# (column, field) of a site's v1 step-log cells, written out here so that the
+# reference does not read the declaration it checks
+_SITE_LOG_FIELDS = (
+    ("energy_kwh", "energy_consumption_kwh"),
+    ("cost_usd", "energy_cost_usd"),
+    ("carbon_kg", "carbon_emissions_kg"),
+    ("water_l", "water_l"),
+    ("sla_met", "sla_met"),
+    ("sla_violated", "sla_violated"),
+    ("cpu_util_pct", "cpu_util_pct"),
+    ("gpu_util_pct", "gpu_util_pct"),
+    ("mem_util_pct", "mem_util_pct"),
+    ("running", "running_count"),
+    ("pending", "pending_count"),
+)
+
+
 def reference_log_row(step_idx, time_utc, info, reward, dc_ids) -> str:
     """A step-log line as ``csv.writer`` writes the list of cells that each value's
     ``repr(float(v))`` (for a float) or ``str(v)`` makes."""
@@ -234,7 +251,7 @@ def reference_log_row(step_idx, time_utc, info, reward, dc_ids) -> str:
     row = [str(step_idx), time_utc.isoformat()]
     for dc_id in dc_ids:
         site = info.datacenters[dc_id]
-        row.extend(fmt(getattr(site, attr)) for _, attr in runner._DC_LOG_FIELDS)
+        row.extend(fmt(getattr(site, attr)) for _, attr in _SITE_LOG_FIELDS)
     row.extend([fmt(info.transmission_cost_total_usd), fmt(info.transmission_energy_total_kwh),
                 fmt(info.transmission_emissions_total_kg), str(info.tasks_deferred_count),
                 fmt(reward)])
@@ -256,7 +273,7 @@ def step_infos(draw):
     n = draw(st.sampled_from([1, 48]))
     dc_ids = sorted(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n,
                                   unique=True)))
-    sites = {dc_id: DcStepInfo(*draw(st.tuples(*[_LOG_VALUES] * len(runner._DC_LOG_FIELDS))))
+    sites = {dc_id: DcStepInfo(*draw(st.tuples(*[_LOG_VALUES] * len(_SITE_LOG_FIELDS))))
              for dc_id in dc_ids}
     info = ClusterInfo(sites, draw(_LOG_VALUES), draw(_LOG_VALUES), draw(_LOG_VALUES),
                        draw(st.integers(0, 10**6)))
@@ -276,11 +293,25 @@ class TestLogRow:
         specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 7, -3]
         specials += [np.float64(v) for v in specials[:6]]
         for value in specials:
-            info = ClusterInfo({1: DcStepInfo(*[value] * len(runner._DC_LOG_FIELDS))},
+            info = ClusterInfo({1: DcStepInfo(*[value] * len(_SITE_LOG_FIELDS))},
                                value, value, value, 0)
             now = datetime(2024, 3, 1, tzinfo=timezone.utc)
             line = runner._log_row(5, now, info, value, [1])
             assert line == reference_log_row(5, now, info, value, [1]), repr(value)
+
+    def test_header_is_the_declared_columns_in_field_order(self):
+        """Each record field names its own column; ``datacenters`` names none."""
+        def declared(record):
+            return [f.metadata["column"] or f.name for f in fields(record)
+                    if "column" in f.metadata]
+
+        assert declared(DcStepInfo) == [column for column, _ in _SITE_LOG_FIELDS]
+        assert declared(ClusterInfo) == ["tx_cost_usd", "tx_energy_kwh", "tx_emissions_kg",
+                                         "tasks_deferred"]
+        assert runner._log_header([1, 2]) == [
+            "step", "time_utc",
+            *(f"dc{dc_id}_{column}" for dc_id in (1, 2) for column in declared(DcStepInfo)),
+            *declared(ClusterInfo), "reward"]
 
 
 class TestKpiLedger:
@@ -458,6 +489,19 @@ class TestCli:
         assert err == [f"error: {sim}: simulation: {key}: invalid literal for int() "
                        "with base 10: 'abc'"]
 
+    @pytest.mark.parametrize("key", ["duration_days", "init_day"])
+    def test_cli_fractional_sim_count(self, tmp_path, capsys, key):
+        """``int()`` ran a ``duration_days`` of 2.9 for 2 days."""
+        doc = yaml.safe_load((CONFIG_DIR / "sim.yaml").read_text())
+        doc["simulation"][key] = 2.9
+        sim = tmp_path / "sim.yaml"
+        sim.write_text(yaml.safe_dump(doc))
+        args = self._args(tmp_path)
+        args[args.index("--sim-config") + 1] = str(sim)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {sim}: simulation: {key}: must be a whole number"]
+
     @pytest.mark.parametrize("value, expected", [
         (-1, "synthetic_workload.mean_tasks_per_interval must be >= 0"),
         (float("nan"), "synthetic_workload.mean_tasks_per_interval: must be finite"),
@@ -601,9 +645,22 @@ class TestCli:
         # each server's fan draw is finite, but a rack of them overflows to an infinity
         ("server_characteristics", {"ITFAN_REF_V_RATIO": 1e-306},
          "the step at inlet 16 degC and load 1: IT power must be finite"),
+        # sound with no memory, but the site's 8000 GB overflow a rack's power
+        ("server_characteristics", {"MEM_POWER_PER_GB": 1e306},
+         "dc 1: at total_mem_gb 8000: the step at inlet 16 degC and load 0: "
+         "IT power must be finite"),
+        ("data_center_configuration", {"NUM_RACKS": 4.7},
+         "data_center_configuration: NUM_RACKS must be a whole number"),
+        ("data_center_configuration", {"CPUS_PER_RACK": 0.999},
+         "data_center_configuration: CPUS_PER_RACK must be a whole number"),
+        ("server_characteristics", {"CPU_POWER_RATIO_LB": "0.5"},
+         "server_characteristics: CPU_POWER_RATIO_LB: expected a list of numbers, got '0.5'"),
+        ("server_characteristics", {"CPU_POWER_RATIO_LB": "01"},
+         "server_characteristics: CPU_POWER_RATIO_LB: expected a list of numbers, got '01'"),
     ], ids=["cw_pressure_drop_negative", "water_drift_negative", "gpu_idle_negative",
             "cpu_ratio_negative", "fan_ref_ratio_zero", "chiller_cop_zero",
-            "fan_ref_ratio_tiny"])
+            "fan_ref_ratio_tiny", "mem_power_huge", "racks_fraction", "cpus_fraction",
+            "ratio_pair_string", "ratio_pair_digit_string"])
     def test_cli_bad_physics_value(self, tmp_path, capsys, section, values, expected):
         """Values the step chain would fail on stop the run at load, naming the file."""
         physics = tmp_path / "dc.json"
@@ -614,6 +671,7 @@ class TestCli:
 
     @pytest.mark.parametrize("keys, value, expected", [
         (["total_cores"], "abc", "{fleet}: datacenter 0: total_cores: could not convert"),
+        (["dc_id"], 1.5, "{fleet}: datacenter 0: dc_id: must be a whole number"),
         (["total_cores"], -5, "dc 1: capacities must be >= 0"),
         (["synthetic", "price", "base"], "abc",
          "{fleet}: datacenter 0: synthetic.price.base: could not convert"),
@@ -639,7 +697,7 @@ class TestCli:
          "{fleet}: datacenter 0: dc 1: deadband must be two numbers lo < hi"),
         (["hvac"], {"policy": "fixed", "deadband": [24.0, math.nan]},
          "{fleet}: datacenter 0: dc 1: deadband must be two numbers lo < hi"),
-    ], ids=["cores_not_a_number", "cores_negative", "price_base_not_a_number",
+    ], ids=["cores_not_a_number", "dc_id_fraction", "cores_negative", "price_base_not_a_number",
             "carbon_amplitude_over_base", "noise_sd_negative", "population_weight_zero",
             "population_weight_nan", "cores_nan",
             "deadband_three_values", "deadband_not_numbers", "deadband_reversed",
@@ -1174,6 +1232,25 @@ class TestCrossFileChecks:
                 f"^{re.escape(str(price))}: series do not cover the simulation window "
                 r"\[2024-03-01T00:00:00\+00:00, 2024-03-02T00:00:00\+00:00\]: dc 2 price "
                 r"covers \[2024-03-01T00:00:00\+00:00, 2024-03-01T11:00:00\+00:00\]$")):
+            build_env(small_sim(), fleet, REWARD, seed=0)
+
+    def test_each_block_is_checked_once_at_each_site_memory(self, monkeypatch):
+        """A block checks itself with no memory; ``build_env`` checks it again at each
+        distinct site memory, so a block built in code is refused there too."""
+        mems = []
+        check = runner.check_envelope
+        monkeypatch.setattr(runner, "check_envelope",
+                            lambda params, mem_gb: mems.append(mem_gb) or check(params, mem_gb))
+        fleet = [replace(spec, dc_id=spec.dc_id + 3 * k)
+                 for k in range(16) for spec in small_fleet(3)]
+        fleet[5] = replace(fleet[5], total_mem_gb=6000)
+        build_env(small_sim(), fleet, REWARD, seed=0)
+        assert sorted(mems) == [6000, 8000]
+        heavy = desk_scale_params(mem_w_per_gb=1e306)
+        for spec in fleet:
+            spec.physics = heavy
+        with pytest.raises(ConfigError, match="^dc 1: at total_mem_gb 8000: the step at "
+                                              "inlet 16 degC and load 0: IT power must be finite$"):
             build_env(small_sim(), fleet, REWARD, seed=0)
 
     def test_one_lookup_per_distinct_region_and_cluster_pair(self, monkeypatch):
