@@ -33,7 +33,7 @@ from . import network
 from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
                         it_power_and_return_temp, step_setpoint)
 from .envdata import TimeSeries, value_at, wet_bulb
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, within
 from .floats import checked, left_sum
 from .workload import Task, TaskStatus
 
@@ -100,12 +100,10 @@ class PendingQueue:
 def check_site(dc_id: int, capacities, timezone_shift_h, population_weight, deadband):
     """Check a site's numbers, each finite: capacities ``>= 0``, a population weight
     ``> 0`` and a deadband, unless ``None``, of two numbers ``lo < hi``, which it returns."""
-    try:
+    with within(f"dc {dc_id}"):
         checked(dc_id, "dc_id")  # observations carry it as a float
         checked(timezone_shift_h, "timezone_shift_h")
         checked(population_weight, "population_weight", 0.0, lo_open=True)
-    except ValueError as exc:
-        raise ConfigError(f"dc {dc_id}: {exc}") from None
     try:
         for capacity in capacities:
             checked(capacity, "capacities", 0.0)

@@ -20,7 +20,7 @@ from datetime import timedelta
 from enum import Enum
 
 from .envdata import DRY_BULB_RANGE_C
-from .errors import ConfigError, naming
+from .errors import ConfigError, naming, within
 from .floats import checked, left_sum
 from .workload import STEP
 
@@ -493,25 +493,20 @@ def check_envelope(params: DcPhysicsParams, mem_gb: float = 0.0) -> None:
     peak_it, peak_return = 0.0, -math.inf
     for t_in in params.inlet_temp_range_c:
         for u in (0.0, 1.0):
-            try:
+            with within(f"the step at inlet {t_in:g} degC and load {u:g}", ValueError):
                 it_power, t_return = _rack_half(params, (t_in,) * params.num_racks, u, u, mem_gb)
                 peak_it = max(peak_it, checked(it_power, "IT power"))
                 peak_return = max(peak_return, checked(t_return, "CRAC return temperature"))
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise ValueError(f"the step at inlet {t_in:g} degC and load {u:g}: {exc}") from None
     setpoint = params.setpoint_range_c[0]
     for t_drybulb in DRY_BULB_RANGE_C:
         for hru in (False, True):
-            try:
+            with within(f"the step at IT power {peak_it:g} W, CRAC return {peak_return:g} degC, "
+                        f"setpoint {setpoint:g} degC, dry-bulb {t_drybulb:g} degC and heat "
+                        f"recovery {'on' if hru else 'off'}", ValueError):
                 result = hvac_step(params, peak_it, peak_return, setpoint, t_drybulb, t_drybulb,
                                    hru)
                 for f in fields(result):
                     checked(getattr(result, f.name), f.name)
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise ValueError(
-                    f"the step at IT power {peak_it:g} W, CRAC return {peak_return:g} degC, "
-                    f"setpoint {setpoint:g} degC, dry-bulb {t_drybulb:g} degC and heat "
-                    f"recovery {'on' if hru else 'off'}: {exc}") from None
 
 
 _ABSENT = object()  # a key the document does not hold: a JSON null is not absent
@@ -564,7 +559,7 @@ def params_from_config(doc: dict) -> DcPhysicsParams:
         if kind is int:  # checked, as int() drops a fraction: 4.7 racks are not 4
             kwargs[f.name] = checked(value, ": ".join(keys), kind=int)
             continue
-        try:
+        with within(": ".join(keys), ValueError):  # float(10**400) overflows
             if half is not None:
                 if not isinstance(value, list) or len(value) != 2:
                     raise ValueError(f"expected [idle W, full W], got {value!r}")
@@ -572,8 +567,6 @@ def params_from_config(doc: dict) -> DcPhysicsParams:
             elif kind is tuple and not isinstance(value, list):  # tuple("01") is ("0", "1")
                 raise ValueError(f"expected a list of numbers, got {value!r}")
             kwargs[f.name] = kind(value)  # DcPhysicsParams checks it
-        except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-            raise ValueError(": ".join((*keys, str(exc)))) from exc
     return DcPhysicsParams(**kwargs)
 
 

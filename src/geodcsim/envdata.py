@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CoverageError, DataError, DataFormatError, naming
+from .errors import CoverageError, DataError, DataFormatError, naming, within
 from .floats import checked
 
 HOUR = timedelta(hours=1)
@@ -84,11 +84,9 @@ class TimeSeries:
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("series must be a non-empty 1-D array")
         what, lo, hi = _DOMAINS[self.kind]
-        try:  # the least and greatest values, NaN if any is; two checks, not one per value
+        with within(None, DataError):  # the least and greatest, NaN if any is: two checks
             checked(vals.min(), what, lo, hi)
             checked(vals.max(), what, lo, hi)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "end", self.start + (len(vals) - 1) * self.step)

@@ -1,5 +1,6 @@
-"""Exception types shared across the simulator, and ``naming``, the one place that
-puts an input file's path into an error message."""
+"""Exception types shared across the simulator; ``naming``, the one place that puts
+an input file's path into an error message; and ``within``, the one place that puts
+the dc, row, line, task or section an error arose in before its message."""
 
 import csv
 from contextlib import contextmanager
@@ -40,3 +41,24 @@ def naming(path):
         raise type(exc)(f"{path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+class within:
+    """Re-raise a ``ValueError``, ``TypeError``, ``OverflowError``,
+    ``ZeroDivisionError`` or simulator error raised inside as one ``kind`` error
+    reading ``context: <message>``, or the message alone when ``context`` is ``None``.
+    A ``KeyError`` and any other exception pass unchanged. A class, as a generator
+    context manager costs about three times as much to enter, and set-up enters this
+    one for each site, series and table row."""
+
+    def __init__(self, context, kind=ConfigError):
+        self.context, self.kind = context, kind
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, _type, exc, _traceback):
+        if isinstance(exc, (ValueError, TypeError, OverflowError, ZeroDivisionError,
+                            SimulationError)):
+            message = str(exc) if self.context is None else f"{self.context}: {exc}"
+            raise self.kind(message) from exc

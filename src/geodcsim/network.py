@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .envdata import dict_rows
-from .errors import ConfigError, DataError, DataFormatError, naming
+from .errors import ConfigError, DataError, DataFormatError, naming, within
 from .floats import checked
 from .workload import STEP
 
@@ -90,10 +90,8 @@ class CostMatrix:
                                     f"got {len(row)} cells")
                 if row[0].strip() != regions[i]:
                     raise DataFormatError(f"row label {row[0]!r} does not match column order")
-                try:
+                with within(None, DataError):
                     mat[i, :] = [checked(v, f"row {i + 2}: cost") for v in row[1:]]
-                except ValueError as exc:
-                    raise DataError(str(exc)) from exc
             return cls(tuple(regions), mat)
 
 
@@ -105,15 +103,13 @@ class DelayTable:
     rtt_ms: dict
 
     def __post_init__(self):
-        try:
+        with within(None, DataError):
             for (a, b), thr in self.throughput_mbps.items():
                 what = f"throughput for {a.value}->{b.value}"
                 if checked(thr, what, 0.0, lo_open=True) < MIN_THROUGHPUT_MBPS:
                     raise ValueError(f"{what} must be >= {MIN_THROUGHPUT_MBPS:g}")
             for (a, b), rtt in self.rtt_ms.items():
                 checked(rtt, f"RTT for {a.value}->{b.value}", 0.0)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
 
     def lookup(self, origin: MacroCluster, dest: MacroCluster) -> tuple[float, float]:
         if origin is dest:
@@ -129,12 +125,10 @@ class DelayTable:
         with naming(path):
             for i, row in dict_rows(path, ("origin_cluster", "dest_cluster", "throughput_mbps",
                                            "rtt_ms")):
-                try:
+                with within(f"bad row {i}", DataError):
                     a = MacroCluster(row["origin_cluster"].strip())
                     b = MacroCluster(row["dest_cluster"].strip())
                     values = tuple(checked(row[key], key) for key in ("throughput_mbps", "rtt_ms"))
-                except ValueError as exc:
-                    raise DataError(f"bad row {i}: {exc}") from exc
                 if (a, b) in throughput:
                     raise DataError(f"row {i}: repeats {a.value}->{b.value}")
                 throughput[(a, b)], rtt[(a, b)] = values

@@ -31,7 +31,7 @@ from .cluster import Cluster, ClusterInfo, DatacenterNode, DcStepInfo, check_sit
 from .controllers import RuleBasedController, snapshot_cluster
 from .dcphysics import DcPhysicsParams, check_envelope, desk_scale_params, load_dc_config
 from .envdata import SeriesKind, synth_series
-from .errors import ConfigError, DataError, SimulationError, naming
+from .errors import ConfigError, SimulationError, naming, within
 from .floats import checked, left_sum
 from .rewards import CompositeReward
 from .schedenv import (KPI_KEYS, STEPS_PER_DAY, SchedulingEnv,  # KPI_KEYS: re-exported
@@ -130,32 +130,24 @@ class SimConfig:
     def __post_init__(self):
         if self.timestep_minutes != STEP // timedelta(minutes=1):
             raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
-        try:
+        with within(None):
             checked(self.duration_days, "duration_days", 1, kind=int)
             checked(self.mean_tasks_per_interval, "synthetic_workload.mean_tasks_per_interval", 0.0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        try:
-            self.start = datetime(
+        with within("invalid start date (year, month, init_day, init_hour)"):
+            self.start = datetime(  # a huge year overflows a C int
                 self.year, self.month, self.init_day, self.init_hour, tzinfo=timezone.utc
             )
-        except (ValueError, OverflowError) as exc:  # a huge year overflows a C int
-            raise ConfigError(
-                f"invalid start date (year, month, init_day, init_hour): {exc}"
-            ) from exc
 
 
 def _read_section(path, name: str, kind: type):
     """The top-level ``name`` section of YAML file ``path``, a non-empty ``kind`` (dict
     or list); each failure is one ``ConfigError`` line, which the caller names."""
-    try:
-        with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes raise a YAMLError
-            doc = yaml.safe_load(fh)
+    try:  # PyYAML decodes, so bad bytes raise a YAMLError
+        with open(path, "rb") as fh, within("unreadable value"):  # e.g. a bad date, or an
+            doc = yaml.safe_load(fh)  # integer past Python's int digit limit
     except yaml.YAMLError as exc:  # its message spans lines: keep only the line number
         line = f" at line {exc.problem_mark.line + 1}" if getattr(exc, "problem_mark", None) else ""
         raise ConfigError(f"invalid YAML{line}") from exc
-    except ValueError as exc:  # a bad date, or an integer past Python's int digit limit
-        raise ConfigError(f"unreadable value: {exc}") from exc
     section = doc.get(name) if isinstance(doc, dict) else None
     if not (section and isinstance(section, kind)):
         what = "list" if kind is list else "mapping"
@@ -223,21 +215,18 @@ def load_sim_config(path) -> SimConfig:
         rate = ["mean_tasks_per_interval"]  # read from synthetic_workload, with the ranges
         names = [f.name for f in fields(SimConfig) if f.name not in (*rate, "resource_ranges")]
         try:
-            ranges_doc = _section(sim, "synthetic_workload")
-            try:
-                ranges = _with_doc(ResourceRanges(), ranges_doc, also=rate)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad synthetic_workload ranges: {exc}") from exc
-            base = SimConfig(**{key: _cast(sim, key, int)
-                                for key in ("year", "month", "init_day", "duration_days")},
-                             resource_ranges=ranges)
-            base = _with_doc(base, ranges_doc, rate, where="synthetic_workload.",
-                             also=ranges_doc)  # the ranges read checked its keys
-            return _with_doc(base, sim, names, also=["synthetic_workload"])
+            with within("simulation"):
+                ranges_doc = _section(sim, "synthetic_workload")
+                with within("bad synthetic_workload ranges"):
+                    ranges = _with_doc(ResourceRanges(), ranges_doc, also=rate)
+                base = SimConfig(**{key: _cast(sim, key, int)
+                                    for key in ("year", "month", "init_day", "duration_days")},
+                                 resource_ranges=ranges)
+                base = _with_doc(base, ranges_doc, rate, where="synthetic_workload.",
+                                 also=ranges_doc)  # the ranges read checked its keys
+                return _with_doc(base, sim, names, also=["synthetic_workload"])
         except KeyError as exc:
             raise ConfigError(f"missing simulation field {exc.args[0]!r}") from exc
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(f"simulation: {exc}") from exc
 
 
 def load_dc_fleet(path) -> list[DcSpec]:
@@ -248,29 +237,27 @@ def load_dc_fleet(path) -> list[DcSpec]:
         specs = []
         for i, entry in enumerate(_read_section(path, "datacenters", list)):
             try:
-                spec = DcSpec(dc_id=_cast(entry, "dc_id", int), location=str(entry["location"]),
-                              **{key: _cast(entry, key, float)
-                                 for key in ("total_cores", "total_gpus", "total_mem_gb")})
-                spec = _with_doc(spec, entry, top, also=["hvac", "data", "synthetic"])
-                spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
-                spec = _with_doc(spec, _section(entry, "data"), data, where="data.")
-                spec = _with_doc(spec, _section(entry, "synthetic"), prefix="synth_",
-                                 where="synthetic.")
+                with within(f"datacenter {i}"):
+                    spec = DcSpec(dc_id=_cast(entry, "dc_id", int),
+                                  location=str(entry["location"]),
+                                  **{key: _cast(entry, key, float)
+                                     for key in ("total_cores", "total_gpus", "total_mem_gb")})
+                    spec = _with_doc(spec, entry, top, also=["hvac", "data", "synthetic"])
+                    spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
+                    spec = _with_doc(spec, _section(entry, "data"), data, where="data.")
+                    spec = _with_doc(spec, _section(entry, "synthetic"), prefix="synth_",
+                                     where="synthetic.")
             except KeyError as exc:
                 raise ConfigError(f"datacenter {i}: missing field {exc.args[0]!r}") from exc
-            except (TypeError, ValueError, ConfigError) as exc:
-                raise ConfigError(f"datacenter {i}: {exc}") from exc
             specs.append(spec)
         ids = [s.dc_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError("dc_id values must be unique")
-        try:  # origin sampling divides each site's activity-scaled weight by their sum
+        with within(None):  # origin sampling divides each activity-scaled weight by their sum
             checked(left_sum(s.population_weight for s in specs), "the sum of population_weight")
             checked(left_sum(s.population_weight * OFF_HOURS_ACTIVITY for s in specs),
                     f"the sum of population_weight * {OFF_HOURS_ACTIVITY} (off hours)",
                     0.0, lo_open=True)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     for i, (spec, params) in enumerate(zip(specs, _physics_blocks(specs))):
         spec.physics = params
         lo, hi = params.setpoint_range_c
@@ -297,12 +284,9 @@ def _physics_blocks(specs) -> list:
     for spec, params in zip(specs, blocks):
         if (id(params), spec.total_mem_gb) not in seen:
             seen.add((id(params), spec.total_mem_gb))
-            try:
+            with (naming(spec.dc_config_file) if spec.dc_config_file else nullcontext(),
+                  within(f"dc {spec.dc_id}: at total_mem_gb {spec.total_mem_gb:g}")):
                 check_envelope(params, spec.total_mem_gb)
-            except ValueError as exc:
-                with naming(spec.dc_config_file) if spec.dc_config_file else nullcontext():
-                    raise ConfigError(f"dc {spec.dc_id}: at total_mem_gb "
-                                      f"{spec.total_mem_gb:g}: {exc}") from None
     return blocks
 
 
@@ -324,11 +308,9 @@ def _build_series(spec: DcSpec, sim: SimConfig, seeds: list[int]):
     hours = sim.duration_days * 24 + 1
 
     def draw(kind, base, amplitude, noise_sd, seed):
-        try:
+        with within(f"dc {spec.dc_id}"):  # a DataError too: a value off its domain
             return synth_series(kind, base, amplitude, noise_sd, sim.start, hours, seed,
                                 spec.location)
-        except (TypeError, ValueError, DataError) as exc:  # DataError: a value off its domain
-            raise ConfigError(f"dc {spec.dc_id}: {exc}") from exc
 
     p, c, w = spec.synth_price, spec.synth_carbon, spec.synth_weather
     price = (envdata.load_price_csv(spec.price_csv, spec.location) if spec.price_csv
@@ -420,13 +402,11 @@ def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) 
                 raise ConfigError(f"task {bad.job_id}: origin {bad.origin_dc_id} "
                                   "is not a configured dc")
     else:
-        try:
+        with within("synthetic_workload"):  # e.g. a drawn task whose deadline overflows a date
             trace = generate_synthetic_trace(
                 sim.start, sim.duration_days * STEPS_PER_DAY,
                 sim.mean_tasks_per_interval, sim.resource_ranges, workload_seed,
             )
-        except ValueError as exc:  # e.g. a drawn task whose deadline overflows a date
-            raise ConfigError(f"synthetic_workload: {exc}") from exc
 
     reward_fn = CompositeReward.from_config(reward_doc)
     env = SchedulingEnv(

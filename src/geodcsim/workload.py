@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, naming
+from .errors import ConfigError, DataError, naming, within
 from .floats import checked
 
 STEP = timedelta(minutes=15)  # the simulation's one time grid
@@ -90,10 +90,8 @@ class Task:
     completion_time: datetime | None = None
 
     def __post_init__(self):
-        try:
+        with within(f"task {self.job_id}", ValueError):  # UTC before year 1 overflows
             self.arrival_time = _require_utc(self.arrival_time, "arrival_time")
-        except ValueError as exc:
-            raise ValueError(f"task {self.job_id}: {exc}") from exc
         if not _on_grid(self.arrival_time):
             raise ValueError(
                 f"task {self.job_id}: arrival_time {self.arrival_time.isoformat()} "
@@ -220,18 +218,17 @@ def load_trace(path) -> list[TaskSpec]:
                 raise DataError(f"line {lineno}: a task must be a JSON object, "
                                 f"got {json.dumps(rec)}")
             try:
-                job_id = _trace_job_id(rec["job_id"])
-                rec.setdefault("sla_multiplier", DEFAULT_SLA_MULTIPLIER)
-                task = Task(
-                    job_id=job_id,
-                    arrival_time=_trace_arrival(job_id, rec["arrival_time"]),
-                    **{key: _trace_number(job_id, key, rec[key]) for key in _DOMAINS},
-                    origin_dc_id=_trace_origin(job_id, rec.get("origin_dc_id")),
-                )
+                with within(f"line {lineno}", DataError):
+                    job_id = _trace_job_id(rec["job_id"])
+                    rec.setdefault("sla_multiplier", DEFAULT_SLA_MULTIPLIER)
+                    task = Task(
+                        job_id=job_id,
+                        arrival_time=_trace_arrival(job_id, rec["arrival_time"]),
+                        **{key: _trace_number(job_id, key, rec[key]) for key in _DOMAINS},
+                        origin_dc_id=_trace_origin(job_id, rec.get("origin_dc_id")),
+                    )
             except KeyError as exc:
                 raise DataError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
             specs.append(task.spec())
     return sorted(specs, key=attrgetter("arrival_time"))  # stable: file order kept
 

@@ -955,6 +955,41 @@ class TestCli:
         assert re.fullmatch(r"error: synthetic_workload: task job-\d{6}: duration_min \S+ "
                             "times sla_multiplier overflows the deadline", err)
 
+    def test_cli_seeds_that_are_not_integers(self, tmp_path, capsys):
+        assert main(self._args(tmp_path, ["--seeds", "0,x"])) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: bad --seeds value '0,x'"]
+
+    @pytest.mark.parametrize("config, keys, expected", [
+        ("sim", ["simulation", "year"], "missing simulation field 'year'"),
+        ("datacenters", ["datacenters", 0, "location"], "datacenter 0: missing field 'location'"),
+    ], ids=["sim_year", "fleet_location"])
+    def test_cli_missing_field(self, tmp_path, capsys, config, keys, expected):
+        doc = yaml.safe_load((CONFIG_DIR / f"{config}.yaml").read_text())
+        section = doc
+        for key in keys[:-1]:
+            section = section[key]
+        del section[keys[-1]]
+        path = tmp_path / f"{config}.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        args = self._args(tmp_path)
+        args[args.index(_CONFIG_FLAGS[config]) + 1] = str(path)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
+
+    @pytest.mark.parametrize("record, expected", [
+        ({"arrival_time": "0001-01-01T00:00:00+01:00"}, "task a: date value out of range"),
+        ({}, "missing field 'arrival_time'"),
+    ], ids=["arrival_before_year_one_in_utc", "arrival_missing"])
+    def test_cli_bad_trace_line(self, tmp_path, capsys, record, expected):
+        """An arrival that converts to UTC before year 1 overflows a date, which the CLI
+        printed as an OverflowError traceback; each is now one line naming the trace."""
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"job_id": "a", **record, "duration_min": 15, "cores_req": 1,
+                                     "gpu_req": 0, "mem_req": 1, "bandwidth_gb": 0.1}) + "\n")
+        args, _ = self._edited_args(tmp_path, "sim", ["simulation", "workload_path"], str(trace))
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {trace}: line 1: {expected}"]
+
 
 class TestFileInputs:
     """A run whose dc 1 reads its series from files and whose tasks come from a trace."""

@@ -313,6 +313,14 @@ class TestLoadTrace:
         with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             load_trace(p)
 
+    def test_arrival_before_year_one_in_utc_names_file_line_and_task(self, tmp_path):
+        """Converting it to UTC overflows a date, which left the load as an OverflowError."""
+        p = write_trace(tmp_path / "t.jsonl",
+                        [task_record("a", arrival="0001-01-01T00:00:00+01:00")])
+        expected = f"{p}: line 1: task a: date value out of range"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            load_trace(p)
+
     @pytest.mark.parametrize("field", ["cores_req", "gpu_req", "mem_req", "bandwidth_gb"])
     def test_infinite_demand_names_file_line_task_and_field(self, tmp_path, field):
         bad = task_record("b")
