@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from operator import attrgetter
 
 from . import network
@@ -35,7 +35,7 @@ from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
 from .envdata import TimeSeries, value_at, wet_bulb
 from .errors import ConfigError, ProtocolError, within
 from .floats import checked, left_sum
-from .workload import Task, TaskStatus
+from .workload import Task, TaskStatus, to_us
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +148,7 @@ class DatacenterNode:
     setpoint_c: float = 22.0
     deadband: tuple | None = None
     pending: PendingQueue = field(default_factory=PendingQueue)
-    running: list = field(default_factory=list)  # started tasks, completion_time set
+    running: list = field(default_factory=list)  # started tasks, completion_us set
     used_cores: float = field(init=False)
     used_gpus: float = field(init=False)
     used_mem_gb: float = field(init=False)
@@ -395,13 +395,14 @@ class Cluster:
         (a fresh record when none is given); returns ``info``."""
         info = info or ClusterInfo()
         self.advance_transit(step)
+        now_us = to_us(now)
         for node in self.nodes:
-            released = release_completed(node, now)
+            released = release_completed(node, now_us)
             met = 0
             if released:
                 self.completed.extend(t for t, _ in released)
                 met = sum(1 for _, ok in released if ok)
-            schedule_fifo_first_fit(node, now)
+            schedule_fifo_first_fit(node, now_us)
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
             price, ci, drybulb, rh = node.conditions(now)
             result = node.physics_step(node.hvac_action(), u_cpu, u_gpu, node.mem_used_gb(),
@@ -424,8 +425,9 @@ class Cluster:
         }
 
 
-def schedule_fifo_first_fit(dc: DatacenterNode, now: datetime) -> list[Task]:
-    """Start every queued task that fits, scanning FIFO; blocked tasks do not bar later ones.
+def schedule_fifo_first_fit(dc: DatacenterNode, now_us: int) -> list[Task]:
+    """Start every queued task that fits at ``now_us`` (microseconds since the epoch),
+    scanning FIFO; blocked tasks do not bar later ones.
 
     Blocks in which no task fits are kept whole without looking at their tasks;
     a scanned block keeps the tasks left in it, and neighbouring blocks that
@@ -442,8 +444,8 @@ def schedule_fifo_first_fit(dc: DatacenterNode, now: datetime) -> list[Task]:
             for task in block.tasks:
                 if dc.fits(task):
                     task.set_status(TaskStatus.RUNNING)
-                    task.start_exec_time = now
-                    task.completion_time = now + timedelta(minutes=task.duration_min)
+                    task.start_us = now_us
+                    task.completion_us = now_us + task.duration_us
                     dc.running.append(task)
                     dc._add_used((task,))
                     started.append(task)
@@ -462,17 +464,18 @@ def schedule_fifo_first_fit(dc: DatacenterNode, now: datetime) -> list[Task]:
     return started
 
 
-def release_completed(dc: DatacenterNode, now: datetime) -> list[tuple[Task, bool]]:
-    """Finish tasks whose completion time passed; returns (task, sla_met) pairs.
+def release_completed(dc: DatacenterNode, now_us: int) -> list[tuple[Task, bool]]:
+    """Finish tasks whose completion time is ``now_us`` or earlier (microseconds since
+    the epoch); returns (task, sla_met) pairs.
 
     A task meeting its deadline exactly counts as met.
     """
     done = []
     still = []
     for task in dc.running:
-        if task.completion_time <= now:
+        if task.completion_us <= now_us:
             task.set_status(TaskStatus.COMPLETED)
-            done.append((task, task.completion_time <= task.sla_deadline))
+            done.append((task, task.completion_us <= task.deadline_us))
         else:
             still.append(task)
     if done:

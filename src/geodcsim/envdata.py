@@ -113,11 +113,14 @@ class TimeSeries:
 def _parse_utc(text: str, row: int) -> datetime:
     try:
         dt = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.astimezone(timezone.utc)
     except (AttributeError, ValueError) as exc:  # no text, or no date-time in it
         raise DataError(f"row {row}: unparsable timestamp {text!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    except OverflowError as exc:  # in UTC before year 1 or after 9999
+        raise DataError(f"row {row}: timestamp {text!r} is outside years 1 to 9999 "
+                        "in UTC") from exc
 
 
 def _parse_value(text, row: int) -> float:

@@ -137,6 +137,11 @@ class SimConfig:
             self.start = datetime(  # a huge year overflows a C int
                 self.year, self.month, self.init_day, self.init_hour, tzinfo=timezone.utc
             )
+        # The window's end, where each site's hourly series has its last (extra) point
+        # and the episode's clock stops, must be a date.
+        if (datetime.max.replace(tzinfo=timezone.utc) - self.start).days < self.duration_days:
+            raise ConfigError(f"the {self.duration_days}-day window from "
+                              f"{self.start.isoformat()} runs past 9999-12-31")
 
 
 def _read_section(path, name: str, kind: type):

@@ -24,8 +24,8 @@ from .cluster import Cluster, ClusterInfo
 from .errors import ConfigError, ProtocolError
 from .floats import left_sum
 from .rewards import CompositeReward, RewardBreakdown
-from .workload import (STEP, TaskStatus, assign_task_origins, first_unknown_origin,
-                       origin_table)
+from .workload import (STEP, STEP_US, TaskStatus, assign_task_origins, first_unknown_origin,
+                       origin_table, to_us)
 
 STEPS_PER_DAY = timedelta(days=1) // STEP
 
@@ -61,14 +61,17 @@ def _dc_features(cluster: Cluster, now: datetime) -> list[float]:
     return feats
 
 
-def _minutes_to_deadline(task, now: datetime) -> float:
-    return max(0.0, (task.sla_deadline - now).total_seconds() / 60.0)
+def _minutes_to_deadline(task, now_us: int) -> float:
+    """Minutes from ``now_us`` to the task's deadline, 0 once past it: the int gap's
+    true division, as ``timedelta.total_seconds()`` divides it."""
+    return max(0.0, (task.deadline_us - now_us) / 1_000_000 / 60.0)
 
 
 def build_observation(cluster: Cluster, pending_tasks, now: datetime) -> list[np.ndarray]:
     """One vector per pending task: time features, task features, then all DC states."""
     time_feats = _time_features(now)
     dc_feats = _dc_features(cluster, now)
+    now_us = to_us(now)
     obs = []
     for task in pending_tasks:
         vec = time_feats + [
@@ -76,7 +79,7 @@ def build_observation(cluster: Cluster, pending_tasks, now: datetime) -> list[np
             task.cores_req,
             task.gpu_req,
             task.duration_min,
-            _minutes_to_deadline(task, now),
+            _minutes_to_deadline(task, now_us),
         ] + dc_feats
         obs.append(np.asarray(vec, dtype=np.float32))
     return obs
@@ -91,13 +94,14 @@ def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
     """
     time_feats = _time_features(now)
     if pending_tasks:
+        now_us = to_us(now)
         k = float(len(pending_tasks))
         agg = [
             k,
             left_sum(t.cores_req for t in pending_tasks) / k,
             left_sum(t.gpu_req for t in pending_tasks) / k,
             left_sum(t.duration_min for t in pending_tasks) / k,
-            min(_minutes_to_deadline(t, now) for t in pending_tasks),
+            min(_minutes_to_deadline(t, now_us) for t in pending_tasks),
         ]
     else:
         agg = [0.0, 0.0, 0.0, 0.0, horizon_minutes]
@@ -157,10 +161,11 @@ class SchedulingEnv:
         if duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
         self._cluster_factory = cluster_factory
-        self._arrivals = {}  # arrival_time -> that step's specs, in trace order
+        self._arrivals = {}  # arrival_us -> that step's specs, in trace order
         for spec in trace:  # one pass: specs sharing an arrival need not be adjacent
-            self._arrivals.setdefault(spec.arrival_time, []).append(spec)
+            self._arrivals.setdefault(spec.arrival_us, []).append(spec)
         self.start = start
+        self._start_us = to_us(start)
         self.duration_days = duration_days
         self.horizon_steps = duration_days * STEPS_PER_DAY
         self.end = start + self.horizon_steps * STEP  # the first instant past the episode
@@ -188,7 +193,7 @@ class SchedulingEnv:
 
     def tasks_never_injected(self) -> int:
         """How many of the trace's tasks arrive at no step of the episode, so never run."""
-        steps = {self.start + k * STEP for k in range(self.horizon_steps)}
+        steps = range(self._start_us, self._start_us + self.horizon_steps * STEP_US, STEP_US)
         return sum(len(tasks) for at, tasks in self._arrivals.items() if at not in steps)
 
     def _check_coverage(self):
@@ -218,11 +223,11 @@ class SchedulingEnv:
         self._done = False
         self._sums = dict.fromkeys(KPI_KEYS, 0.0)
         self._met = self._violated = self._site_steps = self._injected = 0
-        self.current_tasks = self._inject_arrivals(self.now)
+        self.current_tasks = self._inject_arrivals(self.now, self._start_us)
         return self._observe()
 
-    def _inject_arrivals(self, now: datetime) -> list:
-        tasks = [spec.task() for spec in self._arrivals.get(now, ())]
+    def _inject_arrivals(self, now: datetime, now_us: int) -> list:
+        tasks = [spec.task() for spec in self._arrivals.get(now_us, ())]
         unassigned = [t for t in tasks if t.origin_dc_id is None]
         if unassigned:
             # A site's local hour, and so the table, depends only on the UTC time of day.
@@ -265,8 +270,9 @@ class SchedulingEnv:
             raise ProtocolError(f"expected {len(self.current_tasks)} actions, got {len(actions)}")
         deferred = []
         decisions = []
+        now_us = self._start_us + self.step_index * STEP_US
         for task, action in zip(self.current_tasks, actions):
-            if self.now > task.sla_deadline:
+            if now_us > task.deadline_us:
                 # Overdue tasks are forced to their origin site regardless of the action.
                 decisions.append((task, task.origin_dc_id))
             elif action == 0:
@@ -289,7 +295,7 @@ class SchedulingEnv:
         for task in deferred:
             task.set_status(TaskStatus.PENDING)
         self.current_tasks = deferred + (
-            [] if self._done else self._inject_arrivals(self.now)
+            [] if self._done else self._inject_arrivals(self.now, now_us + STEP_US)
         )
         return breakdown.total, self._done, StepOutcome(info, breakdown)
 

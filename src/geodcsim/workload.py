@@ -1,9 +1,15 @@
 """Task records, trace ingestion, origin assignment, and synthetic trace generation.
 
 The canonical trace format is line-delimited JSON, one task per line. A trace is
-the list of its tasks' ``TaskSpec``s in arrival order; each task's ``arrival_time``
+the list of its tasks' ``TaskSpec``s in arrival order; each task's ``arrival_us``
 is the step it arrives at. Resource demands are absolute units (cores, GPU units, GB). Tasks
 shorter than 15 minutes are rejected because the simulation cannot resolve them.
+
+A task holds its instants (arrival, deadline, start, completion) as integer
+microseconds since the Unix epoch in UTC, so that the step loop compares and adds
+ints; ``to_us`` and ``from_us`` convert at the edges that read or write a
+``datetime``. A float of minutes becomes microseconds as ``timedelta(minutes=x)``
+rounds it: ``minutes_to_us`` is that rule over an array.
 """
 
 from __future__ import annotations
@@ -26,6 +32,29 @@ from .floats import checked
 
 STEP = timedelta(minutes=15)  # the simulation's one time grid
 MIN_DURATION_MIN = STEP / timedelta(minutes=1)  # one step: shorter tasks cannot be resolved
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
+STEP_US = STEP // _US
+US_PER_MIN = timedelta(minutes=1) // _US
+
+
+def to_us(dt: datetime) -> int:
+    """Aware ``dt`` as integer microseconds since the Unix epoch (UTC)."""
+    return (dt - _EPOCH) // _US
+
+
+def from_us(us: int) -> datetime:
+    """The UTC ``datetime`` ``us`` microseconds after the Unix epoch."""
+    return _EPOCH + timedelta(microseconds=us)
+
+
+# The first and last instants a datetime holds, 0001-01-01 and 9999-12-31T23:59:59.999999
+# in UTC, and the most minutes between them: an offset past that overflows any date.
+MIN_US = to_us(datetime.min.replace(tzinfo=timezone.utc))
+MAX_US = to_us(datetime.max.replace(tzinfo=timezone.utc))
+MAX_OFFSET_MIN = (MAX_US - MIN_US) / US_PER_MIN
+
 DEFAULT_SLA_MULTIPLIER = 1.5
 
 # Largest data volume of one task (1 PB): its transfer over the slowest link a delay
@@ -65,17 +94,12 @@ def _require_utc(dt: datetime, what: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _on_grid(dt: datetime) -> bool:
-    """Whether ``dt`` falls on a step boundary; ``STEP`` divides the hour."""
-    return not ((dt.minute * 60 + dt.second) % STEP.seconds or dt.microsecond)
-
-
 @dataclass(slots=True)
 class Task:
     """One schedulable job: resource demands, origin, SLA state, lifecycle status."""
 
     job_id: str
-    arrival_time: datetime
+    arrival_us: int  # each instant in integer microseconds since the Unix epoch (UTC)
     duration_min: float
     cores_req: float
     gpu_req: float
@@ -83,18 +107,19 @@ class Task:
     bandwidth_gb: float
     sla_multiplier: float = DEFAULT_SLA_MULTIPLIER
     origin_dc_id: int | None = None
-    sla_deadline: datetime = field(init=False)
+    deadline_us: int = field(init=False)
+    duration_us: int = field(init=False)  # duration_min in microseconds
     dest_dc_id: int | None = None
     status: TaskStatus = TaskStatus.PENDING
-    start_exec_time: datetime | None = None
-    completion_time: datetime | None = None
+    start_us: int | None = None
+    completion_us: int | None = None
 
     def __post_init__(self):
-        with within(f"task {self.job_id}", ValueError):  # UTC before year 1 overflows
-            self.arrival_time = _require_utc(self.arrival_time, "arrival_time")
-        if not _on_grid(self.arrival_time):
+        with within(f"task {self.job_id}", ValueError):
+            self.arrival_us = checked(self.arrival_us, "arrival_us", MIN_US, MAX_US, kind=int)
+        if self.arrival_us % STEP_US:
             raise ValueError(
-                f"task {self.job_id}: arrival_time {self.arrival_time.isoformat()} "
+                f"task {self.job_id}: arrival_time {from_us(self.arrival_us).isoformat()} "
                 "is not aligned to the 15-minute grid"
             )
         for name, (floor, ceiling) in _DOMAINS.items():
@@ -105,14 +130,16 @@ class Task:
             if value > ceiling:
                 raise ValueError(f"task {self.job_id}: {name} must be <= {ceiling:g}")
         try:
-            self.sla_deadline = compute_sla_deadline(self.arrival_time, self.duration_min,
-                                                     self.sla_multiplier)
+            self.deadline_us = compute_sla_deadline(self.arrival_us, self.duration_min,
+                                                    self.sla_multiplier)
         except OverflowError as exc:
             raise ValueError(f"task {self.job_id}: duration_min {self.duration_min} "
                              "times sla_multiplier overflows the deadline") from exc
+        # no overflow: sla_multiplier >= 1, so the duration is at most the deadline's offset
+        self.duration_us = timedelta(minutes=self.duration_min) // _US
 
     def spec(self) -> TaskSpec:
-        """This task's first ten fields, as a trace holds them."""
+        """This task's first eleven fields, as a trace holds them."""
         return TaskSpec._make(getattr(self, name) for name in TaskSpec._fields)
 
     def set_status(self, new: TaskStatus) -> None:
@@ -125,11 +152,11 @@ class Task:
 
 
 class TaskSpec(NamedTuple):
-    """A trace's entry: a checked task's first ten fields, immutable. Each episode
+    """A trace's entry: a checked task's first eleven fields, immutable. Each episode
     injects a new ``Task`` built from it (``TaskSpec.task``)."""
 
     job_id: str
-    arrival_time: datetime
+    arrival_us: int
     duration_min: float
     cores_req: float
     gpu_req: float
@@ -137,28 +164,50 @@ class TaskSpec(NamedTuple):
     bandwidth_gb: float
     sla_multiplier: float
     origin_dc_id: int | None
-    sla_deadline: datetime
+    deadline_us: int
+    duration_us: int
 
     def task(self) -> Task:
         """A pending ``Task`` of these fields, built without the checks they passed."""
         task = object.__new__(Task)
-        (task.job_id, task.arrival_time, task.duration_min, task.cores_req, task.gpu_req,
+        (task.job_id, task.arrival_us, task.duration_min, task.cores_req, task.gpu_req,
          task.mem_req, task.bandwidth_gb, task.sla_multiplier, task.origin_dc_id,
-         task.sla_deadline) = self
+         task.deadline_us, task.duration_us) = self
         task.dest_dc_id = None
         task.status = _PENDING
-        task.start_exec_time = None
-        task.completion_time = None
+        task.start_us = None
+        task.completion_us = None
         return task
 
 
-def compute_sla_deadline(arrival_time: datetime, duration_min: float,
-                         sla_multiplier: float) -> datetime:
-    """Deadline rule: arrival + sla_multiplier * duration."""
-    return arrival_time + timedelta(minutes=sla_multiplier * duration_min)
+def compute_sla_deadline(arrival_us: int, duration_min: float, sla_multiplier: float) -> int:
+    """Deadline rule: arrival + sla_multiplier * duration, in microseconds; an
+    ``OverflowError`` past the last date, as ``datetime`` addition raises."""
+    deadline_us = arrival_us + timedelta(minutes=sla_multiplier * duration_min) // _US
+    if deadline_us > MAX_US:
+        raise OverflowError("date value out of range")
+    return deadline_us
 
 
-_TRACE_FIELDS = ("job_id", "arrival_time", *_DOMAINS, "origin_dc_id")
+def minutes_to_us(minutes: np.ndarray) -> np.ndarray:
+    """Each float of ``minutes`` as int64 microseconds, rounded as ``timedelta(minutes=x)``
+    rounds it (CPython's ``delta_new``): ``modf`` splits off the whole minutes, which
+    convert exactly; ``modf`` splits ``60000000.0 * fraction`` again, and its leftover,
+    below one microsecond, rounds half away from zero, or at exactly one half to the
+    even total. An ``OverflowError`` when a value is not finite or past
+    ``MAX_OFFSET_MIN``, where int64 could overflow and no date fits."""
+    if not (np.abs(minutes) <= MAX_OFFSET_MIN).all():
+        raise OverflowError("date value out of range")
+    whole = np.trunc(minutes)
+    scaled = (minutes - whole) * float(US_PER_MIN)
+    part = np.trunc(scaled)
+    leftover = scaled - part
+    us = whole.astype(np.int64) * US_PER_MIN + part.astype(np.int64)
+    size = np.abs(leftover)
+    away = np.where(size < 0.5, 0, np.sign(leftover)).astype(np.int64)
+    half = size == 0.5
+    away[half] *= us[half] & 1
+    return us + away
 
 
 def _trace_number(job_id: str, key: str, value) -> float:
@@ -171,13 +220,16 @@ def _trace_number(job_id: str, key: str, value) -> float:
         raise ValueError(f"task {job_id}: {key} must be a number, got {json.dumps(value)}") from None
 
 
-def _trace_arrival(job_id: str, value) -> datetime:
-    """A trace arrival time: an ISO 8601 date-time string."""
+def _trace_arrival(job_id: str, value) -> int:
+    """A trace arrival time, an ISO 8601 date-time string with an offset, in microseconds."""
     if isinstance(value, str):
         try:
-            return datetime.fromisoformat(value)
+            arrival = datetime.fromisoformat(value)
         except ValueError:
             pass
+        else:
+            with within(f"task {job_id}", ValueError):  # UTC before year 1 overflows
+                return to_us(_require_utc(arrival, "arrival_time"))
     raise ValueError(
         f"task {job_id}: arrival_time must be an ISO 8601 date-time, got {json.dumps(value)}")
 
@@ -223,14 +275,14 @@ def load_trace(path) -> list[TaskSpec]:
                     rec.setdefault("sla_multiplier", DEFAULT_SLA_MULTIPLIER)
                     task = Task(
                         job_id=job_id,
-                        arrival_time=_trace_arrival(job_id, rec["arrival_time"]),
+                        arrival_us=_trace_arrival(job_id, rec["arrival_time"]),
                         **{key: _trace_number(job_id, key, rec[key]) for key in _DOMAINS},
                         origin_dc_id=_trace_origin(job_id, rec.get("origin_dc_id")),
                     )
             except KeyError as exc:
                 raise DataError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
             specs.append(task.spec())
-    return sorted(specs, key=attrgetter("arrival_time"))  # stable: file order kept
+    return sorted(specs, key=attrgetter("arrival_us"))  # stable: file order kept
 
 
 def first_unknown_origin(tasks, dc_ids) -> TaskSpec | None:
@@ -243,8 +295,8 @@ def save_trace(tasks, path) -> None:
     """Write tasks or specs back to the JSONL trace format (lifecycle state excluded)."""
     with open(path, "w") as fh:
         for t in tasks:
-            rec = {k: getattr(t, k) for k in _TRACE_FIELDS}
-            rec["arrival_time"] = t.arrival_time.isoformat()
+            rec = {"job_id": t.job_id, "arrival_time": from_us(t.arrival_us).isoformat()}
+            rec.update((k, getattr(t, k)) for k in (*_DOMAINS, "origin_dc_id"))
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -323,6 +375,12 @@ class ResourceRanges:
                 raise ValueError(f"{f.name} range must end at <= {ceiling:g}")
 
 
+# Tasks per numpy pass of the synthetic trace. A pass per step would pay numpy's cost
+# per call at a few tasks a step; a pass over the whole trace would hold every column
+# as an array and a list at once, which costs more memory than the specs themselves.
+_PASS_TASKS = 2048
+
+
 def generate_synthetic_trace(
     start: datetime,
     num_intervals: int,
@@ -336,40 +394,55 @@ def generate_synthetic_trace(
     apply its probabilistic origin model. ``mean_tasks_per_interval`` must be
     >= 0; ``SimConfig`` checks the configured one.
     """
-    start = _require_utc(start, "start")
-    if not _on_grid(start):
+    start_us = to_us(_require_utc(start, "start"))
+    if start_us % STEP_US:
         raise ValueError("start must be aligned to the 15-minute grid")
     rng = np.random.default_rng(seed)
     bounds = {f.name: getattr(ranges, f.name) for f in fields(ranges)}
     drawn = [(name, float(lo), float(hi) - float(lo))
              for name, (lo, hi) in bounds.items() if lo != hi]
     k = len(drawn)
+    # One row-major (tasks, drawn ranges) draw per busy step reads the stream task by
+    # task, each task's non-constant ranges in field order, as ``uniform`` over that
+    # shape does; constant ranges draw nothing.
     specs = []
-    job_counter = 0
+    arrivals, draws = [], []  # of the busy steps since the last pass
     for i in range(num_intervals):
         count = int(rng.poisson(mean_tasks_per_interval)) if mean_tasks_per_interval > 0 else 0
-        if not count:
-            continue
-        t0 = start + i * STEP
-        # One row-major (tasks, drawn ranges) draw reads the stream task by task, each
-        # task's non-constant ranges in field order, as ``uniform`` over that shape
-        # does, and ``lo + span * u`` is its formula; constant ranges draw nothing.
-        u = rng.random(count * k).tolist()
-        columns = {name: [lo] * count for name, (lo, _) in bounds.items()}
-        for j, (name, lo, span) in enumerate(drawn):
-            columns[name] = [lo + span * x for x in u[j::k]]
-        values = [columns[name] for name in _DOMAINS]  # in Task's field order
-        job_ids = [f"job-{n:06d}" for n in range(job_counter + 1, job_counter + count + 1)]
-        job_counter += count
-        # start is UTC and on the grid, so is every t0, and ResourceRanges bounds
-        # every draw: only the deadline is left to check.
-        try:
-            deadlines = list(map(compute_sla_deadline, repeat(t0),
-                                 columns["duration_min"], columns["sla_multiplier"]))
-        except OverflowError:  # the constructor names the first task it overflows for
-            for job_id, *row in zip(job_ids, *values):
-                Task(job_id, t0, *row)
-            raise
-        specs.extend(map(TaskSpec._make,
-                         zip(job_ids, repeat(t0), *values, repeat(None), deadlines)))
+        if count:
+            arrivals += [start_us + i * STEP_US] * count  # one int a step, which its tasks share
+            draws.append(rng.random(count * k))
+        if arrivals and (len(arrivals) >= _PASS_TASKS or i == num_intervals - 1):
+            u = np.concatenate(draws).reshape(len(arrivals), k)
+            specs += _drawn_specs(len(specs), arrivals, u, bounds, drawn)
+            arrivals, draws = [], []
     return specs
+
+
+def _drawn_specs(done: int, arrivals: list[int], u: np.ndarray, bounds: dict,
+                 drawn: list) -> list[TaskSpec]:
+    """The specs of synthetic tasks ``done + 1`` on, arriving at ``arrivals``, with one
+    row of ``u`` per task and one column per ``drawn`` range: ``lo + span * u`` is a
+    drawn column's formula, and every column, deadline and duration is one array."""
+    n = len(arrivals)
+    arrays = {name: lo + span * u[:, j] for j, (name, lo, span) in enumerate(drawn)}
+    # a constant column keeps its bound, an int too, as a task drawn one by one would
+    values = [arrays[name].tolist() if name in arrays else [bounds[name][0]] * n
+              for name in _DOMAINS]  # in Task's field order
+    duration = (arrays["duration_min"] if "duration_min" in arrays
+                else np.full(n, bounds["duration_min"][0], dtype=np.float64))
+    with np.errstate(over="ignore"):  # an infinite offset overflows in minutes_to_us
+        offset = arrays.get("sla_multiplier", bounds["sla_multiplier"][0]) * duration
+    job_ids = [f"job-{i:06d}" for i in range(done + 1, done + n + 1)]
+    # every arrival is UTC and on the grid, and ResourceRanges bounds every draw: only
+    # the deadline is left to check
+    try:
+        deadline_us = np.array(arrivals, dtype=np.int64) + minutes_to_us(offset)
+        if deadline_us.max() > MAX_US:
+            raise OverflowError("date value out of range")
+    except OverflowError:  # the constructor names the first task it overflows for
+        for row in zip(job_ids, arrivals, *values):
+            Task(*row)
+        raise
+    return list(map(TaskSpec._make, zip(job_ids, arrivals, *values, repeat(None),
+                                        deadline_us.tolist(), minutes_to_us(duration).tolist())))

@@ -14,7 +14,7 @@ from geodcsim.envdata import HOUR, SeriesKind, TimeSeries
 from geodcsim.network import CostMatrix, DelayTable, MacroCluster, RegionMap
 from geodcsim.rewards import CompositeReward
 from geodcsim.schedenv import SchedulingEnv
-from geodcsim.workload import Task
+from geodcsim.workload import Task, to_us
 
 T0 = datetime(2024, 3, 1, 0, 0, tzinfo=timezone.utc)
 
@@ -104,7 +104,7 @@ def make_task(job_id="t1", arrival=T0, duration=60.0, cores=4.0, gpu=0.0, mem=8.
               bandwidth=1.0, origin=1, multiplier=1.5):
     return Task(
         job_id=job_id,
-        arrival_time=arrival,
+        arrival_us=to_us(arrival),
         duration_min=duration,
         cores_req=cores,
         gpu_req=gpu,

@@ -16,7 +16,7 @@ from geodcsim.dcphysics import HvacAction, WeatherSample, dc_physics_step, desk_
 from geodcsim.envdata import wet_bulb
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
-from geodcsim.workload import TaskStatus
+from geodcsim.workload import TaskStatus, to_us
 
 from conftest import T0, make_cluster, make_node, make_task, tiny_network
 
@@ -45,8 +45,8 @@ def reference_first_fit(node, now):
     for task in node.pending:
         if node.fits(task):
             task.set_status(TaskStatus.RUNNING)
-            task.start_exec_time = now
-            task.completion_time = now + timedelta(minutes=task.duration_min)
+            task.start_us = to_us(now)
+            task.completion_us = to_us(now + timedelta(minutes=task.duration_min))
             node.running.append(task)
             reference_recompute(node)
             started.append(task)
@@ -57,9 +57,9 @@ def reference_first_fit(node, now):
 
 
 def reference_release(node, now):
-    done = [t for t in node.running if t.completion_time <= now]
+    done = [t for t in node.running if t.completion_us <= to_us(now)]
     if done:
-        node.running = [t for t in node.running if t.completion_time > now]
+        node.running = [t for t in node.running if t.completion_us > to_us(now)]
         reference_recompute(node)
     return [t.job_id for t in done]
 
@@ -126,7 +126,7 @@ class TestScheduling:
         node = make_node()
         task = make_task(cores=8.0, gpu=2.0, mem=16.0)
         node.pending.append(task)
-        started = schedule_fifo_first_fit(node, T0)
+        started = schedule_fifo_first_fit(node, to_us(T0))
         assert started == [task]
         assert task.status is TaskStatus.RUNNING
         assert node.available_cores == node.total_cores - 8.0
@@ -137,7 +137,7 @@ class TestScheduling:
         node = make_node(cores=10.0)
         task = make_task(cores=50.0)
         node.pending.append(task)
-        assert schedule_fifo_first_fit(node, T0) == []
+        assert schedule_fifo_first_fit(node, to_us(T0)) == []
         assert list(node.pending) == [task]
         assert task.status is TaskStatus.PENDING
 
@@ -148,10 +148,10 @@ class TestScheduling:
         for task in (big, small):
             node.pending.append(task)
         busy = make_task("busy", cores=5.0)
-        busy.completion_time = T0 + STEP
+        busy.completion_us = to_us(T0 + STEP)
         node.running.append(busy)
         node._recompute_available()  # 5 cores free: big blocked, small fits
-        started = schedule_fifo_first_fit(node, T0)
+        started = schedule_fifo_first_fit(node, to_us(T0))
         assert [t.job_id for t in started] == ["small"]
         assert [t.job_id for t in node.pending] == ["big"]
 
@@ -160,7 +160,7 @@ class TestScheduling:
         tasks = [make_task(f"t{i}", cores=1.0) for i in range(5)]
         for task in tasks:
             node.pending.append(task)
-        started = schedule_fifo_first_fit(node, T0)
+        started = schedule_fifo_first_fit(node, to_us(T0))
         assert [t.job_id for t in started] == [f"t{i}" for i in range(5)]
 
     def test_matches_reference_on_random_storm(self):
@@ -174,7 +174,7 @@ class TestScheduling:
         starts = oversize = 0
         for step in range(250):
             for node, ref in pairs:
-                done = release_completed(node, now)
+                done = release_completed(node, to_us(now))
                 assert [t.job_id for t, _ in done] == reference_release(ref, now)
                 for i in range(int(rng.poisson(2.0))):
                     big = rng.random() < 0.05
@@ -187,7 +187,7 @@ class TestScheduling:
                     oversize += big
                     node.enqueue(make_task(**demands))
                     ref.pending.append(make_task(**demands))
-                started = schedule_fifo_first_fit(node, now)
+                started = schedule_fifo_first_fit(node, to_us(now))
                 want = reference_first_fit(ref, now)
                 assert [t.job_id for t in started] == [t.job_id for t in want]
                 assert [t.job_id for t in node.pending] == [t.job_id for t in ref.pending]
@@ -200,7 +200,7 @@ class TestScheduling:
         node = make_node(cores=1.0)
         for i, cores in enumerate([0.1, 0.2, 0.3]):
             node.enqueue(make_task(f"t{i}", cores=cores))
-        schedule_fifo_first_fit(node, T0)
+        schedule_fifo_first_fit(node, to_us(T0))
         assert node.used_cores == (0.1 + 0.2) + 0.3
         assert node.available_cores == 1.0 - ((0.1 + 0.2) + 0.3)
 
@@ -219,7 +219,8 @@ class TestBlockQueue:
         now = T0
         starts = oversize = skippable = partial = merges = peak = 0
         for step in range(300):
-            assert [t.job_id for t, _ in release_completed(node, now)] == reference_release(ref, now)
+            released = release_completed(node, to_us(now))
+            assert [t.job_id for t, _ in released] == reference_release(ref, now)
             for i in range(int(rng.poisson(3.0))):
                 demands = {r: float(rng.uniform(0.0, top)) for r, top in tops.items()}
                 if rng.random() < 0.05:
@@ -232,7 +233,7 @@ class TestBlockQueue:
             queue = node.pending
             skippable += sum(not node.fits(b) for b in queue.blocks)
             before = [{t.job_id for t in b.tasks} for b in queue.blocks]
-            started = schedule_fifo_first_fit(node, now)
+            started = schedule_fifo_first_fit(node, to_us(now))
             want = reference_first_fit(ref, now)
             assert [t.job_id for t in started] == [t.job_id for t in want]
             assert [t.job_id for t in node.pending] == [t.job_id for t in ref.pending]
@@ -269,9 +270,10 @@ def test_block_queue_matches_full_scan_property(caps, ops):
     for op in ops:
         if op == "release":
             now += STEP
-            assert [t.job_id for t, _ in release_completed(node, now)] == reference_release(ref, now)
+            released = release_completed(node, to_us(now))
+            assert [t.job_id for t, _ in released] == reference_release(ref, now)
         elif op == "scan":
-            started = schedule_fifo_first_fit(node, now)
+            started = schedule_fifo_first_fit(node, to_us(now))
             assert [t.job_id for t in started] == [t.job_id for t in reference_first_fit(ref, now)]
         else:
             for c, g, m, minutes in op:
@@ -309,8 +311,8 @@ class TestRelease:
         # duration 60, multiplier 1.0: deadline == completion when started at arrival
         task = make_task(duration=60.0, multiplier=1.0)
         node.pending.append(task)
-        schedule_fifo_first_fit(node, T0)
-        done = release_completed(node, T0 + timedelta(minutes=60))
+        schedule_fifo_first_fit(node, to_us(T0))
+        done = release_completed(node, to_us(T0 + timedelta(minutes=60)))
         assert done == [(task, True)]
         assert task.status is TaskStatus.COMPLETED
 
@@ -318,8 +320,8 @@ class TestRelease:
         node = make_node()
         task = make_task(duration=60.0, multiplier=1.0)
         node.pending.append(task)
-        schedule_fifo_first_fit(node, T0 + STEP)  # starts one step late
-        done = release_completed(node, T0 + timedelta(minutes=75))
+        schedule_fifo_first_fit(node, to_us(T0 + STEP))  # starts one step late
+        done = release_completed(node, to_us(T0 + timedelta(minutes=75)))
         assert done == [(task, False)]
 
     def test_resources_restored_exactly(self):
@@ -327,8 +329,8 @@ class TestRelease:
         before = (node.available_cores, node.available_gpus, node.available_mem_gb)
         task = make_task(cores=7.0, gpu=3.0, mem=11.5, duration=15.0)
         node.pending.append(task)
-        schedule_fifo_first_fit(node, T0)
-        release_completed(node, T0 + STEP)
+        schedule_fifo_first_fit(node, to_us(T0))
+        release_completed(node, to_us(T0 + STEP))
         after = (node.available_cores, node.available_gpus, node.available_mem_gb)
         assert after == before
 
@@ -336,8 +338,8 @@ class TestRelease:
         node = make_node()
         task = make_task(duration=60.0)
         node.pending.append(task)
-        schedule_fifo_first_fit(node, T0)
-        assert release_completed(node, T0 + STEP) == []
+        schedule_fifo_first_fit(node, to_us(T0))
+        assert release_completed(node, to_us(T0 + STEP)) == []
         assert len(node.running) == 1
 
 
@@ -462,8 +464,8 @@ class TestStepRecords:
         now = T0 + STEP
         info = cluster.step(1, now)
         for node in twin.nodes:
-            released = release_completed(node, now)
-            schedule_fifo_first_fit(node, now)
+            released = release_completed(node, to_us(now))
+            schedule_fifo_first_fit(node, to_us(now))
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
             price, ci, drybulb, rh = node.conditions(now)
             result = node.physics_step(node.hvac_action(), u_cpu, u_gpu, node.mem_used_gb(),

@@ -25,6 +25,9 @@ from geodcsim.errors import CoverageError, DataError, DataFormatError
 from conftest import deadline
 
 T0 = datetime(2024, 1, 1, 0, 0, tzinfo=timezone.utc)
+# An hour east of UTC at the first instant a datetime holds: in UTC it is before year 1,
+# and its conversion raised an OverflowError that named no file.
+EARLY = "0001-01-01 00:00:00+01:00"
 
 
 def reference_wet_bulb(t_drybulb_c, rh_pct):
@@ -165,6 +168,14 @@ class TestPriceCsv:
             load_price_csv(p, "X")
 
 
+    def test_timestamp_before_year_one_in_utc_names_the_file_and_row(self, tmp_path):
+        p = write_price_csv(tmp_path / "p.csv", [("2024-01-01 00:00:00+00:00", 50.0),
+                                                 (EARLY, 90.0)])
+        with pytest.raises(DataError, match="^" + re.escape(f"{p}: row 3: timestamp '{EARLY}' "
+                                                      "is outside years 1 to 9999 in UTC") + "$"):
+            load_price_csv(p, "X")
+
+
 class TestCarbonCsv:
     def test_constant_file(self, tmp_path):
         rows = [(f"2024-01-01 {h:02d}:00:00+00:00", 100.0) for h in range(5)]
@@ -189,6 +200,14 @@ class TestCarbonCsv:
         p = write_price_csv(tmp_path / "c.csv", rows, "Carbon Intensity gCO2eq/kWh (direct)")
         series = load_carbon_csv(p, "X")
         assert len(series) == 8760
+
+
+    def test_timestamp_before_year_one_in_utc_names_the_file_and_row(self, tmp_path):
+        p = write_price_csv(tmp_path / "c.csv", [(EARLY, 100.0)],
+                            "Carbon Intensity gCO2eq/kWh (direct)")
+        with pytest.raises(DataError, match="^" + re.escape(f"{p}: row 2: timestamp '{EARLY}' "
+                                                      "is outside years 1 to 9999 in UTC") + "$"):
+            load_carbon_csv(p, "X")
 
 
 class TestWeatherJson:
@@ -273,6 +292,16 @@ class TestWeatherJson:
         p = tmp_path / "w.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(error, match=f"^{re.escape(f'{p}: {expected}')}$"):
+            load_weather_json(p, "X")
+
+    def test_time_before_year_one_in_utc_names_the_file_and_row(self, tmp_path):
+        import json
+        doc = self._doc(6)
+        doc["hourly"]["time"][2] = EARLY
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="^" + re.escape(f"{p}: row 3: timestamp '{EARLY}' "
+                                                      "is outside years 1 to 9999 in UTC") + "$"):
             load_weather_json(p, "X")
 
     @pytest.mark.parametrize("value", [1e30, -1e5, 70.5], ids=["1e30", "minus_1e5", "70.5"])

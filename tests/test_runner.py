@@ -489,6 +489,21 @@ class TestCli:
         assert err == [f"error: {sim}: simulation: {key}: invalid literal for int() "
                        "with base 10: 'abc'"]
 
+    def test_cli_window_past_the_last_date_names_the_sim_file(self, tmp_path, capsys):
+        """A window that runs past 9999-12-31 ended as ``error: dc 1: date value out of
+        range``, which named neither the sim file nor the window."""
+        doc = yaml.safe_load((CONFIG_DIR / "sim.yaml").read_text())
+        doc["simulation"].update(year=9999, month=12, init_day=31, duration_days=1)
+        sim = tmp_path / "sim.yaml"
+        sim.write_text(yaml.safe_dump(doc))
+        args = self._args(tmp_path)
+        args[args.index("--sim-config") + 1] = str(sim)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {sim}: simulation: the 1-day window from 9999-12-31T00:00:00+00:00 "
+            "runs past 9999-12-31"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["duration_days", "init_day"])
     def test_cli_fractional_sim_count(self, tmp_path, capsys, key):
         """``int()`` ran a ``duration_days`` of 2.9 for 2 days."""

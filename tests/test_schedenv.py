@@ -11,25 +11,27 @@ from hypothesis import strategies as st
 from geodcsim.cluster import Cluster
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
-from geodcsim.schedenv import STEPS_PER_DAY, SchedulingEnv, build_observation, observation_dim
-from geodcsim.workload import (ResourceRanges, Task, TaskSpec, TaskStatus,
-                               generate_synthetic_trace, load_trace, origin_probabilities,
-                               save_trace)
+from geodcsim.schedenv import (STEPS_PER_DAY, SchedulingEnv, _minutes_to_deadline,
+                               build_observation, observation_dim)
+from geodcsim.workload import (MAX_US, MIN_US, ResourceRanges, Task, TaskSpec, TaskStatus,
+                               from_us, generate_synthetic_trace, load_trace,
+                               origin_probabilities, save_trace, to_us)
 
 from conftest import (T0, default_reward, make_cluster, make_env, make_node, make_task,
                       tiny_network)
 
 STEP = timedelta(minutes=15)
+US = timedelta(microseconds=1)
 
 
 def trace_of(*task_lists):
     """One trace of specs whose i-th list of tasks arrives at T0 + i steps."""
     trace = []
     for i, tasks in enumerate(task_lists):
-        start = T0 + i * STEP
+        start_us = to_us(T0 + i * STEP)
         for t in tasks:
-            t.arrival_time = start
-            t.sla_deadline = start + timedelta(minutes=t.sla_multiplier * t.duration_min)
+            t.arrival_us = start_us
+            t.deadline_us = start_us + timedelta(minutes=t.sla_multiplier * t.duration_min) // US
             trace.append(t.spec())
     return trace
 
@@ -102,9 +104,21 @@ class TestObservationFeatures:
     def test_deadline_feature_clipped_at_zero(self):
         cluster = make_cluster()
         task = make_task()
-        late = task.sla_deadline + timedelta(hours=2)
+        late = from_us(task.deadline_us) + timedelta(hours=2)
         obs = build_observation(cluster, [task], late)[0]
         assert obs[8] == 0.0
+
+    @settings(max_examples=300)
+    @given(deadline_us=st.integers(MIN_US, MAX_US),
+           gap_us=st.one_of(st.integers(-10**9, 10**9),
+                            st.integers(MIN_US - MAX_US, MAX_US - MIN_US)))
+    def test_minutes_to_deadline_is_the_timedelta_form_property(self, deadline_us, gap_us):
+        """The int gap's true division equals ``total_seconds() / 60`` of the datetimes."""
+        now_us = min(max(deadline_us - gap_us, MIN_US), MAX_US)
+        task = make_task()
+        task.deadline_us = deadline_us
+        want = max(0.0, (from_us(deadline_us) - from_us(now_us)).total_seconds() / 60.0)
+        assert _minutes_to_deadline(task, now_us) == want
 
     def test_dtype_float32(self):
         cluster = make_cluster()
@@ -139,7 +153,7 @@ class TestOrigins:
         origins = []
         for k in range(2 * STEPS_PER_DAY):
             now = T0 + k * STEP
-            tasks = [t for t in trace if t.arrival_time == now]
+            tasks = [t for t in trace if t.arrival_us == to_us(now)]
             if tasks:
                 draws = rng.choice([dc_id for dc_id, _, _ in sites], size=len(tasks),
                                    p=origin_probabilities(sites, now))
@@ -314,14 +328,14 @@ class TestStep:
         first = list(env.current_tasks)
         env.step([1, 0])  # a starts at dc 1 and b is deferred
         assert [t.status for t in first] == [TaskStatus.RUNNING, TaskStatus.PENDING]
-        assert first[0].dest_dc_id == 1 and first[0].start_exec_time == T0
+        assert first[0].dest_dc_id == 1 and first[0].start_us == to_us(T0)
         env.reset()
         second = list(env.current_tasks)
         assert [t.job_id for t in first] == [t.job_id for t in second] == ["a", "b"]
         assert all(type(t) is Task for t in second)
         assert not any(old is new for old in first for new in second)
         assert all(t.status is TaskStatus.PENDING and t.dest_dc_id is None
-                   and t.start_exec_time is None and t.completion_time is None for t in second)
+                   and t.start_us is None and t.completion_us is None for t in second)
         assert second[1].origin_dc_id == first[1].origin_dc_id  # one seed, one origin
         assert trace == before and all(type(spec) is TaskSpec for spec in trace)
         assert trace[1].origin_dc_id is None
@@ -477,18 +491,18 @@ def test_flat_trace_injects_each_task_once_at_its_arrival_property(offsets, data
     trace = data.draw(st.permutations(tasks))
     env = make_env(trace)
     steps = [T0 + k * STEP for k in range(env.horizon_steps)]
-    expected = {now: [t.job_id for t in trace if t.arrival_time == now] for now in steps}
+    expected = {now: [t.job_id for t in trace if t.arrival_us == to_us(now)] for now in steps}
     injected = {}
     env.reset()
     for now in steps:
-        assert all(t.arrival_time == now for t in env.current_tasks)
+        assert all(t.arrival_us == to_us(now) for t in env.current_tasks)
         injected[now] = [t.job_id for t in env.current_tasks]
         env.advance([1] * len(env.current_tasks))  # no deferral: only arrivals are shown
     assert injected == expected
     assert env.task_census()["injected"] == sum(map(len, expected.values()))
     assert env.tasks_never_injected() == len(trace) - env.task_census()["injected"]
 
-    in_order = sorted(trace, key=lambda t: t.arrival_time)
+    in_order = sorted(trace, key=lambda t: t.arrival_us)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         save_trace(trace, path)

@@ -2,30 +2,40 @@ import copy
 import json
 import math
 import re
+import warnings
 from dataclasses import MISSING, astuple, fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodcsim.errors import ConfigError, DataError, DataFormatError
 from geodcsim.workload import (
+    _PASS_TASKS,
     MAX_BANDWIDTH_GB,
+    MAX_OFFSET_MIN,
     ResourceRanges,
     Task,
     TaskSpec,
     TaskStatus,
     assign_task_origins,
     compute_sla_deadline,
+    from_us,
     generate_synthetic_trace,
     load_trace,
+    minutes_to_us,
     origin_probabilities,
     origin_table,
     save_trace,
+    to_us,
 )
 
 T0 = datetime(2024, 3, 1, 0, 0, tzinfo=timezone.utc)
+T0_US = to_us(T0)
 STEP = timedelta(minutes=15)
+US = timedelta(microseconds=1)
 
 
 def reference_trace(start, num_intervals, mean_tasks_per_interval, ranges, seed):
@@ -47,7 +57,7 @@ def reference_trace(start, num_intervals, mean_tasks_per_interval, ranges, seed)
             tasks.append(
                 Task(
                     job_id=f"job-{job_counter:06d}",
-                    arrival_time=t0,
+                    arrival_us=to_us(t0),
                     duration_min=draw(ranges.duration_min),
                     cores_req=draw(ranges.cores_req),
                     gpu_req=draw(ranges.gpu_req),
@@ -80,39 +90,39 @@ def write_trace(path, records):
 
 class TestTask:
     def test_deadline_default(self):
-        t = Task("j", T0, 60.0, 1, 0, 1, 0.1, sla_multiplier=1.5)
-        assert t.sla_deadline == T0 + timedelta(minutes=90)
+        t = Task("j", T0_US, 60.0, 1, 0, 1, 0.1, sla_multiplier=1.5)
+        assert t.deadline_us == to_us(T0 + timedelta(minutes=90))
 
     def test_exact_multiplier_one(self):
-        t = Task("j", T0, 60.0, 1, 0, 1, 0.1, sla_multiplier=1.0)
-        assert compute_sla_deadline(t.arrival_time, t.duration_min,
-                                    t.sla_multiplier) == T0 + timedelta(minutes=60)
+        t = Task("j", T0_US, 60.0, 1, 0, 1, 0.1, sla_multiplier=1.0)
+        assert compute_sla_deadline(t.arrival_us, t.duration_min,
+                                    t.sla_multiplier) == to_us(T0 + timedelta(minutes=60))
 
     def test_multiplier_below_one_rejected(self):
         with pytest.raises(ValueError):
-            Task("j", T0, 60.0, 1, 0, 1, 0.1, sla_multiplier=0.5)
+            Task("j", T0_US, 60.0, 1, 0, 1, 0.1, sla_multiplier=0.5)
 
     def test_short_duration_rejected(self):
         with pytest.raises(ValueError, match="15"):
-            Task("j", T0, 10.0, 1, 0, 1, 0.1)
+            Task("j", T0_US, 10.0, 1, 0, 1, 0.1)
 
     def test_unaligned_arrival_rejected(self):
         with pytest.raises(ValueError, match="15-minute"):
-            Task("j", T0 + timedelta(minutes=7), 60.0, 1, 0, 1, 0.1)
+            Task("j", to_us(T0 + timedelta(minutes=7)), 60.0, 1, 0, 1, 0.1)
 
     def test_negative_resource_rejected(self):
         with pytest.raises(ValueError):
-            Task("j", T0, 60.0, -1.0, 0, 1, 0.1)
+            Task("j", T0_US, 60.0, -1.0, 0, 1, 0.1)
 
     def test_negative_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth_gb must be >= 0"):
-            Task("j", T0, 60.0, 1, 0, 1, -1.0)
+            Task("j", T0_US, 60.0, 1, 0, 1, -1.0)
 
     @pytest.mark.parametrize("field", range(3, 7), ids=["cores", "gpu", "mem", "bandwidth"])
     def test_nan_resource_rejected(self, field):
         """A NaN demand never fits, and as a queue block's least demand it would
         hide the block's other tasks from the first-fit scan."""
-        args = ["j", T0, 60.0, 1.0, 0.0, 1.0, 0.1]
+        args = ["j", T0_US, 60.0, 1.0, 0.0, 1.0, 0.1]
         args[field] = float("nan")
         with pytest.raises(ValueError, match="must be >= 0"):
             Task(*args)
@@ -120,7 +130,7 @@ class TestTask:
     @pytest.mark.parametrize("field", range(3, 7), ids=["cores", "gpu", "mem", "bandwidth"])
     def test_infinite_resource_rejected(self, field):
         """An infinite demand never fits, and an infinite transfer has no delay."""
-        args = ["j", T0, 60.0, 1.0, 0.0, 1.0, 0.1]
+        args = ["j", T0_US, 60.0, 1.0, 0.0, 1.0, 0.1]
         args[field] = math.inf
         with pytest.raises(ValueError, match="must be >= 0 and finite"):
             Task(*args)
@@ -128,11 +138,11 @@ class TestTask:
     def test_bandwidth_above_its_ceiling_rejected(self):
         """A transfer of 1e306 GB overflowed its delay to an infinity in ``delay_steps``."""
         with pytest.raises(ValueError, match=r"^task j: bandwidth_gb must be <= 1e\+06$"):
-            Task("j", T0, 60.0, 1, 0, 1, 1e306)
-        assert Task("j", T0, 60.0, 1, 0, 1, MAX_BANDWIDTH_GB).bandwidth_gb == MAX_BANDWIDTH_GB
+            Task("j", T0_US, 60.0, 1, 0, 1, 1e306)
+        assert Task("j", T0_US, 60.0, 1, 0, 1, MAX_BANDWIDTH_GB).bandwidth_gb == MAX_BANDWIDTH_GB
 
     def test_status_machine(self):
-        t = Task("j", T0, 60.0, 1, 0, 1, 0.1)
+        t = Task("j", T0_US, 60.0, 1, 0, 1, 0.1)
         t.set_status(TaskStatus.DEFERRED)
         t.set_status(TaskStatus.PENDING)
         t.set_status(TaskStatus.IN_TRANSIT)
@@ -143,7 +153,7 @@ class TestTask:
             t.set_status(TaskStatus.PENDING)
 
     def test_running_cannot_defer(self):
-        t = Task("j", T0, 60.0, 1, 0, 1, 0.1)
+        t = Task("j", T0_US, 60.0, 1, 0, 1, 0.1)
         t.set_status(TaskStatus.RUNNING)
         with pytest.raises(ValueError):
             t.set_status(TaskStatus.DEFERRED)
@@ -151,7 +161,7 @@ class TestTask:
 
 class TestCopy:
     def test_clone_equals_its_source_and_shares_no_state(self):
-        source = Task("j", T0, 60.0, 1.0, 0.0, 1.0, 0.1, origin_dc_id=2)
+        source = Task("j", T0_US, 60.0, 1.0, 0.0, 1.0, 0.1, origin_dc_id=2)
         clone = copy.copy(source)
         assert type(clone) is Task and clone is not source
         assert field_items(clone) == field_items(source)
@@ -159,29 +169,29 @@ class TestCopy:
                 == [type(v) for _, v in field_items(source)])
         before = field_items(source)
         clone.set_status(TaskStatus.RUNNING)
-        clone.origin_dc_id, clone.dest_dc_id, clone.start_exec_time = 3, 3, T0
+        clone.origin_dc_id, clone.dest_dc_id, clone.start_us = 3, 3, T0_US
         clone.cores_req = 5.0
         assert field_items(source) == before and source.status is TaskStatus.PENDING
 
     def test_slots_are_the_fields_and_a_task_has_no_dict(self):
         """``TaskSpec.task`` assigns each field by name: a new field must reach it."""
         assert list(Task.__slots__) == [f.name for f in fields(Task)]
-        task = Task("j", T0, 60.0, 1.0, 0.0, 1.0, 0.1)
+        task = Task("j", T0_US, 60.0, 1.0, 0.0, 1.0, 0.1)
         assert not hasattr(task, "__dict__")
         with pytest.raises(AttributeError):
             task.note = "ad hoc"
 
     def test_clone_keeps_every_field_set_away_from_its_default(self):
-        source = Task("j", T0, 60.0, 2.0, 3.0, 4.0, 0.5, sla_multiplier=1.25, origin_dc_id=1)
+        source = Task("j", T0_US, 60.0, 2.0, 3.0, 4.0, 0.5, sla_multiplier=1.25, origin_dc_id=1)
         source.set_status(TaskStatus.RUNNING)
         source.dest_dc_id = 5
-        source.start_exec_time, source.completion_time = T0 + STEP, T0 + 4 * STEP
+        source.start_us, source.completion_us = to_us(T0 + STEP), to_us(T0 + 4 * STEP)
         items = field_items(source)
         # no field at its default and no two fields equal, so a dropped or a
         # crossed assignment cannot clone equal
         assert all(getattr(source, f.name) != f.default for f in fields(Task)
                    if f.default is not MISSING)
-        assert len({v for _, v in items}) == len(items) == 14
+        assert len({v for _, v in items}) == len(items) == 15
         clone = copy.copy(source)
         assert type(clone) is Task and clone is not source
         assert field_items(clone) == items
@@ -189,13 +199,13 @@ class TestCopy:
 
 
 class TestSpec:
-    def test_spec_fields_are_the_tasks_first_ten(self):
-        assert list(TaskSpec._fields) == [f.name for f in fields(Task)][:10]
+    def test_spec_fields_are_the_tasks_first_eleven(self):
+        assert list(TaskSpec._fields) == [f.name for f in fields(Task)][:11]
 
     def test_task_of_a_spec_is_a_new_pending_task_with_its_fields(self):
-        source = Task("j", T0, 60.0, 2.0, 3.0, 4.0, 0.5, sla_multiplier=1.25, origin_dc_id=1)
+        source = Task("j", T0_US, 60.0, 2.0, 3.0, 4.0, 0.5, sla_multiplier=1.25, origin_dc_id=1)
         spec = source.spec()
-        assert type(spec) is TaskSpec and tuple(spec) == astuple(source)[:10]
+        assert type(spec) is TaskSpec and tuple(spec) == astuple(source)[:11]
         tasks = [spec.task(), spec.task()]
         assert tasks[0] is not tasks[1]
         for task in tasks:
@@ -214,7 +224,7 @@ class TestLoadTrace:
             task_record("c", arrival="2024-03-01T00:15:00+00:00"),
         ])
         trace = load_trace(p)
-        assert [t.arrival_time for t in trace] == [T0, T0, T0 + STEP]
+        assert [t.arrival_us for t in trace] == [T0_US, T0_US, to_us(T0 + STEP)]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -357,11 +367,11 @@ class TestLoadTrace:
 
     def test_saved_bytes(self, tmp_path):
         """The exact text ``save_trace`` writes: keys in field order, lifecycle left out."""
-        a = Task("a", T0, 60.0, 4.0, 0.0, 8.0, 1.0, origin_dc_id=2)
-        b = Task("b", T0, 15.0, 16.5, 2, 0.1 + 0.2, 1e-05, sla_multiplier=1.2)
+        a = Task("a", T0_US, 60.0, 4.0, 0.0, 8.0, 1.0, origin_dc_id=2)
+        b = Task("b", T0_US, 15.0, 16.5, 2, 0.1 + 0.2, 1e-05, sla_multiplier=1.2)
         b.set_status(TaskStatus.RUNNING)
-        b.dest_dc_id, b.start_exec_time = 3, T0
-        c = Task("c", T0 + STEP, 180.0, 1.0, 0.0, 2.0, 0.25)
+        b.dest_dc_id, b.start_us = 3, T0_US
+        c = Task("c", to_us(T0 + STEP), 180.0, 1.0, 0.0, 2.0, 0.25)
         out = tmp_path / "t.jsonl"
         save_trace([a, b, c], out)
         assert out.read_bytes() == (
@@ -412,7 +422,7 @@ class TestOrigins:
     def test_sampling_frequencies(self):
         now = T0.replace(hour=12)
         dcs = [(1, 0, 0.5), (2, 14, 0.5)]
-        tasks = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(100_000)]
+        tasks = [Task(f"j{i}", T0_US, 60.0, 1, 0, 1, 0.1) for i in range(100_000)]
         assign_task_origins(tasks, *origin_table(dcs, now), np.random.default_rng(123))
         freq1 = sum(1 for t in tasks if t.origin_dc_id == 1) / len(tasks)
         assert freq1 == pytest.approx(0.7692, abs=0.01)
@@ -420,8 +430,8 @@ class TestOrigins:
 
     def test_deterministic_given_seed(self):
         dcs = [(1, 0, 0.5), (2, 5, 0.5)]
-        a = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(50)]
-        b = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(50)]
+        a = [Task(f"j{i}", T0_US, 60.0, 1, 0, 1, 0.1) for i in range(50)]
+        b = [Task(f"j{i}", T0_US, 60.0, 1, 0, 1, 0.1) for i in range(50)]
         assign_task_origins(a, *origin_table(dcs, T0), np.random.default_rng(7))
         assign_task_origins(b, *origin_table(dcs, T0), np.random.default_rng(7))
         assert [t.origin_dc_id for t in a] == [t.origin_dc_id for t in b]
@@ -440,7 +450,7 @@ class TestOrigins:
                for i in range(n_sites)]
         for hour in (0, 9, 15, 21):
             now = T0.replace(hour=hour, minute=45)
-            tasks = [Task(f"j{i}", T0, 60.0, 1, 0, 1, 0.1) for i in range(n_tasks)]
+            tasks = [Task(f"j{i}", T0_US, 60.0, 1, 0, 1, 0.1) for i in range(n_tasks)]
             ours, theirs = np.random.default_rng(hour), np.random.default_rng(hour)
             assign_task_origins(tasks, *origin_table(dcs, now), ours)
             expected = theirs.choice([dc[0] for dc in dcs], size=n_tasks,
@@ -500,13 +510,13 @@ class TestSyntheticTrace:
         got = generate_synthetic_trace(T0, 200, mean, ranges, seed=3)
         want = reference_trace(T0, 200, mean, ranges, seed=3)
         got_tasks = [tuple(spec) for spec in got]
-        want_tasks = [astuple(t)[:10] for t in want]  # a spec holds a task's first ten fields
+        want_tasks = [astuple(t)[:11] for t in want]  # a spec holds a task's first eleven fields
         assert got_tasks == want_tasks
         assert [list(map(type, t)) for t in got_tasks] == [list(map(type, t)) for t in want_tasks]
         assert (len(got_tasks) > 1000) == (mean > 0)
-        # the same fields, sla_deadline included, by name and in field order
+        # the same fields, deadline_us and duration_us included, by name and in field order
         assert ([list(zip(TaskSpec._fields, spec)) for spec in got]
-                == [field_items(t)[:10] for t in want])
+                == [field_items(t)[:11] for t in want])
 
     def test_deadline_overflow_names_the_task_as_the_constructor_does(self):
         # about half the drawn deadlines pass year 9999; at this seed the first fits
@@ -517,12 +527,93 @@ class TestSyntheticTrace:
             reference_trace(T0, 4, 6.0, ranges, seed=5)
         assert str(got.value) == str(want.value)
 
+    def test_an_offset_past_the_largest_float_overflows_the_deadline_without_a_warning(self):
+        """numpy warned where the float product ran past 1.8e308; Python's gives inf."""
+        ranges = ResourceRanges(duration_min=(15.0, 1.7e308), sla_multiplier=(1.0, 4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^task job-000001: .* overflows the deadline$"):
+                generate_synthetic_trace(T0, 4, 6.0, ranges, seed=5)
+
+    def test_a_trace_of_several_passes_matches_scalar_draws(self):
+        """Job numbers and the stream run on across the numpy passes."""
+        ranges = ResourceRanges(sla_multiplier=(1.2, 2.0))
+        got = generate_synthetic_trace(T0, 100, 50.0, ranges, seed=4)
+        assert len(got) > 2 * _PASS_TASKS
+        want = reference_trace(T0, 100, 50.0, ranges, seed=4)
+        assert [tuple(spec) for spec in got] == [astuple(t)[:11] for t in want]
+
     def test_tasks_satisfy_invariants(self):
         ranges = ResourceRanges(duration_min=(15.0, 45.0), cores_req=(0.5, 8.0))
         trace = generate_synthetic_trace(T0, 50, 4.0, ranges, seed=2)
-        steps = {T0 + i * STEP for i in range(50)}
+        steps = {to_us(T0 + i * STEP) for i in range(50)}
         for t in trace:
-            assert t.arrival_time in steps
+            assert t.arrival_us in steps
             assert 15.0 <= t.duration_min <= 45.0
             assert 0.5 <= t.cores_req <= 8.0
-            assert t.sla_deadline > t.arrival_time
+            assert t.deadline_us > t.arrival_us
+
+
+def _bounds(lo, hi, span):
+    """A (lo, hi) range strategy: constant, or drawn over ``span`` from ``lo``."""
+    drawn = st.tuples(st.floats(lo, hi), st.floats(0.0, span)).map(lambda r: (r[0], sum(r)))
+    return st.one_of(st.floats(lo, hi).map(lambda x: (x, x)), drawn)
+
+
+@settings(max_examples=60)
+@given(duration=_bounds(15.0, 1e6, 1e6), multiplier=_bounds(1.0, 10.0, 10.0),
+       mean=st.floats(0.5, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_synthetic_deadlines_and_durations_are_the_timedelta_forms_property(duration, multiplier,
+                                                                            mean, seed):
+    """Each drawn spec's ``deadline_us`` and ``duration_us`` are the microseconds of the
+    ``datetime`` sum and the ``timedelta`` that a task's constructor computes."""
+    ranges = ResourceRanges(duration_min=duration, sla_multiplier=multiplier)
+    trace = generate_synthetic_trace(T0, 12, mean, ranges, seed)
+    for spec in trace:
+        assert spec.duration_us == timedelta(minutes=spec.duration_min) // US
+        deadline = from_us(spec.arrival_us) + timedelta(minutes=spec.sla_multiplier
+                                                        * spec.duration_min)
+        assert spec.deadline_us == to_us(deadline)
+        assert all(type(v) is int for v in (spec.arrival_us, spec.deadline_us, spec.duration_us))
+
+
+# Exact halves of a microsecond: k whole minutes and m + 0.5 microseconds, whose
+# leftover after the two ``modf`` splits is often exactly 0.5.
+_HALVES = st.builds(lambda k, m: k + (m + 0.5) / 6e7,
+                    st.integers(0, 50), st.integers(0, 6 * 10**7 - 1))
+_NEAR_GUARD = st.floats(MAX_OFFSET_MIN * (1 - 1e-12), MAX_OFFSET_MIN)
+_MINUTES = st.one_of(st.floats(-MAX_OFFSET_MIN, MAX_OFFSET_MIN), _HALVES, _NEAR_GUARD,
+                     _HALVES.map(lambda x: -x), _NEAR_GUARD.map(lambda x: -x))
+
+
+def _halves(minutes):
+    """Those of ``minutes`` whose leftover, as ``timedelta`` computes it, is one half."""
+    return [x for x in minutes if abs(math.modf(math.modf(x)[0] * 6e7)[0]) == 0.5]
+
+
+class TestMinutesToUs:
+    @settings(max_examples=300)
+    @given(minutes=st.lists(_MINUTES, min_size=1, max_size=40))
+    def test_equals_timedelta_property(self, minutes):
+        got = minutes_to_us(np.array(minutes))
+        assert got.dtype == np.int64
+        assert got.tolist() == [timedelta(minutes=x) // US for x in minutes]
+
+    def test_exact_halves_round_to_the_even_total(self):
+        """Exact halves whose truncated total is odd and whose total is even both occur,
+        and each rounds as ``timedelta`` rounds it, to an even count."""
+        minutes = [k + (m + 0.5) / 6e7 for k in range(20) for m in range(0, 6 * 10**7, 199_999)]
+        halves = _halves(minutes) + [-x for x in _halves(minutes)]
+        truncated = {(math.trunc(x) * 60_000_000 + math.trunc(math.modf(x)[0] * 6e7)) % 2
+                     for x in halves}
+        assert len(halves) > 100 and truncated == {0, 1}
+        want = [timedelta(minutes=x) // US for x in halves]
+        assert minutes_to_us(np.array(halves)).tolist() == want
+        assert all(us % 2 == 0 for us in want)
+
+    @pytest.mark.parametrize("x", [math.nextafter(MAX_OFFSET_MIN, math.inf), -1e300, math.inf,
+                                   math.nan], ids=["past_the_guard", "minus_1e300", "inf", "nan"])
+    def test_past_the_guard_overflows(self, x):
+        """No date lies that many minutes from another, and int64 could overflow."""
+        with pytest.raises(OverflowError, match="^date value out of range$"):
+            minutes_to_us(np.array([15.0, x]))
