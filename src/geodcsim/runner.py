@@ -43,6 +43,10 @@ logger = logging.getLogger(__name__)
 
 STEP_LOG_SCHEMA = "geodcsim-steplog-v1"
 
+# libyaml's scanner and parser under PyYAML's own safe constructor and resolver, so
+# the documents are SafeLoader's; SafeLoader where PyYAML was built without libyaml
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _log_columns(record):
     """The v1 step-log columns that ``record``'s fields declare, in field order, a getter
@@ -149,7 +153,7 @@ def _read_section(path, name: str, kind: type):
     or list); each failure is one ``ConfigError`` line, which the caller names."""
     try:  # PyYAML decodes, so bad bytes raise a YAMLError
         with open(path, "rb") as fh, within("unreadable value"):  # e.g. a bad date, or an
-            doc = yaml.safe_load(fh)  # integer past Python's int digit limit
+            doc = yaml.load(fh, Loader=_YAML_LOADER)  # integer past Python's int digit limit
     except yaml.YAMLError as exc:  # its message spans lines: keep only the line number
         line = f" at line {exc.problem_mark.line + 1}" if getattr(exc, "problem_mark", None) else ""
         raise ConfigError(f"invalid YAML{line}") from exc

@@ -27,6 +27,7 @@ from .workload import (STEP, STEP_US, TaskStatus, Trace, assign_task_origins,
                        first_unknown_origin, origin_table, to_us)
 
 STEPS_PER_DAY = timedelta(days=1) // STEP
+_PENDING, _DEFERRED = TaskStatus.PENDING, TaskStatus.DEFERRED  # bound once, as in cluster
 
 TIME_FEATURES = 4
 TASK_FEATURES = 5
@@ -280,7 +281,7 @@ class SchedulingEnv:
                 # Overdue tasks are forced to their origin site regardless of the action.
                 decisions.append((task, task.origin_dc_id))
             elif action == 0:
-                task.set_status(TaskStatus.DEFERRED)
+                task.set_status(_DEFERRED)
                 deferred.append(task)
             else:
                 decisions.append((task, self.cluster.nodes[action - 1].dc_id))
@@ -297,7 +298,7 @@ class SchedulingEnv:
         self._done = self.step_index >= self.horizon_steps
 
         for task in deferred:
-            task.set_status(TaskStatus.PENDING)
+            task.set_status(_PENDING)
         self.current_tasks = deferred + (
             [] if self._done else self._inject_arrivals()
         )

@@ -257,6 +257,8 @@ class Trace(Sequence):
 
     def tasks(self, lo: int, hi: int) -> list[Task]:
         """A new pending ``Task`` for each row of ``lo:hi``, in trace order."""
+        if lo == hi:  # a step without arrivals: slicing eleven empty columns costs µs
+            return []
         return list(map(_pending_task, zip(*[column[lo:hi] for column in _columns(self)])))
 
 

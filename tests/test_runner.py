@@ -72,6 +72,26 @@ def small_fleet(n=2):
 
 REWARD = {"reward": {"components": {"energy_price": {"weight": 1.0}}}}
 _CONFIG_FLAGS = {"sim": "--sim-config", "datacenters": "--dc-config", "reward": "--reward-config"}
+# The loader that parses the configs, and PyYAML's pure-Python one it must agree with
+_LOADERS = pytest.mark.parametrize("loader", [yaml.SafeLoader, runner._YAML_LOADER],
+                                   ids=["SafeLoader", "bound"])
+# A config file that cannot be used at all, and the error that names it
+_UNUSABLE_YAML = pytest.mark.parametrize("config, text, expected", [
+    ("sim", b"simulation: [\n  year: 1\n", "invalid YAML at line 3"),
+    ("sim", b"simulation:\n  year: \xc3\x28\n", "invalid YAML"),
+    ("sim", b"- simulation\n", "needs a non-empty top-level 'simulation' mapping"),
+    ("sim", b"simulation: 5\n", "needs a non-empty top-level 'simulation' mapping"),
+    ("datacenters", b"datacenters: {dc_id: 1}\n",
+     "needs a non-empty top-level 'datacenters' list"),
+    ("datacenters", b"datacenters: []\n", "needs a non-empty top-level 'datacenters' list"),
+    ("reward", b"reward: [1]\n", "needs a non-empty top-level 'reward' mapping"),
+], ids=["sim_unclosed_list", "sim_bad_utf8", "sim_top_level_list", "sim_section_scalar",
+        "fleet_section_mapping", "fleet_section_empty", "reward_section_list"])
+# An edit of a shipped config whose value YAML parses but cannot build
+_UNREADABLE_YAML = pytest.mark.parametrize("config, edit", [
+    ("datacenters", lambda text: text.replace("total_cores: 2000", "total_cores: " + "9" * 5001)),
+    ("sim", lambda text: text.replace("simulation:\n", "simulation:\n  when: 2024-13-01\n")),
+], ids=["fleet_integer_past_the_digit_limit", "sim_impossible_date"])
 
 
 class TestConfigLoading:
@@ -82,6 +102,40 @@ class TestConfigLoading:
         assert sim.duration_days == 2
         assert [spec.dc_id for spec in fleet] == [1, 2, 3]
         assert "energy_price" in reward["reward"]["components"]
+
+    def test_configs_parse_with_libyaml_where_pyyaml_has_it(self):
+        """A PyYAML built with libyaml parses the configs in C, never the pure-Python
+        parser, which takes about eight times as long."""
+        assert runner._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
+                                       else yaml.SafeLoader)
+
+    def test_each_config_parses_through_the_bound_loader(self, monkeypatch):
+        parsed = []
+
+        class Recording(yaml.SafeLoader):
+            def __init__(self, stream):
+                parsed.append(stream.name)
+                super().__init__(stream)
+
+        monkeypatch.setattr(runner, "_YAML_LOADER", Recording)
+        names = [CONFIG_DIR / f"{config}.yaml" for config in _CONFIG_FLAGS]
+        for load, name in zip([load_sim_config, load_dc_fleet, load_reward_config], names):
+            load(name)
+        assert parsed == [str(name) for name in names]
+
+    @_LOADERS
+    def test_shipped_configs_load_alike_under_each_loader(self, monkeypatch, loader):
+        """The shipped triple gives the same config, fleet and reward under libyaml's
+        parser as under the pure-Python one."""
+        def shipped():
+            return (load_sim_config(CONFIG_DIR / "sim.yaml"),
+                    load_dc_fleet(CONFIG_DIR / "datacenters.yaml"),
+                    load_reward_config(CONFIG_DIR / "reward.yaml"))
+
+        monkeypatch.setattr(runner, "_YAML_LOADER", yaml.SafeLoader)
+        expected = shipped()
+        monkeypatch.setattr(runner, "_YAML_LOADER", loader)
+        assert shipped() == expected
 
     def test_timestep_must_be_fifteen(self):
         with pytest.raises(ConfigError, match="timestep"):
@@ -754,30 +808,22 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {fleet}: datacenter 0: {expected}"]
 
-    @pytest.mark.parametrize("config, text, expected", [
-        ("sim", b"simulation: [\n  year: 1\n", "invalid YAML at line 3"),
-        ("sim", b"simulation:\n  year: \xc3\x28\n", "invalid YAML"),
-        ("sim", b"- simulation\n", "needs a non-empty top-level 'simulation' mapping"),
-        ("sim", b"simulation: 5\n", "needs a non-empty top-level 'simulation' mapping"),
-        ("datacenters", b"datacenters: {dc_id: 1}\n",
-         "needs a non-empty top-level 'datacenters' list"),
-        ("datacenters", b"datacenters: []\n", "needs a non-empty top-level 'datacenters' list"),
-        ("reward", b"reward: [1]\n", "needs a non-empty top-level 'reward' mapping"),
-    ], ids=["sim_unclosed_list", "sim_bad_utf8", "sim_top_level_list", "sim_section_scalar",
-            "fleet_section_mapping", "fleet_section_empty", "reward_section_list"])
-    def test_cli_unusable_yaml(self, tmp_path, capsys, config, text, expected):
-        """Every file-level failure of a YAML config is one line naming the file."""
+    def _error_lines(self, tmp_path, capsys, config, data):
+        """The stderr lines of a CLI run whose ``config`` file holds bytes ``data``."""
         path = tmp_path / f"{config}.yaml"
-        path.write_bytes(text)
+        path.write_bytes(data)
         args = self._args(tmp_path)
         args[args.index(_CONFIG_FLAGS[config]) + 1] = str(path)
         assert main(args) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
+        return capsys.readouterr().err.splitlines()
 
-    @pytest.mark.parametrize("config, edit", [
-        ("datacenters", lambda text: text.replace("total_cores: 2000", "total_cores: " + "9" * 5001)),
-        ("sim", lambda text: text.replace("simulation:\n", "simulation:\n  when: 2024-13-01\n")),
-    ], ids=["fleet_integer_past_the_digit_limit", "sim_impossible_date"])
+    @_UNUSABLE_YAML
+    def test_cli_unusable_yaml(self, tmp_path, capsys, config, text, expected):
+        """Every file-level failure of a YAML config is one line naming the file."""
+        assert self._error_lines(tmp_path, capsys, config, text) == [
+            f"error: {tmp_path / config}.yaml: {expected}"]
+
+    @_UNREADABLE_YAML
     def test_cli_unreadable_yaml_value_names_the_file(self, tmp_path, capsys, config, edit):
         """A YAML value that cannot be built (an integer longer than Python converts, a
         date with month 13) ends as one line naming the file, whatever its wording."""
@@ -788,6 +834,29 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+    @_UNUSABLE_YAML
+    @_LOADERS
+    def test_cli_unusable_yaml_under_each_loader(self, tmp_path, capsys, monkeypatch,
+                                                 loader, config, text, expected):
+        """libyaml's parser and the pure-Python one end a broken file with one line,
+        the same: a parse error keeps its line number, bad UTF-8 has none under both."""
+        monkeypatch.setattr(runner, "_YAML_LOADER", loader)
+        assert self._error_lines(tmp_path, capsys, config, text) == [
+            f"error: {tmp_path / config}.yaml: {expected}"]
+
+    @_UNREADABLE_YAML
+    def test_cli_unreadable_yaml_value_is_one_line_alike_under_each_loader(
+            self, tmp_path, capsys, monkeypatch, config, edit):
+        """A value PyYAML's constructor cannot build ends as the same one line, whichever
+        parser fed it: both loaders share that constructor."""
+        data = edit((CONFIG_DIR / f"{config}.yaml").read_text()).encode()
+        lines = []
+        for loader in (yaml.SafeLoader, runner._YAML_LOADER):
+            monkeypatch.setattr(runner, "_YAML_LOADER", loader)
+            lines.append(self._error_lines(tmp_path, capsys, config, data))
+        assert len(lines[0]) == 1 and lines[0][0].startswith(f"error: {tmp_path / config}.yaml: ")
+        assert lines[1] == lines[0]
 
     @pytest.mark.parametrize("keys, value, expected", [
         (["simulation", "shuffle_datacenters"], "no",

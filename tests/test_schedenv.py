@@ -200,6 +200,16 @@ class TestStep:
         assert reward < 0.0
         assert outcome.cluster_info.tasks_deferred_count == 0
 
+    def test_a_step_without_arrivals_injects_nothing_then_the_next_its_tasks(self):
+        env = make_env(trace_of([make_task("a")], [], [make_task("b"), make_task("c")]))
+        env.reset()
+        assert [t.job_id for t in env.current_tasks] == ["a"]
+        env.step([1])
+        assert env.current_tasks == []
+        env.step([])
+        assert [t.job_id for t in env.current_tasks] == ["b", "c"]
+        assert [t.spec() for t in env.current_tasks] == list(env.trace[1:])
+
     def test_defer_reappears_first(self):
         t1, t2, t3 = make_task("a"), make_task("b"), make_task("c")
         fresh = make_task("d")

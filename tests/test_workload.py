@@ -258,6 +258,22 @@ class TestTrace:
         assert all(type(t) is Task and t.status is TaskStatus.PENDING for t in tasks)
         assert trace.tasks(1, 3)[0] is not tasks[0]
 
+    def test_an_empty_range_slices_no_column(self):
+        """A step without arrivals gets ``[]`` without slicing the eleven columns; the
+        next range still gives its rows."""
+        trace = Trace.from_specs(self.specs())
+        sliced = []
+
+        class Column(list):
+            def __getitem__(self, index):
+                sliced.append(index)
+                return super().__getitem__(index)
+
+        trace.job_id = Column(trace.job_id)
+        assert trace.tasks(1, 1) == [] and trace.tasks(3, 3) == [] and sliced == []
+        assert [t.job_id for t in trace.tasks(1, 3)] == ["b", "c"]
+        assert sliced == [slice(1, 3)]
+
     def test_columns_of_unequal_length_or_out_of_order_are_refused(self):
         trace = Trace.from_specs(self.specs())
         columns = [getattr(trace, name) for name in TaskSpec._fields]
