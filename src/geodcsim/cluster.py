@@ -35,16 +35,12 @@ from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
 from .envdata import TimeSeries, value_at, wet_bulb
 from .errors import ConfigError, ProtocolError, within
 from .floats import checked, left_sum
-from .workload import Task, TaskStatus, to_us
+from .workload import COMPLETED, IN_TRANSIT, PENDING, RUNNING, Task, to_us
 
 logger = logging.getLogger(__name__)
 
 BLOCK = 32  # most tasks in one PendingQueue block
 MAX_SHIFT_H = 24.0  # largest time zone shift, either way, in hours
-# The statuses a transition here sets, each bound once: reading a member off an
-# Enum class costs about 0.1 µs
-_PENDING, _IN_TRANSIT, _RUNNING, _COMPLETED = (
-    TaskStatus.PENDING, TaskStatus.IN_TRANSIT, TaskStatus.RUNNING, TaskStatus.COMPLETED)
 
 
 class _Block:
@@ -382,7 +378,7 @@ class Cluster:
             info.transmission_cost_total_usd += cost
             info.transmission_energy_total_kwh += energy
             info.transmission_emissions_total_kg += emissions
-            task.set_status(_IN_TRANSIT)
+            task.set_status(IN_TRANSIT)
             self.in_transit.append(InTransit(task, step + network.delay_steps(delay)))
         return info
 
@@ -391,7 +387,7 @@ class Cluster:
         still = []
         for item in self.in_transit:
             if item.ready_step <= step:
-                item.task.set_status(_PENDING)
+                item.task.set_status(PENDING)
                 self.by_id[item.task.dest_dc_id].enqueue(item.task)
             else:
                 still.append(item)
@@ -450,7 +446,7 @@ def schedule_fifo_first_fit(dc: DatacenterNode, now_us: int) -> list[Task]:
             left = []
             for task in block.tasks:
                 if dc.fits(task):
-                    task.set_status(_RUNNING)
+                    task.set_status(RUNNING)
                     task.start_us = now_us
                     task.completion_us = now_us + task.duration_us
                     dc.running.append(task)
@@ -481,7 +477,7 @@ def release_completed(dc: DatacenterNode, now_us: int) -> list[tuple[Task, bool]
     still = []
     for task in dc.running:
         if task.completion_us <= now_us:
-            task.set_status(_COMPLETED)
+            task.set_status(COMPLETED)
             done.append((task, task.completion_us <= task.deadline_us))
         else:
             still.append(task)

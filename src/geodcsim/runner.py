@@ -134,6 +134,7 @@ class SimConfig:
     def __post_init__(self):
         if self.timestep_minutes != STEP // timedelta(minutes=1):
             raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
+        RuleBasedController(self.strategy)  # its owner refuses an unknown strategy
         with within(None):
             checked(self.duration_days, "duration_days", 1, kind=int)
             checked(self.mean_tasks_per_interval, "synthetic_workload.mean_tasks_per_interval", 0.0)

@@ -23,11 +23,10 @@ from .cluster import Cluster, ClusterInfo
 from .errors import ConfigError, ProtocolError
 from .floats import left_sum
 from .rewards import CompositeReward, RewardBreakdown
-from .workload import (STEP, STEP_US, TaskStatus, Trace, assign_task_origins,
+from .workload import (DEFERRED, PENDING, STEP, STEP_US, Trace, assign_task_origins,
                        first_unknown_origin, origin_table, to_us)
 
 STEPS_PER_DAY = timedelta(days=1) // STEP
-_PENDING, _DEFERRED = TaskStatus.PENDING, TaskStatus.DEFERRED  # bound once, as in cluster
 
 TIME_FEATURES = 4
 TASK_FEATURES = 5
@@ -167,11 +166,7 @@ class SchedulingEnv:
         self._start_us = to_us(start)
         self.duration_days = duration_days
         self.horizon_steps = duration_days * STEPS_PER_DAY
-        # Each step's rows of the trace, (lo, hi): those whose arrival equals the step.
-        steps = self._start_us + STEP_US * np.arange(self.horizon_steps, dtype=np.int64)
-        arrivals = np.frombuffer(self.trace.arrival_us, dtype=np.int64)
-        self._offsets = list(zip(np.searchsorted(arrivals, steps, "left").tolist(),
-                                 np.searchsorted(arrivals, steps, "right").tolist()))
+        self._offsets = self.trace.step_rows(self._start_us, self.horizon_steps)
         self._origins = set(self.trace.origin_dc_id) - {None}  # the distinct explicit ones
         self.end = start + self.horizon_steps * STEP  # the first instant past the episode
         self.reward_fn = reward_fn
@@ -281,7 +276,7 @@ class SchedulingEnv:
                 # Overdue tasks are forced to their origin site regardless of the action.
                 decisions.append((task, task.origin_dc_id))
             elif action == 0:
-                task.set_status(_DEFERRED)
+                task.set_status(DEFERRED)
                 deferred.append(task)
             else:
                 decisions.append((task, self.cluster.nodes[action - 1].dc_id))
@@ -298,7 +293,7 @@ class SchedulingEnv:
         self._done = self.step_index >= self.horizon_steps
 
         for task in deferred:
-            task.set_status(_PENDING)
+            task.set_status(PENDING)
         self.current_tasks = deferred + (
             [] if self._done else self._inject_arrivals()
         )

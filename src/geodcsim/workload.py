@@ -63,11 +63,6 @@ DEFAULT_SLA_MULTIPLIER = 1.5
 # Largest data volume of one task (1 PB): its transfer over the slowest link a delay
 # table may hold (network.MIN_THROUGHPUT_MBPS) still takes a finite time.
 MAX_BANDWIDTH_GB = 1e6
-# a task's numbers, in the order of a trace record and of ResourceRanges, and the
-# (floor, ceiling) of each
-_DOMAINS = {"duration_min": (MIN_DURATION_MIN, math.inf), "cores_req": (0.0, math.inf),
-            "gpu_req": (0.0, math.inf), "mem_req": (0.0, math.inf),
-            "bandwidth_gb": (0.0, MAX_BANDWIDTH_GB), "sla_multiplier": (1.0, math.inf)}
 
 BUSINESS_HOURS = range(8, 20)
 OFF_HOURS_ACTIVITY = 0.3
@@ -81,14 +76,15 @@ class TaskStatus(Enum):
     COMPLETED = "completed"
 
 
-# Each status's allowed successors, a tuple on the member itself: a dict or a set
-# keyed by a status would call Enum's Python-level __hash__ at every transition.
-TaskStatus.PENDING.successors = (TaskStatus.DEFERRED, TaskStatus.IN_TRANSIT, TaskStatus.RUNNING)
-TaskStatus.DEFERRED.successors = (TaskStatus.PENDING,)
-TaskStatus.IN_TRANSIT.successors = (TaskStatus.PENDING,)
-TaskStatus.RUNNING.successors = (TaskStatus.COMPLETED,)
-TaskStatus.COMPLETED.successors = ()
-_PENDING = TaskStatus.PENDING  # reading a member off an Enum class costs about 0.1 µs
+# Each member bound once, as reading one off the Enum class costs about 0.1 µs, and
+# its allowed successors a tuple on the member itself: a dict or a set keyed by a
+# status would call Enum's Python-level __hash__ at every transition.
+PENDING, DEFERRED, IN_TRANSIT, RUNNING, COMPLETED = TaskStatus
+PENDING.successors = (DEFERRED, IN_TRANSIT, RUNNING)
+DEFERRED.successors = (PENDING,)
+IN_TRANSIT.successors = (PENDING,)
+RUNNING.successors = (COMPLETED,)
+COMPLETED.successors = ()
 
 
 def _require_utc(dt: datetime, what: str) -> datetime:
@@ -97,23 +93,44 @@ def _require_utc(dt: datetime, what: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
+def _packed(typecode: str, values: np.ndarray) -> array:
+    """A numpy column copied, as bytes, into an ``array`` of ``typecode``."""
+    return array(typecode, values.tobytes())
+
+
+def _floats(values):
+    """A column of a float field: an ``array('d')`` when each value is a float, and
+    otherwise a list, so that each keeps its type."""
+    return array("d", values) if all(type(v) is float for v in values) else list(values)
+
+
+_ints = partial(array, "q")
+
+
+def _traced(column, domain=None, **kwargs):
+    """A ``Task`` field that a trace holds: ``column`` makes its trace column from its
+    values, and a number's ``domain`` is its (floor, ceiling)."""
+    return field(metadata={"column": column, "domain": domain}, **kwargs)
+
+
 @dataclass(slots=True)
 class Task:
-    """One schedulable job: resource demands, origin, SLA state, lifecycle status."""
+    """One schedulable job: resource demands, origin, SLA state, lifecycle status. Its
+    first eleven fields, declared ``_traced``, are what a trace holds of it."""
 
-    job_id: str
-    arrival_us: int  # each instant in integer microseconds since the Unix epoch (UTC)
-    duration_min: float
-    cores_req: float
-    gpu_req: float
-    mem_req: float
-    bandwidth_gb: float
-    sla_multiplier: float = DEFAULT_SLA_MULTIPLIER
-    origin_dc_id: int | None = None
-    deadline_us: int = field(init=False)
-    duration_us: int = field(init=False)  # duration_min in microseconds
+    job_id: str = _traced(list)
+    arrival_us: int = _traced(_ints)  # each instant in integer µs since the Unix epoch (UTC)
+    duration_min: float = _traced(_floats, (MIN_DURATION_MIN, math.inf))
+    cores_req: float = _traced(_floats, (0.0, math.inf))
+    gpu_req: float = _traced(_floats, (0.0, math.inf))
+    mem_req: float = _traced(_floats, (0.0, math.inf))
+    bandwidth_gb: float = _traced(_floats, (0.0, MAX_BANDWIDTH_GB))
+    sla_multiplier: float = _traced(_floats, (1.0, math.inf), default=DEFAULT_SLA_MULTIPLIER)
+    origin_dc_id: int | None = _traced(list, default=None)
+    deadline_us: int = _traced(_ints, init=False)
+    duration_us: int = _traced(_ints, init=False)  # duration_min in microseconds
     dest_dc_id: int | None = None
-    status: TaskStatus = TaskStatus.PENDING
+    status: TaskStatus = PENDING
     start_us: int | None = None
     completion_us: int | None = None
 
@@ -143,7 +160,7 @@ class Task:
 
     def spec(self) -> TaskSpec:
         """This task's first eleven fields, as a trace holds them."""
-        return TaskSpec._make(getattr(self, name) for name in TaskSpec._fields)
+        return TaskSpec._make(_columns(self))
 
     def set_status(self, new: TaskStatus) -> None:
         if new not in self.status.successors:
@@ -154,27 +171,6 @@ class Task:
         self.status = new
 
 
-class TaskSpec(NamedTuple):
-    """A trace's entry: a checked task's first eleven fields, immutable. Each episode
-    injects a new ``Task`` built from it (``TaskSpec.task``)."""
-
-    job_id: str
-    arrival_us: int
-    duration_min: float
-    cores_req: float
-    gpu_req: float
-    mem_req: float
-    bandwidth_gb: float
-    sla_multiplier: float
-    origin_dc_id: int | None
-    deadline_us: int
-    duration_us: int
-
-    def task(self) -> Task:
-        """A pending ``Task`` of these fields, built without the checks they passed."""
-        return _pending_task(self)
-
-
 def _pending_task(row) -> Task:
     """A pending ``Task`` of a spec's eleven fields, in ``TaskSpec``'s order, built
     without the checks they passed."""
@@ -183,26 +179,26 @@ def _pending_task(row) -> Task:
      task.mem_req, task.bandwidth_gb, task.sla_multiplier, task.origin_dc_id,
      task.deadline_us, task.duration_us) = row
     task.dest_dc_id = None
-    task.status = _PENDING
+    task.status = PENDING
     task.start_us = None
     task.completion_us = None
     return task
 
 
-def _packed(typecode: str, values: np.ndarray) -> array:
-    """A numpy column copied, as bytes, into an ``array`` of ``typecode``."""
-    return array(typecode, values.tobytes())
+_TRACED = [f for f in fields(Task) if "column" in f.metadata]
+# a task's numbers, in the order of a trace record and of ResourceRanges, and the
+# (floor, ceiling) of each
+_DOMAINS = {f.name: f.metadata["domain"] for f in _TRACED if f.metadata["domain"]}
 
 
-def _floats(values):
-    """A column of a float field: an ``array('d')`` when each value is a float, and
-    otherwise a list, so that each keeps its type."""
-    return array("d", values) if all(type(v) is float for v in values) else list(values)
+class TaskSpec(NamedTuple("TaskSpec", [(f.name, f.type) for f in _TRACED])):
+    """A trace's entry: a checked task's first eleven fields, immutable. Each episode
+    injects a new ``Task`` built from it (``TaskSpec.task``)."""
+
+    __slots__ = ()
+    task = _pending_task
 
 
-# Each column's maker from its values, in TaskSpec's field order
-_ints = partial(array, "q")
-_MAKERS = (list, _ints, *[_floats] * 6, list, _ints, _ints)
 _columns = attrgetter(*TaskSpec._fields)
 
 
@@ -235,7 +231,7 @@ class Trace(Sequence):
         order is kept among those sharing one."""
         rows = sorted(specs, key=attrgetter("arrival_us"))
         columns = list(zip(*rows)) or [()] * len(TaskSpec._fields)
-        return cls(*(make(column) for make, column in zip(_MAKERS, columns)))
+        return cls(*(f.metadata["column"](column) for f, column in zip(_TRACED, columns)))
 
     def __len__(self) -> int:
         return len(self.arrival_us)
@@ -254,6 +250,14 @@ class Trace(Sequence):
         if isinstance(other, (Trace, list)):
             return list(self) == list(other)
         return NotImplemented
+
+    def step_rows(self, start_us: int, steps: int) -> list[tuple[int, int]]:
+        """The rows of each of ``steps`` steps from ``start_us`` on, ``(lo, hi)``: those
+        whose arrival is the step's instant."""
+        instants = start_us + STEP_US * np.arange(steps, dtype=np.int64)
+        arrivals = np.frombuffer(self.arrival_us, dtype=np.int64)
+        return list(zip(np.searchsorted(arrivals, instants, "left").tolist(),
+                        np.searchsorted(arrivals, instants, "right").tolist()))
 
     def tasks(self, lo: int, hi: int) -> list[Task]:
         """A new pending ``Task`` for each row of ``lo:hi``, in trace order."""

@@ -558,6 +558,24 @@ class TestCli:
             "runs past 9999-12-31"]
         assert not (tmp_path / "out").exists()
 
+    def test_cli_unknown_strategy_names_the_sim_file(self, tmp_path, capsys):
+        """An unknown strategy loaded, and the run ended as ``error: unknown strategy
+        'bogus'; …``, which named neither the sim file nor its section."""
+        text = (CONFIG_DIR / "sim.yaml").read_text()
+        sim = tmp_path / "sim.yaml"
+        sim.write_text(text.replace("strategy: lowest_carbon", "strategy: bogus"))
+        assert "strategy: bogus" in sim.read_text()
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(sim))}: simulation: "
+                                              "unknown strategy 'bogus'; expected one of: "):
+            load_sim_config(sim)
+        args = self._args(tmp_path)
+        args[args.index("--sim-config") + 1] = str(sim)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: {sim}: simulation: unknown strategy 'bogus'; expected one of: local_only")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["duration_days", "init_day"])
     def test_cli_fractional_sim_count(self, tmp_path, capsys, key):
         """``int()`` ran a ``duration_days`` of 2.9 for 2 days."""

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodcsim import workload
 from geodcsim.errors import ConfigError, DataError, DataFormatError
 from geodcsim.runner import load_sim_config
 from geodcsim.workload import (
     MAX_BANDWIDTH_GB,
     MAX_OFFSET_MIN,
+    MIN_DURATION_MIN,
     ResourceRanges,
     Task,
     TaskSpec,
@@ -219,6 +221,24 @@ class TestSpec:
         tasks[0].set_status(TaskStatus.RUNNING)
         assert tasks[1].status is TaskStatus.PENDING and spec == source.spec()
 
+    def test_a_spec_stays_a_slotted_spec(self):
+        spec = Task("j", T0_US, 60.0, 2.0, 3.0, 4.0, 0.5).spec()
+        changed = spec._replace(cores_req=1.0)
+        assert type(changed) is TaskSpec and changed.cores_req == 1.0
+        assert type(TaskSpec._make(spec)) is TaskSpec and not hasattr(spec, "__dict__")
+
+    def test_domains_are_the_declared_ones_in_field_order(self):
+        """The six numbers a trace record holds and ``ResourceRanges`` draws, each with
+        the (floor, ceiling) its ``Task`` field declares."""
+        declared = [(f.name, f.metadata["domain"]) for f in fields(Task)
+                    if f.metadata.get("domain")]
+        assert list(workload._DOMAINS.items()) == declared
+        assert list(workload._DOMAINS) == [f.name for f in fields(ResourceRanges)]
+        assert workload._DOMAINS == {
+            "duration_min": (MIN_DURATION_MIN, math.inf), "cores_req": (0.0, math.inf),
+            "gpu_req": (0.0, math.inf), "mem_req": (0.0, math.inf),
+            "bandwidth_gb": (0.0, MAX_BANDWIDTH_GB), "sla_multiplier": (1.0, math.inf)}
+
 
 class TestTrace:
     def specs(self):
@@ -273,6 +293,13 @@ class TestTrace:
         assert trace.tasks(1, 1) == [] and trace.tasks(3, 3) == [] and sliced == []
         assert [t.job_id for t in trace.tasks(1, 3)] == ["b", "c"]
         assert sliced == [slice(1, 3)]
+
+    def test_step_rows_are_each_steps_arrivals(self):
+        trace = Trace.from_specs(self.specs())  # two rows at T0, one a step later
+        assert trace.step_rows(T0_US, 3) == [(0, 2), (2, 3), (3, 3)]
+        assert trace.step_rows(to_us(T0 - STEP), 2) == [(0, 0), (0, 2)]
+        assert trace.step_rows(T0_US, 0) == []
+        assert Trace.from_specs([]).step_rows(T0_US, 1) == [(0, 0)]
 
     def test_columns_of_unequal_length_or_out_of_order_are_refused(self):
         trace = Trace.from_specs(self.specs())
