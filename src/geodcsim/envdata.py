@@ -2,9 +2,10 @@
 
 Electricity prices arrive as hourly CSV in USD/MWh, grid carbon intensity as hourly
 CSV in gCO2eq/kWh, and weather as JSON with arrays under an ``hourly`` key. Series
-are validated onto a strict hourly grid at load time (short gaps forward-filled) and
-queried with linear interpolation between native points. Queries outside the loaded
-window raise instead of extrapolating.
+are validated onto the one-hour grid ``HOUR`` at load time (short gaps forward-filled)
+and queried with linear interpolation between native points. Queries outside the loaded
+window raise instead of extrapolating, and ``check_coverage`` owns the check that a
+site's series cover a whole simulation window.
 
 The canonical price unit is USD/MWh throughout; conversion to USD/kWh happens only
 where costs or observation features are computed.
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CoverageError, DataError, DataFormatError, naming, within
+from .errors import ConfigError, CoverageError, DataError, DataFormatError, naming, within
 from .floats import checked
 
 HOUR = timedelta(hours=1)
@@ -57,29 +58,27 @@ _DOMAINS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TimeSeries:
-    """A uniformly spaced, validated time series anchored at a UTC instant.
+    """A validated hourly time series whose first point is at the UTC instant ``start``.
 
     Immutable after construction; safe to share read-only across episodes.
     ``end``, the instant of the last native point, is derived once here, and so
     is the ``array('d')`` copy of ``values`` that ``value_at`` reads: its items
-    come out as Python floats, at 8 bytes each.
+    come out as Python floats, at 8 bytes each. Two series are equal when their
+    location, kind, start and points are; series are unhashable.
     """
 
     location_code: str
     kind: SeriesKind
     start: datetime
-    step: timedelta
-    values: np.ndarray = field(repr=False)
-    end: datetime = field(init=False, repr=False)
+    values: np.ndarray = field(repr=False, compare=False)
+    end: datetime = field(init=False, repr=False, compare=False)
     _points: array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.start.tzinfo is None:
             raise DataError("series start must be timezone-aware UTC")
-        if self.step <= timedelta(0):
-            raise DataError("series step must be positive")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("series must be a non-empty 1-D array")
@@ -89,25 +88,11 @@ class TimeSeries:
             checked(vals.max(), what, lo, hi)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "end", self.start + (len(vals) - 1) * self.step)
+        object.__setattr__(self, "end", self.start + (len(vals) - 1) * HOUR)
         object.__setattr__(self, "_points", array("d", vals.tobytes()))
 
     def __len__(self):
         return len(self.values)
-
-    def covers(self, t0: datetime, t1: datetime) -> bool:
-        return self.start <= t0 and t1 <= self.end
-
-    def __eq__(self, other):
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return (
-            self.location_code == other.location_code
-            and self.kind == other.kind
-            and self.start == other.start
-            and self.step == other.step
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def _parse_utc(text: str, row: int) -> datetime:
@@ -167,7 +152,7 @@ def _grid_from_points(points, location, kind) -> TimeSeries:
                             f"exceeds the forward-fill limit of {MAX_FFILL_GAP}")
         filled.extend([v0] * (n_steps - 1))
         filled.append(v)
-    return TimeSeries(location, kind, points[0][0], HOUR, np.array(filled))
+    return TimeSeries(location, kind, points[0][0], np.array(filled))
 
 
 def _load_hourly_csv(path, location, value_col, kind) -> TimeSeries:
@@ -194,7 +179,7 @@ def save_series_csv(series: TimeSeries, path) -> None:
         writer = csv.writer(fh)
         writer.writerow([PRICE_TIME_COL, col])
         for i, v in enumerate(series.values):
-            t = series.start + i * series.step
+            t = series.start + i * HOUR
             writer.writerow([t.strftime("%Y-%m-%d %H:%M:%S+00:00"), repr(float(v))])
 
 
@@ -236,7 +221,7 @@ def load_weather_json(path, location: str) -> tuple[TimeSeries, TimeSeries]:
 
 def save_weather_json(drybulb: TimeSeries, humidity: TimeSeries, path) -> None:
     times = [
-        (drybulb.start + i * drybulb.step).strftime("%Y-%m-%dT%H:%M")
+        (drybulb.start + i * HOUR).strftime("%Y-%m-%dT%H:%M")
         for i in range(len(drybulb))
     ]
     doc = {
@@ -257,7 +242,7 @@ def value_at(series: TimeSeries, t: datetime) -> float:
             f"{series.kind.value}@{series.location_code}: {t.isoformat()} outside "
             f"[{series.start.isoformat()}, {series.end.isoformat()}]"
         )
-    offset = (t - series.start) / series.step
+    offset = (t - series.start) / HOUR
     idx = int(offset)
     frac = offset - idx
     points = series._points
@@ -266,6 +251,17 @@ def value_at(series: TimeSeries, t: datetime) -> float:
     lo = points[idx]
     hi = points[idx + 1]
     return lo + (hi - lo) * frac
+
+
+def check_coverage(site_series, start: datetime, end: datetime) -> None:
+    """Refuse, in one ``ConfigError``, every ``(dc_id, series)`` pair of ``site_series``
+    whose series does not cover ``[start, end]``."""
+    missing = [f"dc {dc_id} {series.kind.value} covers "
+               f"[{series.start.isoformat()}, {series.end.isoformat()}]"
+               for dc_id, series in site_series if start < series.start or series.end < end]
+    if missing:
+        raise ConfigError("series do not cover the simulation window "
+                          f"[{start.isoformat()}, {end.isoformat()}]: " + "; ".join(missing))
 
 
 def _saturation_vapor_pressure_pa(t_c: float) -> float:
@@ -402,4 +398,4 @@ def synth_series(
         vals = np.maximum(vals, 0.0)
     elif kind is SeriesKind.REL_HUMIDITY_PCT:
         vals = np.clip(vals, 0.0, 100.0)
-    return TimeSeries(location, kind, start, HOUR, vals)
+    return TimeSeries(location, kind, start, vals)

@@ -30,12 +30,12 @@ from . import envdata, network
 from .cluster import Cluster, ClusterInfo, DatacenterNode, DcStepInfo, check_site
 from .controllers import RuleBasedController, snapshot_cluster
 from .dcphysics import DcPhysicsParams, check_envelope, desk_scale_params, load_dc_config
-from .envdata import SeriesKind, synth_series
+from .envdata import SeriesKind, check_coverage, synth_series
 from .errors import ConfigError, SimulationError, naming, within
 from .floats import checked, left_sum
 from .rewards import CompositeReward
 from .schedenv import (KPI_KEYS, STEPS_PER_DAY, SchedulingEnv,  # KPI_KEYS: re-exported
-                       check_coverage)
+                       check_seed)
 from .workload import (OFF_HOURS_ACTIVITY, STEP, ResourceRanges, first_unknown_origin,
                        generate_synthetic_trace, load_trace)
 
@@ -334,12 +334,6 @@ def _build_series(spec: DcSpec, sim: SimConfig, seeds: list[int]):
             draw(SeriesKind.REL_HUMIDITY_PCT, w.rel_humidity_pct, 0.0, 0.0, seeds[2]))
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a negative run seed, which ``SeedSequence`` takes no entropy from."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
 def _check_trace_window(env: SchedulingEnv, path, n_tasks: int) -> None:
     """Refuse a trace file none of whose tasks the environment will inject, and warn
     once with the count when only some of them arrive at no step of its window."""
@@ -355,9 +349,9 @@ def _check_trace_window(env: SchedulingEnv, path, n_tasks: int) -> None:
 
 
 def build_env(sim: SimConfig, fleet: list[DcSpec], reward_doc: dict, seed: int) -> SchedulingEnv:
-    """Assemble the environment for one seeded episode; ``seed`` must be >= 0. Each
+    """Assemble the environment for one seeded episode; ``seed`` is an int >= 0. Each
     cross-file check runs here, before any episode, naming the file at fault."""
-    _check_seed(seed)
+    check_seed(seed)
     seeds = _seed_ints(seed, 2 + 3 * len(fleet))
     workload_seed, env_seed = seeds[0], seeds[1]
 
@@ -521,7 +515,7 @@ def run_sweep(sim: SimConfig, fleet, reward_doc, seeds, out_dir=None) -> dict:
     if not seeds:
         raise ConfigError("at least one seed is required")
     for seed in seeds:
-        _check_seed(seed)
+        check_seed(seed)
     kpi_rows = []
     for seed in seeds:
         _, kpis = run_episode(sim, fleet, reward_doc, seed, out_dir=out_dir)

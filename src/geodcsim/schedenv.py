@@ -20,6 +20,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .cluster import Cluster, ClusterInfo
+from .envdata import check_coverage
 from .errors import ConfigError, ProtocolError
 from .floats import left_sum
 from .rewards import CompositeReward, RewardBreakdown
@@ -107,15 +108,13 @@ def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
     return np.asarray(time_feats + agg + _dc_features(cluster, now), dtype=np.float32)
 
 
-def check_coverage(site_series, start: datetime, end: datetime) -> None:
-    """Refuse, in one ``ConfigError``, every ``(dc_id, series)`` pair of ``site_series``
-    whose series does not cover ``[start, end]``."""
-    missing = [f"dc {dc_id} {series.kind.value} covers "
-               f"[{series.start.isoformat()}, {series.end.isoformat()}]"
-               for dc_id, series in site_series if not series.covers(start, end)]
-    if missing:
-        raise ConfigError("series do not cover the simulation window "
-                          f"[{start.isoformat()}, {end.isoformat()}]: " + "; ".join(missing))
+def check_seed(seed) -> None:
+    """Refuse, as one ``ConfigError``, a seed that is a bool or not an integer (a NumPy
+    integer is one), or a negative one, which ``SeedSequence`` takes no entropy from."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _check_action(action, lo: int, hi: int) -> int:
@@ -160,6 +159,7 @@ class SchedulingEnv:
     ):
         if duration_days < 1:
             raise ConfigError("duration_days must be >= 1")
+        check_seed(seed)
         self._cluster_factory = cluster_factory
         self.trace = trace if isinstance(trace, Trace) else Trace.from_specs(trace)
         self.start = start
@@ -195,21 +195,19 @@ class SchedulingEnv:
         """How many of the trace's tasks arrive at no step of the episode, so never run."""
         return len(self.trace) - sum(hi - lo for lo, hi in self._offsets)
 
-    def _check_coverage(self):
-        check_coverage([(node.dc_id, series) for node in self.cluster.nodes
-                        for series in (node.price, node.carbon, node.drybulb, node.humidity)],
-                       self.start, self.end)
-
     def reset(self, seed: int | None = None):
         """Build a fresh episode and return the first observation."""
         if seed is not None:
+            check_seed(seed)
             self.seed = seed
         self._rng = np.random.default_rng(self.seed)
         self.cluster = self._cluster_factory()
         if self.shuffle_datacenters:
             order = self._rng.permutation(len(self.cluster.nodes))
             self.cluster.nodes = [self.cluster.nodes[i] for i in order]
-        self._check_coverage()
+        check_coverage([(node.dc_id, series) for node in self.cluster.nodes
+                        for series in (node.price, node.carbon, node.drybulb, node.humidity)],
+                       self.start, self.end)
         if not self._origins.issubset(self.cluster.by_id):
             bad = first_unknown_origin(self.trace, self.cluster.by_id)
             raise ConfigError(f"task {bad.job_id} origin {bad.origin_dc_id} is not a configured dc")

@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from geodcsim.cluster import Cluster, DatacenterNode
 from geodcsim.dcphysics import desk_scale_params
-from geodcsim.envdata import HOUR, SeriesKind, TimeSeries
+from geodcsim.envdata import SeriesKind, TimeSeries
 from geodcsim.network import CostMatrix, DelayTable, MacroCluster, RegionMap
 from geodcsim.rewards import CompositeReward
 from geodcsim.schedenv import SchedulingEnv
@@ -42,7 +42,7 @@ def deadline(seconds: float):
 
 def constant_series(kind, value, hours=None, start=T0, location="SYN"):
     n = hours if hours is not None else 26
-    return TimeSeries(location, kind, start, HOUR, np.full(n, float(value)))
+    return TimeSeries(location, kind, start, np.full(n, float(value)))
 
 
 def make_node(dc_id=1, location="US-CAL-CISO", price=100.0, ci=300.0, temp=18.0,

@@ -20,7 +20,7 @@ from geodcsim.envdata import (
     value_at,
     wet_bulb,
 )
-from geodcsim.errors import CoverageError, DataError, DataFormatError
+from geodcsim.errors import ConfigError, CoverageError, DataError, DataFormatError
 
 from conftest import deadline
 
@@ -329,7 +329,7 @@ class TestWeatherJson:
 
 class TestValueAt:
     def _series(self, values=(50.0, 70.0)):
-        return TimeSeries("X", SeriesKind.PRICE, T0, HOUR, np.array(values))
+        return TimeSeries("X", SeriesKind.PRICE, T0, np.array(values))
 
     def test_quarter_hour_interpolation(self):
         assert value_at(self._series(), T0 + timedelta(minutes=15)) == 55.0
@@ -359,7 +359,7 @@ class TestValueAt:
 
     def test_bounded_by_neighbors(self):
         rng = np.random.default_rng(3)
-        s = TimeSeries("X", SeriesKind.PRICE, T0, HOUR, rng.normal(50, 30, size=48))
+        s = TimeSeries("X", SeriesKind.PRICE, T0, rng.normal(50, 30, size=48))
         for _ in range(500):
             t = T0 + timedelta(seconds=float(rng.uniform(0, 47 * 3600)))
             v = value_at(s, t)
@@ -367,6 +367,56 @@ class TestValueAt:
             lo = min(s.values[i], s.values[min(i + 1, 47)])
             hi = max(s.values[i], s.values[min(i + 1, 47)])
             assert lo - 1e-12 <= v <= hi + 1e-12
+
+
+class TestSeriesEquality:
+    """Two series are equal when their location, kind, start and points are."""
+
+    def _series(self, values=(50.0, 70.0, 30.0), location="X", kind=SeriesKind.PRICE, start=T0):
+        return TimeSeries(location, kind, start, np.array(values))
+
+    def test_equal_points_in_distinct_arrays_compare_equal(self):
+        a, b = self._series(), self._series()
+        assert a.values is not b.values and a == b and not a != b
+
+    def test_a_negative_zero_point_equals_zero(self):
+        assert self._series((-0.0, 1.0)) == self._series((0.0, 1.0))
+
+    @pytest.mark.parametrize("other", [
+        {"values": (50.0, 70.0, 30.5)},
+        {"start": T0 + HOUR},
+        {"kind": SeriesKind.CARBON_INTENSITY},
+        {"location": "Y"},
+    ], ids=["point", "start", "kind", "location"])
+    def test_one_difference_makes_them_unequal(self, other):
+        assert self._series() != self._series(**other)
+        assert not self._series() == self._series(**other)
+
+    @pytest.mark.parametrize("other", [None, 50.0, [50.0, 70.0, 30.0], "X"])
+    def test_a_non_series_is_never_equal(self, other):
+        assert (self._series() == other) is False
+        assert (self._series() != other) is True
+
+    def test_a_series_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(self._series())
+
+
+class TestCheckCoverage:
+    def test_a_series_that_spans_the_window_passes(self):
+        series = TimeSeries("X", SeriesKind.PRICE, T0, np.zeros(25))
+        envdata.check_coverage([(1, series)], T0, T0 + 24 * HOUR)
+
+    def test_every_short_series_is_named_in_one_error(self):
+        late = TimeSeries("X", SeriesKind.PRICE, T0 + HOUR, np.zeros(30))
+        short = TimeSeries("X", SeriesKind.DRY_BULB_TEMP_C, T0, np.zeros(24))
+        whole = TimeSeries("X", SeriesKind.CARBON_INTENSITY, T0, np.zeros(25))
+        with pytest.raises(ConfigError, match=(
+                r"^series do not cover the simulation window \[2024-01-01T00:00:00\+00:00, "
+                r"2024-01-02T00:00:00\+00:00\]: dc 1 price covers \[2024-01-01T01:00:00\+00:00, "
+                r"2024-01-02T06:00:00\+00:00\]; dc 2 dry_bulb_temp_c covers "
+                r"\[2024-01-01T00:00:00\+00:00, 2024-01-01T23:00:00\+00:00\]$")):
+            envdata.check_coverage([(1, late), (1, whole), (2, short)], T0, T0 + 24 * HOUR)
 
 
 class TestWetBulb:
@@ -491,13 +541,13 @@ class TestSeriesDomains:
     ], ids=["dry_bulb_high", "dry_bulb_low", "carbon", "humidity", "price_nan", "price_inf"])
     def test_a_value_off_its_kind_domain_is_refused(self, kind, values, expected):
         with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
-            TimeSeries("X", kind, T0, HOUR, np.array(values))
+            TimeSeries("X", kind, T0, np.array(values))
 
     def test_the_range_holds_every_value_of_the_domain(self):
         lo, hi = envdata.DRY_BULB_RANGE_C
-        series = TimeSeries("X", SeriesKind.DRY_BULB_TEMP_C, T0, HOUR, np.array([lo, hi]))
+        series = TimeSeries("X", SeriesKind.DRY_BULB_TEMP_C, T0, np.array([lo, hi]))
         assert list(series.values) == [lo, hi]
-        assert list(TimeSeries("X", SeriesKind.PRICE, T0, HOUR, np.array([-5.0])).values) == [-5.0]
+        assert list(TimeSeries("X", SeriesKind.PRICE, T0, np.array([-5.0])).values) == [-5.0]
 
 
 class TestSynthSeries:

@@ -483,6 +483,17 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(small_sim(), small_fleet(), REWARD, [])
 
+    @pytest.mark.parametrize("seed, expected", [
+        (-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"), (True, "seed must be an integer, got True"),
+    ], ids=["negative", "float", "text", "bool"])
+    def test_a_bad_seed_is_refused_before_any_episode(self, tmp_path, seed, expected):
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            build_env(small_sim(), small_fleet(), REWARD, seed)
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            run_sweep(small_sim(), small_fleet(), REWARD, [0, seed], out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def _args(self, tmp_path, extra=()):

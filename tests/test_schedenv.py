@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -70,6 +71,51 @@ class TestReset:
         env = make_env(trace_of([make_task("a")], [make_task("b", origin=9)]))
         with pytest.raises(ConfigError, match="^task b origin 9 is not a configured dc$"):
             env.reset()
+
+
+_BAD_SEEDS = pytest.mark.parametrize("seed, expected", [
+    (-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"), (True, "seed must be an integer, got True"),
+], ids=["negative", "float", "text", "bool"])
+
+
+class TestSeed:
+    """The environment refuses a bool, a non-integer or a negative seed as a
+    ``ConfigError``, before any state changes; NumPy integers pass."""
+
+    @_BAD_SEEDS
+    def test_the_constructor_refuses_a_bad_seed(self, seed, expected):
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            make_env(trace_of([]), seed=seed)
+
+    @_BAD_SEEDS
+    def test_a_refused_reset_leaves_the_episode_as_it_was(self, seed, expected):
+        env = make_env(trace_of([make_task("a", origin=None)], [make_task("b", origin=None)],
+                                [make_task("c", origin=None)]), seed=4)
+        env.reset()
+        env.step([0])  # "a" is deferred, so the next step shows it beside "b"
+        before = (env.seed, env.step_index, list(env.current_tasks))
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            env.reset(seed=seed)
+        assert (env.seed, env.step_index, env.current_tasks) == before
+        assert [t.job_id for t in env.current_tasks] == ["a", "b"]
+        env.step([1, 1])
+        assert env.step_index == 2
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3)], ids=["int64", "uint32"])
+    def test_a_numpy_integer_seed_is_that_seed(self, seed):
+        trace = trace_of(*[[make_task(f"t{i}", origin=None)] for i in range(8)])
+
+        def origins(env, reset_seed=None):
+            env.reset(reset_seed)
+            drawn = []
+            for _ in range(8):
+                drawn.extend(t.origin_dc_id for t in env.current_tasks)
+                env.advance([1] * len(env.current_tasks))
+            return drawn
+
+        assert (origins(make_env(trace, seed=seed)) == origins(make_env(trace), seed)
+                == origins(make_env(trace, seed=3)) != origins(make_env(trace, seed=4)))
 
 
 class TestObservationFeatures:
@@ -489,6 +535,53 @@ def test_census_and_resource_books_hold_after_every_step_property(intervals, shu
             assert node.available_cores + left_sum(t.cores_req for t in node.running) == node.total_cores
             assert node.available_gpus + left_sum(t.gpu_req for t in node.running) == node.total_gpus
             assert node.available_mem_gb + left_sum(t.mem_req for t in node.running) == node.total_mem_gb
+
+
+def _fold(terms):
+    """``terms`` added in order to 0.0."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(intervals=st.lists(st.lists(_TASK, max_size=6), min_size=1, max_size=12),
+       shuffle=st.booleans(), data=st.data())
+def test_kpi_totals_are_left_folds_of_the_step_records_property(intervals, shuffle, data):
+    """Random traces and random actions, deferral included, run to the end: each KPI
+    total is the left fold, in step order, of each step's sites plus its transmission."""
+    trace = trace_of(*[
+        [make_task(f"t{i}-{j}", cores=c, gpu=g, mem=m, duration=d, multiplier=k, origin=o)
+         for j, (c, g, m, d, k, o) in enumerate(tasks)]
+        for i, tasks in enumerate(intervals)
+    ])
+    env = SchedulingEnv(lambda: make_cluster(cores=8.0, gpus=2.0, mem=16.0), trace, T0, 1,
+                        default_reward(), seed=0, shuffle_datacenters=shuffle)
+    env.reset()
+    infos, done = [], False
+    while not done:
+        n = len(env.current_tasks)
+        _, _, done, outcome = env.step(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                                          max_size=n)))
+        infos.append(outcome.cluster_info)
+    assert len(infos) == env.horizon_steps
+
+    def sites(info, attr):
+        return left_sum(getattr(d, attr) for d in info.datacenters.values())
+
+    kpis = env.kpis()
+    assert kpis["total_energy_mwh"] == _fold(
+        (sites(i, "energy_consumption_kwh") + i.transmission_energy_total_kwh) / 1000.0
+        for i in infos)
+    assert kpis["total_cost_usd"] == _fold(
+        sites(i, "energy_cost_usd") + i.transmission_cost_total_usd for i in infos)
+    assert kpis["total_co2_t"] == _fold(
+        (sites(i, "carbon_emissions_kg") + i.transmission_emissions_total_kg) / 1000.0
+        for i in infos)
+    assert kpis["total_water_m3"] == _fold(sites(i, "water_l") / 1000.0 for i in infos)
+    assert kpis["tx_cost_usd"] == _fold(i.transmission_cost_total_usd for i in infos)
+    assert kpis["tasks_deferred"] == _fold(i.tasks_deferred_count for i in infos)
 
 
 @settings(max_examples=30)
