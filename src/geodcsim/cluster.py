@@ -309,9 +309,9 @@ class DcStepInfo:
 class ClusterInfo:
     """Step accounting record: one entry per site plus cluster-wide totals.
 
-    ``route_assignments`` fills in the transmission totals, ``Cluster.step`` the
-    sites and the environment the deferred count; ``cost_usd``, ``energy_kwh``
-    and ``emissions_kg`` add sites and transmission.
+    ``Cluster.step`` fills in the transmission totals and the sites, and the
+    environment the deferred count; ``cost_usd``, ``energy_kwh`` and
+    ``emissions_kg`` add sites and transmission.
     """
 
     datacenters: dict = field(default_factory=dict)
@@ -348,7 +348,7 @@ class Cluster:
         self.delay_table = delay_table
         self.region_map = region_map
         self.in_transit: list[InTransit] = []
-        self.completed: list[Task] = []
+        self.completed = 0  # tasks released so far
 
     def route_assignments(self, decisions, step: int, now: datetime) -> ClusterInfo:
         """Apply (task, dest_dc_id) decisions; remote ones pay cost/energy/CO2/delay.
@@ -393,17 +393,17 @@ class Cluster:
                 still.append(item)
         self.in_transit = still
 
-    def step(self, step: int, now: datetime, info: ClusterInfo | None = None) -> ClusterInfo:
-        """Advance every site by one 15-minute interval and fill in ``info``'s sites
-        (a fresh record when none is given); returns ``info``."""
-        info = info or ClusterInfo()
+    def step(self, step: int, now: datetime, decisions=()) -> ClusterInfo:
+        """Advance one 15-minute interval: route ``decisions``, deliver transit, then
+        release, schedule and run each site's physics; returns the step's record."""
+        info = self.route_assignments(decisions, step, now)
         self.advance_transit(step)
         now_us = to_us(now)
         for node in self.nodes:
             released = release_completed(node, now_us)
             met = 0
             if released:
-                self.completed.extend(t for t, _ in released)
+                self.completed += len(released)
                 met = sum(1 for _, ok in released if ok)
             schedule_fifo_first_fit(node, now_us)
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
@@ -424,7 +424,7 @@ class Cluster:
             "pending": sum(len(n.pending) for n in self.nodes),
             "running": sum(len(n.running) for n in self.nodes),
             "in_transit": len(self.in_transit),
-            "completed": len(self.completed),
+            "completed": self.completed,
         }
 
 

@@ -35,7 +35,7 @@ from .errors import ConfigError, SimulationError, naming, within
 from .floats import checked, left_sum
 from .rewards import CompositeReward
 from .schedenv import (KPI_KEYS, STEPS_PER_DAY, SchedulingEnv,  # KPI_KEYS: re-exported
-                       check_seed)
+                       check_duration, check_seed)
 from .workload import (OFF_HOURS_ACTIVITY, STEP, ResourceRanges, first_unknown_origin,
                        generate_synthetic_trace, load_trace)
 
@@ -135,8 +135,8 @@ class SimConfig:
         if self.timestep_minutes != STEP // timedelta(minutes=1):
             raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
         RuleBasedController(self.strategy)  # its owner refuses an unknown strategy
+        self.duration_days = check_duration(self.duration_days)
         with within(None):
-            checked(self.duration_days, "duration_days", 1, kind=int)
             checked(self.mean_tasks_per_interval, "synthetic_workload.mean_tasks_per_interval", 0.0)
         with within("invalid start date (year, month, init_day, init_hour)"):
             self.start = datetime(  # a huge year overflows a C int

@@ -21,11 +21,11 @@ import numpy as np
 
 from .cluster import Cluster, ClusterInfo
 from .envdata import check_coverage
-from .errors import ConfigError, ProtocolError
-from .floats import left_sum
+from .errors import ConfigError, ProtocolError, within
+from .floats import checked, left_sum
 from .rewards import CompositeReward, RewardBreakdown
-from .workload import (DEFERRED, PENDING, STEP, STEP_US, Trace, assign_task_origins,
-                       first_unknown_origin, origin_table, to_us)
+from .workload import (STEP, STEP_US, Trace, assign_task_origins, first_unknown_origin,
+                       origin_table, to_us)
 
 STEPS_PER_DAY = timedelta(days=1) // STEP
 
@@ -117,6 +117,13 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def check_duration(duration_days) -> int:
+    """``duration_days`` as an int ``>= 1``, refusing a bool, a fraction or anything
+    else that is no whole number as one ``ConfigError``."""
+    with within(None):
+        return checked(duration_days, "duration_days", 1, kind=int)
+
+
 def _check_action(action, lo: int, hi: int) -> int:
     """``action`` as an int if it is a whole number in ``lo..hi``, else a ``ProtocolError``."""
     try:
@@ -157,8 +164,7 @@ class SchedulingEnv:
         disable_defer_action: bool = False,
         shuffle_datacenters: bool = False,
     ):
-        if duration_days < 1:
-            raise ConfigError("duration_days must be >= 1")
+        duration_days = check_duration(duration_days)
         check_seed(seed)
         self._cluster_factory = cluster_factory
         self.trace = trace if isinstance(trace, Trace) else Trace.from_specs(trace)
@@ -274,15 +280,13 @@ class SchedulingEnv:
                 # Overdue tasks are forced to their origin site regardless of the action.
                 decisions.append((task, task.origin_dc_id))
             elif action == 0:
-                task.set_status(DEFERRED)
                 deferred.append(task)
             else:
                 decisions.append((task, self.cluster.nodes[action - 1].dc_id))
         self.current_tasks = []
 
-        info = self.cluster.route_assignments(decisions, self.step_index, self.now)
+        info = self.cluster.step(self.step_index, self.now, decisions)
         info.tasks_deferred_count = len(deferred)
-        self.cluster.step(self.step_index, self.now, info)
         breakdown = self.reward_fn(info)
         self._fold(info)
 
@@ -290,8 +294,6 @@ class SchedulingEnv:
         self.now = self.now + STEP
         self._done = self.step_index >= self.horizon_steps
 
-        for task in deferred:
-            task.set_status(PENDING)
         self.current_tasks = deferred + (
             [] if self._done else self._inject_arrivals()
         )

@@ -70,7 +70,6 @@ OFF_HOURS_ACTIVITY = 0.3
 
 class TaskStatus(Enum):
     PENDING = "pending"
-    DEFERRED = "deferred"
     IN_TRANSIT = "in_transit"
     RUNNING = "running"
     COMPLETED = "completed"
@@ -79,9 +78,8 @@ class TaskStatus(Enum):
 # Each member bound once, as reading one off the Enum class costs about 0.1 µs, and
 # its allowed successors a tuple on the member itself: a dict or a set keyed by a
 # status would call Enum's Python-level __hash__ at every transition.
-PENDING, DEFERRED, IN_TRANSIT, RUNNING, COMPLETED = TaskStatus
-PENDING.successors = (DEFERRED, IN_TRANSIT, RUNNING)
-DEFERRED.successors = (PENDING,)
+PENDING, IN_TRANSIT, RUNNING, COMPLETED = TaskStatus
+PENDING.successors = (IN_TRANSIT, RUNNING)
 IN_TRANSIT.successors = (PENDING,)
 RUNNING.successors = (COMPLETED,)
 COMPLETED.successors = ()

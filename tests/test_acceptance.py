@@ -153,8 +153,7 @@ def test_criterion_2_conservation_and_bounds():
             ))
         injected += k
         events += k
-        tx = cluster.route_assignments(decisions, step, now)
-        cluster.step(step, now, tx)
+        cluster.step(step, now, decisions)
         for node in cluster.nodes:
             assert node.available_cores == node.total_cores - left_sum(
                 t.cores_req for t in node.running)

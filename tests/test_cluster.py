@@ -601,9 +601,8 @@ class TestConservationProperties:
                 )
                 decisions.append((task, int(rng.integers(1, 4))))
             injected += k
-            tx = cluster.route_assignments(decisions, step, now)
-            assert tx.transmission_cost_total_usd >= 0.0
-            cluster.step(step, now, tx)
+            info = cluster.step(step, now, decisions)
+            assert info.transmission_cost_total_usd >= 0.0
             for node in cluster.nodes:
                 assert_bookkeeping(node)
             census = cluster.census()

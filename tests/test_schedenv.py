@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from geodcsim import runner
@@ -77,6 +77,24 @@ _BAD_SEEDS = pytest.mark.parametrize("seed, expected", [
     (-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
     ("3", "seed must be an integer, got '3'"), (True, "seed must be an integer, got True"),
 ], ids=["negative", "float", "text", "bool"])
+
+
+class TestDuration:
+    """The environment reads ``duration_days`` as ``SimConfig`` does, before any state
+    changes: a whole number ``>= 1``, and no bool."""
+
+    @pytest.mark.parametrize("days, expected", [
+        (0, "duration_days must be >= 1"), (1.5, "duration_days must be a whole number"),
+        (True, "duration_days: must be a number, not true or false"),
+    ], ids=["zero", "fraction", "bool"])
+    def test_the_constructor_refuses_a_bad_duration(self, days, expected):
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            make_env(trace_of([]), duration_days=days)
+
+    def test_a_whole_float_duration_is_that_many_days(self):
+        env = make_env(trace_of([]), duration_days=1.0)
+        assert type(env.duration_days) is int
+        assert env.horizon_steps == STEPS_PER_DAY
 
 
 class TestSeed:
@@ -284,10 +302,11 @@ class TestStep:
         env.reset()
         env.step([0])
         env.step([0])
+        [late] = env.current_tasks
         _, _, _, outcome = env.step([3])  # remote action overridden to origin
         assert outcome.cluster_info.transmission_cost_total_usd == 0.0
-        node = env.cluster.by_id[1]
-        assert node.running or any(t.job_id == "late" for t in env.cluster.completed)
+        assert late.status in (TaskStatus.RUNNING, TaskStatus.COMPLETED)
+        assert late.dest_dc_id == 1
 
     def test_assignment_goes_to_chosen_dc(self):
         task = make_task("a", origin=1)
@@ -510,14 +529,19 @@ def _eighths(top):
 _TASK = st.tuples(_eighths(10), _eighths(3), _eighths(20), st.sampled_from([15.0, 30.0, 90.0]),
                   st.sampled_from([1.0, 1.5, 4.0]), st.one_of(st.none(), st.integers(1, 3)))
 
+# The episode-length properties below run every phase but shrinking (and explaining,
+# which follows it): shrinking a failing episode took minutes before it reported.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
-@settings(max_examples=40)
+
+@settings(max_examples=40, phases=_NO_SHRINK)
 @given(intervals=st.lists(st.lists(_TASK, max_size=6), min_size=1, max_size=12),
        shuffle=st.booleans(), steps=st.integers(1, 24), data=st.data())
 def test_census_and_resource_books_hold_after_every_step_property(intervals, shuffle, steps,
                                                                   data):
     """Random traces and random actions, deferral included: every injected task is
-    in exactly one stage, and every site's books balance exactly."""
+    in exactly one stage, every finished task was judged at its site, and every
+    site's books balance exactly."""
     trace = trace_of(*[
         [make_task(f"t{i}-{j}", cores=c, gpu=g, mem=m, duration=d, multiplier=k, origin=o)
          for j, (c, g, m, d, k, o) in enumerate(tasks)]
@@ -526,10 +550,15 @@ def test_census_and_resource_books_hold_after_every_step_property(intervals, shu
     env = SchedulingEnv(lambda: make_cluster(cores=8.0, gpus=2.0, mem=16.0), trace, T0, 1,
                         default_reward(), seed=0, shuffle_datacenters=shuffle)
     env.reset()
+    judged = 0
     for _ in range(steps):
         n = len(env.current_tasks)
-        env.step(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        _, _, _, outcome = env.step(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                                       max_size=n)))
+        judged += sum(d.sla_met + d.sla_violated
+                      for d in outcome.cluster_info.datacenters.values())
         census = env.task_census()
+        assert census["completed"] == judged
         assert census.pop("injected") == sum(census.values())
         for node in env.cluster.nodes:
             assert node.available_cores + left_sum(t.cores_req for t in node.running) == node.total_cores
@@ -545,7 +574,7 @@ def _fold(terms):
     return total
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
 @given(intervals=st.lists(st.lists(_TASK, max_size=6), min_size=1, max_size=12),
        shuffle=st.booleans(), data=st.data())
 def test_kpi_totals_are_left_folds_of_the_step_records_property(intervals, shuffle, data):

@@ -149,20 +149,12 @@ class TestTask:
 
     def test_status_machine(self):
         t = Task("j", T0_US, 60.0, 1, 0, 1, 0.1)
-        t.set_status(TaskStatus.DEFERRED)
-        t.set_status(TaskStatus.PENDING)
         t.set_status(TaskStatus.IN_TRANSIT)
         t.set_status(TaskStatus.PENDING)
         t.set_status(TaskStatus.RUNNING)
         t.set_status(TaskStatus.COMPLETED)
         with pytest.raises(ValueError, match="illegal"):
             t.set_status(TaskStatus.PENDING)
-
-    def test_running_cannot_defer(self):
-        t = Task("j", T0_US, 60.0, 1, 0, 1, 0.1)
-        t.set_status(TaskStatus.RUNNING)
-        with pytest.raises(ValueError):
-            t.set_status(TaskStatus.DEFERRED)
 
 
 class TestCopy:
