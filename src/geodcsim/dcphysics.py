@@ -509,25 +509,6 @@ def check_envelope(params: DcPhysicsParams, mem_gb: float = 0.0) -> None:
                     checked(getattr(result, f.name), f.name)
 
 
-_ABSENT = object()  # a key the document does not hold: a JSON null is not absent
-
-
-def _lookup(doc, keys: tuple):
-    """The JSON value at ``keys`` in ``doc``, or ``_ABSENT``. A section that is no
-    JSON object, or a value that holds true or false, raises ``ValueError`` naming
-    its keys."""
-    value = doc
-    for depth, key in enumerate(keys):
-        if not isinstance(value, dict):
-            raise ValueError(": ".join((*keys[:depth], "expected a JSON object")))
-        value = value.get(key, _ABSENT)
-        if value is _ABSENT:
-            return value
-        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-            raise ValueError(": ".join((*keys[:depth + 1], "must be a number, not true or false")))
-    return value
-
-
 def params_to_config(params: DcPhysicsParams) -> dict:
     """The JSON document of ``params``: each field under its keys, in field order."""
     doc = {}
@@ -544,29 +525,49 @@ def params_to_config(params: DcPhysicsParams) -> dict:
     return doc
 
 
+def _leaves(doc, declared: dict, where=()) -> dict:
+    """Each value of the JSON document ``doc`` by its keys. A key that ``declared``, a
+    document of every declared key, does not hold, a section that is no JSON object, or
+    a value that holds true or false raises ``ValueError`` naming its keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(": ".join((*where, "expected a JSON object")))
+    leaves = {}
+    for key, value in doc.items():
+        if key not in declared:
+            raise ValueError(": ".join((*where, str(key), "unknown key")))
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(": ".join((*where, key, "must be a number, not true or false")))
+        if isinstance(declared[key], dict):
+            leaves.update(_leaves(value, declared[key], (*where, key)))
+        else:
+            leaves[(*where, key)] = value
+    return leaves
+
+
 def params_from_config(doc: dict) -> DcPhysicsParams:
     """Build a parameter block from the JSON document. An absent key keeps its
-    field's default, and a key that no field declares is ignored.
+    field's default, and a key that no field declares is refused.
 
-    A malformed value raises ``ValueError`` naming its keys.
+    A malformed value raises ``ValueError`` naming its keys: each number is one
+    ``checked`` as the document writes it, so a number written as text is refused.
     """
+    leaves = _leaves(doc, params_to_config(DcPhysicsParams()))
     kwargs = {}
     for f in fields(DcPhysicsParams):
         keys, half, kind = f.metadata["keys"], f.metadata["half"], type(f.default)
-        value = _lookup(doc, keys)
-        if value is _ABSENT:
+        if keys not in leaves:
             continue
-        if kind is int:  # checked, as int() drops a fraction: 4.7 racks are not 4
-            kwargs[f.name] = checked(value, ": ".join(keys), kind=int)
-            continue
-        with within(": ".join(keys), ValueError):  # float(10**400) overflows
-            if half is not None:
-                if not isinstance(value, list) or len(value) != 2:
-                    raise ValueError(f"expected [idle W, full W], got {value!r}")
-                value = value[half]
-            elif kind is tuple and not isinstance(value, list):  # tuple("01") is ("0", "1")
-                raise ValueError(f"expected a list of numbers, got {value!r}")
-            kwargs[f.name] = kind(value)  # DcPhysicsParams checks it
+        value, what = leaves[keys], ": ".join(keys)
+        if half is not None:
+            if not isinstance(value, list) or len(value) != 2:
+                raise ValueError(f"{what}: expected [idle W, full W], got {value!r}")
+            value = value[half]
+        if kind is not tuple:
+            kwargs[f.name] = checked(value, what, kind=kind)  # 4.7 racks are not 4
+        elif isinstance(value, list):  # tuple("01") is ("0", "1")
+            kwargs[f.name] = tuple(value)  # DcPhysicsParams checks each element
+        else:
+            raise ValueError(f"{what}: expected a list of numbers, got {value!r}")
     return DcPhysicsParams(**kwargs)
 
 

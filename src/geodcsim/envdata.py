@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, CoverageError, DataError, DataFormatError, naming, within
-from .floats import checked
+from .floats import checked, parsed
 
 HOUR = timedelta(hours=1)
 
@@ -108,11 +108,12 @@ def _parse_utc(text: str, row: int) -> datetime:
                         "in UTC") from exc
 
 
-def _parse_value(text, row: int) -> float:
+def _parse_value(value, row: int, read=checked) -> float:
+    """A series point: a JSON number, or with ``read=parsed`` a CSV cell's text."""
     try:
-        return checked(text, f"row {row}")
+        return read(value, f"row {row}")
     except ValueError as exc:
-        raise DataError(f"row {row}: unparsable value {text!r}") from exc
+        raise DataError(f"row {row}: unparsable value {value!r}") from exc
 
 
 def dict_rows(path, needed) -> list[tuple[int, dict]]:
@@ -157,7 +158,7 @@ def _grid_from_points(points, location, kind) -> TimeSeries:
 
 def _load_hourly_csv(path, location, value_col, kind) -> TimeSeries:
     with naming(path):
-        points = [(_parse_utc(row[PRICE_TIME_COL], i), _parse_value(row[value_col], i), i)
+        points = [(_parse_utc(row[PRICE_TIME_COL], i), _parse_value(row[value_col], i, parsed), i)
                   for i, row in dict_rows(path, (PRICE_TIME_COL, value_col))]
         return _grid_from_points(points, location, kind)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .envdata import dict_rows
 from .errors import ConfigError, DataError, DataFormatError, naming, within
-from .floats import checked
+from .floats import checked, parsed
 from .workload import STEP
 
 TRANSMISSION_KWH_PER_GB = 0.06
@@ -91,7 +91,7 @@ class CostMatrix:
                 if row[0].strip() != regions[i]:
                     raise DataFormatError(f"row label {row[0]!r} does not match column order")
                 with within(None, DataError):
-                    mat[i, :] = [checked(v, f"row {i + 2}: cost") for v in row[1:]]
+                    mat[i, :] = [parsed(v, f"row {i + 2}: cost") for v in row[1:]]
             return cls(tuple(regions), mat)
 
 
@@ -128,7 +128,7 @@ class DelayTable:
                 with within(f"bad row {i}", DataError):
                     a = MacroCluster(row["origin_cluster"].strip())
                     b = MacroCluster(row["dest_cluster"].strip())
-                    values = tuple(checked(row[key], key) for key in ("throughput_mbps", "rtt_ms"))
+                    values = tuple(parsed(row[key], key) for key in ("throughput_mbps", "rtt_ms"))
                 if (a, b) in throughput:
                     raise DataError(f"row {i}: repeats {a.value}->{b.value}")
                 throughput[(a, b)], rtt[(a, b)] = values

@@ -35,7 +35,7 @@ from .errors import ConfigError, SimulationError, naming, within
 from .floats import checked, left_sum
 from .rewards import CompositeReward
 from .schedenv import (KPI_KEYS, STEPS_PER_DAY, SchedulingEnv,  # KPI_KEYS: re-exported
-                       check_duration, check_seed)
+                       check_seed, check_window)
 from .workload import (OFF_HOURS_ACTIVITY, STEP, ResourceRanges, first_unknown_origin,
                        generate_synthetic_trace, load_trace)
 
@@ -135,18 +135,13 @@ class SimConfig:
         if self.timestep_minutes != STEP // timedelta(minutes=1):
             raise ConfigError(f"timestep_minutes must be {STEP // timedelta(minutes=1)}")
         RuleBasedController(self.strategy)  # its owner refuses an unknown strategy
-        self.duration_days = check_duration(self.duration_days)
         with within(None):
             checked(self.mean_tasks_per_interval, "synthetic_workload.mean_tasks_per_interval", 0.0)
         with within("invalid start date (year, month, init_day, init_hour)"):
             self.start = datetime(  # a huge year overflows a C int
                 self.year, self.month, self.init_day, self.init_hour, tzinfo=timezone.utc
             )
-        # The window's end, where each site's hourly series has its last (extra) point
-        # and the episode's clock stops, must be a date.
-        if (datetime.max.replace(tzinfo=timezone.utc) - self.start).days < self.duration_days:
-            raise ConfigError(f"the {self.duration_days}-day window from "
-                              f"{self.start.isoformat()} runs past 9999-12-31")
+        self.duration_days = check_window(self.start, self.duration_days)
 
 
 def _read_section(path, name: str, kind: type):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -117,11 +117,18 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def check_duration(duration_days) -> int:
-    """``duration_days`` as an int ``>= 1``, refusing a bool, a fraction or anything
-    else that is no whole number as one ``ConfigError``."""
+def check_window(start: datetime, duration_days) -> int:
+    """``duration_days`` as an int ``>= 1``, once ``start`` is timezone-aware and the
+    window's end, where each site's hourly series has its last (extra) point and the
+    episode's clock stops, is a date. Anything else, a bool or a fraction of a day
+    too, is one ``ConfigError``."""
     with within(None):
-        return checked(duration_days, "duration_days", 1, kind=int)
+        days = checked(duration_days, "duration_days", 1, kind=int)
+    if start.tzinfo is None:
+        raise ConfigError("start must be timezone-aware UTC")
+    if (datetime.max.replace(tzinfo=timezone.utc) - start).days < days:
+        raise ConfigError(f"the {days}-day window from {start.isoformat()} runs past 9999-12-31")
+    return days
 
 
 def _check_action(action, lo: int, hi: int) -> int:
@@ -164,7 +171,7 @@ class SchedulingEnv:
         disable_defer_action: bool = False,
         shuffle_datacenters: bool = False,
     ):
-        duration_days = check_duration(duration_days)
+        duration_days = check_window(start, duration_days)
         check_seed(seed)
         self._cluster_factory = cluster_factory
         self.trace = trace if isinstance(trace, Trace) else Trace.from_specs(trace)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, naming, within
-from .floats import checked
+from .floats import checked, parsed
 
 STEP = timedelta(minutes=15)  # the simulation's one time grid
 MIN_DURATION_MIN = STEP / timedelta(minutes=1)  # one step: shorter tasks cannot be resolved
@@ -299,7 +299,7 @@ def _trace_number(job_id: str, key: str, value) -> float:
     if isinstance(value, float):
         return value
     try:
-        return checked(value, key)
+        return (parsed if isinstance(value, str) else checked)(value, key)
     except ValueError:
         raise ValueError(f"task {job_id}: {key} must be a number, got {json.dumps(value)}") from None
 

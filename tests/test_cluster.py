@@ -124,9 +124,9 @@ class TestNodeChecks:
 
     def test_check_site_returns_the_deadband_as_floats(self):
         assert check_site(1, (1.0, 1.0, 1.0), 0.0, 1.0, None) is None
-        band = check_site(1, (1.0, 1.0, 1.0), 0.0, 1.0, [24, "26.5"])
+        band = check_site(1, (1.0, 1.0, 1.0), 0.0, 1.0, [24, 26.5])
         assert band == (24.0, 26.5) and all(type(b) is float for b in band)
-        for bad in (5, [24.0], ["a", 26.0], [26.0, 24.0]):
+        for bad in (5, [24.0], ["a", 26.0], [24, "26.5"], [26.0, 24.0]):
             with pytest.raises(ConfigError, match="deadband must be two numbers lo < hi"):
                 check_site(1, (1.0, 1.0, 1.0), 0.0, 1.0, bad)
 

@@ -23,9 +23,9 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = ("sim", "datacenters", "reward")
 TEXTS = {name: (CONFIG_DIR / f"{name}.yaml").read_text() for name in CONFIGS}
 DOCS = {name: yaml.safe_load(text) for name, text in TEXTS.items()}
-# values of the wrong kind for any leaf (a string, a list, a mapping, null, a bool), then
-# numbers no float holds finitely
-REPLACEMENTS = ("x", [1], {"a": 1}, None, True,
+# values of the wrong kind for any leaf (a string, a number written as text, a list, a
+# mapping, null, a bool), then numbers no float holds finitely
+REPLACEMENTS = ("x", "7", [1], {"a": 1}, None, True,
                 float("inf"), float("-inf"), float("nan"), 10**400, -10**400)
 
 

@@ -5,7 +5,8 @@ Each example writes one input file of every kind that a run reads: a trace
 the cost matrix, delay table and region map. It damages one of them: cuts it
 short, writes one byte that is no UTF-8 (``0xff``) into it, or replaces one JSON
 leaf or one CSV cell with a number no input should hold (``1e16``, ``-1e5``,
-``1e400``, an infinity, NaN), ``true`` or text. It then runs that file's loader,
+``1e400``, an infinity, NaN), ``true``, text or, in JSON, a number written as text
+(``"7"``), which only a trace reads as its number. It then runs that file's loader,
 ``build_env`` and a one-day ``run_episode``.
 
 A ``SimulationError`` or an ``OSError`` with a one-line message is the expected
@@ -57,7 +58,7 @@ FILES = {
     "regions": ("region_map.csv", RegionMap.from_csv),
 }
 # what replaces a JSON leaf, as JSON text, and a CSV cell
-JSON_TOKENS = ("1e16", "-1e5", "1e400", "Infinity", "-Infinity", "NaN", "true", '"x"')
+JSON_TOKENS = ("1e16", "-1e5", "1e400", "Infinity", "-Infinity", "NaN", "true", '"x"', '"7"')
 CSV_TOKENS = ("1e16", "-1e5", "1e400", "inf", "-inf", "nan", "true", "x")
 
 
@@ -175,6 +176,8 @@ _NO_TEXT_BYTE = st.sampled_from(sorted(FILES)).flatmap(  # the texts are ASCII
 # a tiny cooling-tower reference flow loaded, and the first step overflowed its fan's cube
 @example(damage=("physics", _replaced_leaf(
     "physics", 0, ("hvac_configuration", "CT_REFERENCE_AIR_FLOW_RATE"), "1e-200")))
+# a misspelled physics key was ignored, and its field's default loaded
+@example(damage=("physics", TEXTS["physics"].replace('"NUM_RACKS"', '"NUM_RACK"')))
 def test_damaged_input_file_gives_typed_error_or_clean_run(tmp_path_factory, damage):
     kind, text = damage
     root = tmp_path_factory.getbasetemp() / "data_fuzz"

@@ -613,10 +613,36 @@ class TestDeclarations:
         block = params_from_config(doc)
         assert block == DcPhysicsParams(**{name: value}) != P
 
-    def test_unknown_keys_are_ignored(self):
-        doc = {"unknown_section": {"X": 1}, "hvac_configuration": {"C_AIR": 1000.0, "X": [1],
-                                                                   "HRU": {"Y": None}}}
-        assert params_from_config(doc) == DcPhysicsParams(c_air=1000.0)
+    @pytest.mark.parametrize("doc, expected", [
+        ({"unknown_section": {"X": 1}}, "unknown_section: unknown key"),
+        ({"hvac_configuration": {"C_AIR": 1000.0, "C_AIRR": [1]}},
+         "hvac_configuration: C_AIRR: unknown key"),
+        ({"hvac_configuration": {"HRU": {"AVE_HLP": 5.0, "Y": None}}},
+         "hvac_configuration: HRU: Y: unknown key"),
+        ({"data_center_configuration": {"NUM_RACK": 99}},
+         "data_center_configuration: NUM_RACK: unknown key"),
+    ], ids=["section", "key", "subsection_key", "misspelled_count"])
+    def test_unknown_keys_are_refused(self, doc, expected):
+        """As every YAML config does: a misspelled key loaded its field's default."""
+        with pytest.raises(ValueError) as info:
+            params_from_config(doc)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("doc, expected", [
+        ({"data_center_configuration": {"NUM_RACKS": "7"}},
+         "data_center_configuration: NUM_RACKS: must be a number, not text"),
+        ({"hvac_configuration": {"C_AIR": "1006"}},
+         "hvac_configuration: C_AIR: must be a number, not text"),
+        ({"server_characteristics": {"HP_PROLIANT": [110, "170"]}},
+         "server_characteristics: HP_PROLIANT: must be a number, not text"),
+        ({"hvac_configuration": {"SETPOINT_RANGE": ["18", 27]}},
+         "setpoint_range_c: must be a number, not text"),
+    ], ids=["int", "float", "half", "list_element"])
+    def test_a_number_written_as_text_is_refused(self, doc, expected):
+        """Each number loads as the document writes it: "7" racks loaded as 7."""
+        with pytest.raises(ValueError) as info:
+            params_from_config(doc)
+        assert str(info.value) == expected
 
     @pytest.mark.parametrize("doc, expected", [
         ({"hvac_configuration": {"C_AIR": None}},

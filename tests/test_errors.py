@@ -6,13 +6,15 @@ import ast
 import csv
 import json
 import re
-from datetime import timedelta
+import math
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
 from geodcsim.dcphysics import DcPhysicsParams
-from geodcsim.envdata import PRICE_TIME_COL, PRICE_VALUE_COL, load_price_csv, load_weather_json
+from geodcsim.envdata import (PRICE_TIME_COL, PRICE_VALUE_COL, SeriesKind, TimeSeries,
+                              load_price_csv, load_weather_json, synth_series)
 from geodcsim.errors import (ConfigError, CoverageError, DataError, DataFormatError,
                              ProtocolError, naming, within)
 from geodcsim.network import CostMatrix
@@ -153,9 +155,28 @@ def _humidity_shorter_than_time(tmp_path):
     (lambda tmp_path: DcPhysicsParams(thermal_coeffs=(1.0, 1.0, 1.0, 0.0, 0.0)), ValueError,
      "thermal_coeffs f must be nonzero"),
     (lambda tmp_path: summarize_kpis([]), ValueError, "at least one KPI row is required"),
+    (lambda tmp_path: TimeSeries("SYN", SeriesKind.PRICE, datetime(2024, 3, 1), [90.0]),
+     DataError, "series start must be timezone-aware UTC"),
+    (lambda tmp_path: TimeSeries("SYN", SeriesKind.PRICE, T0, []), DataError,
+     "series must be a non-empty 1-D array"),
+    (lambda tmp_path: synth_series(SeriesKind.PRICE, 80.0, 30.0, 0.0, T0, 0, 1), ValueError,
+     "hours must be >= 1"),
+    (lambda tmp_path: synth_series(SeriesKind.PRICE, 80.0, 30.0, 0.0, datetime(2024, 3, 1), 24,
+                                   1), ValueError, "start must be timezone-aware UTC"),
+    (lambda tmp_path: synth_series(SeriesKind.PRICE, 80.0, 30.0, 0.0,
+                                   T0 + timedelta(minutes=15), 24, 1),
+     ValueError, "start must be hour-aligned"),
+    (lambda tmp_path: CostMatrix(("a", "b"), [[0.0, math.nan], [1.0, 0.0]]), DataError,
+     "cost matrix entries must be finite"),
+    (lambda tmp_path: generate_synthetic_trace(datetime(9999, 12, 31, 22, tzinfo=timezone.utc),
+                                               4, 5.0, ResourceRanges(), 0),
+     ValueError, "task job-000001: duration_min 149.18958946804494 times sla_multiplier "
+                 "overflows the deadline"),
 ], ids=["env_zero_days", "single_action_after_done", "ranges_reversed", "trace_start_off_grid",
         "price_half_past", "humidity_short", "cost_matrix_not_square", "thermal_f_zero",
-        "no_kpi_rows"])
+        "no_kpi_rows", "series_naive_start", "series_empty", "synth_no_hours",
+        "synth_naive_start", "synth_start_off_the_hour", "cost_matrix_nan",
+        "synthetic_deadline_past_the_last_date"])
 def test_a_refusal_no_other_test_reaches_keeps_its_message(tmp_path, call, kind, expected):
     with pytest.raises(kind) as info:
         call(tmp_path)

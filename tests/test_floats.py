@@ -1,5 +1,6 @@
-"""``floats.checked``, the one check of a number read from an input, and the guard
-that keeps every other module from growing a finiteness test of its own."""
+"""``floats.checked``, the one check of a number read from an input; ``floats.parsed``,
+the one reading of a number written as text; and the guard that keeps every other
+module from growing a finiteness test of its own."""
 
 import math
 import re
@@ -8,35 +9,39 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geodcsim.floats import checked
+from geodcsim.floats import checked, parsed
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geodcsim"
 
 
 class TestChecked:
-    @pytest.mark.parametrize("value, expected", [
-        (2, 2.0), ("1.5", 1.5), (" -3e2 ", -300.0), (0.0, 0.0), (-0.0, -0.0),
-    ], ids=["int", "text", "padded_text", "zero", "negative_zero"])
-    def test_a_number_is_cast_to_a_float(self, value, expected):
-        got = checked(value, "x")
+    @pytest.mark.parametrize("read, value, expected", [
+        (checked, 2, 2.0), (parsed, "1.5", 1.5), (parsed, " -3e2 ", -300.0),
+        (checked, 0.0, 0.0), (checked, -0.0, -0.0), (parsed, "-0", -0.0),
+    ], ids=["int", "text", "padded_text", "zero", "negative_zero", "negative_zero_text"])
+    def test_a_number_is_cast_to_a_float(self, read, value, expected):
+        """A number as ``checked`` takes it, or its text as ``parsed`` reads it."""
+        got = read(value, "x")
         assert type(got) is float and math.copysign(1.0, got) == math.copysign(1.0, expected)
         assert got == expected
 
     @pytest.mark.parametrize("value, message", [
         (True, "x: must be a number, not true or false"),
         (False, "x: must be a number, not true or false"),
-        ("abc", "x: could not convert string to float: 'abc'"),
+        ("abc", "x: must be a number, not text"),
+        ("7", "x: must be a number, not text"),
+        (b"7", "x: must be a number, not text"),
         (None, "x: float() argument must be a string or a real number, not 'NoneType'"),
         ([1], "x: float() argument must be a string or a real number, not 'list'"),
         (math.nan, "x must be finite"),
         (math.inf, "x must be finite"),
         (-math.inf, "x must be finite"),
-        ("inf", "x must be finite"),
-        ("1e400", "x must be finite"),
+        ("inf", "x: must be a number, not text"),
+        ("1e400", "x: must be a number, not text"),
         (10**400, "x must fit a float"),
         (-10**400, "x must fit a float"),
-    ], ids=["true", "false", "text", "null", "list", "nan", "inf", "minus_inf", "inf_text",
-            "overflowing_text", "huge_int", "huge_negative_int"])
+    ], ids=["true", "false", "text", "numeric_text", "bytes", "null", "list", "nan", "inf",
+            "minus_inf", "inf_text", "overflowing_text", "huge_int", "huge_negative_int"])
     def test_what_is_no_finite_number_is_one_named_value_error(self, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             checked(value, "x")
@@ -53,6 +58,19 @@ class TestChecked:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             checked(value, "x", lo, hi, lo_open)
 
+    @pytest.mark.parametrize("text, message", [
+        ("abc", "x: could not convert string to float: 'abc'"),
+        ("", "x: could not convert string to float: ''"),
+        ("inf", "x must be finite"),
+        ("nan", "x must be finite"),
+        ("1e400", "x must be finite"),
+    ], ids=["text", "empty", "inf", "nan", "overflowing"])
+    def test_text_that_writes_no_finite_number_is_one_named_value_error(self, text, message):
+        """``parsed`` names the text it cannot read once, and leaves ``checked``'s
+        message whole."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parsed(text, "x")
+
     def test_domain_bounds_are_inclusive_unless_the_lower_one_is_open(self):
         assert checked(0.0, "x", 0.0, 1.0) == 0.0
         assert checked(1.0, "x", 0.0, 1.0, True) == 1.0
@@ -67,6 +85,8 @@ class TestChecked:
             checked(-math.inf, "n", kind=int)
         with pytest.raises(ValueError, match="^n: must be a number, not true or false$"):
             checked(True, "n", kind=int)
+        with pytest.raises(ValueError, match="^n: must be a number, not text$"):
+            checked("7", "n", kind=int)
 
     @pytest.mark.parametrize("value", [4.7, 0.999, -0.5, np.float64(2.5)])
     def test_an_int_kind_refuses_a_fraction(self, value):

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -167,6 +168,24 @@ class TestPackagedDefaults:
         assert region_map.cluster_of("SG") is MacroCluster.AP
         thr, rtt = table.lookup(MacroCluster.US, MacroCluster.AP)
         assert thr > 0 and rtt > 0
+
+    def test_default_tables_hold_the_numbers_their_cells_write(self):
+        """A CSV cell is text, which ``parsed`` reads as ``float()`` does."""
+        with packaged_table("cost_matrix.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        matrix = default_cost_matrix()
+        assert matrix.regions == tuple(region.strip() for region in header[1:])
+        assert matrix.cost_per_gb.tolist() == [[float(v) for v in row[1:]] for row in rows]
+        with packaged_table("delay_params.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        table = default_delay_table()
+        assert len(table.throughput_mbps) == len(table.rtt_ms) == len(rows)
+        for row in rows:
+            key = (MacroCluster(row["origin_cluster"].strip()),
+                   MacroCluster(row["dest_cluster"].strip()))
+            values = (table.throughput_mbps[key], table.rtt_ms[key])
+            assert values == (float(row["throughput_mbps"]), float(row["rtt_ms"]))
+            assert all(type(v) is float for v in values)
 
     def test_region_map_csv(self, tmp_path):
         path = tmp_path / "r.csv"

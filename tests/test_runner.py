@@ -551,8 +551,7 @@ class TestCli:
         args[args.index("--sim-config") + 1] = str(sim)
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {sim}: simulation: {key}: invalid literal for int() "
-                       "with base 10: 'abc'"]
+        assert err == [f"error: {sim}: simulation: {key}: must be a number, not text"]
 
     def test_cli_window_past_the_last_date_names_the_sim_file(self, tmp_path, capsys):
         """A window that runs past 9999-12-31 ended as ``error: dc 1: date value out of
@@ -780,11 +779,11 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"error: {physics}: {expected}"]
 
     @pytest.mark.parametrize("keys, value, expected", [
-        (["total_cores"], "abc", "{fleet}: datacenter 0: total_cores: could not convert"),
+        (["total_cores"], "abc", "{fleet}: datacenter 0: total_cores: must be a number, not text"),
         (["dc_id"], 1.5, "{fleet}: datacenter 0: dc_id: must be a whole number"),
         (["total_cores"], -5, "dc 1: capacities must be >= 0"),
         (["synthetic", "price", "base"], "abc",
-         "{fleet}: datacenter 0: synthetic.price.base: could not convert"),
+         "{fleet}: datacenter 0: synthetic.price.base: must be a number, not text"),
         (["synthetic", "carbon", "daily_amplitude"], 300.0, "dc 1: carbon intensity requires"),
         (["synthetic", "price", "noise_sd"], -1, "dc 1: daily_amplitude and noise_sd"),
         (["population_weight"], 0, "dc 1: population_weight must be > 0"),
@@ -943,15 +942,16 @@ class TestCli:
             f"error: {reward}: component 'energy_price': weight must be a finite number"]
 
     @pytest.mark.parametrize("section, values, expected", [
-        ("hvac_configuration", {"CW_PRESSURE_DROP": math.inf}, "cw_pressure_drop_pa must be finite"),
+        ("hvac_configuration", {"CW_PRESSURE_DROP": math.inf},
+         "hvac_configuration: CW_PRESSURE_DROP must be finite"),
         ("data_center_configuration", {"RACK_SUPPLY_APPROACH_TEMP_LIST": [math.nan] * 4},
          "supply_approach_temps_c must be finite"),
         ("server_characteristics", {"THERMAL_COEFFS": [1, 1, 1, math.nan, 0]},
          "thermal_coeffs must be finite"),
         ("data_center_configuration", {"RACK_SUPPLY_APPROACH_TEMP_LIST": ["a", "b", "c", "d"]},
-         "supply_approach_temps_c: could not convert string to float: 'a'"),
+         "supply_approach_temps_c: must be a number, not text"),
         ("server_characteristics", {"THERMAL_COEFFS": [1, 1, 1, "x", 0]},
-         "thermal_coeffs: could not convert string to float: 'x'"),
+         "thermal_coeffs: must be a number, not text"),
         ("hvac_configuration", {"CW_PRESSURE_DROP": True},
          "hvac_configuration: CW_PRESSURE_DROP: must be a number, not true or false"),
         ("server_characteristics", {"THERMAL_COEFFS": [1, 1, 1, False, 0]},
@@ -1220,6 +1220,45 @@ class TestFileInputs:
         assert main([*args, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'trace.jsonl'}: none of ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, edit, expected", [
+        ("sim.yaml", lambda doc: doc["simulation"].update(duration_days="3"),
+         "simulation: duration_days: must be a number, not text"),
+        ("fleet.yaml", lambda doc: doc["datacenters"][0].update(total_cores="2000"),
+         "datacenter 0: total_cores: must be a number, not text"),
+        ("reward.yaml",
+         lambda doc: doc["reward"]["components"]["energy_price"].update(weight="0.4"),
+         "component 'energy_price': weight must be a finite number"),
+        ("physics.json", lambda doc: doc["data_center_configuration"].update(NUM_RACKS="7"),
+         "data_center_configuration: NUM_RACKS: must be a number, not text"),
+        ("physics.json", lambda doc: doc["hvac_configuration"].update(C_AIR="1006"),
+         "hvac_configuration: C_AIR: must be a number, not text"),
+        ("physics.json", lambda doc: doc["data_center_configuration"].update(NUM_RACK=99),
+         "data_center_configuration: NUM_RACK: unknown key"),
+        ("weather.json", lambda doc: doc["hourly"]["temperature_2m"].__setitem__(0, "21.5"),
+         "row 1: unparsable value '21.5'"),
+    ], ids=["sim_days_text", "fleet_cores_text", "reward_weight_text", "physics_racks_text",
+            "physics_c_air_text", "physics_misspelled_key", "weather_temperature_text"])
+    def test_cli_number_as_text_or_unknown_physics_key_names_the_file(self, tmp_path, capsys,
+                                                                      name, edit, expected):
+        """A number loads as its file writes it: text only in a CSV cell or a trace. A
+        physics key that no field declares is refused, as every YAML key is."""
+        args = self._args(tmp_path)
+        (tmp_path / "reward.yaml").write_text((CONFIG_DIR / "reward.yaml").read_text())
+        args[args.index("--reward-config") + 1] = str(tmp_path / "reward.yaml")
+        save_dc_config(desk_scale_params(), tmp_path / "physics.json")
+        fleet = yaml.safe_load((tmp_path / "fleet.yaml").read_text())
+        fleet["datacenters"][0]["dc_config_file"] = str(tmp_path / "physics.json")
+        (tmp_path / "fleet.yaml").write_text(yaml.safe_dump(fleet))
+        path = tmp_path / name
+        load, dump = (json.loads, json.dumps) if name.endswith(".json") else (yaml.safe_load,
+                                                                               yaml.safe_dump)
+        doc = load(path.read_text())
+        edit(doc)
+        path.write_text(dump(doc))
+        assert main([*args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
         assert not (tmp_path / "out").exists()
 
     def test_cli_weather_time_that_is_no_text_names_the_file(self, tmp_path, capsys):

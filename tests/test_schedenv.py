@@ -80,8 +80,9 @@ _BAD_SEEDS = pytest.mark.parametrize("seed, expected", [
 
 
 class TestDuration:
-    """The environment reads ``duration_days`` as ``SimConfig`` does, before any state
-    changes: a whole number ``>= 1``, and no bool."""
+    """The environment reads its window as ``SimConfig`` does, before any state changes
+    or allocation: ``duration_days`` a whole number ``>= 1``, and no bool, from an aware
+    start, ending by 9999-12-31."""
 
     @pytest.mark.parametrize("days, expected", [
         (0, "duration_days must be >= 1"), (1.5, "duration_days must be a whole number"),
@@ -90,6 +91,29 @@ class TestDuration:
     def test_the_constructor_refuses_a_bad_duration(self, days, expected):
         with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
             make_env(trace_of([]), duration_days=days)
+
+    @pytest.mark.parametrize("start, days, expected", [
+        (datetime(9999, 12, 1, tzinfo=timezone.utc), 100,
+         "the 100-day window from 9999-12-01T00:00:00+00:00 runs past 9999-12-31"),
+        (datetime(9999, 12, 31, tzinfo=timezone.utc), 1,
+         "the 1-day window from 9999-12-31T00:00:00+00:00 runs past 9999-12-31"),
+        (datetime(2024, 1, 1), 1, "start must be timezone-aware UTC"),
+    ], ids=["past_the_last_date", "ending_after_the_last_day", "naive_start"])
+    def test_the_constructor_refuses_a_window_it_cannot_run(self, monkeypatch, start, days,
+                                                             expected):
+        """A window past year 9999 raised a bare ``OverflowError`` after building its
+        step rows, and a naive start a bare ``TypeError``."""
+        def no_rows(*args):
+            raise AssertionError("the trace was sliced before the window was checked")
+
+        monkeypatch.setattr(Trace, "step_rows", no_rows)
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            SchedulingEnv(make_cluster, [], start, days, default_reward())
+
+    def test_a_window_ending_on_the_last_day_runs(self):
+        start = datetime(9999, 12, 30, tzinfo=timezone.utc)
+        env = SchedulingEnv(make_cluster, [], start, 1, default_reward())
+        assert env.end == datetime(9999, 12, 31, tzinfo=timezone.utc)
 
     def test_a_whole_float_duration_is_that_many_days(self):
         env = make_env(trace_of([]), duration_days=1.0)

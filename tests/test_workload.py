@@ -343,6 +343,23 @@ class TestLoadTrace:
         p.write_text("")
         assert load_trace(p) == []
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_text("\n" + json.dumps(task_record("a")) + "\n  \n\n"
+                     + json.dumps(task_record("b")) + "\n\n")
+        assert [t.job_id for t in load_trace(p)] == ["a", "b"]
+
+    def test_numeric_text_loads_as_its_number(self, tmp_path):
+        """A trace's numbers may be written as text, and load as the number they write."""
+        as_text = write_trace(tmp_path / "text.jsonl", [
+            task_record("a", duration="60", cores="4", gpu=" 1.5 ", mem="8e0", bw="1")])
+        as_numbers = write_trace(tmp_path / "numbers.jsonl", [
+            task_record("a", duration=60.0, cores=4.0, gpu=1.5, mem=8.0, bw=1.0)])
+        (task,) = load_trace(as_text)
+        assert load_trace(as_text) == load_trace(as_numbers)
+        assert all(type(v) is float for v in (task.duration_min, task.cores_req, task.gpu_req,
+                                              task.mem_req, task.bandwidth_gb))
+
     def test_bytes_that_are_no_text_name_the_file(self, tmp_path):
         """A byte 0xff leaked a UnicodeDecodeError, which the CLI printed as a traceback."""
         p = write_trace(tmp_path / "t.jsonl", [task_record("a")])
@@ -395,11 +412,14 @@ class TestLoadTrace:
         ("mem_req", None, "mem_req must be a number, got null"),
         ("bandwidth_gb", [1], "bandwidth_gb must be a number, got [1]"),
         ("cores_req", 10**400, f"cores_req must be a number, got {10**400}"),
+        ("cores_req", "four", 'cores_req must be a number, got "four"'),
+        ("cores_req", "1e400", 'cores_req must be a number, got "1e400"'),
         ("origin_dc_id", True, "origin_dc_id must be an integer or null, got true"),
         ("origin_dc_id", "1", 'origin_dc_id must be an integer or null, got "1"'),
         ("origin_dc_id", 1.5, "origin_dc_id must be an integer or null, got 1.5"),
     ], ids=["cores_true", "gpu_false", "duration_true", "multiplier_true", "mem_null",
-            "bandwidth_list", "cores_too_large", "origin_true", "origin_string", "origin_fraction"])
+            "bandwidth_list", "cores_too_large", "cores_text", "cores_text_too_large",
+            "origin_true", "origin_string", "origin_fraction"])
     def test_field_of_wrong_kind_names_file_line_task_and_field(self, tmp_path, field, value,
                                                                expected):
         """A JSON true or false is not a task number, and an origin is an integer or null."""
