@@ -276,18 +276,18 @@ def _humidity_ratio(vapor_pressure_pa: float) -> float:
 
 def _stull_wet_bulb(t_c: float, rh_pct: float) -> float:
     # Stull (2011)'s empirical fit; within about 3 degC of the root over 1-100 %
-    # and -30..60 degC, so it is only a starting point for the secant steps
+    # and -30..60 degC, so it is only a starting point for the Newton steps
     return (t_c * math.atan(0.151977 * math.sqrt(rh_pct + 8.313659))
             + math.atan(t_c + rh_pct) - math.atan(rh_pct - 1.676331)
             + 0.00391838 * rh_pct ** 1.5 * math.atan(0.023101 * rh_pct) - 4.686035)
 
 
-# Certified band around the estimated root: its half-width (degC) and the least
-# |residual| its ends must show. The computed residual is within 1e-15 of the
+# Certified band around the estimated root: its greatest half-width (degC) and the
+# least |residual| its ends must show. The computed residual is within 1e-15 of the
 # exact one (term-by-term rounding bound; at most 1.4e-16 measured against
 # 200-bit arithmetic), so a margin over twice that fixes the sign of every point
-# beyond an end. Where the band is used, the residual rises at least 4e-4 per
-# degC, so the margin lies within 2.5e-11 degC of the root; the half-width doubles that.
+# beyond an end. The half-width is 2.5 margins over the slope at the estimate,
+# capped at 5e-11.
 _WB_BAND_HALF_WIDTH_C = 5e-11
 _WB_BAND_MARGIN = 1e-14
 
@@ -301,14 +301,15 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     monotonically with relative humidity.
 
     The residual strictly increases on the search range. For 1-100 % humidity
-    and -30..60 degC, Stull's closed form refined by secant steps estimates the
-    root, and two residual evaluations certify a narrow band around it: the
-    computed residual is at most ``-_WB_BAND_MARGIN`` at its lower end and at
-    least ``+_WB_BAND_MARGIN`` at its upper end. The bisection then takes the
-    side of every midpoint outside the band, and skips the bracket checks,
-    without evaluating the residual there; those evaluations would have given
-    the same signs, so the result is bit for bit that of the plain bisection.
-    Outside that range, or when the certificate fails, every midpoint is evaluated.
+    and -30..60 degC, Newton steps from Stull's closed form estimate the root,
+    and two residual evaluations certify a band around it, 2.5 margins over the
+    slope there on each side: the computed residual is at most
+    ``-_WB_BAND_MARGIN`` at its lower end and at least ``+_WB_BAND_MARGIN`` at
+    its upper end. The bisection then takes the side of every midpoint outside
+    the band, and skips the bracket checks, without evaluating the residual
+    there; those evaluations would have given the same signs, so the result is
+    bit for bit that of the plain bisection. Outside that range, or when the
+    certificate fails, the band is empty and every midpoint is evaluated.
     """
     if not 0.0 <= rh_pct <= 100.0:
         raise ValueError(f"relative humidity {rh_pct} outside [0, 100]")
@@ -320,7 +321,9 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     exp = math.exp  # bound per call, so that a patched ``math.exp`` sees every use
     den_t = 2501.0 + 1.86 * t  # the denominator's left-to-right first sum
 
-    def residual(twb: float) -> float:
+    # arguments, not closure cells, so that the loops below read t, den_t,
+    # w_actual and exp as fast locals
+    def residual(twb, t=t, den_t=den_t, w_actual=w_actual, exp=exp):
         # _humidity_ratio(_saturation_vapor_pressure_pa(twb)), inline: same operations
         p = 610.94 * exp(17.625 * twb / (twb + 243.04))
         ws = 0.622 * p / (101325.0 - p)
@@ -329,22 +332,32 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
 
     a = b = math.nan  # the certified band; NaN compares false, so nothing is skipped
     if 1.0 <= rh_pct and -30.0 <= t <= 60.0:
-        # secant steps from Stull's estimate (within t - 37 and t here) and a point
-        # 0.5 degC below it; a step under 1e-9 leaves x1 within about 1e-13 of the root
-        x0 = min(t, _stull_wet_bulb(t, rh_pct))
-        x1 = x0 - 0.5
-        r0, r1 = residual(x0), residual(x1)
+        # Newton steps from Stull's estimate (within t - 37 and t here) until a step
+        # is under 2e-5 degC; x then lies within 1e-11 degC of the root on 99 % of inputs
+        x = min(t, _stull_wet_bulb(t, rh_pct))
         for _ in range(8):
-            if r1 == r0:
+            u = x + 243.04
+            p = 610.94 * exp(17.625 * x / u)
+            q = 101325.0 - p
+            ws = 0.622 * p / q
+            c = 2501.0 - 2.326 * x
+            num = c * ws - 1.006 * (t - x)
+            den = den_t - 4.186 * x
+            dws = (0.622 * 101325.0 * 17.625 * 243.04) * p / (u * u * q * q)  # d ws / dx
+            w = num / den
+            slope = (1.006 - 2.326 * ws + c * dws + 4.186 * w) / den  # d (num / den) / dx
+            if not slope > 0.0:
                 break
-            x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
-            if abs(x1 - x0) < 1e-9 or not t - 60.0 < x1 < t:
+            dx = (w - w_actual) / slope
+            x -= dx
+            if abs(dx) < 2e-5 or not t - 60.0 < x < t:
                 break
-            r1 = residual(x1)
-        lo, hi = x1 - _WB_BAND_HALF_WIDTH_C, x1 + _WB_BAND_HALF_WIDTH_C
-        if (t - 60.0 < lo and hi < t and residual(lo) <= -_WB_BAND_MARGIN
-                and residual(hi) >= _WB_BAND_MARGIN):
-            a, b = lo, hi
+        if slope > 0.0:
+            h = min(_WB_BAND_HALF_WIDTH_C, 2.5 * _WB_BAND_MARGIN / slope)
+            lo, hi = x - h, x + h
+            if (t - 60.0 < lo and hi < t and residual(lo) <= -_WB_BAND_MARGIN
+                    and residual(hi) >= _WB_BAND_MARGIN):
+                a, b = lo, hi
 
     hi = t
     if not b < t and residual(hi) <= 0.0:
@@ -353,14 +366,33 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     if not t - 60.0 < a:
         while residual(lo) > 0.0:
             lo -= 60.0
-    for _ in range(80):
+    # the two loops take at most the plain bisection's 80 midpoints; outside the
+    # band the sides are known, so the first loop only compares
+    for steps in range(80, 0, -1):
+        mid = 0.5 * (lo + hi)
+        if mid > b:
+            hi = mid
+        elif mid < a:
+            lo = mid
+        else:  # in the band, or the band is empty: evaluate from this midpoint on
+            break
+    else:
+        steps = 0
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # converged: every later step would keep lo and hi
             break
-        if mid > b or (not mid < a and residual(mid) > 0.0):
+        if mid > b:
             hi = mid
-        else:
+        elif mid < a:
             lo = mid
+        else:  # residual(mid) > 0.0, inline: for finite floats x - y > 0 iff x > y
+            p = 610.94 * exp(17.625 * mid / (mid + 243.04))
+            ws = 0.622 * p / (101325.0 - p)
+            if ((2501.0 - 2.326 * mid) * ws - 1.006 * (t - mid)) / (den_t - 4.186 * mid) > w_actual:
+                hi = mid
+            else:
+                lo = mid
     return 0.5 * (lo + hi)
 
 

@@ -49,7 +49,11 @@ def checked(value, what: str, lo=-math.inf, hi=math.inf, lo_open=False, *, kind=
 
 
 def parsed(text: str, what: str) -> float:
-    """The finite float that ``text``, a CSV cell or a trace's numeric text, writes."""
+    """The finite float that ``text``, a CSV cell or a trace's numeric text, writes as
+    a decimal number. ``float()`` also reads digit-group underscores and non-ASCII
+    digits (``1_5`` is 15.0, ``١٢`` 12.0); those are refused."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{what}: not a decimal number: {text!r}")
     with within(what, ValueError):
         number = float(text)
     return checked(number, what)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodcsim import cluster, envdata, runner
 from geodcsim.envdata import (
@@ -482,7 +484,8 @@ class TestWetBulb:
     # Each saturation pressure takes one math.exp, so counting math.exp counts the
     # actual humidity's pressure plus one per residual evaluation.
 
-    def test_certified_band_saves_residual_calls(self, shipped_pairs, monkeypatch):
+    @staticmethod
+    def exp_calls_per_wet_bulb(pairs):
         calls = 0
         exp = math.exp
 
@@ -491,11 +494,39 @@ class TestWetBulb:
             calls += 1
             return exp(x)
 
-        monkeypatch.setattr(math, "exp", counting)
-        for t, rh in shipped_pairs:
-            wet_bulb(t, rh)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(math, "exp", counting)
+            for t, rh in pairs:
+                wet_bulb(t, rh)
+        return calls / len(pairs)
+
+    def test_certified_band_saves_residual_calls(self, shipped_pairs):
         # the plain bisection makes about 58 calls per wet-bulb here
-        assert calls / len(shipped_pairs) <= 30
+        assert self.exp_calls_per_wet_bulb(shipped_pairs) <= 22.5
+
+    def test_random_inputs_rarely_fall_back(self):
+        """A wet-bulb whose band fails its certificate evaluates every midpoint, about
+        58 calls: over random inputs of the band's domain the average stays near 21.7
+        only while such fallbacks stay rare."""
+        rng = np.random.default_rng(35)
+        pairs = list(zip(rng.uniform(-30.0, 60.0, 20_000).tolist(),
+                         rng.uniform(1.0, 100.0, 20_000).tolist()))
+        assert self.exp_calls_per_wet_bulb(pairs) <= 23
+
+    @settings(max_examples=2000)
+    @given(st.floats(*envdata.DRY_BULB_RANGE_C), st.floats(0.0, 100.0))
+    # the low-slope corners of the band's domain, where the half-width is at its cap
+    @example(-30.0, 1.0)
+    @example(-30.0, 1.0000001)
+    @example(60.0, 1.0)
+    @example(59.9, 99.999)
+    # at saturation, and just below 1 %, where no band is used
+    @example(-30.0, 100.0)
+    @example(60.0, 100.0)
+    @example(20.0, math.nextafter(1.0, 0.0))
+    @example(-30.0, 0.9999999)
+    def test_bit_equal_to_the_full_bisection_everywhere(self, t, rh):
+        assert wet_bulb(t, rh).hex() == reference_wet_bulb(t, rh).hex()
 
     def test_bisection_stops_once_converged(self, monkeypatch):
         expected = reference_wet_bulb(20.0, 50.0)

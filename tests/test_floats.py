@@ -18,9 +18,12 @@ class TestChecked:
     @pytest.mark.parametrize("read, value, expected", [
         (checked, 2, 2.0), (parsed, "1.5", 1.5), (parsed, " -3e2 ", -300.0),
         (checked, 0.0, 0.0), (checked, -0.0, -0.0), (parsed, "-0", -0.0),
-    ], ids=["int", "text", "padded_text", "zero", "negative_zero", "negative_zero_text"])
+        (parsed, "+.5", 0.5), (parsed, "1.", 1.0), (parsed, "\t7E+1\n", 70.0),
+    ], ids=["int", "text", "padded_text", "zero", "negative_zero", "negative_zero_text",
+            "plus_leading_point", "trailing_point", "exponent_in_whitespace"])
     def test_a_number_is_cast_to_a_float(self, read, value, expected):
-        """A number as ``checked`` takes it, or its text as ``parsed`` reads it."""
+        """A number as ``checked`` takes it, or its text as ``parsed`` reads it: a sign,
+        digits, a point, an exponent and surrounding whitespace."""
         got = read(value, "x")
         assert type(got) is float and math.copysign(1.0, got) == math.copysign(1.0, expected)
         assert got == expected
@@ -63,8 +66,17 @@ class TestChecked:
         ("", "x: could not convert string to float: ''"),
         ("inf", "x must be finite"),
         ("nan", "x must be finite"),
+        (" -Infinity\t", "x must be finite"),
         ("1e400", "x must be finite"),
-    ], ids=["text", "empty", "inf", "nan", "overflowing"])
+        ("1_5", "x: not a decimal number: '1_5'"),
+        ("1_000.25", "x: not a decimal number: '1_000.25'"),
+        ("1e1_0", "x: not a decimal number: '1e1_0'"),
+        ("\u0661\u0662", "x: not a decimal number: '\u0661\u0662'"),
+        ("\uff17", "x: not a decimal number: '\uff17'"),
+        ("-\u0663.5", "x: not a decimal number: '-\u0663.5'"),
+    ], ids=["text", "empty", "inf", "nan", "padded_minus_infinity", "overflowing",
+            "underscore", "grouped", "underscore_in_exponent", "arabic_indic_digits",
+            "fullwidth_digit", "signed_arabic_indic_digit"])
     def test_text_that_writes_no_finite_number_is_one_named_value_error(self, text, message):
         """``parsed`` names the text it cannot read once, and leaves ``checked``'s
         message whole."""

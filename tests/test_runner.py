@@ -1115,6 +1115,32 @@ class TestCli:
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {trace}: line 1: {expected}"]
 
+    @pytest.mark.parametrize("text", ["1_6", "\u0661\u0666"], ids=["underscore", "arabic_indic"])
+    def test_cli_trace_text_that_is_no_decimal_number(self, tmp_path, capsys, text):
+        """``float()`` read a ``cores_req`` of ``"1_6"`` or ``"١٦"`` as 16 cores."""
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"job_id": "a", "arrival_time": "2024-03-01T00:00:00+00:00",
+                                     "duration_min": 15, "cores_req": text, "gpu_req": 0,
+                                     "mem_req": 1, "bandwidth_gb": 0.1}) + "\n")
+        args, _ = self._edited_args(tmp_path, "sim", ["simulation", "workload_path"], str(trace))
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {trace}: line 1: task a: cores_req must be a number, got {json.dumps(text)}"]
+
+    @pytest.mark.parametrize("text", ["3_00.0", "\u0663\u0660\u0660"],
+                             ids=["underscore", "arabic_indic"])
+    def test_cli_delay_cell_that_is_no_decimal_number(self, tmp_path, capsys, text):
+        """``float()`` read a throughput cell of ``3_00.0`` or ``٣٠٠`` as 300 Mbps."""
+        delays = tmp_path / "delay_params.csv"
+        table = network.packaged_table("delay_params.csv").read_text()
+        assert "\nUS,EU,300.0," in table
+        delays.write_text(table.replace("\nUS,EU,300.0,", f"\nUS,EU,{text},", 1))
+        args, _ = self._edited_args(tmp_path, "sim", ["simulation", "delay_params_path"],
+                                    str(delays))
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {delays}: bad row 2: throughput_mbps: not a decimal number: {text!r}"]
+
 
 class TestFileInputs:
     """A run whose dc 1 reads its series from files and whose tasks come from a trace."""
