@@ -32,7 +32,7 @@ from operator import attrgetter
 from . import network
 from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_step,
                         it_power_and_return_temp, step_setpoint)
-from .envdata import TimeSeries, value_at, wet_bulb
+from .envdata import TimeSeries, on_grid, wet_bulb
 from .errors import ConfigError, ProtocolError, within
 from .floats import checked, left_sum
 from .workload import COMPLETED, IN_TRANSIT, PENDING, RUNNING, Task, to_us
@@ -132,7 +132,9 @@ class DatacenterNode:
     """One site: capacities, queues, setpoint state, and its exogenous series.
 
     ``deadband`` is the (lo, hi) CRAC return-temperature band the setpoint is
-    nudged to keep; ``None`` holds the setpoint where it starts.
+    nudged to keep; ``None`` holds the setpoint where it starts. ``columns`` holds
+    the four series read at each step of a window, which ``Cluster.attach_columns``
+    hands the site.
     """
 
     dc_id: int
@@ -159,7 +161,7 @@ class DatacenterNode:
     available_gpus: float = field(init=False)
     available_mem_gb: float = field(init=False)
     last_return_temp_c: float | None = field(default=None, init=False)
-    _reading: tuple = field(default=(None, None), init=False, repr=False)
+    columns: tuple | None = field(default=None, init=False, repr=False)
     _thermal: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
@@ -198,13 +200,15 @@ class DatacenterNode:
             )
         self.pending.append(task)
 
-    def conditions(self, now: datetime) -> tuple[float, float, float, float]:
-        """Price, carbon intensity, dry-bulb and relative humidity at ``now``. Each
-        series is interpolated once per instant: the last reading is kept with it."""
-        if self._reading[0] != now:
-            self._reading = (now, (value_at(self.price, now), value_at(self.carbon, now),
-                                   value_at(self.drybulb, now), value_at(self.humidity, now)))
-        return self._reading[1]
+    def conditions(self, step: int) -> tuple[float, float, float, float]:
+        """Price, carbon intensity, dry-bulb and relative humidity at step ``step`` of
+        the window whose columns this site holds: four reads by index."""
+        try:
+            price, carbon, drybulb, humidity = self.columns
+        except TypeError:
+            raise ProtocolError(f"dc {self.dc_id} has no columns: "
+                                "Cluster.attach_columns hands them out") from None
+        return price[step], carbon[step], drybulb[step], humidity[step]
 
     def physics_step(self, action: HvacAction | None, u_cpu: float, u_gpu: float,
                      mem_used_gb: float, drybulb_c: float, wetbulb_c: float) -> DcStepResult:
@@ -350,7 +354,26 @@ class Cluster:
         self.in_transit: list[InTransit] = []
         self.completed = 0  # tasks released so far
 
-    def route_assignments(self, decisions, step: int, now: datetime) -> ClusterInfo:
+    def attach_columns(self, start: datetime, steps: int, built: dict | None = None) -> None:
+        """Hand each node its four series as ``on_grid`` columns over the ``steps``
+        steps from ``start``. ``built`` keeps, by ``dc_id``, the series a site's columns
+        were built from and the columns: a node whose four series are those same
+        objects takes its kept columns, and only the others are built, in one call."""
+        built = {} if built is None else built
+        stale = []
+        for node in self.nodes:
+            series = (node.price, node.carbon, node.drybulb, node.humidity)
+            kept = built.get(node.dc_id)
+            if kept is None or any(a is not b for a, b in zip(kept[0], series)):
+                stale.append((node.dc_id, series))
+        if stale:
+            columns = on_grid([s for _, series in stale for s in series], start, steps)
+            for i, (dc_id, series) in enumerate(stale):
+                built[dc_id] = (series, tuple(columns[4 * i:4 * i + 4]))
+        for node in self.nodes:
+            node.columns = built[node.dc_id][1]
+
+    def route_assignments(self, decisions, step: int) -> ClusterInfo:
         """Apply (task, dest_dc_id) decisions; remote ones pay cost/energy/CO2/delay.
         Returns the step's accounting record with those transmission totals."""
         info = ClusterInfo()
@@ -370,7 +393,7 @@ class Cluster:
                 origin.location_code, dest.location_code,
             )
             energy = network.transmission_energy_kwh(task.bandwidth_gb)
-            emissions = network.transmission_emissions_kg(energy, origin.conditions(now)[1])
+            emissions = network.transmission_emissions_kg(energy, origin.conditions(step)[1])
             delay = network.transmission_delay_s(
                 self.delay_table, self.region_map, task.bandwidth_gb,
                 origin.location_code, dest.location_code,
@@ -394,9 +417,10 @@ class Cluster:
         self.in_transit = still
 
     def step(self, step: int, now: datetime, decisions=()) -> ClusterInfo:
-        """Advance one 15-minute interval: route ``decisions``, deliver transit, then
-        release, schedule and run each site's physics; returns the step's record."""
-        info = self.route_assignments(decisions, step, now)
+        """Advance one 15-minute interval, step ``step`` of the window, which starts at
+        ``now``: route ``decisions``, deliver transit, then release, schedule and run
+        each site's physics at the step's conditions; returns the step's record."""
+        info = self.route_assignments(decisions, step)
         self.advance_transit(step)
         now_us = to_us(now)
         for node in self.nodes:
@@ -407,7 +431,7 @@ class Cluster:
                 met = sum(1 for _, ok in released if ok)
             schedule_fifo_first_fit(node, now_us)
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
-            price, ci, drybulb, rh = node.conditions(now)
+            price, ci, drybulb, rh = node.conditions(step)
             result = node.physics_step(node.hvac_action(), u_cpu, u_gpu, node.mem_used_gb(),
                                        drybulb, wet_bulb(drybulb, rh))
             energy = result.energy_kwh

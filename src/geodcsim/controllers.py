@@ -3,7 +3,7 @@
 The five task-placement heuristics decide immediately and never defer. They
 read each site through a ``DcSnapshot``: the site's node, which owns its
 capacities, free resources and ``fits`` test, plus its grid price and carbon
-intensity at the instant of decision. The price/carbon strategies only consider
+intensity at the step of decision. The price/carbon strategies only consider
 sites that can fit the task right now, falling back to the task's origin when
 none can. Ties break toward the lowest dc_id so runs are reproducible.
 """
@@ -11,7 +11,6 @@ none can. Ties break toward the lowest dc_id so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
 from operator import attrgetter
 
@@ -29,7 +28,7 @@ class RbcStrategy(Enum):
 
 @dataclass(slots=True)
 class DcSnapshot:
-    """A site as a controller sees it at one instant: the node itself, which holds
+    """A site as a controller sees it at one step: the node itself, which holds
     its capacities and free resources, and its price and carbon intensity then."""
 
     node: DatacenterNode
@@ -37,10 +36,11 @@ class DcSnapshot:
     ci_g_per_kwh: float
 
 
-def snapshot_cluster(cluster: Cluster, now: datetime) -> list[DcSnapshot]:
-    """One snapshot per node in cluster order; a snapshot's position, counted
-    from 1, is its site's index in the environment's action space."""
-    return [DcSnapshot(node, *node.conditions(now)[:2]) for node in cluster.nodes]
+def snapshot_cluster(cluster: Cluster, step: int) -> list[DcSnapshot]:
+    """One snapshot per node in cluster order, at step ``step`` of the window; a
+    snapshot's position, counted from 1, is its site's index in the environment's
+    action space."""
+    return [DcSnapshot(node, *node.conditions(step)[:2]) for node in cluster.nodes]
 
 
 class RuleBasedController:

@@ -3,9 +3,11 @@
 Electricity prices arrive as hourly CSV in USD/MWh, grid carbon intensity as hourly
 CSV in gCO2eq/kWh, and weather as JSON with arrays under an ``hourly`` key. Series
 are validated onto the one-hour grid ``HOUR`` at load time (short gaps forward-filled)
-and queried with linear interpolation between native points. Queries outside the loaded
-window raise instead of extrapolating, and ``check_coverage`` owns the check that a
-site's series cover a whole simulation window.
+and interpolated linearly between native points: ``on_grid`` reads them over a
+simulation window as columns, built once per env and read by step index, and
+``value_at`` is the scalar form. Reads outside the loaded window raise instead of
+extrapolating, and ``check_coverage`` owns the check that a site's series cover a
+whole simulation window.
 
 The canonical price unit is USD/MWh throughout; conversion to USD/kWh happens only
 where costs or observation features are computed.
@@ -25,8 +27,11 @@ import numpy as np
 
 from .errors import ConfigError, CoverageError, DataError, DataFormatError, naming, within
 from .floats import checked, parsed
+from .workload import STEP, STEP_US
 
 HOUR = timedelta(hours=1)
+_US = timedelta(microseconds=1)
+_HOUR_US = HOUR // _US
 
 # Longest run of missing native points that gets forward-filled at load time.
 MAX_FFILL_GAP = 3
@@ -64,9 +69,10 @@ class TimeSeries:
 
     Immutable after construction; safe to share read-only across episodes.
     ``end``, the instant of the last native point, is derived once here, and so
-    is the ``array('d')`` copy of ``values`` that ``value_at`` reads: its items
-    come out as Python floats, at 8 bytes each. Two series are equal when their
-    location, kind, start and points are; series are unhashable.
+    is the ``array('d')`` copy of ``values`` that ``value_at`` reads. The simulation
+    reads a series through the column that ``on_grid`` builds once per env and
+    indexes by step; ``value_at`` is that column's scalar oracle. Two series are
+    equal when their location, kind, start and points are; series are unhashable.
     """
 
     location_code: str
@@ -236,13 +242,18 @@ def save_weather_json(drybulb: TimeSeries, humidity: TimeSeries, path) -> None:
         json.dump(doc, fh)
 
 
+def _outside(series: TimeSeries, t: datetime) -> CoverageError:
+    return CoverageError(f"{series.kind.value}@{series.location_code}: {t.isoformat()} "
+                         f"outside [{series.start.isoformat()}, {series.end.isoformat()}]")
+
+
 def value_at(series: TimeSeries, t: datetime) -> float:
-    """Linear interpolation between bracketing native points; exact at native points."""
+    """Linear interpolation between bracketing native points; exact at native points.
+
+    The scalar form of ``on_grid``, which the simulation reads instead, and its
+    oracle: each column item equals this value at its instant, bit for bit."""
     if t < series.start or t > series.end:
-        raise CoverageError(
-            f"{series.kind.value}@{series.location_code}: {t.isoformat()} outside "
-            f"[{series.start.isoformat()}, {series.end.isoformat()}]"
-        )
+        raise _outside(series, t)
     offset = (t - series.start) / HOUR
     idx = int(offset)
     frac = offset - idx
@@ -252,6 +263,47 @@ def value_at(series: TimeSeries, t: datetime) -> float:
     lo = points[idx]
     hi = points[idx + 1]
     return lo + (hi - lo) * frac
+
+
+def on_grid(series, start: datetime, steps: int) -> list[array]:
+    """Each of ``series`` at the ``steps`` instants ``start + k * STEP``, one
+    ``array('d')`` column per series, whose item ``k`` is ``value_at`` there.
+
+    The arithmetic is ``value_at``'s, on float64 arrays: the offset in hours is
+    the int microseconds' true division, as ``timedelta / timedelta`` gives it,
+    then the same index, fraction, exact-point and last-point rules and only
+    ``+ - * /``. Series with the same first point and length share one index and
+    fraction array. A series that does not cover the window is a
+    ``CoverageError``, as from ``value_at``: no index is clamped or wrapped.
+    """
+    last = start + (steps - 1) * STEP
+    grids = {}  # (first point, length) -> (index, next index, fraction)
+    columns = []
+    for s in series:
+        if start < s.start or last > s.end:
+            raise _outside(s, start if start < s.start else last)
+        values = s.values
+        key = (s.start, len(values))
+        grid = grids.get(key)
+        if grid is None:
+            first = (start - s.start) // _US
+            offset = np.array([d / _HOUR_US for d in range(first, first + steps * STEP_US,
+                                                             STEP_US)])
+            idx = offset.astype(np.intp)  # int() of a float >= 0
+            frac = offset - idx
+            exact = (frac == 0.0) | (idx >= len(values) - 1)
+            # At an exact point the next index is the point's own and the fraction
+            # is -0.0: lo + (lo - lo) * -0.0 adds -0.0 to lo, which leaves every lo
+            # as it is, a -0.0 point too, as value_at's plain read of it does.
+            grid = grids[key] = (idx, np.where(exact, idx, idx + 1), np.where(exact, -0.0, frac))
+        idx, nxt, frac = grid
+        lo = values[idx]
+        column = values[nxt]  # lo + (hi - lo) * frac, in place on the copy of hi
+        column -= lo
+        column *= frac
+        column += lo
+        columns.append(array("d", column.tobytes()))
+    return columns
 
 
 def check_coverage(site_series, start: datetime, end: datetime) -> None:
@@ -284,10 +336,10 @@ def _stull_wet_bulb(t_c: float, rh_pct: float) -> float:
 
 # Certified band around the estimated root: its greatest half-width (degC) and the
 # least |residual| its ends must show. The computed residual is within 1e-15 of the
-# exact one (term-by-term rounding bound; at most 1.4e-16 measured against
-# 200-bit arithmetic), so a margin over twice that fixes the sign of every point
-# beyond an end. The half-width is 2.5 margins over the slope at the estimate,
-# capped at 5e-11.
+# exact one (term-by-term rounding bound; under 1.5e-16 measured against
+# 60-digit decimal arithmetic, which a test pins below half the margin), so a
+# margin over twice that fixes the sign of every point beyond an end. The
+# half-width is 2.5 margins over the slope at the estimate, capped at 5e-11.
 _WB_BAND_HALF_WIDTH_C = 5e-11
 _WB_BAND_MARGIN = 1e-14
 
@@ -296,25 +348,26 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     """Thermodynamic wet-bulb temperature (degC) at sea-level pressure.
 
     Solves the adiabatic-saturation humidity-ratio balance by bisection on
-    ``[t - 60, t]`` (widened downwards while needed), so the result is always <=
-    the dry-bulb temperature, equals it at saturation, and increases
-    monotonically with relative humidity.
+    ``[t - 60, t]``, so the result is always <= the dry-bulb temperature, equals
+    it at saturation, and increases monotonically with relative humidity.
 
-    The residual strictly increases on the search range. For 1-100 % humidity
-    and -30..60 degC, Newton steps from Stull's closed form estimate the root,
-    and two residual evaluations certify a band around it, 2.5 margins over the
-    slope there on each side: the computed residual is at most
-    ``-_WB_BAND_MARGIN`` at its lower end and at least ``+_WB_BAND_MARGIN`` at
-    its upper end. The bisection then takes the side of every midpoint outside
-    the band, and skips the bracket checks, without evaluating the residual
-    there; those evaluations would have given the same signs, so the result is
-    bit for bit that of the plain bisection. Outside that range, or when the
-    certificate fails, the band is empty and every midpoint is evaluated.
+    The residual strictly increases on the search range and is negative at its
+    lower end over the whole checked domain, so that end needs no check. For
+    1-100 % humidity and -30..60 degC, Newton steps from Stull's closed form
+    estimate the root, and two residual evaluations certify a band around it,
+    2.5 margins over the slope there on each side: the computed residual is at
+    most ``-_WB_BAND_MARGIN`` at its lower end and at least ``+_WB_BAND_MARGIN``
+    at its upper end. The bisection then takes the side of every midpoint
+    outside the band, and skips the saturation check at ``t``, without
+    evaluating the residual there; those evaluations would have given the same
+    signs, so the result is bit for bit that of the plain bisection. Outside that
+    range, or when the certificate fails, the band is empty and every midpoint
+    is evaluated.
     """
     if not 0.0 <= rh_pct <= 100.0:
         raise ValueError(f"relative humidity {rh_pct} outside [0, 100]")
     lo, hi = DRY_BULB_RANGE_C
-    if not lo <= t_drybulb_c <= hi:  # also NaN; within it the bracket search below ends
+    if not lo <= t_drybulb_c <= hi:  # also NaN
         raise ValueError(f"dry-bulb temperature {t_drybulb_c} outside [{lo}, {hi}]")
     t = float(t_drybulb_c)
     w_actual = _humidity_ratio(rh_pct / 100.0 * _saturation_vapor_pressure_pa(t))
@@ -362,10 +415,7 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     hi = t
     if not b < t and residual(hi) <= 0.0:
         return hi
-    lo = t - 60.0
-    if not t - 60.0 < a:
-        while residual(lo) > 0.0:
-            lo -= 60.0
+    lo = t - 60.0  # the residual is below -0.016 there over the checked domain
     # the two loops take at most the plain bisection's 80 midpoints; outside the
     # band the sides are known, so the first loop only compares
     for steps in range(80, 0, -1):

@@ -469,7 +469,7 @@ def run_episode(sim: SimConfig, fleet, reward_doc, seed: int, out_dir=None):
     while not done:
         step_idx = env.step_index
         now = env.now
-        snapshots = snapshot_cluster(env.cluster, now)
+        snapshots = snapshot_cluster(env.cluster, step_idx)
         actions = controller.decide(snapshots, env.current_tasks)
         reward, done, outcome = env.advance(actions)
         lines.append(_log_row(step_idx, now, outcome.cluster_info, reward, dc_ids))

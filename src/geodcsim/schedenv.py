@@ -53,10 +53,10 @@ def _time_features(now: datetime) -> list[float]:
     ]
 
 
-def _dc_features(cluster: Cluster, now: datetime) -> list[float]:
+def _dc_features(cluster: Cluster, step: int) -> list[float]:
     feats = []
     for node in cluster.nodes:
-        price, ci, _, _ = node.conditions(now)
+        price, ci, _, _ = node.conditions(step)
         feats.extend([*node.free_fractions(), ci / 1000.0, price / 100.0])
     return feats
 
@@ -67,10 +67,12 @@ def _minutes_to_deadline(task, now_us: int) -> float:
     return max(0.0, (task.deadline_us - now_us) / 1_000_000 / 60.0)
 
 
-def build_observation(cluster: Cluster, pending_tasks, now: datetime) -> list[np.ndarray]:
-    """One vector per pending task: time features, task features, then all DC states."""
+def build_observation(cluster: Cluster, pending_tasks, now: datetime,
+                      step: int) -> list[np.ndarray]:
+    """One vector per pending task at step ``step`` of the window, the instant ``now``:
+    time features, task features, then all DC states."""
     time_feats = _time_features(now)
-    dc_feats = _dc_features(cluster, now)
+    dc_feats = _dc_features(cluster, step)
     now_us = to_us(now)
     obs = []
     for task in pending_tasks:
@@ -85,9 +87,9 @@ def build_observation(cluster: Cluster, pending_tasks, now: datetime) -> list[np
     return obs
 
 
-def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
+def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime, step: int,
                           horizon_minutes: float) -> np.ndarray:
-    """Fixed-size summary vector for single-action mode.
+    """Fixed-size summary vector for single-action mode, at step ``step``, the instant ``now``.
 
     With no pending tasks the aggregate features are zeros and the minimum
     time-to-deadline takes the episode horizon as a sentinel.
@@ -105,7 +107,7 @@ def build_agg_observation(cluster: Cluster, pending_tasks, now: datetime,
         ]
     else:
         agg = [0.0, 0.0, 0.0, 0.0, horizon_minutes]
-    return np.asarray(time_feats + agg + _dc_features(cluster, now), dtype=np.float32)
+    return np.asarray(time_feats + agg + _dc_features(cluster, step), dtype=np.float32)
 
 
 def check_seed(seed) -> None:
@@ -154,7 +156,9 @@ class SchedulingEnv:
 
     Instances are single-threaded; independent instances may run concurrently.
     ``cluster_factory`` must return a fresh cluster each call so reset() starts
-    from pristine state. ``trace`` is a ``workload.Trace``, or any iterable of
+    from pristine state. Each site's series are read as columns over the window,
+    built at the first reset and kept by ``dc_id``: a later reset builds only those
+    of a site whose series objects changed. ``trace`` is a ``workload.Trace``, or any iterable of
     ``workload.TaskSpec``s, which ``Trace.from_specs`` turns into one; each episode
     injects its rows as new ``Task``s.
     """
@@ -194,6 +198,7 @@ class SchedulingEnv:
         self._rng: np.random.Generator | None = None
         self._origin_sites: list = []  # (dc_id, timezone_shift_h, population_weight) per site
         self._origin_tables: dict = {}  # UTC time of day -> origin_table of _origin_sites
+        self._columns: dict = {}  # dc_id -> (series, columns), as Cluster.attach_columns keeps
         self._done = True
         # The episode's KPI ledger, which step() adds to and kpis() reads (the avg_
         # keys hold sums until then), and the count of tasks injected.
@@ -224,6 +229,8 @@ class SchedulingEnv:
         if not self._origins.issubset(self.cluster.by_id):
             bad = first_unknown_origin(self.trace, self.cluster.by_id)
             raise ConfigError(f"task {bad.job_id} origin {bad.origin_dc_id} is not a configured dc")
+        # a row per step and one for the final observation, at end
+        self.cluster.attach_columns(self.start, self.horizon_steps + 1, self._columns)
         self._origin_sites = [
             (n.dc_id, n.timezone_shift_h, n.population_weight) for n in self.cluster.nodes
         ]
@@ -253,10 +260,10 @@ class SchedulingEnv:
     def _observe(self):
         if self.single_action_mode:
             return build_agg_observation(
-                self.cluster, self.current_tasks, self.now,
+                self.cluster, self.current_tasks, self.now, self.step_index,
                 horizon_minutes=self.horizon_steps * STEP / timedelta(minutes=1),
             )
-        return build_observation(self.cluster, self.current_tasks, self.now)
+        return build_observation(self.cluster, self.current_tasks, self.now, self.step_index)
 
     def step(self, actions):
         """Apply one decision per pending task; returns (obs, reward, done, outcome):

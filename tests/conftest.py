@@ -10,11 +10,11 @@ from hypothesis import settings
 
 from geodcsim.cluster import Cluster, DatacenterNode
 from geodcsim.dcphysics import desk_scale_params
-from geodcsim.envdata import SeriesKind, TimeSeries
+from geodcsim.envdata import HOUR, SeriesKind, TimeSeries
 from geodcsim.network import CostMatrix, DelayTable, MacroCluster, RegionMap
 from geodcsim.rewards import CompositeReward
 from geodcsim.schedenv import SchedulingEnv
-from geodcsim.workload import Task, to_us
+from geodcsim.workload import STEP, Task, to_us
 
 T0 = datetime(2024, 3, 1, 0, 0, tzinfo=timezone.utc)
 
@@ -90,7 +90,7 @@ def tiny_network(locations=("US-CAL-CISO", "DE-LU", "SG")):
     return matrix, delay, region_map
 
 
-def make_cluster(n_dcs=3, hours=26, start=T0, **node_kwargs):
+def _sites(n_dcs=3, hours=26, start=T0, **node_kwargs):
     locations = ["US-CAL-CISO", "DE-LU", "SG"]
     matrix, delay, region_map = tiny_network()
     nodes = [
@@ -98,6 +98,14 @@ def make_cluster(n_dcs=3, hours=26, start=T0, **node_kwargs):
         for i in range(n_dcs)
     ]
     return Cluster(nodes, matrix, delay, region_map)
+
+
+def make_cluster(n_dcs=3, hours=26, start=T0, **node_kwargs):
+    """A cluster to step without an env: its columns cover each step of its series'
+    ``hours``, as an env's reset would hand them over its window."""
+    cluster = _sites(n_dcs, hours, start, **node_kwargs)
+    cluster.attach_columns(start, (hours - 1) * (HOUR // STEP) + 1)
+    return cluster
 
 
 def make_task(job_id="t1", arrival=T0, duration=60.0, cores=4.0, gpu=0.0, mem=8.0,
@@ -121,7 +129,7 @@ def default_reward():
 
 def make_env(trace, n_dcs=3, duration_days=1, seed=0, hours=26, **env_kwargs):
     def factory():
-        return make_cluster(n_dcs=n_dcs, hours=hours)
+        return _sites(n_dcs=n_dcs, hours=hours)
 
     return SchedulingEnv(
         cluster_factory=factory,

@@ -359,7 +359,8 @@ def test_criterion_7_behavioral_reproduction(tmp_path):
     emitted = []
     done = False
     while not done:
-        actions = controller.decide(snapshot_cluster(env.cluster, env.now), env.current_tasks)
+        actions = controller.decide(snapshot_cluster(env.cluster, env.step_index),
+                                    env.current_tasks)
         emitted.extend(actions)
         _, _, done, _ = env.step(actions)
     assert len(emitted) > 0

@@ -306,7 +306,7 @@ class TestOversizeWarning:
         cluster = make_cluster()
         big = make_task("big", cores=1e6, origin=1, bandwidth=10.0)
         with caplog.at_level(logging.WARNING, logger="geodcsim.cluster"):
-            cluster.route_assignments([(big, dest)], 0, T0)
+            cluster.route_assignments([(big, dest)], 0)
             for step in range(10):
                 cluster.step(step, T0 + step * STEP)
         assert oversize_warnings(caplog) == [
@@ -357,7 +357,7 @@ class TestRouting:
     def test_local_assignment_immediate(self):
         cluster = make_cluster()
         task = make_task(origin=1)
-        totals = cluster.route_assignments([(task, 1)], step=0, now=T0)
+        totals = cluster.route_assignments([(task, 1)], step=0)
         assert totals.transmission_cost_total_usd == 0.0
         assert totals.transmission_energy_total_kwh == 0.0
         assert list(cluster.by_id[1].pending) == [task]
@@ -366,7 +366,7 @@ class TestRouting:
     def test_remote_assignment_charges_and_delays(self):
         cluster = make_cluster()
         task = make_task(origin=1, bandwidth=10.0)
-        totals = cluster.route_assignments([(task, 2)], step=0, now=T0)
+        totals = cluster.route_assignments([(task, 2)], step=0)
         assert totals.transmission_cost_total_usd == pytest.approx(10.0 * 0.05)
         assert totals.transmission_energy_total_kwh == pytest.approx(0.6)
         # constant 300 g/kWh at the origin grid
@@ -380,19 +380,19 @@ class TestRouting:
         cluster = make_cluster()
         t1 = make_task("a", origin=1, bandwidth=10.0)
         t2 = make_task("b", origin=1, bandwidth=10.0)
-        totals = cluster.route_assignments([(t1, 2), (t2, 2)], step=0, now=T0)
+        totals = cluster.route_assignments([(t1, 2), (t2, 2)], step=0)
         assert totals.transmission_cost_total_usd == pytest.approx(1.0)
         assert totals.transmission_energy_total_kwh == pytest.approx(1.2)
 
     def test_invalid_destination(self):
         cluster = make_cluster()
         with pytest.raises(ProtocolError):
-            cluster.route_assignments([(make_task(), 99)], step=0, now=T0)
+            cluster.route_assignments([(make_task(), 99)], step=0)
 
     def test_transit_delivery_timing(self):
         cluster = make_cluster()
         task = make_task(origin=1, bandwidth=10.0)
-        cluster.route_assignments([(task, 2)], step=0, now=T0)
+        cluster.route_assignments([(task, 2)], step=0)
         cluster.advance_transit(0)
         assert len(cluster.in_transit) == 1  # ready at step 1, still in flight
         cluster.advance_transit(1)
@@ -404,7 +404,7 @@ class TestRouting:
         cluster = make_cluster()
         t1 = make_task("first", origin=1, bandwidth=1.0)
         t2 = make_task("second", origin=1, bandwidth=1.0)
-        cluster.route_assignments([(t1, 2), (t2, 2)], step=0, now=T0)
+        cluster.route_assignments([(t1, 2), (t2, 2)], step=0)
         cluster.advance_transit(1)
         assert [t.job_id for t in cluster.by_id[2].pending] == ["first", "second"]
 
@@ -477,7 +477,7 @@ class TestStepRecords:
             released = release_completed(node, to_us(now))
             schedule_fifo_first_fit(node, to_us(now))
             u_cpu, u_gpu, u_mem = node.utilization_fractions()
-            price, ci, drybulb, rh = node.conditions(now)
+            price, ci, drybulb, rh = node.conditions(1)
             result = node.physics_step(node.hvac_action(), u_cpu, u_gpu, node.mem_used_gb(),
                                        drybulb, wet_bulb(drybulb, rh))
             met = sum(1 for _, ok in released if ok)
@@ -508,7 +508,7 @@ class TestStepRecords:
         cluster = self.loaded_cluster()
         info = cluster.step(1, T0 + STEP)
         node = cluster.nodes[0]
-        records = (info.datacenters[1], snapshot_cluster(cluster, T0 + STEP)[0],
+        records = (info.datacenters[1], snapshot_cluster(cluster, 1)[0],
                    node.physics_step(None, 0.5, 0.0, 10.0, 20.0, 15.0))
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
@@ -613,7 +613,7 @@ class TestConservationProperties:
     def test_no_task_lost_after_drain(self):
         cluster = make_cluster(hours=30 * 24)
         tasks = [make_task(f"t{i}", cores=1.0, duration=15.0, origin=1) for i in range(20)]
-        cluster.route_assignments([(t, (i % 3) + 1) for i, t in enumerate(tasks)], 0, T0)
+        cluster.route_assignments([(t, (i % 3) + 1) for i, t in enumerate(tasks)], 0)
         now = T0
         for step in range(50):
             cluster.step(step, now)
@@ -626,7 +626,7 @@ class TestConservationProperties:
         def run():
             cluster = make_cluster()
             tasks = [make_task(f"t{i}", cores=float(i + 1), origin=1) for i in range(6)]
-            cluster.route_assignments([(t, (i % 3) + 1) for i, t in enumerate(tasks)], 0, T0)
+            cluster.route_assignments([(t, (i % 3) + 1) for i, t in enumerate(tasks)], 0)
             infos = [cluster.step(s, T0 + s * STEP) for s in range(8)]
             return [
                 (d.energy_consumption_kwh, d.energy_cost_usd, d.carbon_emissions_kg, d.water_l)
@@ -648,6 +648,12 @@ class TestClusterGuards:
         with pytest.raises(ValueError, match="^dc_id values must be unique$"):
             Cluster(nodes, matrix, delay, region_map)
 
+    def test_a_site_without_columns_is_refused_at_its_first_read(self):
+        cluster = Cluster([make_node(dc_id=1)], *tiny_network())
+        with pytest.raises(ProtocolError, match=(
+                r"^dc 1 has no columns: Cluster.attach_columns hands them out$")):
+            cluster.step(0, T0)
+
     @pytest.mark.parametrize("origin, dest, expected", [
         (1, 4, "unknown destination dc_id 4"),
         (7, 2, "task t1 has unmapped origin 7"),
@@ -657,6 +663,6 @@ class TestClusterGuards:
         cluster = make_cluster()
         task = make_task(origin=origin)
         with pytest.raises(ProtocolError, match=f"^{expected}$"):
-            cluster.route_assignments([(task, dest)], step=0, now=T0)
+            cluster.route_assignments([(task, dest)], step=0)
         assert task.dest_dc_id is None and task.status is TaskStatus.PENDING
         assert not cluster.in_transit and not any(n.pending for n in cluster.nodes)

@@ -37,7 +37,8 @@ def hvac_env(tmp_path, setpoints, setpoint_range=None):
 
 def step_local(env):
     controller = RuleBasedController(RbcStrategy.LOCAL_ONLY)
-    return env.step(controller.decide(snapshot_cluster(env.cluster, env.now), env.current_tasks))
+    return env.step(controller.decide(snapshot_cluster(env.cluster, env.step_index),
+                                      env.current_tasks))
 
 
 def snap(idx, dc_id=None, ci=100.0, price=50.0, cores=1000.0, total=1000.0,
@@ -115,7 +116,7 @@ class TestStrategies:
 class TestSnapshot:
     def test_snapshot_reads_cluster_state(self):
         cluster = make_cluster()
-        snaps = snapshot_cluster(cluster, T0)
+        snaps = snapshot_cluster(cluster, 0)
         assert [s.node.dc_id for s in snaps] == [1, 2, 3]
         assert [s.node for s in snaps] == cluster.nodes
         assert snaps[0].price_usd_per_mwh == 100.0
@@ -125,7 +126,7 @@ class TestSnapshot:
     def test_snapshot_tracks_node_order(self):
         cluster = make_cluster()
         cluster.nodes = [cluster.nodes[2], cluster.nodes[0], cluster.nodes[1]]
-        snaps = snapshot_cluster(cluster, T0)
+        snaps = snapshot_cluster(cluster, 0)
         assert [s.node.dc_id for s in snaps] == [3, 1, 2]
         assert [s.node for s in snaps] == cluster.nodes
 

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodcsim import cluster, network, runner, schedenv
+from geodcsim import cluster, envdata, network, runner, schedenv
 from geodcsim.cluster import ClusterInfo, DcStepInfo
 from geodcsim.controllers import RuleBasedController, snapshot_cluster
 from geodcsim.dcphysics import desk_scale_params, save_dc_config
@@ -193,7 +193,7 @@ class TestRunEpisode:
         original = schedenv.build_observation
 
         def counted(*args):
-            calls.append(args[-1])
+            calls.append(args[2])  # the instant, now
             return original(*args)
 
         monkeypatch.setattr(schedenv, "build_observation", counted)
@@ -233,7 +233,7 @@ class TestRunEpisode:
         lines, done = [], False
         while not done:
             step_idx, now = env.step_index, env.now
-            actions = controller.decide(snapshot_cluster(env.cluster, now), env.current_tasks)
+            actions = controller.decide(snapshot_cluster(env.cluster, step_idx), env.current_tasks)
             reward, done, outcome = env.advance(actions)
             lines.append(runner._log_row(step_idx, now, outcome.cluster_info, reward, dc_ids))
         return lines, json.dumps(env.kpis())
@@ -378,7 +378,8 @@ class TestKpiLedger:
         env.reset()
         done = False
         while not done:
-            actions = controller.decide(snapshot_cluster(env.cluster, env.now), env.current_tasks)
+            actions = controller.decide(snapshot_cluster(env.cluster, env.step_index),
+                                        env.current_tasks)
             _, _, done, _ = env.step(actions)
         return env.kpis()
 
@@ -419,19 +420,22 @@ class TestKpiLedger:
 
 
 class TestSeriesReads:
-    """Each site's four series are interpolated once per instant, whoever reads them:
-    at every step, and at the final observation for a caller that builds it."""
+    """Each site's four series are read as columns that ``on_grid`` builds once per
+    env; stepping reads them by index and interpolates nothing."""
 
     @pytest.fixture
     def value_at_calls(self, monkeypatch):
+        """Every ``value_at`` call, through each ``geodcsim`` module that binds it."""
         calls = []
-        original = cluster.value_at
+        original = envdata.value_at
 
         def counted(series, t):
             calls.append(t)
             return original(series, t)
 
-        monkeypatch.setattr(cluster, "value_at", counted)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "geodcsim" and getattr(module, "value_at", None) is original:
+                monkeypatch.setattr(module, "value_at", counted)
         return calls
 
     def _shipped(self):
@@ -439,20 +443,40 @@ class TestSeriesReads:
         return sim, load_dc_fleet(CONFIG_DIR / "datacenters.yaml"), load_reward_config(
             CONFIG_DIR / "reward.yaml")
 
+    @staticmethod
+    def _agent_episode(env, rng):
+        env.reset()
+        done = False
+        while not done:
+            _, _, done, _ = env.step(rng.integers(0, env.num_dcs + 1, len(env.current_tasks)))
+
     def test_run_episode(self, value_at_calls):
-        sim, fleet, reward_doc = self._shipped()
-        rows, _ = run_episode(sim, fleet, reward_doc, seed=0)
-        assert len(value_at_calls) == 4 * len(fleet) * len(rows)  # no final observation
+        rows, _ = run_episode(*self._shipped(), seed=0)
+        assert len(rows) == 96 and value_at_calls == []
 
     def test_agent_loop(self, value_at_calls):
         env = build_env(*self._shipped(), seed=0)
+        self._agent_episode(env, np.random.default_rng(0))
+        assert env.step_index == 96 and value_at_calls == []
+
+    def test_columns_are_built_once_over_resets(self, monkeypatch):
+        built = []
+        original = cluster.on_grid
+
+        def counted(series, start, steps):
+            built.append((list(series), start, steps))
+            return original(series, start, steps)
+
+        monkeypatch.setattr(cluster, "on_grid", counted)
+        env = build_env(*self._shipped(), seed=0)
         rng = np.random.default_rng(0)
-        env.reset()
-        done, steps = False, 0
-        while not done:
-            _, _, done, _ = env.step(rng.integers(0, env.num_dcs + 1, len(env.current_tasks)))
-            steps += 1
-        assert len(value_at_calls) == 4 * env.num_dcs * (steps + 1)
+        for _ in range(3):
+            self._agent_episode(env, rng)
+        nodes = sorted(env.cluster.nodes, key=lambda n: n.dc_id)
+        want = [s for n in nodes for s in (n.price, n.carbon, n.drybulb, n.humidity)]
+        assert len(built) == 1
+        assert [id(s) for s in built[0][0]] == [id(s) for s in want]
+        assert built[0][1:] == (env.start, env.horizon_steps + 1)
 
 
 class TestSweep:

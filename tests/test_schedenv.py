@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from geodcsim import cluster as cluster_module
 from geodcsim import runner
 from geodcsim.cluster import Cluster
 from geodcsim.errors import ConfigError, ProtocolError
@@ -71,6 +72,32 @@ class TestReset:
         env = make_env(trace_of([make_task("a")], [make_task("b", origin=9)]))
         with pytest.raises(ConfigError, match="^task b origin 9 is not a configured dc$"):
             env.reset()
+
+
+class TestColumns:
+    def test_a_reset_builds_only_the_columns_of_changed_series(self, monkeypatch):
+        """Sites 1 and 2 keep their series objects over resets; site 3 gets new ones,
+        each reading 100 + the reset count, so only its columns are built again."""
+        kept = [make_node(dc_id=1), make_node(dc_id=2, location="DE-LU")]
+        resets = []
+
+        def factory():
+            resets.append(None)
+            fresh = make_node(dc_id=3, location="SG", price=100.0 + len(resets))
+            return Cluster([*kept, fresh], *tiny_network())
+
+        built = []
+        original = cluster_module.on_grid
+        monkeypatch.setattr(cluster_module, "on_grid", lambda series, start, steps: (
+            built.append([s.location_code for s in series]) or original(series, start, steps)))
+        env = SchedulingEnv(factory, [], T0, 1, default_reward())
+        for _ in range(3):
+            env.reset()
+            assert [n.conditions(96)[0] for n in env.cluster.nodes] == [100.0, 100.0,
+                                                                       100.0 + len(resets)]
+        assert built == [["US-CAL-CISO"] * 4 + ["DE-LU"] * 4 + ["SG"] * 4, ["SG"] * 4,
+                         ["SG"] * 4]
+        assert all(n.columns is kept_node.columns for n, kept_node in zip(env.cluster.nodes, kept))
 
 
 _BAD_SEEDS = pytest.mark.parametrize("seed, expected", [
@@ -165,7 +192,7 @@ class TestObservationFeatures:
         jan1 = datetime(2024, 1, 1, 0, 0, tzinfo=timezone.utc)
         cluster = make_cluster(start=jan1)
         task = make_task(arrival=jan1)
-        obs = build_observation(cluster, [task], jan1)[0]
+        obs = build_observation(cluster, [task], jan1, 0)[0]
         assert obs[0] == pytest.approx(math.sin(2 * math.pi / 365.0))
         assert obs[1] == pytest.approx(math.cos(2 * math.pi / 365.0))
         assert obs[2] == pytest.approx(0.0, abs=1e-7)
@@ -173,7 +200,7 @@ class TestObservationFeatures:
 
     def test_idle_dc_fractions_are_one(self):
         cluster = make_cluster()
-        obs = build_observation(cluster, [make_task()], T0)[0]
+        obs = build_observation(cluster, [make_task()], T0, 0)[0]
         for j in range(3):
             base = 9 + 5 * j
             assert obs[base] == 1.0  # cores
@@ -185,7 +212,7 @@ class TestObservationFeatures:
     def test_task_features_order(self):
         cluster = make_cluster()
         task = make_task(cores=8.0, gpu=2.0, duration=120.0, origin=2)
-        obs = build_observation(cluster, [task], T0)[0]
+        obs = build_observation(cluster, [task], T0, 0)[0]
         assert obs[4] == 2.0
         assert obs[5] == 8.0
         assert obs[6] == 2.0
@@ -196,7 +223,7 @@ class TestObservationFeatures:
         cluster = make_cluster()
         task = make_task()
         late = from_us(task.deadline_us) + timedelta(hours=2)
-        obs = build_observation(cluster, [task], late)[0]
+        obs = build_observation(cluster, [task], late, 0)[0]
         assert obs[8] == 0.0
 
     @settings(max_examples=300)
@@ -213,7 +240,7 @@ class TestObservationFeatures:
 
     def test_dtype_float32(self):
         cluster = make_cluster()
-        obs = build_observation(cluster, [make_task()], T0)
+        obs = build_observation(cluster, [make_task()], T0, 0)
         assert obs[0].dtype == np.float32
 
 
