@@ -202,12 +202,9 @@ class DatacenterNode:
 
     def conditions(self, step: int) -> tuple[float, float, float, float]:
         """Price, carbon intensity, dry-bulb and relative humidity at step ``step`` of
-        the window whose columns this site holds: four reads by index."""
-        try:
-            price, carbon, drybulb, humidity = self.columns
-        except TypeError:
-            raise ProtocolError(f"dc {self.dc_id} has no columns: "
-                                "Cluster.attach_columns hands them out") from None
+        the window whose columns this site holds: four reads by index, which the
+        cluster checks against its window once per step."""
+        price, carbon, drybulb, humidity = self.columns
         return price[step], carbon[step], drybulb[step], humidity[step]
 
     def physics_step(self, action: HvacAction | None, u_cpu: float, u_gpu: float,
@@ -353,29 +350,32 @@ class Cluster:
         self.region_map = region_map
         self.in_transit: list[InTransit] = []
         self.completed = 0  # tasks released so far
+        self.rows = 0  # the rows of each site's columns, which attach_columns sets
 
-    def attach_columns(self, start: datetime, steps: int, built: dict | None = None) -> None:
+    def attach_columns(self, start: datetime, steps: int) -> None:
         """Hand each node its four series as ``on_grid`` columns over the ``steps``
-        steps from ``start``. ``built`` keeps, by ``dc_id``, the series a site's columns
-        were built from and the columns: a node whose four series are those same
-        objects takes its kept columns, and only the others are built, in one call."""
-        built = {} if built is None else built
-        stale = []
-        for node in self.nodes:
-            series = (node.price, node.carbon, node.drybulb, node.humidity)
-            kept = built.get(node.dc_id)
-            if kept is None or any(a is not b for a, b in zip(kept[0], series)):
-                stale.append((node.dc_id, series))
-        if stale:
-            columns = on_grid([s for _, series in stale for s in series], start, steps)
-            for i, (dc_id, series) in enumerate(stale):
-                built[dc_id] = (series, tuple(columns[4 * i:4 * i + 4]))
-        for node in self.nodes:
-            node.columns = built[node.dc_id][1]
+        steps from ``start``, built for every site in one call."""
+        series = [s for n in self.nodes for s in (n.price, n.carbon, n.drybulb, n.humidity)]
+        columns = on_grid(series, start, steps)
+        for i, node in enumerate(self.nodes):
+            node.columns = tuple(columns[4 * i:4 * i + 4])
+        self.rows = steps
+
+    def check_step(self, step: int) -> None:
+        """Refuse a step the columns do not hold: past their rows an index runs off, and
+        a negative one would wrap to the window's end and read its last row."""
+        if not 0 <= step < self.rows:
+            if not self.rows:
+                raise ProtocolError("the cluster has no columns: "
+                                    "Cluster.attach_columns hands them out")
+            raise ProtocolError(f"step {step} is outside the {self.rows} rows of the "
+                                "cluster's columns")
 
     def route_assignments(self, decisions, step: int) -> ClusterInfo:
         """Apply (task, dest_dc_id) decisions; remote ones pay cost/energy/CO2/delay.
-        Returns the step's accounting record with those transmission totals."""
+        Returns the step's accounting record with those transmission totals. A step
+        outside the columns is refused before anything is routed."""
+        self.check_step(step)
         info = ClusterInfo()
         for task, dest_id in decisions:
             if dest_id not in self.by_id:
@@ -419,7 +419,8 @@ class Cluster:
     def step(self, step: int, now: datetime, decisions=()) -> ClusterInfo:
         """Advance one 15-minute interval, step ``step`` of the window, which starts at
         ``now``: route ``decisions``, deliver transit, then release, schedule and run
-        each site's physics at the step's conditions; returns the step's record."""
+        each site's physics at the step's conditions; returns the step's record. A step
+        outside the columns is refused, by ``route_assignments``, before any of that."""
         info = self.route_assignments(decisions, step)
         self.advance_transit(step)
         now_us = to_us(now)

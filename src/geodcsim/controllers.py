@@ -39,7 +39,8 @@ class DcSnapshot:
 def snapshot_cluster(cluster: Cluster, step: int) -> list[DcSnapshot]:
     """One snapshot per node in cluster order, at step ``step`` of the window; a
     snapshot's position, counted from 1, is its site's index in the environment's
-    action space."""
+    action space. A step outside the cluster's columns is refused."""
+    cluster.check_step(step)
     return [DcSnapshot(node, *node.conditions(step)[:2]) for node in cluster.nodes]
 
 

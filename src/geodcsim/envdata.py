@@ -4,7 +4,7 @@ Electricity prices arrive as hourly CSV in USD/MWh, grid carbon intensity as hou
 CSV in gCO2eq/kWh, and weather as JSON with arrays under an ``hourly`` key. Series
 are validated onto the one-hour grid ``HOUR`` at load time (short gaps forward-filled)
 and interpolated linearly between native points: ``on_grid`` reads them over a
-simulation window as columns, built once per env and read by step index, and
+simulation window as columns, built once per reset and read by step index, and
 ``value_at`` is the scalar form. Reads outside the loaded window raise instead of
 extrapolating, and ``check_coverage`` owns the check that a site's series cover a
 whole simulation window.
@@ -70,7 +70,7 @@ class TimeSeries:
     Immutable after construction; safe to share read-only across episodes.
     ``end``, the instant of the last native point, is derived once here, and so
     is the ``array('d')`` copy of ``values`` that ``value_at`` reads. The simulation
-    reads a series through the column that ``on_grid`` builds once per env and
+    reads a series through the column that ``on_grid`` builds once per reset and
     indexes by step; ``value_at`` is that column's scalar oracle. Two series are
     equal when their location, kind, start and points are; series are unhashable.
     """

@@ -156,11 +156,10 @@ class SchedulingEnv:
 
     Instances are single-threaded; independent instances may run concurrently.
     ``cluster_factory`` must return a fresh cluster each call so reset() starts
-    from pristine state. Each site's series are read as columns over the window,
-    built at the first reset and kept by ``dc_id``: a later reset builds only those
-    of a site whose series objects changed. ``trace`` is a ``workload.Trace``, or any iterable of
-    ``workload.TaskSpec``s, which ``Trace.from_specs`` turns into one; each episode
-    injects its rows as new ``Task``s.
+    from pristine state. Each reset reads each site's series as columns over the
+    window, which every step then reads by index. ``trace`` is a ``workload.Trace``,
+    or any iterable of ``workload.TaskSpec``s, which ``Trace.from_specs`` turns into
+    one; each episode injects its rows as new ``Task``s.
     """
 
     def __init__(
@@ -198,7 +197,6 @@ class SchedulingEnv:
         self._rng: np.random.Generator | None = None
         self._origin_sites: list = []  # (dc_id, timezone_shift_h, population_weight) per site
         self._origin_tables: dict = {}  # UTC time of day -> origin_table of _origin_sites
-        self._columns: dict = {}  # dc_id -> (series, columns), as Cluster.attach_columns keeps
         self._done = True
         # The episode's KPI ledger, which step() adds to and kpis() reads (the avg_
         # keys hold sums until then), and the count of tasks injected.
@@ -230,7 +228,7 @@ class SchedulingEnv:
             bad = first_unknown_origin(self.trace, self.cluster.by_id)
             raise ConfigError(f"task {bad.job_id} origin {bad.origin_dc_id} is not a configured dc")
         # a row per step and one for the final observation, at end
-        self.cluster.attach_columns(self.start, self.horizon_steps + 1, self._columns)
+        self.cluster.attach_columns(self.start, self.horizon_steps + 1)
         self._origin_sites = [
             (n.dc_id, n.timezone_shift_h, n.population_weight) for n in self.cluster.nodes
         ]

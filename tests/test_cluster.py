@@ -648,11 +648,24 @@ class TestClusterGuards:
         with pytest.raises(ValueError, match="^dc_id values must be unique$"):
             Cluster(nodes, matrix, delay, region_map)
 
-    def test_a_site_without_columns_is_refused_at_its_first_read(self):
+    def test_a_cluster_without_columns_is_refused_at_its_first_step(self):
         cluster = Cluster([make_node(dc_id=1)], *tiny_network())
         with pytest.raises(ProtocolError, match=(
-                r"^dc 1 has no columns: Cluster.attach_columns hands them out$")):
+                r"^the cluster has no columns: Cluster.attach_columns hands them out$")):
             cluster.step(0, T0)
+
+    @pytest.mark.parametrize("step", [-1, 97, 10**9])
+    def test_a_step_outside_the_columns_is_refused(self, step):
+        """Columns hold 97 rows; -1 would wrap to the last row and 97 run off it."""
+        cluster = make_cluster(hours=25)
+        task = make_task(origin=1)
+        expected = f"^step {step} is outside the 97 rows of the cluster's columns$"
+        with pytest.raises(ProtocolError, match=expected):
+            cluster.step(step, T0, [(task, 2)])
+        with pytest.raises(ProtocolError, match=expected):
+            snapshot_cluster(cluster, step)
+        assert task.dest_dc_id is None and not cluster.in_transit
+        assert len(snapshot_cluster(cluster, 96)) == 3  # the last row is read
 
     @pytest.mark.parametrize("origin, dest, expected", [
         (1, 4, "unknown destination dc_id 4"),

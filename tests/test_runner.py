@@ -421,7 +421,7 @@ class TestKpiLedger:
 
 class TestSeriesReads:
     """Each site's four series are read as columns that ``on_grid`` builds once per
-    env; stepping reads them by index and interpolates nothing."""
+    reset; stepping reads them by index and interpolates nothing."""
 
     @pytest.fixture
     def value_at_calls(self, monkeypatch):
@@ -459,7 +459,7 @@ class TestSeriesReads:
         self._agent_episode(env, np.random.default_rng(0))
         assert env.step_index == 96 and value_at_calls == []
 
-    def test_columns_are_built_once_over_resets(self, monkeypatch):
+    def test_columns_are_built_once_per_reset(self, monkeypatch):
         built = []
         original = cluster.on_grid
 
@@ -474,9 +474,10 @@ class TestSeriesReads:
             self._agent_episode(env, rng)
         nodes = sorted(env.cluster.nodes, key=lambda n: n.dc_id)
         want = [s for n in nodes for s in (n.price, n.carbon, n.drybulb, n.humidity)]
-        assert len(built) == 1
-        assert [id(s) for s in built[0][0]] == [id(s) for s in want]
-        assert built[0][1:] == (env.start, env.horizon_steps + 1)
+        assert len(built) == 3
+        for series, start, steps in built:
+            assert [id(s) for s in series] == [id(s) for s in want]
+            assert (start, steps) == (env.start, env.horizon_steps + 1)
 
 
 class TestSweep:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from geodcsim import cluster as cluster_module
 from geodcsim import runner
 from geodcsim.cluster import Cluster
 from geodcsim.errors import ConfigError, ProtocolError
@@ -72,32 +71,6 @@ class TestReset:
         env = make_env(trace_of([make_task("a")], [make_task("b", origin=9)]))
         with pytest.raises(ConfigError, match="^task b origin 9 is not a configured dc$"):
             env.reset()
-
-
-class TestColumns:
-    def test_a_reset_builds_only_the_columns_of_changed_series(self, monkeypatch):
-        """Sites 1 and 2 keep their series objects over resets; site 3 gets new ones,
-        each reading 100 + the reset count, so only its columns are built again."""
-        kept = [make_node(dc_id=1), make_node(dc_id=2, location="DE-LU")]
-        resets = []
-
-        def factory():
-            resets.append(None)
-            fresh = make_node(dc_id=3, location="SG", price=100.0 + len(resets))
-            return Cluster([*kept, fresh], *tiny_network())
-
-        built = []
-        original = cluster_module.on_grid
-        monkeypatch.setattr(cluster_module, "on_grid", lambda series, start, steps: (
-            built.append([s.location_code for s in series]) or original(series, start, steps)))
-        env = SchedulingEnv(factory, [], T0, 1, default_reward())
-        for _ in range(3):
-            env.reset()
-            assert [n.conditions(96)[0] for n in env.cluster.nodes] == [100.0, 100.0,
-                                                                       100.0 + len(resets)]
-        assert built == [["US-CAL-CISO"] * 4 + ["DE-LU"] * 4 + ["SG"] * 4, ["SG"] * 4,
-                         ["SG"] * 4]
-        assert all(n.columns is kept_node.columns for n, kept_node in zip(env.cluster.nodes, kept))
 
 
 _BAD_SEEDS = pytest.mark.parametrize("seed, expected", [
