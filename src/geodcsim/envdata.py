@@ -360,9 +360,10 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     at its upper end. The bisection then takes the side of every midpoint
     outside the band, and skips the saturation check at ``t``, without
     evaluating the residual there; those evaluations would have given the same
-    signs, so the result is bit for bit that of the plain bisection. Outside that
-    range, or when the certificate fails, the band is empty and every midpoint
-    is evaluated.
+    signs, so the result is bit for bit that of the plain bisection. A band that
+    fails its certificate gets one more Newton step and a second certificate.
+    Outside that range, or when the second certificate fails too, the band is
+    empty and every midpoint is evaluated.
     """
     if not 0.0 <= rh_pct <= 100.0:
         raise ValueError(f"relative humidity {rh_pct} outside [0, 100]")
@@ -386,9 +387,11 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
     a = b = math.nan  # the certified band; NaN compares false, so nothing is skipped
     if 1.0 <= rh_pct and -30.0 <= t <= 60.0:
         # Newton steps from Stull's estimate (within t - 37 and t here) until a step
-        # is under 2e-5 degC; x then lies within 1e-11 degC of the root on 99 % of inputs
+        # is under 2e-5 degC; x then lies within 1e-11 degC of the root on 99 % of inputs.
+        # A band that fails its certificate takes one more step and is certified again.
         x = min(t, _stull_wet_bulb(t, rh_pct))
-        for _ in range(8):
+        retried = False
+        for step in range(9):
             u = x + 243.04
             p = 610.94 * exp(17.625 * x / u)
             q = 101325.0 - p
@@ -403,14 +406,16 @@ def wet_bulb(t_drybulb_c: float, rh_pct: float) -> float:
                 break
             dx = (w - w_actual) / slope
             x -= dx
-            if abs(dx) < 2e-5 or not t - 60.0 < x < t:
-                break
-        if slope > 0.0:
-            h = min(_WB_BAND_HALF_WIDTH_C, 2.5 * _WB_BAND_MARGIN / slope)
-            lo, hi = x - h, x + h
-            if (t - 60.0 < lo and hi < t and residual(lo) <= -_WB_BAND_MARGIN
-                    and residual(hi) >= _WB_BAND_MARGIN):
-                a, b = lo, hi
+            if abs(dx) < 2e-5 or not t - 60.0 < x < t or step == 7 or retried:
+                h = min(_WB_BAND_HALF_WIDTH_C, 2.5 * _WB_BAND_MARGIN / slope)
+                lo, hi = x - h, x + h
+                if (t - 60.0 < lo and hi < t and residual(lo) <= -_WB_BAND_MARGIN
+                        and residual(hi) >= _WB_BAND_MARGIN):
+                    a, b = lo, hi
+                    break
+                if retried:
+                    break
+                retried = True
 
     hi = t
     if not b < t and residual(hi) <= 0.0:

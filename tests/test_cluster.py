@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodcsim import cluster as cluster_module
 from geodcsim.cluster import (BLOCK, Cluster, DcStepInfo, check_site, release_completed,
                               schedule_fifo_first_fit)
 from geodcsim.controllers import snapshot_cluster
-from geodcsim.dcphysics import HvacAction, WeatherSample, dc_physics_step, desk_scale_params
+from geodcsim.dcphysics import (HvacAction, WeatherSample, dc_physics_step, desk_scale_params,
+                                hvac_plant)
 from geodcsim.envdata import wet_bulb
 from geodcsim.errors import ConfigError, ProtocolError
 from geodcsim.floats import left_sum
@@ -517,10 +519,17 @@ class TestStepRecords:
 # racks at different approach temperatures, so that high setpoints clamp some inlets
 _STAGGERED = desk_scale_params(supply_approach_temps_c=(0.0, 2.0, 4.0, 8.0),
                                return_approach_temps_c=(0.0, 0.5, 1.0, 1.5))
+# every rack at approach 0.0, as in the shipped block: one rack evaluated for all four
+_EQUAL = desk_scale_params()
 _UTIL = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 _MEM = st.sampled_from([0.0, -0.0, 4000.0]) | st.floats(0.0, 8000.0)
+# dry-bulbs either side of the office guide temperature: no recovered heat, some, or
+# heat capped at its fraction of the IT load
+_GUIDE = _EQUAL.hru_office_guide_temp_c
 _WEATHER = st.sampled_from([(20.0, 15.0), (35.0, 24.0)]) | st.tuples(
-    st.floats(-30.0, 45.0), st.floats(-35.0, 35.0))
+    st.floats(-30.0, 45.0), st.floats(-35.0, 35.0)) | st.tuples(
+    st.sampled_from([_GUIDE + d for d in (-30.0, -0.5, -0.01, 0.0, 0.01, 5.0)]),
+    st.floats(-35.0, 15.0))
 _PHYSICS_INPUT = st.tuples(st.sampled_from([None, *HvacAction]), _UTIL, _UTIL, _MEM, _WEATHER)
 
 
@@ -530,20 +539,23 @@ def result_bits(result):
 
 @settings(max_examples=200)
 @given(
+    physics=st.sampled_from([_STAGGERED, _EQUAL]),
     hru=st.booleans(),
     setpoint=st.integers(18, 27).map(float),
-    inputs=st.lists(_PHYSICS_INPUT | st.just("repeat"), max_size=40),
+    # a bare weather pair repeats the last inputs in that weather
+    inputs=st.lists(_PHYSICS_INPUT | st.just("repeat") | _WEATHER, max_size=40),
 )
-def test_physics_memo_matches_dc_physics_step_property(hru, setpoint, inputs):
+def test_physics_memo_matches_dc_physics_step_property(physics, hru, setpoint, inputs):
     """A node's memoized step is bit-equal to a direct ``dc_physics_step`` call at
-    the node's setpoint, through repeated inputs, signed zeros and setpoint moves."""
-    node = make_node(physics=_STAGGERED, hru_enabled=hru, setpoint_c=setpoint)
+    the node's setpoint, through repeated inputs, signed zeros, setpoint moves and
+    recovered heat that comes and goes, on staggered racks and on equal ones."""
+    node = make_node(physics=physics, hru_enabled=hru, setpoint_c=setpoint)
     last = None
     for step in inputs:
-        if step == "repeat":
+        if step == "repeat" or len(step) == 2:
             if last is None:
                 continue
-            step = last
+            step = last if step == "repeat" else (*last[:4], step)
         action, u_cpu, u_gpu, mem, (drybulb, wetbulb) = last = step
         expected = dc_physics_step(node.physics, node.setpoint_c, u_cpu, u_gpu, mem,
                                    WeatherSample(drybulb, wetbulb), action, hru)
@@ -565,6 +577,46 @@ class TestPhysicsMemo:
             cluster.step(2, T0 + 2 * STEP)
         assert [r.getMessage() for r in caplog.records] == [
             "inlet temperature 30.00 degC clamped to [16.0, 28.0]"] * 2
+
+    @staticmethod
+    def spy_plant(monkeypatch):
+        """The recovered heat of each plant the node builds, in order."""
+        built = []
+        monkeypatch.setattr(cluster_module, "hvac_plant",
+                            lambda *args: built.append(args[-1]) or hvac_plant(*args))
+        return built
+
+    def test_the_plant_is_built_once_per_thermal_key_without_heat_recovery(self, monkeypatch):
+        built = self.spy_plant(monkeypatch)
+        node = make_node()
+        for u_cpu in (0.5, 0.5, 0.5, 0.7, 0.7, 0.5):
+            for drybulb, wetbulb in ((20.0, 15.0), (35.0, 24.0), (-10.0, -12.0)):
+                node.physics_step(None, u_cpu, 0.5, 100.0, drybulb, wetbulb)
+        assert built == [0.0] * 3  # keys at 0.5, 0.7, then 0.5 again
+
+    def test_heat_recovery_rebuilds_the_plant_when_recovered_heat_changes(self, monkeypatch):
+        """Warm air recovers no heat, slightly cool air some, cold air the cap: the plant
+        is rebuilt at each change, and kept while the recovered heat repeats."""
+        built = self.spy_plant(monkeypatch)
+        node = make_node(hru_enabled=True)
+        for drybulb in (25.0, 30.0, 20.99, 20.99, -10.0, -20.0, 25.0):
+            result = node.physics_step(None, 0.5, 0.5, 100.0, drybulb, drybulb - 5.0)
+        zero, some, cap, again = built
+        assert zero == again == 0.0 and 0.0 < some < cap
+        assert cap == node.physics.hru_it_load_cap_fraction * result.it_power_w
+
+    def test_a_recovered_heat_of_another_zero_sign_rebuilds_the_plant(self, monkeypatch):
+        """An office guide temperature of -0.0 recovers -0.0 W at a dry-bulb of 0.0 and
+        0.0 W in warmer air; the record carries each sign, as ``dc_physics_step``'s does."""
+        built = self.spy_plant(monkeypatch)
+        node = make_node(physics=desk_scale_params(hru_office_guide_temp_c=-0.0),
+                         hru_enabled=True)
+        for drybulb in (0.0, 5.0, 0.0):
+            expected = dc_physics_step(node.physics, node.setpoint_c, 0.5, 0.5, 100.0,
+                                       WeatherSample(drybulb, -1.0), None, True)
+            result = node.physics_step(None, 0.5, 0.5, 100.0, drybulb, -1.0)
+            assert result_bits(result) == result_bits(expected)
+        assert [math.copysign(1.0, r) for r in built] == [-1.0, 1.0, -1.0]
 
     def test_inputs_are_checked_before_the_kept_half_is_reused(self):
         node = make_node(setpoint_c=27.0)

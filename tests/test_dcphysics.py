@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from geodcsim.dcphysics import (
@@ -14,6 +14,7 @@ from geodcsim.dcphysics import (
     DcStepResult,
     HvacAction,
     WeatherSample,
+    _rack_half,
     apply_hvac_action,
     chiller_cop,
     cpu_power,
@@ -426,6 +427,74 @@ def test_hvac_step_fields_match_a_keyword_built_record_property(
     want = keyword_hvac_step(params, it_power, t_return, setpoint, drybulb, wetbulb, hru)
     for f in fields(DcStepResult):
         assert float.hex(getattr(got, f.name)) == float.hex(getattr(want, f.name)), f.name
+
+
+def reference_rack_half(params, inlets, u_cpu, u_gpu, mem_gb):
+    """``_rack_half`` written out rack by rack: every rack's power and outlet evaluated
+    in a plain loop, none shared with a neighbour at the same inlet."""
+    u_eff = min(max(0.5 * (u_cpu + u_gpu), 0.0), 1.0)
+    powers = []
+    for t_in in inlets:
+        p = params.cpus_per_rack * (cpu_power(params, t_in, u_cpu) + fan_power(params, t_in, u_eff))
+        p += params.gpus_per_rack * gpu_power(params, u_gpu)
+        p += memory_power_per_rack(params, mem_gb)
+        powers.append(p)
+    it_power = 0
+    for p in powers:
+        it_power += p
+    v_rack = params.crac_supply_flow_pu * it_power / (params.num_racks * params.rho_air)
+    returns = 0
+    for t_in, p, approach in zip(inlets, powers, params.return_approach_temps_c):
+        if v_rack > 0.0:
+            outlet = rack_outlet_temp(params, t_in, p, v_rack)
+        else:
+            outlet = t_in + params.thermal_coeffs[4]
+        returns += outlet + approach
+    return it_power, returns / params.num_racks
+
+
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+# inlets at and beyond the clamp's ends, signed zeros inside a range that holds them
+_INLET = st.sampled_from([0.0, -0.0, -10.0, 16.0, 20.0, 28.0, 30.0, 45.0]) | st.floats(-10.0, 45.0)
+# memory alone draws a subnormal IT power, whose per-rack air flow underflows to 0
+_SUBNORMAL = dict(_ZERO_RATIOS, gpu_idle_w=0.0, mem_w_per_gb=4e-320)
+
+
+@settings(max_examples=400, phases=_NO_SHRINK)
+@given(
+    runs=st.lists(st.tuples(_INLET, st.integers(1, 4)), min_size=1, max_size=6),
+    pattern=st.sampled_from(["runs", "alternating", "equal"]),
+    return_approach=st.sampled_from([0.0, -0.0, 1.5]) | st.floats(-5.0, 5.0),
+    u_cpu=st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0),
+    u_gpu=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    mem_gb=st.sampled_from([0.0, 4.0]) | st.floats(0.0, 1e5),
+    block=st.sampled_from(["default", "cold", "subnormal"]),
+)
+def test_rack_half_matches_a_rack_by_rack_loop_property(runs, pattern, return_approach, u_cpu,
+                                                        u_gpu, mem_gb, block):
+    """``_rack_half`` evaluates one rack per run of equal inlets; its IT power and CRAC
+    return carry the bits of a loop that evaluates every rack: through runs, inlets
+    that alternate, blocks whose inlets are all equal, signed zeros in an inlet range
+    that holds them, clamped inlets, and an IT power too small to move any air."""
+    inlets = [t for t, n in runs for _ in range(n)]
+    if pattern == "alternating":  # the first and last runs' inlets, one rack each in turn
+        ends = (runs[0][0], runs[-1][0])
+        inlets = [ends[i % 2] for i in range(len(inlets) + 1)]
+    elif pattern == "equal":
+        inlets = [inlets[0]] * len(inlets)
+    overrides = {}
+    if block == "cold":
+        overrides = dict(inlet_temp_range_c=(-5.0, 30.0))
+    elif block == "subnormal":
+        overrides, u_cpu, u_gpu, mem_gb = _SUBNORMAL, 0.0, 0.0, 4.0
+    approaches = tuple(return_approach * (i % 3) for i in range(len(inlets)))
+    params = desk_scale_params(num_racks=len(inlets), return_approach_temps_c=approaches,
+                               **overrides)
+    got = _rack_half(params, inlets, u_cpu, u_gpu, mem_gb)
+    want = reference_rack_half(params, inlets, u_cpu, u_gpu, mem_gb)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    if block == "subnormal":
+        assert 0.0 < got[0] < 1e-300
 
 
 class TestParamsJson:

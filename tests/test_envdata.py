@@ -596,13 +596,14 @@ class TestWetBulb:
         assert self.exp_calls_per_wet_bulb(shipped_pairs) <= 22.5
 
     def test_random_inputs_rarely_fall_back(self):
-        """A wet-bulb whose band fails its certificate evaluates every midpoint, about
-        58 calls: over random inputs of the band's domain the average stays near 21.7
-        only while such fallbacks stay rare."""
+        """A wet-bulb whose band fails its certificate, even after one more Newton
+        step, evaluates every midpoint, about 58 calls: over random inputs of the
+        band's domain the average stays near 21.4 (3 fallbacks in 20,000) only while
+        such fallbacks stay rare; 161 of them, as without that step, give 21.7."""
         rng = np.random.default_rng(35)
         pairs = list(zip(rng.uniform(-30.0, 60.0, 20_000).tolist(),
                          rng.uniform(1.0, 100.0, 20_000).tolist()))
-        assert self.exp_calls_per_wet_bulb(pairs) <= 23
+        assert self.exp_calls_per_wet_bulb(pairs) <= 21.5
 
     @settings(max_examples=2000)
     @given(st.floats(*envdata.DRY_BULB_RANGE_C), st.floats(0.0, 100.0))
