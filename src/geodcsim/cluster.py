@@ -30,12 +30,11 @@ from datetime import datetime
 from operator import attrgetter
 
 from . import network
-from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, HvacPlant, hvac_plant,
-                        hvac_weather, it_power_and_return_temp, recovered_heat_w,
-                        step_setpoint)
+from .dcphysics import (DcPhysicsParams, DcStepResult, HvacAction, hvac_plant, hvac_weather,
+                        it_power_and_return_temp, recovered_heat_w, step_setpoint)
 from .envdata import TimeSeries, on_grid, wet_bulb
 from .errors import ConfigError, ProtocolError, within
-from .floats import checked, left_sum, same_bits
+from .floats import checked, left_sum
 from .workload import COMPLETED, IN_TRANSIT, PENDING, RUNNING, Task, to_us
 
 logger = logging.getLogger(__name__)
@@ -164,7 +163,7 @@ class DatacenterNode:
     last_return_temp_c: float | None = field(default=None, init=False)
     columns: tuple | None = field(default=None, init=False, repr=False)
     _thermal: tuple = field(default=(None, None), init=False, repr=False)
-    _plant: HvacPlant | None = field(default=None, init=False, repr=False)
+    _plant: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.deadband = check_site(
@@ -218,15 +217,14 @@ class DatacenterNode:
         while they repeat, as idle sites do: the IT power and CRAC return
         temperature, and ``hvac_plant``'s cooling terms. A repeat then runs only
         ``hvac_weather``, the chiller's COP and the water draw. With heat recovery
-        on, the recovered heat also depends on the dry-bulb, so the cooling terms
-        are rebuilt whenever it differs bit for bit from the kept one's. The key
-        compares with ``==``, so a ``-0.0`` utilization or memory hits a ``0.0``
-        entry. Both give the same result: they only change the sign of a zero term
-        in a rack's power, which also adds a GPU term that is never ``-0.0``. A
-        ``-0.0`` setpoint hits a ``0.0`` entry too. The kept cooling terms take the
-        setpoint only through the return temperature less it, and a return
-        temperature, a left fold from the int 0, is never ``-0.0``, so they are the
-        same; the record carries the step's own setpoint.
+        on, the recovered heat depends on the dry-bulb too, so the cooling terms are
+        rebuilt every step. The key compares with ``==``, so a ``-0.0`` utilization
+        or memory hits a ``0.0`` entry. Both give the same result: they only change
+        the sign of a zero term in a rack's power, which also adds a GPU term that
+        is never ``-0.0``. A ``-0.0`` setpoint hits a ``0.0`` entry too. The kept
+        cooling terms take the setpoint only through the return temperature less
+        it, and a return temperature, a left fold from the int 0, is never
+        ``-0.0``, so they are the same; the record carries the step's own setpoint.
         """
         params = self.physics
         setpoint = step_setpoint(params, self.setpoint_c, u_cpu, u_gpu, mem_used_gb, action)
@@ -236,14 +234,10 @@ class DatacenterNode:
             self._plant = None
         it_power, t_return = self._thermal[1]
         plant = self._plant
-        recovered = 0.0
-        if self.hru_enabled:
-            recovered = recovered_heat_w(params, it_power, drybulb_c)
-            if plant is not None and not same_bits(recovered, plant.hru_recovered_w):
-                plant = None
-        if plant is None:
+        if plant is None or self.hru_enabled:
+            recovered = recovered_heat_w(params, it_power, drybulb_c) if self.hru_enabled else 0.0
             plant = self._plant = hvac_plant(params, it_power, t_return, setpoint, recovered)
-        result = hvac_weather(plant, setpoint, drybulb_c, wetbulb_c)
+        result = hvac_weather(params, plant, setpoint, drybulb_c, wetbulb_c)
         self.setpoint_c = setpoint
         self.last_return_temp_c = t_return
         return result

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, fields
 from datetime import timedelta
 from enum import Enum
-from typing import NamedTuple
 
 from .envdata import DRY_BULB_RANGE_C
 from .errors import ConfigError, naming, within
@@ -311,32 +310,6 @@ def heat_recovery_w(params: DcPhysicsParams, t_drybulb_c: float) -> float:
     return q_dc_office + q_ext_office
 
 
-class HvacPlant(NamedTuple):
-    """The weather-independent terms of a cooling-chain step at a given recovered
-    heat, from which ``hvac_weather`` finishes the step. ``chiller_load_w`` is the
-    chiller's capacity times its effective load fraction, ``None`` while it serves
-    no load; ``head_w`` is the total power's first partial sum, IT power plus the
-    CRAC fan. The last six are the block's constant COP and water terms."""
-
-    head_w: float
-    chiller_load_w: float | None
-    ct_fan_w: float
-    pump_w: float
-    q_served_w: float
-    it_power_w: float
-    crac_fan_w: float
-    crac_return_temp_c: float
-    hru_recovered_w: float
-    q_crac_w: float
-    q_effective_w: float
-    cop_nominal: float
-    cop_ambient_slope: float
-    cop_min: float
-    water_intercept: float  # water_usage_rate's y-intercept at the condenser range
-    heat_reject_unit_w: float
-    water_drift_factor: float  # 1 + the drift rate
-
-
 def recovered_heat_w(params: DcPhysicsParams, it_power_w: float, t_drybulb_c: float) -> float:
     """The heat that recovery takes off the CRAC load: the office duty, capped at a
     fixed fraction of the IT load."""
@@ -350,10 +323,15 @@ def hvac_plant(
     t_return_c: float,
     setpoint_c: float,
     recovered_w: float,
-) -> HvacPlant:
+) -> tuple:
     """The cooling chain's weather-independent half, with ``recovered_w`` of heat
-    recovered: the CRAC load and fan, the served load, the chiller's load, the
-    cooling-tower fan and the pumps.
+    recovered, from which ``hvac_weather`` finishes the step. It is a plain tuple,
+    as building a named one adds about a quarter to ``hvac_step``'s time. In order:
+    the total power's first partial sum (IT power plus the CRAC fan), the chiller's
+    load (its capacity times its effective load fraction, ``None`` while it serves
+    no load), the cooling-tower fan, the pumps, the served load, then the IT power,
+    CRAC fan, return temperature, recovered heat, CRAC load and effective load that
+    the record carries.
 
     The CRAC load is carried by an air mass flow proportional to IT power; the
     recovered heat never drives the effective cooling load negative. Pumps draw
@@ -381,30 +359,28 @@ def hvac_plant(
 
     pumps = pump_power(params.cw_pressure_drop_pa, params.cw_flow_m3s, params.cw_pump_eff)
     pumps += pump_power(params.ct_pressure_drop_pa, params.ct_flow_m3s, params.ct_pump_eff)
-    return HvacPlant(it_power_w + crac_fan, chiller_load, ct_fan, pumps, q_served, it_power_w,
-                     crac_fan, t_return_c, recovered_w, q_crac, q_effective,
-                     params.chiller_cop_nominal, params.chiller_cop_ambient_slope,
-                     params.chiller_cop_min, 0.3528 * params.condenser_t_range_k + 0.101,
-                     params.heat_reject_unit_w, 1.0 + params.water_drift_rate)
+    return (it_power_w + crac_fan, chiller_load, ct_fan, pumps, q_served, it_power_w,
+            crac_fan, t_return_c, recovered_w, q_crac, q_effective)
 
 
-def hvac_weather(plant: HvacPlant, setpoint_c: float, t_drybulb_c: float,
-                 t_wetbulb_c: float) -> DcStepResult:
+def hvac_weather(params: DcPhysicsParams, plant: tuple, setpoint_c: float,
+                 t_drybulb_c: float, t_wetbulb_c: float) -> DcStepResult:
     """The cooling chain's weather half: the chiller's draw at the dry-bulb's COP and
-    the water draw at the wet-bulb, then the whole step record at ``setpoint_c``.
-    It inlines ``chiller_cop``, ``water_usage_rate`` and ``water_to_15min_liters``
-    on the plant's block terms: the same operations, without three calls a step."""
+    the water draw at the wet-bulb, then the whole step record at ``setpoint_c``."""
     (head, chiller_load, ct_fan, pumps, q_served, it_power, crac_fan, t_return, recovered,
-     q_crac, q_effective, cop_nominal, cop_slope, cop_min, water_intercept, reject_unit,
-     drift_factor) = plant
+     q_crac, q_effective) = plant
     chiller = 0.0
     if chiller_load is not None:
-        chiller = chiller_load / max(cop_min, cop_nominal - cop_slope * (t_drybulb_c - 20.0))
-    w_evap = max(0.044 * t_wetbulb_c + water_intercept, 0.0) * q_served / reject_unit
+        chiller = chiller_load / chiller_cop(params, t_drybulb_c)
+
+    w_norm = water_usage_rate(params.condenser_t_range_k, t_wetbulb_c)
+    w_evap = max(w_norm, 0.0) * q_served / params.heat_reject_unit_w
+    w_total = w_evap * (1.0 + params.water_drift_rate)
+
     total = head + chiller + ct_fan + pumps
     # positional, in DcStepResult's field order: keywords cost several times more per step
     return DcStepResult(it_power, crac_fan, chiller, ct_fan, pumps, total,
-                        total * STEP_HOURS / 1000.0, w_evap * drift_factor * 1000.0 * STEP_HOURS,
+                        total * STEP_HOURS / 1000.0, water_to_15min_liters(w_total),
                         t_return, recovered, q_crac, q_effective, setpoint_c)
 
 
@@ -426,7 +402,7 @@ def hvac_step(
     """
     recovered = recovered_heat_w(params, it_power_w, t_drybulb_c) if hru_enabled else 0.0
     plant = hvac_plant(params, it_power_w, t_return_c, setpoint_c, recovered)
-    return hvac_weather(plant, setpoint_c, t_drybulb_c, t_wetbulb_c)
+    return hvac_weather(params, plant, setpoint_c, t_drybulb_c, t_wetbulb_c)
 
 
 def water_usage_rate(t_range_k: float, t_wetbulb_c: float) -> float:
@@ -495,32 +471,18 @@ def it_power_and_return_temp(
 
 def _rack_half(params: DcPhysicsParams, inlets, u_cpu: float, u_gpu: float,
                mem_used_gb: float) -> tuple[float, float]:
-    """(IT power W, CRAC return degC) of racks whose inlets are at ``inlets`` degC.
-
-    Racks differ only in their inlets, so one rack of each run of bit-equal inlets
-    is evaluated and its power and outlet repeated along the run; the folds over
-    racks still add every rack. A zero inlet starts a run of its own, as its sign
-    can reach a rack's power.
-    """
-    heads, runs = [], []  # each run's first inlet and its length
-    for t_in in inlets:
-        if runs and t_in == heads[-1] and t_in != 0.0:
-            runs[-1] += 1
-        else:
-            heads.append(t_in)
-            runs.append(1)
-    _, powers = total_it_power(params, heads, u_cpu, u_gpu, mem_used_gb)
-    it_power = left_sum([p for p, n in zip(powers, runs) for _ in range(n)])
+    """(IT power W, CRAC return degC) of racks whose inlets are at ``inlets`` degC."""
+    it_power, per_rack = total_it_power(params, inlets, u_cpu, u_gpu, mem_used_gb)
 
     # All CRAC supply air is pushed through the racks in equal shares, so with the
     # default outlet coefficients the heat handed to the CRAC matches IT power. A
     # subnormal IT power can leave a rack no flow at all, hence the test on v_rack.
     v_rack = params.crac_supply_flow_pu * it_power / (params.num_racks * params.rho_air)
     if v_rack > 0.0:
-        outlets = [rack_outlet_temp(params, t_in, p, v_rack) for t_in, p in zip(heads, powers)]
+        outlets = [rack_outlet_temp(params, t_in, p, v_rack) for t_in, p in zip(inlets, per_rack)]
     else:
-        outlets = [t_in + params.thermal_coeffs[4] for t_in in heads]
-    return it_power, crac_return_temp(params, [t for t, n in zip(outlets, runs) for _ in range(n)])
+        outlets = [t_in + params.thermal_coeffs[4] for t_in in inlets]
+    return it_power, crac_return_temp(params, outlets)
 
 
 def dc_physics_step(

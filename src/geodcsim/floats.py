@@ -59,11 +59,6 @@ def parsed(text: str, what: str) -> float:
     return checked(number, what)
 
 
-def same_bits(a: float, b: float) -> bool:
-    """Whether ``a`` and ``b`` are one float, the sign of a zero included."""
-    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
 def left_sum(values):
     """``values`` added left to right, starting from the int 0 as ``sum()`` does."""
     return functools.reduce(operator.add, values, 0)

@@ -519,7 +519,7 @@ class TestStepRecords:
 # racks at different approach temperatures, so that high setpoints clamp some inlets
 _STAGGERED = desk_scale_params(supply_approach_temps_c=(0.0, 2.0, 4.0, 8.0),
                                return_approach_temps_c=(0.0, 0.5, 1.0, 1.5))
-# every rack at approach 0.0, as in the shipped block: one rack evaluated for all four
+# every rack at approach 0.0, as in the shipped block
 _EQUAL = desk_scale_params()
 _UTIL = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 _MEM = st.sampled_from([0.0, -0.0, 4000.0]) | st.floats(0.0, 8000.0)
@@ -594,29 +594,17 @@ class TestPhysicsMemo:
                 node.physics_step(None, u_cpu, 0.5, 100.0, drybulb, wetbulb)
         assert built == [0.0] * 3  # keys at 0.5, 0.7, then 0.5 again
 
-    def test_heat_recovery_rebuilds_the_plant_when_recovered_heat_changes(self, monkeypatch):
-        """Warm air recovers no heat, slightly cool air some, cold air the cap: the plant
-        is rebuilt at each change, and kept while the recovered heat repeats."""
+    def test_heat_recovery_rebuilds_the_plant_every_step(self, monkeypatch):
+        """Warm air recovers no heat, slightly cool air some, cold air the cap; the
+        recovered heat follows the dry-bulb, so the plant is rebuilt at every step."""
         built = self.spy_plant(monkeypatch)
         node = make_node(hru_enabled=True)
         for drybulb in (25.0, 30.0, 20.99, 20.99, -10.0, -20.0, 25.0):
             result = node.physics_step(None, 0.5, 0.5, 100.0, drybulb, drybulb - 5.0)
-        zero, some, cap, again = built
-        assert zero == again == 0.0 and 0.0 < some < cap
-        assert cap == node.physics.hru_it_load_cap_fraction * result.it_power_w
-
-    def test_a_recovered_heat_of_another_zero_sign_rebuilds_the_plant(self, monkeypatch):
-        """An office guide temperature of -0.0 recovers -0.0 W at a dry-bulb of 0.0 and
-        0.0 W in warmer air; the record carries each sign, as ``dc_physics_step``'s does."""
-        built = self.spy_plant(monkeypatch)
-        node = make_node(physics=desk_scale_params(hru_office_guide_temp_c=-0.0),
-                         hru_enabled=True)
-        for drybulb in (0.0, 5.0, 0.0):
-            expected = dc_physics_step(node.physics, node.setpoint_c, 0.5, 0.5, 100.0,
-                                       WeatherSample(drybulb, -1.0), None, True)
-            result = node.physics_step(None, 0.5, 0.5, 100.0, drybulb, -1.0)
-            assert result_bits(result) == result_bits(expected)
-        assert [math.copysign(1.0, r) for r in built] == [-1.0, 1.0, -1.0]
+        assert len(built) == 7
+        assert built[0] == built[1] == built[6] == 0.0
+        assert 0.0 < built[2] == built[3] < built[4] == built[5]
+        assert built[4] == node.physics.hru_it_load_cap_fraction * result.it_power_w
 
     def test_inputs_are_checked_before_the_kept_half_is_reused(self):
         node = make_node(setpoint_c=27.0)

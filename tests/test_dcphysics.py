@@ -431,7 +431,7 @@ def test_hvac_step_fields_match_a_keyword_built_record_property(
 
 def reference_rack_half(params, inlets, u_cpu, u_gpu, mem_gb):
     """``_rack_half`` written out rack by rack: every rack's power and outlet evaluated
-    in a plain loop, none shared with a neighbour at the same inlet."""
+    in a plain loop."""
     u_eff = min(max(0.5 * (u_cpu + u_gpu), 0.0), 1.0)
     powers = []
     for t_in in inlets:
@@ -472,10 +472,10 @@ _SUBNORMAL = dict(_ZERO_RATIOS, gpu_idle_w=0.0, mem_w_per_gb=4e-320)
 )
 def test_rack_half_matches_a_rack_by_rack_loop_property(runs, pattern, return_approach, u_cpu,
                                                         u_gpu, mem_gb, block):
-    """``_rack_half`` evaluates one rack per run of equal inlets; its IT power and CRAC
-    return carry the bits of a loop that evaluates every rack: through runs, inlets
-    that alternate, blocks whose inlets are all equal, signed zeros in an inlet range
-    that holds them, clamped inlets, and an IT power too small to move any air."""
+    """``_rack_half``'s IT power and CRAC return carry the bits of a plain loop that
+    evaluates every rack: through runs of equal inlets, inlets that alternate, blocks
+    whose inlets are all equal, signed zeros in an inlet range that holds them,
+    clamped inlets, and an IT power too small to move any air."""
     inlets = [t for t, n in runs for _ in range(n)]
     if pattern == "alternating":  # the first and last runs' inlets, one rack each in turn
         ends = (runs[0][0], runs[-1][0])
