@@ -17,11 +17,13 @@ import logging
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
+from functools import cache, partial
 from itertools import permutations
 from operator import attrgetter
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -60,6 +62,16 @@ _SITE_COLUMNS, _site_values, _SITE_FORMAT = _log_columns(DcStepInfo)
 _TAIL_COLUMNS, _tail_values, _TAIL_FORMAT = _log_columns(ClusterInfo)  # then the reward
 
 
+def _at(path: str, default, where=None):
+    """A config field with ``default`` (a dataclass is copied), read from the dotted YAML
+    key path ``path`` of its section, not the key of its own name; ``where``, not the
+    path, goes before a failure inside a dataclass field."""
+    meta = {"keys": tuple(path.split(".")), "where": where}
+    if is_dataclass(default):
+        return field(default_factory=partial(replace, default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class SyntheticSeriesSpec:  # synth_series checks it, and what it draws
     base: float
@@ -90,22 +102,23 @@ class DcSpec:
     population_weight: float = 1.0
     dc_config_file: str | None = None
     hru_enabled: bool = False
-    hvac_policy: str = "fixed"
-    hvac_setpoint_c: float = DatacenterNode.setpoint_c
-    hvac_deadband: tuple = (24.0, 26.0)
-    price_csv: str | None = None
-    carbon_csv: str | None = None
-    weather_json: str | None = None
-    synth_price: SyntheticSeriesSpec = field(default_factory=lambda: SyntheticSeriesSpec(80.0, 30.0))
-    synth_carbon: SyntheticSeriesSpec = field(default_factory=lambda: SyntheticSeriesSpec(300.0, 100.0))
-    synth_weather: SyntheticWeatherSpec = field(default_factory=SyntheticWeatherSpec)
+    hvac_policy: str = _at("hvac.policy", "fixed")
+    hvac_setpoint_c: float = _at("hvac.setpoint_c", DatacenterNode.setpoint_c)
+    hvac_deadband: tuple = _at("hvac.deadband", (24.0, 26.0))
+    price_csv: str | None = _at("data.price_csv", None)
+    carbon_csv: str | None = _at("data.carbon_csv", None)
+    weather_json: str | None = _at("data.weather_json", None)
+    synth_price: SyntheticSeriesSpec = _at("synthetic.price", SyntheticSeriesSpec(80.0, 30.0))
+    synth_carbon: SyntheticSeriesSpec = _at("synthetic.carbon", SyntheticSeriesSpec(300.0, 100.0))
+    synth_weather: SyntheticWeatherSpec = _at("synthetic.weather", SyntheticWeatherSpec())
     # the block of dc_config_file that load_dc_fleet read; None: build_env reads it
     physics: DcPhysicsParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _cast(vars(self), "dc_id", float)  # observations carry it as a float
-        if self.hvac_policy not in ("fixed", "deadband"):  # read from the hvac section
-            raise ValueError(f"policy: must be 'fixed' or 'deadband', got {self.hvac_policy!r}")
+        checked(self.dc_id, "dc_id:")  # observations carry it as a float: it must fit one
+        if self.hvac_policy not in ("fixed", "deadband"):
+            raise ValueError("hvac.policy: must be 'fixed' or 'deadband', "
+                             f"got {self.hvac_policy!r}")
         self.hvac_deadband = check_site(
             self.dc_id, (self.total_cores, self.total_gpus, self.total_mem_gb),
             self.timezone_shift, self.population_weight,
@@ -128,8 +141,9 @@ class SimConfig:
     strategy: str = "local_only"
     single_action_mode: bool = False
     disable_defer_action: bool = False
-    mean_tasks_per_interval: float = 2.0
-    resource_ranges: ResourceRanges = field(default_factory=ResourceRanges)
+    mean_tasks_per_interval: float = _at("synthetic_workload.mean_tasks_per_interval", 2.0)
+    resource_ranges: ResourceRanges = _at("synthetic_workload", ResourceRanges(),
+                                          where="bad synthetic_workload ranges: ")
 
     def __post_init__(self):
         if self.timestep_minutes != STEP // timedelta(minutes=1):
@@ -160,101 +174,86 @@ def _read_section(path, name: str, kind: type):
     return section
 
 
-def _section(doc: dict, key: str, where: str = "") -> dict:
-    """Sub-section ``doc[key]``, empty when absent or null; ``where`` is the path of
-    ``doc``'s own section, for naming a value that is not a mapping."""
-    value = doc.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}{key}: must be a mapping")
-    return value
+# what a YAML value of each declared type must be, and the refusal of one that is not
+_KINDS = {bool: (bool, "true or false"), str: (str, "a string"), tuple: (list, "a list"),
+          str | None: ((str, type(None)), "a string or null")}
 
 
-def _cast(doc: dict, key: str, kind, where: str = ""):
-    """``doc[key]`` as ``kind``: a bool takes only a YAML boolean, an int or float is
-    read by ``checked``, a path (kind ``NoneType``, from a ``None`` default) takes only
-    a string or null, and any other kind casts with ``kind(value)``. A failure reads
-    ``<where><key>: <problem>``."""
-    value, name = doc[key], f"{where}{key}"
-    if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{name}: must be true or false")
-    if kind is type(None):
-        if value is None or isinstance(value, str):
-            return value
-        raise ValueError(f"{name}: must be a string or null")
-    try:
-        return checked(value, name, kind=kind) if kind in (int, float) else kind(value)
-    except (TypeError, ValueError) as exc:  # checked's "<name> must ..." gains the colon too
-        raise ValueError(f"{name}: {str(exc).removeprefix(name).lstrip(': ')}") from exc
+@cache
+def _declared(cls) -> tuple:
+    """Dataclass ``cls``'s YAML reads, once per class: each init field's kind, key path
+    and failure prefix, dataclass fields last, and the sub-sections' key paths."""
+    hints, reads = get_type_hints(cls), []
+    for f in fields(cls):
+        if f.init:
+            keys, hint = f.metadata.get("keys", (f.name,)), hints[f.name]
+            kind = tuple if get_origin(hint) is tuple else hint  # tuple[float, float] too
+            nested = is_dataclass(kind)
+            where = f.metadata.get("where") or ".".join(keys) + ("." if nested else ": ")
+            reads.append((nested, f, keys, kind, where))
+    sections = frozenset(keys[:n] for nested, _, keys, _, _ in reads
+                         for n in range(1, len(keys) + nested))
+    return tuple(sorted(reads, key=lambda read: read[0])), sections
 
 
-def _with_doc(base, doc: dict, names=None, prefix: str = "", where: str = "", also=()):
-    """Copy of dataclass ``base`` with the fields in ``names`` (default: those named
-    ``prefix`` + key) that ``doc`` sets, each cast to the type of the value it replaces
-    or, where that value is a dataclass, read from its own sub-section. Any other key
-    of ``doc`` not in ``also`` (the keys read elsewhere) is an error; ``where`` is the
-    path of ``doc``'s section, for naming a key."""
-    if names is None:
-        names = [f.name for f in fields(base) if f.name.startswith(prefix)]
-    keys = [name.removeprefix(prefix) for name in names]
-    for key in doc:
-        if key not in keys and key not in also:
-            raise ValueError(f"{where}{key}: unknown key")
-    changes = {}
-    for name, key in zip(names, keys):
-        value = getattr(base, name)
-        if key in doc and is_dataclass(value):
-            changes[name] = _with_doc(value, _section(doc, key, where), where=f"{where}{key}.")
-        elif key in doc:
-            changes[name] = _cast(doc, key, type(value), where)
-    try:
-        return replace(base, **changes)
-    except ValueError as exc:  # a field the dataclass's own check rejects
-        raise ValueError(f"{where}{exc}") from exc
+def _flat(doc, sections, at=()):
+    """Each value of mapping ``doc`` by its key path, inside ``sections`` (null: empty) too."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{'.'.join(at)}: must be a mapping" if at else "must be a mapping")
+    for key, value in doc.items():
+        if (*at, key) not in sections:
+            yield (*at, key), value
+        elif value is not None:
+            yield from _flat(value, sections, (*at, key))
+
+
+def _read(cls, doc, base=None):
+    """Dataclass ``cls``, or ``base`` with what ``doc`` sets, built once from YAML mapping
+    ``doc`` by its fields' key paths and types. A dataclass field reads the keys under its
+    path that no other field reads; a key no field reads is an error."""
+    reads, sections = _declared(cls)
+    values, kwargs = dict(_flat(doc, sections)), {}
+    for nested, f, keys, kind, where in reads:
+        try:
+            if nested:
+                part = {at[-1]: values.pop(at) for at in list(values) if at[:-1] == keys}
+                kwargs[f.name] = _read(kind, part, f.default_factory())
+            elif keys in values:
+                value = values.pop(keys)
+                if kind in (int, float):  # named "": the handler puts the key first
+                    kwargs[f.name] = checked(value, "", kind=kind)
+                elif isinstance(value, _KINDS[kind][0]):
+                    kwargs[f.name] = tuple(value) if kind is tuple else value
+                else:
+                    raise ValueError(f"must be {_KINDS[kind][1]}")
+            elif f.default is MISSING and base is None:
+                raise KeyError(keys[-1])
+        except ValueError as exc:
+            raise ValueError(where + str(exc).lstrip(": ")) from exc
+    for at in values:  # the first key that no field reads
+        raise ValueError(f"{'.'.join(map(str, at))}: unknown key")
+    return replace(base, **kwargs) if base else cls(**kwargs)
 
 
 def load_sim_config(path) -> SimConfig:
     with naming(path):
         sim = _read_section(path, "simulation", dict)
-        rate = ["mean_tasks_per_interval"]  # read from synthetic_workload, with the ranges
-        names = [f.name for f in fields(SimConfig) if f.name not in (*rate, "resource_ranges")]
         try:
             with within("simulation"):
-                ranges_doc = _section(sim, "synthetic_workload")
-                with within("bad synthetic_workload ranges"):
-                    ranges = _with_doc(ResourceRanges(), ranges_doc, also=rate)
-                base = SimConfig(**{key: _cast(sim, key, int)
-                                    for key in ("year", "month", "init_day", "duration_days")},
-                                 resource_ranges=ranges)
-                base = _with_doc(base, ranges_doc, rate, where="synthetic_workload.",
-                                 also=ranges_doc)  # the ranges read checked its keys
-                return _with_doc(base, sim, names, also=["synthetic_workload"])
+                return _read(SimConfig, sim)
         except KeyError as exc:
             raise ConfigError(f"missing simulation field {exc.args[0]!r}") from exc
 
 
 def load_dc_fleet(path) -> list[DcSpec]:
     with naming(path):
-        data = ["price_csv", "carbon_csv", "weather_json"]  # read from the data section
-        top = [f.name for f in fields(DcSpec) if f.init
-               and f.name not in data and not f.name.startswith(("hvac_", "synth_"))]
         specs = []
         for i, entry in enumerate(_read_section(path, "datacenters", list)):
             try:
                 with within(f"datacenter {i}"):
-                    spec = DcSpec(dc_id=_cast(entry, "dc_id", int),
-                                  location=str(entry["location"]),
-                                  **{key: _cast(entry, key, float)
-                                     for key in ("total_cores", "total_gpus", "total_mem_gb")})
-                    spec = _with_doc(spec, entry, top, also=["hvac", "data", "synthetic"])
-                    spec = _with_doc(spec, _section(entry, "hvac"), prefix="hvac_", where="hvac.")
-                    spec = _with_doc(spec, _section(entry, "data"), data, where="data.")
-                    spec = _with_doc(spec, _section(entry, "synthetic"), prefix="synth_",
-                                     where="synthetic.")
+                    specs.append(_read(DcSpec, entry))
             except KeyError as exc:
                 raise ConfigError(f"datacenter {i}: missing field {exc.args[0]!r}") from exc
-            specs.append(spec)
         ids = [s.dc_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError("dc_id values must be unique")

@@ -188,8 +188,8 @@ def test_a_refusal_no_other_test_reaches_keeps_its_message(tmp_path, call, kind,
 KEPT_HANDLERS = {
     "floats.checked": "the cast's own error under the value's name, which is no context: "
                       "the caller's within adds that",
-    "runner._cast": "drops checked's copy of the key's name, so that the key reads once",
-    "runner._with_doc": "joins a key path such as 'hvac.' to the message with no colon",
+    "runner._read": "puts a field's key path before the message, joined by a dot inside a "
+                    "nested section, and drops checked's leading colon",
     "dcphysics.load_dc_config": "follows the JSON-decode handler in one try around json.load, "
                                 "whose bad bytes raise a ValueError too",
     "workload.load_trace": "the JSON-line handler: it follows the JSON-decode handler and "

@@ -7,19 +7,19 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from geodcsim import cluster, envdata, network, runner, schedenv
 from geodcsim.cluster import ClusterInfo, DcStepInfo
-from geodcsim.controllers import RuleBasedController, snapshot_cluster
+from geodcsim.controllers import RbcStrategy, RuleBasedController, snapshot_cluster
 from geodcsim.dcphysics import desk_scale_params, save_dc_config
 from geodcsim.envdata import (
     SeriesKind,
@@ -34,6 +34,7 @@ from geodcsim.runner import (
     DcSpec,
     SimConfig,
     SyntheticSeriesSpec,
+    SyntheticWeatherSpec,
     build_env,
     load_dc_fleet,
     load_reward_config,
@@ -43,7 +44,7 @@ from geodcsim.runner import (
     run_sweep,
     summarize_kpis,
 )
-from geodcsim.workload import ResourceRanges, generate_synthetic_trace, save_trace
+from geodcsim.workload import _DOMAINS, ResourceRanges, generate_synthetic_trace, save_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -170,6 +171,86 @@ class TestConfigLoading:
         fleet[0].location = "ATLANTIS"
         with pytest.raises(ConfigError):
             build_env(small_sim(), fleet, REWARD, seed=0)
+
+
+def _written(config) -> dict:
+    """The YAML document of ``config``: each init field's value under the key path it
+    declares (by default its own name), a tuple as a list and a dataclass as the keys
+    of its own fields, which share the section with any other field declared there."""
+    doc = {}
+    for f in fields(config):
+        if f.init:
+            *sections, key = f.metadata.get("keys", (f.name,))
+            section = doc
+            for part in sections:
+                section = section.setdefault(part, {})
+            value = getattr(config, f.name)
+            if is_dataclass(value):
+                section.setdefault(key, {}).update(_written(value))
+            else:
+                section[key] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
+_PATHS = st.none() | _TEXT
+
+
+def _bounds(floor, ceiling):
+    """A ``ResourceRanges`` pair inside ``[floor, ceiling]``, lower bound first."""
+    bound = st.floats(floor, min(ceiling, 1e300))
+    return st.tuples(bound, bound).map(lambda pair: tuple(sorted(pair)))
+
+
+_SIMS = st.builds(
+    SimConfig, year=st.integers(1, 9998), month=st.integers(1, 12),
+    init_day=st.integers(1, 28), duration_days=st.integers(1, 366),
+    init_hour=st.integers(0, 23), workload_path=_PATHS, cost_matrix_path=_PATHS,
+    delay_params_path=_PATHS, region_map_path=_PATHS, shuffle_datacenters=st.booleans(),
+    strategy=st.sampled_from([s.value for s in RbcStrategy]),
+    single_action_mode=st.booleans(), disable_defer_action=st.booleans(),
+    mean_tasks_per_interval=st.floats(0.0, 1e300),
+    resource_ranges=st.builds(ResourceRanges, **{name: _bounds(*domain)
+                                                 for name, domain in _DOMAINS.items()}))
+_SERIES = st.builds(SyntheticSeriesSpec, _FINITE, _FINITE, _FINITE)
+_SITES = st.builds(
+    DcSpec, dc_id=st.integers(-2**63, 2**63), location=_TEXT,
+    total_cores=st.floats(0.0, 1e300), total_gpus=st.floats(0.0, 1e300),
+    total_mem_gb=st.floats(0.0, 1e300), timezone_shift=st.floats(-24.0, 24.0),
+    population_weight=st.floats(0.0, 1e300, exclude_min=True), dc_config_file=_PATHS,
+    hru_enabled=st.booleans(), hvac_policy=st.sampled_from(["fixed", "deadband"]),
+    hvac_setpoint_c=_FINITE,
+    hvac_deadband=st.floats(-1e300, 1e300).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.floats(lo, 1e301, exclude_min=True))),
+    price_csv=_PATHS, carbon_csv=_PATHS, weather_json=_PATHS,
+    synth_price=_SERIES, synth_carbon=_SERIES,
+    synth_weather=st.builds(SyntheticWeatherSpec, _FINITE, _FINITE, _FINITE,
+                            st.floats(0.0, 100.0)))
+
+
+class TestDeclaredReader:
+    """``runner._read`` builds a config from the keys its fields declare."""
+
+    @settings(max_examples=150, phases=_NO_SHRINK)
+    @given(config=st.one_of(_SIMS, _SITES))
+    def test_a_written_config_reads_back_equal(self, config):
+        doc = yaml.safe_load(yaml.safe_dump(_written(config)))
+        assert runner._read(type(config), doc) == config
+
+    def test_each_load_builds_each_config_once(self, monkeypatch):
+        """Each site's ``DcSpec`` and the ``SimConfig`` run their checks once per load,
+        not once per section read."""
+        built = []
+        for cls in (SimConfig, DcSpec):
+            def counted(self, check=cls.__post_init__):
+                built.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        load_sim_config(CONFIG_DIR / "sim.yaml")
+        load_dc_fleet(CONFIG_DIR / "datacenters.yaml")
+        assert built == ["SimConfig", "DcSpec", "DcSpec", "DcSpec"]
 
 
 class TestRunEpisode:
@@ -929,9 +1010,14 @@ class TestCli:
          "simulation: synthetic_workload: must be a mapping"),
         (["simulation", "synthetic_workload", "duration_min"], [15, "abc"],
          "simulation: bad synthetic_workload ranges: duration_min: bounds must be numbers"),
+        (["simulation", "synthetic_workload", "cores_req"], "1-16",
+         "simulation: bad synthetic_workload ranges: cores_req: must be a list"),
+        (["simulation", "strategy"], 5, "simulation: strategy: must be a string"),
+        (["simulation", "strategy"], None, "simulation: strategy: must be a string"),
     ], ids=["shuffle_string", "single_action_int", "workload_path_int", "workload_path_true",
             "cost_matrix_list", "delay_params_int", "region_map_mapping",
-            "synthetic_workload_list", "range_bound_string"])
+            "synthetic_workload_list", "range_bound_string", "range_string",
+            "strategy_int", "strategy_null"])
     def test_cli_sim_value_of_wrong_kind(self, tmp_path, capsys, keys, value, expected):
         """A bool takes only a boolean, a path a string or null, a section a mapping."""
         args, sim = self._edited_args(tmp_path, "sim", keys, value)
@@ -950,14 +1036,33 @@ class TestCli:
         (["synthetic"], {"price": [1, 2]}, "synthetic.price: must be a mapping"),
         (["synthetic", "carbon"], 5, "synthetic.carbon: must be a mapping"),
         (["synthetic", "weather"], "x", "synthetic.weather: must be a mapping"),
+        (["location"], 5, "location: must be a string"),
+        (["location"], True, "location: must be a string"),
+        (["location"], None, "location: must be a string"),
+        (["hvac", "policy"], 5, "hvac.policy: must be a string"),
+        (["hvac", "deadband"], "24-26", "hvac.deadband: must be a list"),
     ], ids=["hru_string", "dc_config_file_int", "price_csv_int", "carbon_csv_true",
             "weather_json_list", "data_int", "hvac_list", "synthetic_list",
-            "synthetic_price_list", "synthetic_carbon_int", "synthetic_weather_string"])
+            "synthetic_price_list", "synthetic_carbon_int", "synthetic_weather_string",
+            "location_int", "location_true", "location_null", "policy_int",
+            "deadband_string"])
     def test_cli_fleet_value_of_wrong_kind(self, tmp_path, capsys, keys, value, expected):
         """A bool takes only a boolean, a path a string or null, a section a mapping."""
         args, fleet = self._edited_fleet_args(tmp_path, keys, value)
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {fleet}: datacenter 0: {expected}"]
+
+    @pytest.mark.parametrize("entry", [5, None, "x", [1, 2]], ids=["int", "null", "text", "list"])
+    def test_cli_datacenter_entry_not_a_mapping(self, tmp_path, capsys, entry):
+        """Such an entry ended as Python's own text, such as ``datacenter 0: 'int' object
+        is not subscriptable``."""
+        def edit(dcs):
+            dcs[0] = entry
+
+        args, fleet = self._fleet_args(tmp_path, edit)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {fleet}: datacenter 0: must be a mapping"]
 
     def test_cli_bad_reward_weight(self, tmp_path, capsys):
         args, reward = self._edited_args(
